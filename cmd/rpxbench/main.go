@@ -8,7 +8,7 @@
 //
 // Experiments: fig3, table4, fig8, fig9a, fig9b, fig9c, table5, energy,
 // appendix, clsweep, futurework, parallel, gateway, stream, hotpath,
-// maskcodec.
+// policyloop.
 package main
 
 import (
@@ -89,9 +89,8 @@ var registry = []experiment{
 	{"futurework", "§7 directions: DRAM-less, in-sensor encoder, adaptive cycle", runFutureWork},
 	{"parallel", "Row-band parallel encode/decode scaling vs worker count", runParallel},
 	{"gateway", "rpxgw proxy overhead vs direct rpxd dial at 1/8/64 sessions", runGateway},
-	{"stream", "v3 push delivery vs request/reply pull at 1/8/64 sessions", runStream},
+	{"stream", "push delivery vs request/reply pull at 1/8/64 sessions", runStream},
 	{"hotpath", "pooled zero-copy frame path vs copy-heavy baseline at 1/8/64 sessions", runHotpath},
-	{"maskcodec", "packed (RLE) container metadata vs raw, per workload", runMaskCodec},
 	{"policyloop", "closed-loop scenario policies: accuracy vs traffic over a CL sweep", runPolicyLoop},
 }
 
@@ -303,20 +302,6 @@ func runStream(s experiments.Scale) (string, error) {
 		return "", err
 	}
 	return experiments.StreamReport(rows), nil
-}
-
-func runMaskCodec(s experiments.Scale) (string, error) {
-	rows, err := experiments.MaskCodec(s)
-	if err != nil {
-		return "", err
-	}
-	if err := writeCSV("maskcodec", func(f *os.File) error { return experiments.MaskCodecCSV(f, rows) }); err != nil {
-		return "", err
-	}
-	if err := writeBenchJSON("maskcodec", func(f *os.File) error { return experiments.MaskCodecJSON(f, rows) }); err != nil {
-		return "", err
-	}
-	return experiments.MaskCodecReport(rows), nil
 }
 
 func runHotpath(s experiments.Scale) (string, error) {

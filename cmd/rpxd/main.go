@@ -15,13 +15,12 @@
 // closed, their slots freed) so abandoned clients cannot pin -max-sessions;
 // 0 disables eviction and leaves only the per-read -read-timeout guard.
 //
-// Protocol v3 connections may also SUBSCRIBE to another session's frame
-// stream: the connection switches into push mode and receives FRAME_PUSH
-// batches under a credit window granted by the subscriber, so a stalled
-// consumer drops frames (counted) instead of buffering unboundedly or
-// stalling the producer. The rpxd_stream_* metric series on /metrics
-// tracks open subscriptions, pushed/dropped frames, and in-flight buffered
-// frames.
+// A connection may also SUBSCRIBE to another session's frame stream: it
+// switches into push mode and receives FRAME_PUSH batches under a credit
+// window granted by the subscriber, so a stalled consumer drops frames
+// (counted) instead of buffering unboundedly or stalling the producer.
+// The rpxd_stream_* metric series on /metrics tracks open subscriptions,
+// pushed/dropped frames, and in-flight buffered frames.
 //
 // With -admin the daemon also serves an observability endpoint on a second
 // address: /metrics (Prometheus text), /healthz (200 while serving, 503
@@ -48,6 +47,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/admin"
 	"repro/internal/server"
 )
 
@@ -141,7 +141,7 @@ func serveAndDrain(ctx context.Context, ln, adminLn net.Listener, traceSpans int
 	mgr := server.NewManager(mcfg)
 	if adminLn != nil {
 		hstate = server.NewHealth(mgr.SessionsOpen)
-		adminSrv = &http.Server{Handler: newAdminMux(reg, tracer, hstate)}
+		adminSrv = &http.Server{Handler: admin.NewMux(reg, hstate, tracer)}
 		go adminSrv.Serve(adminLn)
 		fmt.Fprintf(logw, "rpxd: admin listening on %s\n", adminLn.Addr())
 	}

@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/gateway"
 	"repro/internal/obs"
+	"repro/internal/obs/admin"
 	"repro/internal/server"
 )
 
@@ -152,7 +153,7 @@ func serveAndDrain(ctx context.Context, ln, adminLn net.Listener, gcfg gateway.C
 	)
 	if adminLn != nil {
 		hstate = server.NewHealth(g.SessionsOpen)
-		adminSrv = &http.Server{Handler: newAdminMux(reg, hstate)}
+		adminSrv = &http.Server{Handler: admin.NewMux(reg, hstate, nil)}
 		go adminSrv.Serve(adminLn)
 		fmt.Fprintf(logw, "rpxgw: admin listening on %s\n", adminLn.Addr())
 	}

@@ -256,7 +256,7 @@ func expectedFaultErr(err error) bool {
 
 // TestLiveGatewayStream is the CI streaming smoke driver, gated on
 // RPXGW_ADDR: against an externally started rpxgw it opens a producer and
-// a subscriber session, relays a v3 push stream through the gateway, and
+// a subscriber session, relays a push stream through the gateway, and
 // requires every pushed frame in order followed by a clean UNSUBSCRIBE
 // that hands the connection back to request/reply.
 func TestLiveGatewayStream(t *testing.T) {

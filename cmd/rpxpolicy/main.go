@@ -3,7 +3,7 @@
 // an rpxgw), decodes the pushed frames, runs a registry-selected policy
 // over the observed scene once per cycle, and pushes the resulting
 // region-label workload back to the producer with in-stream label feedback
-// (protocol v5). The producer's capture rhythm is then steered by what the
+// (STREAM_LABELS). The producer's capture rhythm is then steered by what the
 // policy saw — the deployment shape the paper's §4.3.1 policy/user split
 // implies, with the policy in its own process.
 //
@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/admin"
 	"repro/internal/policy"
 	"repro/internal/policyloop"
 	"repro/internal/server"
@@ -129,7 +130,7 @@ func run(ctx context.Context, adminLn net.Listener, cfg policyloop.Config, logw 
 	var hstate *server.Health
 	if adminLn != nil {
 		hstate = server.NewHealth(func() int { return int(loop.Stats().Frames) })
-		adminSrv = &http.Server{Handler: newAdminMux(reg, hstate)}
+		adminSrv = &http.Server{Handler: admin.NewMux(reg, hstate, nil)}
 		go adminSrv.Serve(adminLn)
 		fmt.Fprintf(logw, "rpxpolicy: admin listening on %s\n", adminLn.Addr())
 	}

@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,50 @@ func TestFromBytes(t *testing.T) {
 	}
 	if got := m.CountR(6); got != 5 {
 		t.Errorf("CountR(6) = %d, want 5", got)
+	}
+}
+
+// Regression: FromBytes must clear the unused high-order fields of the
+// final byte. Before the fix a deserialized mask re-serialized to different
+// bytes than an encoder-built one, breaking the differential suite's
+// byte-identity oracle.
+func TestFromBytesCanonicalizesPadding(t *testing.T) {
+	buf := []byte{0xFF, 0xFF} // n=6: top field of byte 1 is padding
+	m, err := FromBytes(buf, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewMask2(6)
+	ref.Fill(0, 6, CodeR)
+	if !m.Equal(ref) {
+		t.Fatal("mask with dirty padding not Equal to clean all-R mask")
+	}
+	if !bytes.Equal(m.Bytes(), ref.Bytes()) {
+		t.Fatalf("Bytes() not canonical: got %x, want %x", m.Bytes(), ref.Bytes())
+	}
+}
+
+// Regression: FromBytes must trim oversized buffers to exactly ceil(n/4)
+// bytes so SizeBytes/MetadataBytes do not over-report and Bytes() round
+// trips do not grow.
+func TestFromBytesTrimsExcess(t *testing.T) {
+	buf := []byte{0x1B, 0x03, 0xAA, 0xBB, 0xCC} // n=6 needs 2 bytes
+	m, err := FromBytes(buf, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.SizeBytes(); got != 2 {
+		t.Fatalf("SizeBytes = %d, want 2", got)
+	}
+	if got := m.Bytes(); len(got) != 2 {
+		t.Fatalf("Bytes() = %d bytes, want 2", len(got))
+	}
+	m2, err := FromBytes(m.Bytes(), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m2.Equal(m) || m2.SizeBytes() != 2 {
+		t.Fatal("Bytes() round trip changed the mask")
 	}
 }
 

@@ -238,96 +238,6 @@ func TestDifferentialDecodeParallel(t *testing.T) {
 	}
 }
 
-// TestDifferentialPackedContainer routes every randomized case through
-// both RPXE containers — raw v1 (the byte-identity reference) and packed
-// v2 — and decodes the packed copies at parallelism 1, 2, and 8. The
-// packed round trip must reproduce the mask codes and row offsets exactly,
-// and decoded pixels must be byte-equal to the raw-container reference for
-// full frames and random windows alike.
-func TestDifferentialPackedContainer(t *testing.T) {
-	const casesPerFormat = 60
-	packedParallelisms := []int{1, 2, 8}
-	for _, format := range []frame.Format{frame.Gray8, frame.RGB24} {
-		format := format
-		t.Run(format.String(), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(0x9acced01 + int64(format)))
-			for ci := 0; ci < casesPerFormat; ci++ {
-				c := genDiffCase(rng, format)
-				tag := fmt.Sprintf("case %d (%dx%d, %d labels, %d frames)", ci, c.w, c.h, len(c.labels), len(c.frames))
-
-				enc := NewEncoder(c.w, c.h, c.format)
-				if err := enc.SetRegionLabels(c.labels); err != nil {
-					t.Fatalf("%s: labels: %v", tag, err)
-				}
-				rawDec := NewDecoder(c.w, c.h, c.format)
-				packDecs := make([]*Decoder, len(packedParallelisms))
-				for i, n := range packedParallelisms {
-					packDecs[i] = NewDecoder(c.w, c.h, c.format, WithParallelism(n))
-				}
-				for fi, fr := range c.frames {
-					ef, err := enc.EncodeFrame(fr, fi)
-					if err != nil {
-						t.Fatalf("%s: encode: %v", tag, err)
-					}
-					packed := ef.AppendPacked(nil)
-					if len(packed) > ef.PackedMaxSize() {
-						t.Fatalf("%s: packed %d bytes exceeds PackedMaxSize %d", tag, len(packed), ef.PackedMaxSize())
-					}
-					pef, err := ReadEncodedFrame(bytes.NewReader(packed))
-					if err != nil {
-						t.Fatalf("%s: read packed: %v", tag, err)
-					}
-					// Exact metadata round trip: mask codes and row offsets.
-					encodedEqual(t, tag+" packed round trip", ef, pef)
-					if pef.FrameIndex != ef.FrameIndex {
-						t.Fatalf("%s: packed FrameIndex %d, want %d", tag, pef.FrameIndex, ef.FrameIndex)
-					}
-					rf, err := ReadEncodedFrame(bytes.NewReader(ef.AppendTo(nil)))
-					if err != nil {
-						t.Fatalf("%s: read raw: %v", tag, err)
-					}
-					if err := rawDec.Push(rf); err != nil {
-						t.Fatalf("%s: raw push: %v", tag, err)
-					}
-					for _, pd := range packDecs {
-						if err := pd.Push(pef); err != nil {
-							t.Fatalf("%s: packed push: %v", tag, err)
-						}
-					}
-				}
-
-				want, err := rawDec.DecodeFrame()
-				if err != nil {
-					t.Fatalf("%s: raw decode: %v", tag, err)
-				}
-				wx, wy := rng.Intn(c.w), rng.Intn(c.h)
-				ww, wh := 1+rng.Intn(c.w-wx), 1+rng.Intn(c.h-wy)
-				wantWin, err := rawDec.DecodeWindow(wx, wy, ww, wh)
-				if err != nil {
-					t.Fatalf("%s: raw window: %v", tag, err)
-				}
-				for i, n := range packedParallelisms {
-					got, err := packDecs[i].DecodeFrame()
-					if err != nil {
-						t.Fatalf("%s: packed(n=%d) decode: %v", tag, n, err)
-					}
-					if !bytes.Equal(want.Pix, got.Pix) {
-						t.Fatalf("%s: packed(n=%d) full decode differs from raw reference", tag, n)
-					}
-					gotWin, err := packDecs[i].DecodeWindow(wx, wy, ww, wh)
-					if err != nil {
-						t.Fatalf("%s: packed(n=%d) window: %v", tag, n, err)
-					}
-					if !bytes.Equal(wantWin.Pix, gotWin.Pix) {
-						t.Fatalf("%s: packed(n=%d) window (%d,%d %dx%d) differs", tag, n, wx, wy, ww, wh)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestParallelEncoderBandAlignment pins the invariant the lock-free shared
 // EncMask depends on: every band boundary sits at a row multiple of the
 // mask alignment, so band byte ranges never overlap.

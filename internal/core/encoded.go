@@ -146,14 +146,12 @@ func (ef *EncodedFrame) CopyFrom(src *EncodedFrame) {
 // encodedMagic identifies the serialized encoded-frame container.
 const encodedMagic = 0x52505845 // "RPXE"
 
+// encodedVersion is the RPXE container version: raw row offsets and the
+// raw 2 bpp mask, the paper's metadata layout (§3).
+const encodedVersion = 1
+
 // encodedHeaderSize is the fixed RPXE container header length.
 const encodedHeaderSize = 28
-
-// EncodedHeaderSize is the fixed RPXE container header length, shared by
-// the v1 (raw) and v2 (packed-metadata) container forms. Exported so
-// measurement code can split a serialized container into header, payload,
-// and metadata-tail bytes without re-parsing it.
-const EncodedHeaderSize = encodedHeaderSize
 
 // EncodedSize returns the exact serialized length of the RPXE container
 // WriteTo/AppendTo produce, so callers can size a destination buffer and
@@ -167,7 +165,7 @@ func (ef *EncodedFrame) EncodedSize() int {
 // EncodedSize() spare capacity.
 func (ef *EncodedFrame) AppendTo(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, encodedMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, encodedVersionRaw)
+	dst = binary.LittleEndian.AppendUint32(dst, encodedVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(ef.W))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(ef.H))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(ef.BytesPerPixel))
@@ -187,7 +185,7 @@ func (ef *EncodedFrame) WriteTo(w io.Writer) (int64, error) {
 	var n int64
 	hdr := make([]byte, 0, 32)
 	hdr = binary.LittleEndian.AppendUint32(hdr, encodedMagic)
-	hdr = binary.LittleEndian.AppendUint32(hdr, encodedVersionRaw)
+	hdr = binary.LittleEndian.AppendUint32(hdr, encodedVersion)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ef.W))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ef.H))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ef.BytesPerPixel))
@@ -262,8 +260,7 @@ func ReadEncodedFrame(r io.Reader) (*EncodedFrame, error) {
 	if binary.LittleEndian.Uint32(hdr) != encodedMagic {
 		return nil, fmt.Errorf("core: bad magic %#x", binary.LittleEndian.Uint32(hdr))
 	}
-	v := binary.LittleEndian.Uint32(hdr[4:])
-	if v != encodedVersionRaw && v != encodedVersionPacked {
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != encodedVersion {
 		return nil, fmt.Errorf("core: unsupported version %d", v)
 	}
 	w := int(binary.LittleEndian.Uint32(hdr[8:]))
@@ -282,28 +279,20 @@ func ReadEncodedFrame(r io.Reader) (*EncodedFrame, error) {
 	if ef.Pix, err = readExact(r, payloadLen); err != nil {
 		return nil, fmt.Errorf("core: short payload: %w", err)
 	}
-	if v == encodedVersionPacked {
-		if err := readPackedMeta(r, ef); err != nil {
-			return nil, err
-		}
-	} else {
-		offs := make([]byte, 4*(h+1))
-		if _, err := io.ReadFull(r, offs); err != nil {
-			return nil, fmt.Errorf("core: short offsets: %w", err)
-		}
-		ef.RowOffsets = make([]uint32, h+1)
-		for i := range ef.RowOffsets {
-			ef.RowOffsets[i] = binary.LittleEndian.Uint32(offs[4*i:])
-		}
-		maskBytes, err := readExact(r, (w*h+3)/4)
-		if err != nil {
-			return nil, fmt.Errorf("core: short mask: %w", err)
-		}
-		mask, err := bitpack.FromBytes(maskBytes, w*h)
-		if err != nil {
-			return nil, err
-		}
-		ef.Mask = mask
+	offs := make([]byte, 4*(h+1))
+	if _, err := io.ReadFull(r, offs); err != nil {
+		return nil, fmt.Errorf("core: short offsets: %w", err)
+	}
+	ef.RowOffsets = make([]uint32, h+1)
+	for i := range ef.RowOffsets {
+		ef.RowOffsets[i] = binary.LittleEndian.Uint32(offs[4*i:])
+	}
+	maskBytes, err := readExact(r, (w*h+3)/4)
+	if err != nil {
+		return nil, fmt.Errorf("core: short mask: %w", err)
+	}
+	if ef.Mask, err = bitpack.FromBytes(maskBytes, w*h); err != nil {
+		return nil, err
 	}
 	if err := ef.Validate(); err != nil {
 		return nil, fmt.Errorf("core: corrupt encoded frame: %w", err)

@@ -15,24 +15,23 @@ import (
 )
 
 // Streaming delivery: frames/sec getting one sensor pipeline's encoded
-// frames into N consumers' hands, protocol v3 push versus v2
-// request/reply. Not a paper artifact — the paper's system is a single
-// sensor pipeline — but it prices the fan-out mechanism the scale-out
-// reproduction adds. Request/reply has no cross-session read, so v2
-// fan-out means every consumer runs its own capture + GET_ENCODED
-// pipeline: N consumers cost N encodes and 2N round trips per frame. v3
-// fan-out captures and encodes once and pushes the shared bytes down N
-// credit-windowed streams.
+// frames into N consumers' hands, push versus request/reply. Not a paper
+// artifact — the paper's system is a single sensor pipeline — but it
+// prices the fan-out mechanism the scale-out reproduction adds.
+// Request/reply has no cross-session read, so request/reply fan-out means
+// every consumer runs its own capture + GET_ENCODED pipeline: N consumers
+// cost N encodes and 2N round trips per frame. Push fan-out captures and
+// encodes once and pushes the shared bytes down N credit-windowed streams.
 
 // StreamRow is one consumer-count measurement.
 type StreamRow struct {
 	// Sessions is the number of consumer sessions receiving the frames.
 	Sessions int `json:"sessions"`
 	// RPCFPS is delivered frames/sec with each consumer running its own
-	// capture + LastEncoded pull pipeline (the only v2 fan-out).
+	// capture + LastEncoded pull pipeline (the only request/reply fan-out).
 	RPCFPS float64 `json:"rpc_fps"`
 	// PushFPS is delivered frames/sec with one producer capturing and
-	// every consumer on a v3 SUBSCRIBE stream.
+	// every consumer on a SUBSCRIBE stream.
 	PushFPS float64 `json:"push_fps"`
 	// SpeedupX is PushFPS/RPCFPS; above 1 means push wins.
 	SpeedupX float64 `json:"speedup_x"`
@@ -97,10 +96,10 @@ func streamDial(addr string) (*client.Session, error) {
 	return sess, nil
 }
 
-// streamRunRPC times n consumer sessions each running the full v2 fan-out
-// pipeline: capture every frame and pull its encoded bytes via
-// LastEncoded (request/reply has no cross-session read, so each consumer
-// repeats the capture).
+// streamRunRPC times n consumer sessions each running the full
+// request/reply fan-out pipeline: capture every frame and pull its encoded
+// bytes via LastEncoded (request/reply has no cross-session read, so each
+// consumer repeats the capture).
 func streamRunRPC(addr string, sessions, frames int) (fps float64, err error) {
 	open := make([]*client.Session, 0, sessions)
 	defer func() {
@@ -164,8 +163,8 @@ func streamRunRPC(addr string, sessions, frames int) (fps float64, err error) {
 	return float64(sessions*frames) / elapsed, nil
 }
 
-// streamRunPush times one producer fanning out to n subscribers over v3
-// push streams; the clock stops when every subscriber holds all frames.
+// streamRunPush times one producer fanning out to n subscribers over push
+// streams; the clock stops when every subscriber holds all frames.
 func streamRunPush(addr string, sessions, frames int) (fps float64, err error) {
 	producer, err := streamDial(addr)
 	if err != nil {

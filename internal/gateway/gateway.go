@@ -374,6 +374,20 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// armRead sets the deadline for a handler's next client read. Shutdown
+// wakes blocked reads by expiring their deadlines; a handler that re-arms
+// after that wake-up gets an expired deadline too, instead of blocking for
+// a full ReadTimeout and stalling the drain.
+func (g *Gateway) armRead(conn net.Conn) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	deadline := time.Now().Add(g.cfg.ReadTimeout)
+	if g.draining {
+		deadline = time.Now()
+	}
+	conn.SetReadDeadline(deadline)
+}
+
 // proxySession is one client connection pinned to one backend. hello and
 // labels hold the raw payload bytes the client sent, replayed verbatim on
 // migration so the replacement backend sees exactly the original workload.
@@ -410,7 +424,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		return writeClient(wire.MsgError, wire.MarshalError(code, msg))
 	}
 
-	conn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
+	g.armRead(conn)
 	typ, payload, err := wire.ReadMessage(cbr, g.cfg.MaxPayload)
 	if err != nil {
 		return
@@ -449,7 +463,9 @@ func (g *Gateway) handle(conn net.Conn) {
 	g.mu.Unlock()
 	g.sessionsTotal.Inc()
 	g.sessionsOpen.Add(1)
-	defer func() {
+	// release deregisters the session. CLOSE runs it before relaying the
+	// ACK, so a client holding that ACK never sees the session counted.
+	release := sync.OnceFunc(func() {
 		g.mu.Lock()
 		delete(g.sessions, s)
 		g.mu.Unlock()
@@ -457,13 +473,14 @@ func (g *Gateway) handle(conn net.Conn) {
 		s.mu.Lock()
 		s.closeBackendLocked()
 		s.mu.Unlock()
-	}()
+	})
+	defer release()
 	if writeClient(wire.MsgHelloAck, ack) != nil {
 		return
 	}
 
 	for {
-		conn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
+		g.armRead(conn)
 		typ, payload, err := wire.ReadMessage(cbr, g.cfg.MaxPayload)
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {
@@ -493,10 +510,12 @@ func (g *Gateway) handle(conn net.Conn) {
 		if i := opIndex(typ); i >= 0 {
 			g.opHist[i].Observe(time.Since(start))
 		}
-		if writeClient(rtyp, rpayload) != nil {
+		if typ == wire.MsgClose {
+			release()
+			writeClient(rtyp, rpayload)
 			return
 		}
-		if typ == wire.MsgClose {
+		if writeClient(rtyp, rpayload) != nil {
 			return
 		}
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Streaming relay (protocol v3).
+// Streaming relay.
 //
 // A SUBSCRIBE switches the proxied connection into push mode: the gateway
 // forwards the subscribe, relays the SUBSCRIBE_ACK, and then runs two pumps
@@ -125,15 +125,17 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, writeClient
 		return 0, nil, false
 	}
 	if rtyp != wire.MsgSubscribeAck {
-		// Deterministic rejection (bad target, v2 session): relayed, the
+		// Deterministic rejection (bad target, closed session): relayed, the
 		// connection stays in request/reply mode.
 		return 0, nil, true
 	}
 
 	// Downstream pump: backend→client until the stream's terminal message
 	// (final ACK or ERROR) or a transport failure on either side. It owns
-	// the client's write side until pumpDone closes.
+	// the client's write side until pumpDone closes. ended, guarded by
+	// s.mu, is set before a relayed terminal message reaches the client.
 	pumpDone := make(chan struct{})
+	ended := false
 	go func() {
 		defer close(pumpDone)
 		for {
@@ -150,12 +152,18 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, writeClient
 					fmt.Sprintf("backend failed mid-stream: %v", err)))
 				return
 			}
+			terminal := typ == wire.MsgAck || typ == wire.MsgError
+			if terminal {
+				s.mu.Lock()
+				ended = true
+				s.mu.Unlock()
+			}
 			if writeClient(typ, payload) != nil {
 				// Client gone; the upstream loop will notice on its read.
 				bconn.Close()
 				return
 			}
-			if typ == wire.MsgAck || typ == wire.MsgError {
+			if terminal {
 				return // stream finished cleanly (or with a relayed error)
 			}
 		}
@@ -165,7 +173,7 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, writeClient
 	// message that arrives after the stream ended server-side is handed
 	// back to the request/reply loop.
 	for {
-		conn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
+		g.armRead(conn)
 		typ, payload, err := wire.ReadMessage(cbr, g.cfg.MaxPayload)
 		if err != nil {
 			s.mu.Lock()
@@ -183,8 +191,12 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, writeClient
 		}
 		s.mu.Lock()
 		bc := s.bconn
-		if bc == nil {
-			// Backend vanished between the pump's teardown and our check.
+		// Once the terminal message is relayed, anything but a stream
+		// message is the client's next request; forwarding it into the
+		// finished stream would lose it.
+		next := ended && typ != wire.MsgCredit && typ != wire.MsgUnsubscribe && typ != wire.MsgStreamLabels
+		if bc == nil || next {
+			// The stream ended between the pump's teardown and our check.
 			s.mu.Unlock()
 			<-pumpDone
 			return typ, payload, true

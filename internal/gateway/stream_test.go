@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/wire"
 	"repro/rpx"
@@ -252,81 +251,5 @@ func TestGatewayStreamBackendKill(t *testing.T) {
 	}
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestGatewayPackedCodecRelay: the packed-metadata codec negotiated at
-// HELLO survives the gateway, which relays handshake payloads verbatim and
-// never decodes frame containers. A packed client's GET_ENCODED replies and
-// FRAME_PUSH records arrive as v2 containers whose content matches a raw
-// client's view of the same session byte-for-byte after v1 re-serialization.
-func TestGatewayPackedCodecRelay(t *testing.T) {
-	b := startBackend(t)
-	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
-
-	producer, err := client.Dial(addr, client.Config{
-		W: 64, H: 48, Format: rpx.Gray8, Block: true, PackedMask: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer producer.Close()
-	if !producer.PackedMask() {
-		t.Fatal("packed codec not granted through the gateway")
-	}
-	// PackedMask-only clients pin v4 (the codec revision) so their
-	// handshake bytes never drift as ProtoVersion advances.
-	if v := producer.ProtoVersion(); v != 4 {
-		t.Fatalf("negotiated version %d through gateway, want 4", v)
-	}
-	if err := producer.SetRegionLabels([]rpx.RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 1, Skip: 1}}); err != nil {
-		t.Fatal(err)
-	}
-
-	subscriber, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8, PackedMask: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer subscriber.Close()
-	st, err := subscriber.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 16, Batch: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const frames = 5
-	fr := rpx.NewFrame(64, 48, rpx.Gray8)
-	for i := 0; i < frames; i++ {
-		fillFrame(fr, 3, i)
-		if _, err := producer.Capture(fr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var last []byte
-	for i := 0; i < frames; i++ {
-		f, err := st.Recv()
-		if err != nil {
-			t.Fatalf("Recv %d: %v", i, err)
-		}
-		if f.Seq != uint64(i) {
-			t.Fatalf("frame %d seq = %d — gap or reorder through the relay", i, f.Seq)
-		}
-		last = f.Raw
-	}
-
-	// The producer's own GET_ENCODED view also arrives packed and decodes
-	// transparently; both views must re-serialize to the same v1 bytes.
-	want, err := producer.LastEncoded()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.ReadEncodedFrame(bytes.NewReader(last))
-	if err != nil {
-		t.Fatalf("relayed packed record does not parse: %v", err)
-	}
-	if !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
-		t.Fatal("relayed packed record diverges from GET_ENCODED view")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("unsubscribe through gateway: %v", err)
 	}
 }

@@ -3,7 +3,7 @@
 // directly or an rpxgw in front of a fleet), decodes the pushed frames, runs
 // a registry-selected policy over the observed scene once per cycle, and
 // pushes the resulting region-label workload back to the producer with
-// in-stream label feedback (protocol v5, Stream.SetLabels).
+// in-stream label feedback (Stream.SetLabels).
 //
 // The paper's evaluations drive policies offline from ground truth; this
 // package is the deployment shape §4.3.1 implies — the policy lives in a
@@ -238,10 +238,9 @@ func (l *Loop) Run(ctx context.Context) error {
 // established (used to reset the retry budget).
 func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 	// The loop's own session is a minimal placeholder — only the
-	// subscription (and its v5 label-feedback channel) matters.
+	// subscription (and its label-feedback channel) matters.
 	sess, err := client.Dial(l.cfg.Addr, client.Config{
 		W: 8, H: 8, Format: rpx.Gray8,
-		LabelFeedback:  true,
 		RequestTimeout: l.cfg.Timeout,
 	})
 	if err != nil {

@@ -111,8 +111,8 @@ type Manager struct {
 	sweepQuit chan struct{}
 	sweepDone chan struct{}
 
-	// Push-subscription registry (protocol v3 streaming), its own lock so
-	// subscription churn never contends with Open/Close.
+	// Push-subscription registry, its own lock so subscription churn
+	// never contends with Open/Close.
 	subMu         sync.Mutex
 	subscriptions map[uint64]*Subscription
 	nextSubID     uint64
@@ -345,11 +345,9 @@ type request struct {
 	window wire4
 	// encInto is the caller-supplied scratch OpLastEncoded serializes the
 	// RPXE container into (worker-side, while the frame is stable); wantFrame
-	// asks for a deep-copied *EncodedFrame instead. packed selects the RPXE
-	// v2 packed-metadata container for the serialized form.
+	// asks for a deep-copied *EncodedFrame instead.
 	encInto   []byte
 	wantFrame bool
-	packed    bool
 	start     time.Time
 	reply     chan result
 }
@@ -466,8 +464,8 @@ func (s *Session) execute(req *request) result {
 		// FrameIndex is the index the next Capture will use, and pending
 		// labels commit at that capture's frame boundary — so this is the
 		// deterministic first sequence number the new workload governs,
-		// regardless of pipeline parallelism or codec. Reading it here on
-		// the worker is race-free: no capture can interleave.
+		// regardless of pipeline parallelism. Reading it here on the
+		// worker is race-free: no capture can interleave.
 		return result{seq: uint64(s.sys.FrameIndex())}
 	case OpCapture:
 		cs, err := s.sys.Capture(req.frame)
@@ -498,9 +496,6 @@ func (s *Session) execute(req *request) result {
 		}
 		if req.wantFrame {
 			return result{ef: ef.Clone()}
-		}
-		if req.packed {
-			return result{enc: ef.AppendPacked(req.encInto[:0])}
 		}
 		return result{enc: ef.AppendTo(req.encInto[:0])}
 	}
@@ -593,12 +588,11 @@ func (s *Session) LastEncoded() (*core.EncodedFrame, error) {
 
 // LastEncodedTo serializes the newest encoded frame as an RPXE container
 // into dst (reusing its capacity, like append) and returns the result. The
-// packed flag selects the v2 packed-metadata container; false emits the
-// raw v1 reference form. The serialization happens on the session worker
-// while the frame is stable, so no intermediate *EncodedFrame copy is made
-// — this is the transport's zero-copy GET_ENCODED path.
-func (s *Session) LastEncodedTo(dst []byte, packed bool) ([]byte, error) {
-	res := s.submit(&request{op: OpLastEncoded, encInto: dst, packed: packed})
+// serialization happens on the session worker while the frame is stable,
+// so no intermediate *EncodedFrame copy is made — this is the transport's
+// zero-copy GET_ENCODED path.
+func (s *Session) LastEncodedTo(dst []byte) ([]byte, error) {
+	res := s.submit(&request{op: OpLastEncoded, encInto: dst})
 	return res.enc, res.err
 }
 

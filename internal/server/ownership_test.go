@@ -34,7 +34,7 @@ func TestSessionLastEncodedAliasingRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapshot := held.AppendTo(nil)
-	enc, err := sess.LastEncodedTo(nil, false)
+	enc, err := sess.LastEncodedTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSessionConcurrentCaptureEncodedStream(t *testing.T) {
 	if _, err := sess.Capture(testFrame(64, 48, frame.Gray8, 0)); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := sess.Subscribe(64, 4, false)
+	sub, err := sess.Subscribe(64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSessionConcurrentCaptureEncodedStream(t *testing.T) {
 		defer wg.Done()
 		var scratch []byte
 		for {
-			enc, err := sess.LastEncodedTo(scratch[:0], false)
+			enc, err := sess.LastEncodedTo(scratch[:0])
 			if err != nil {
 				return // session closed
 			}

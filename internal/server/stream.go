@@ -8,7 +8,7 @@ import (
 	"repro/rpx"
 )
 
-// Streaming push subscriptions (protocol v3).
+// Streaming push subscriptions.
 //
 // A Subscription attaches to one session's encoded-frame stream and buffers
 // frames the session's worker publishes until a transport writer drains
@@ -48,9 +48,6 @@ type Subscription struct {
 	id    uint64
 	sess  *Session
 	batch int
-	// packed selects the RPXE v2 packed-metadata container for this
-	// subscriber's frames (negotiated at HELLO via wire.CodecPackedMask).
-	packed bool
 
 	// ch buffers accepted-but-undelivered frames. Its capacity is the
 	// credit window cap, and offer only sends after consuming a credit, so
@@ -199,10 +196,8 @@ func (sub *Subscription) Next() (items []pushItem, dropped uint64, ok bool) {
 
 // Subscribe attaches a push subscription to this session's frame stream.
 // credit is the initial window, batch the frames-per-push bound (both
-// validated by the wire layer; batch 0 means 1). packed selects the RPXE
-// v2 packed-metadata container for this subscriber's frames; subscribers
-// on the same session may mix forms freely.
-func (s *Session) Subscribe(credit, batch int, packed bool) (*Subscription, error) {
+// validated by the wire layer; batch 0 means 1).
+func (s *Session) Subscribe(credit, batch int) (*Subscription, error) {
 	if batch <= 0 {
 		batch = 1
 	}
@@ -225,7 +220,6 @@ func (s *Session) Subscribe(credit, batch int, packed bool) (*Subscription, erro
 	sub := &Subscription{
 		sess:    s,
 		batch:   batch,
-		packed:  packed,
 		ch:      make(chan pushItem, wire.MaxCreditWindow),
 		credit:  credit,
 		granted: uint64(credit),
@@ -269,31 +263,17 @@ func (s *Session) publish(cs rpx.CaptureStats) {
 	s.subMu.Unlock()
 
 	// Borrow the live frame (we are on the worker goroutine, so it is
-	// stable) and serialize it at most once per negotiated container form
-	// into right-sized buffers. The buffers are deliberately fresh
-	// allocations, not pooled: their bytes are shared read-only across
-	// every subscriber's queue with no refcount, so their lifetime ends
-	// whenever the last writer drains them — GC ownership is the contract.
-	// At most two allocations per published frame (one raw, one packed,
-	// each only if some subscriber negotiated it), fan-out free.
+	// stable) and serialize it once into a right-sized buffer. The buffer
+	// is deliberately a fresh allocation, not pooled: its bytes are shared
+	// read-only across every subscriber's queue with no refcount, so its
+	// lifetime ends whenever the last writer drains it — GC ownership is
+	// the contract. One allocation per published frame, fan-out free.
 	ef := s.sys.BorrowLastEncoded()
 	if ef == nil {
 		return
 	}
-	var rawEnc, packedEnc []byte
+	it := pushItem{seq: seq, stats: cs, enc: ef.AppendTo(make([]byte, 0, ef.EncodedSize()))}
 	for _, sub := range subs {
-		it := pushItem{seq: seq, stats: cs}
-		if sub.packed {
-			if packedEnc == nil {
-				packedEnc = ef.AppendPacked(make([]byte, 0, ef.PackedMaxSize()))
-			}
-			it.enc = packedEnc
-		} else {
-			if rawEnc == nil {
-				rawEnc = ef.AppendTo(make([]byte, 0, ef.EncodedSize()))
-			}
-			it.enc = rawEnc
-		}
 		sub.offer(it)
 	}
 	s.mgr.streamPublished.Add(int64(len(subs)))

@@ -34,25 +34,18 @@ func startDiffServer(t *testing.T, mcfg server.Config, tcfg server.TCPConfig) st
 	return ln.Addr().String()
 }
 
-// The differential harness proves the v3 push path byte-identical to the v2
+// The differential harness proves the push path byte-identical to the
 // request/reply path: for randomized geometries and workloads, every
 // FRAME_PUSH record a subscriber receives must equal — payload, row
 // offsets, encoding mask, the whole serialized EncodedFrame — what a
 // parallel reference session sees via Capture + LastEncoded when fed the
 // exact same frames, and carry the same CaptureStats. Each case is driven
 // by its seed alone, so any failure reproduces from the logged seed.
-//
-// Each case runs twice: once raw (v1 container, byte-identity against the
-// reference serialization) and once with the packed codec negotiated at the
-// subscriber's HELLO (v2 container — compared by content: decoded pixels,
-// mask codes, and row offsets must round-trip exactly, and the record must
-// respect the PackedMaxSize bound).
 
 // diffCase runs one randomized producer/subscriber/reference trio against
 // the server at addr. The producer and reference sessions encode at the
-// given pipeline parallelism; packed selects the subscriber's codec.
-// Returned errors carry the seed.
-func diffCase(addr string, seed int64, parallelism int, packed bool) error {
+// given pipeline parallelism. Returned errors carry the seed.
+func diffCase(addr string, seed int64, parallelism int) error {
 	rng := rand.New(rand.NewSource(seed))
 	fail := func(format string, args ...interface{}) error {
 		return fmt.Errorf("seed %d: %s", seed, fmt.Sprintf(format, args...))
@@ -98,7 +91,7 @@ func diffCase(addr string, seed int64, parallelism int, packed bool) error {
 			return fail("set labels %+v: %v", labels, err)
 		}
 	}
-	subSess, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8, PackedMask: packed})
+	subSess, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
 	if err != nil {
 		return fail("dial subscriber: %v", err)
 	}
@@ -116,7 +109,6 @@ func diffCase(addr string, seed int64, parallelism int, packed bool) error {
 	fr := rpx.NewFrame(w, h, format)
 	wantStats := make([]rpx.CaptureStats, frames)
 	wantRaw := make([][]byte, frames)
-	wantEF := make([]*rpx.EncodedFrame, frames)
 	for i := 0; i < frames; i++ {
 		rng.Read(fr.Pix)
 		pcs, err := producer.Capture(fr)
@@ -140,12 +132,10 @@ func diffCase(addr string, seed int64, parallelism int, packed bool) error {
 			return fail("serialize reference frame %d: %v", i, err)
 		}
 		wantRaw[i] = buf.Bytes()
-		wantEF[i] = ef
 	}
 
 	// Drain the stream: every pushed record must match the reference
-	// byte-for-byte (raw) or content-for-content (packed), and
-	// stat-for-stat, with no gaps or drops.
+	// byte-for-byte and stat-for-stat, with no gaps or drops.
 	for i := 0; i < frames; i++ {
 		f, err := st.Recv()
 		if err != nil {
@@ -160,36 +150,7 @@ func diffCase(addr string, seed int64, parallelism int, packed bool) error {
 		if f.Stats != wantStats[i] {
 			return fail("frame %d stats: push %+v, reference %+v", i, f.Stats, wantStats[i])
 		}
-		got, err := f.Decode()
-		if err != nil {
-			return fail("frame %d does not decode: %v", i, err)
-		}
-		if packed {
-			// The v2 record is compared by content: the encoded pixel
-			// payload, every mask code, and every row offset must round-trip
-			// exactly — pinned by re-serializing the parsed record in v1
-			// form, which must reproduce the reference bytes — and the
-			// record must respect the worst-case size bound.
-			if len(f.Raw) > got.PackedMaxSize() {
-				return fail("frame %d packed record is %d bytes, exceeds PackedMaxSize %d",
-					i, len(f.Raw), got.PackedMaxSize())
-			}
-			if !got.Mask.Equal(wantEF[i].Mask) {
-				return fail("frame %d mask codes diverge after packed round trip", i)
-			}
-			for y := range wantEF[i].RowOffsets {
-				if got.RowOffsets[y] != wantEF[i].RowOffsets[y] {
-					return fail("frame %d row offset %d: packed %d, reference %d",
-						i, y, got.RowOffsets[y], wantEF[i].RowOffsets[y])
-				}
-			}
-			if !bytes.Equal(got.Pix, wantEF[i].Pix) {
-				return fail("frame %d encoded pixels diverge after packed round trip", i)
-			}
-			if !bytes.Equal(got.AppendTo(nil), wantRaw[i]) {
-				return fail("frame %d v1 re-serialization diverges from reference", i)
-			}
-		} else if !bytes.Equal(f.Raw, wantRaw[i]) {
+		if !bytes.Equal(f.Raw, wantRaw[i]) {
 			return fail("frame %d bytes diverge from reference (%d vs %d bytes)", i, len(f.Raw), len(wantRaw[i]))
 		}
 	}
@@ -199,37 +160,31 @@ func diffCase(addr string, seed int64, parallelism int, packed bool) error {
 	return nil
 }
 
-// TestStreamDifferential runs the randomized differential suite raw and
-// packed at pipeline parallelism 1, 2, and 8 — 20 cases per cell, 120
-// total. Parallelism is both the sessions' encode/decode worker count and
-// the number of concurrently running cases.
+// TestStreamDifferential runs the randomized differential suite at
+// pipeline parallelism 1, 2, and 8 — 20 cases per cell, 60 total.
+// Parallelism is both the sessions' encode/decode worker count and the
+// number of concurrently running cases.
 func TestStreamDifferential(t *testing.T) {
 	addr := startDiffServer(t, server.Config{}, server.TCPConfig{})
 	const casesPer = 20
 	for _, par := range []int{1, 2, 8} {
-		for _, packed := range []bool{false, true} {
-			par, packed := par, packed
-			name := fmt.Sprintf("parallel%d/raw", par)
-			if packed {
-				name = fmt.Sprintf("parallel%d/packed", par)
+		par := par
+		t.Run(fmt.Sprintf("parallel%d", par), func(t *testing.T) {
+			sem := make(chan struct{}, par)
+			var wg sync.WaitGroup
+			for c := 0; c < casesPer; c++ {
+				seed := int64(100_000*par + c)
+				wg.Add(1)
+				sem <- struct{}{}
+				go func() {
+					defer wg.Done()
+					defer func() { <-sem }()
+					if err := diffCase(addr, seed, par); err != nil {
+						t.Error(err)
+					}
+				}()
 			}
-			t.Run(name, func(t *testing.T) {
-				sem := make(chan struct{}, par)
-				var wg sync.WaitGroup
-				for c := 0; c < casesPer; c++ {
-					seed := int64(100_000*par + c)
-					wg.Add(1)
-					sem <- struct{}{}
-					go func() {
-						defer wg.Done()
-						defer func() { <-sem }()
-						if err := diffCase(addr, seed, par, packed); err != nil {
-							t.Error(err)
-						}
-					}()
-				}
-				wg.Wait()
-			})
-		}
+			wg.Wait()
+		})
 	}
 }

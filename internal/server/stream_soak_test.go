@@ -72,7 +72,7 @@ func TestStreamCreditSoak(t *testing.T) {
 	}
 
 	subscribe := func(credit, batch int) *Subscription {
-		sub, err := sess.Subscribe(credit, batch, false)
+		sub, err := sess.Subscribe(credit, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestStreamStalledSubscriberAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := sess.Subscribe(0, 1, false) // zero credit: every offer drops
+	sub, err := sess.Subscribe(0, 1) // zero credit: every offer drops
 	if err != nil {
 		t.Fatal(err)
 	}

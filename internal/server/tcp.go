@@ -175,6 +175,20 @@ func (s *TCPServer) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// armRead sets the deadline for a handler's next client read. Shutdown
+// wakes blocked reads by expiring their deadlines; a handler that re-arms
+// after that wake-up gets an expired deadline too, instead of blocking for
+// a full ReadTimeout and stalling the drain.
+func (s *TCPServer) armRead(conn net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	deadline := time.Now().Add(s.cfg.ReadTimeout)
+	if s.draining {
+		deadline = time.Now()
+	}
+	conn.SetReadDeadline(deadline)
+}
+
 // handle runs one connection's session loop.
 func (s *TCPServer) handle(conn net.Conn) {
 	defer conn.Close()
@@ -189,7 +203,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 	var rbuf []byte
 
 	// The first message must be a valid HELLO.
-	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+	s.armRead(conn)
 	typ, payload, err := wire.ReadMessageInto(br, &rbuf, s.cfg.MaxPayload)
 	if err != nil {
 		return
@@ -232,21 +246,9 @@ func (s *TCPServer) handle(conn net.Conn) {
 	// When the idle janitor evicts this session, close the connection so a
 	// handler blocked in ReadMessage wakes and tears down promptly.
 	sess.OnEvict(func() { conn.Close() })
-	// The ack echoes the negotiated version: a v2 HELLO gets the legacy
-	// 12-byte form (all an old client can parse), a v3 HELLO the extended
-	// form that confirms streaming is available, and a v4 HELLO additionally
-	// carries the granted codec bits. The server grants exactly the
-	// capabilities it implements, intersected with what the client asked for.
-	var codec uint8
-	if hello.Version >= 4 {
-		codec = hello.Codec & wire.CodecPackedMask
-	}
-	packed := codec&wire.CodecPackedMask != 0
 	cw.scratch = wire.AppendHelloAck(cw.scratch[:0], wire.HelloAck{
 		SessionID:  sess.ID(),
 		MaxPayload: s.cfg.MaxPayload,
-		Version:    hello.Version,
-		Codec:      codec,
 	})
 	if err := cw.write(wire.MsgHelloAck, cw.scratch); err != nil {
 		return
@@ -254,7 +256,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 
 	frameBytes := hello.W * hello.H * hello.Format.BytesPerPixel()
 	for {
-		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		s.armRead(conn)
 		typ, payload, err := wire.ReadMessageInto(br, &rbuf, s.cfg.MaxPayload)
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {
@@ -267,12 +269,12 @@ func (s *TCPServer) handle(conn net.Conn) {
 		if typ == wire.MsgSubscribe {
 			// Streaming mode runs its own read loop and hands the write
 			// side to a dedicated writer until the subscription ends.
-			if done := s.serveStream(sess, conn, br, &rbuf, cw, hello, payload, packed); done {
+			if done := s.serveStream(sess, conn, br, &rbuf, cw, payload); done {
 				return
 			}
 			continue
 		}
-		if done := s.serveMsg(sess, cw, typ, payload, hello, frameBytes, packed); done {
+		if done := s.serveMsg(sess, cw, typ, payload, hello, frameBytes); done {
 			return
 		}
 	}
@@ -283,11 +285,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 // (FRAME_PUSH batches, the final ACK or error), while this loop keeps
 // reading CREDIT grants until UNSUBSCRIBE or teardown. It reports true when
 // the connection should end; false resumes the request/reply loop.
-func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, rbuf *[]byte, cw *connWriter, hello wire.Hello, payload []byte, packed bool) bool {
-	if hello.Version < 3 {
-		return cw.writeErr(wire.CodeProto, fmt.Sprintf(
-			"SUBSCRIBE requires protocol v3, session negotiated v%d", hello.Version)) != nil
-	}
+func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, rbuf *[]byte, cw *connWriter, payload []byte) bool {
 	req, err := wire.UnmarshalSubscribe(payload)
 	if err != nil {
 		return cw.writeErr(wire.CodeProto, err.Error()) != nil
@@ -301,7 +299,7 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 		}
 		target = t
 	}
-	sub, err := target.Subscribe(int(req.Credit), int(req.Batch), packed)
+	sub, err := target.Subscribe(int(req.Credit), int(req.Batch))
 	if err != nil {
 		return cw.writeErr(wire.CodeSessionLimit, err.Error()) != nil
 	}
@@ -317,7 +315,7 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 	// From here the writer goroutine owns cw for writing (its MessageWriter
 	// serializes the actual sends); this loop only writes again after
 	// joining writerDone, so cw.scratch is never shared. The one exception
-	// is the v5 LABELS_APPLIED reply, which must interleave with live
+	// is the LABELS_APPLIED reply, which must interleave with live
 	// FRAME_PUSH traffic: it marshals into its own buffer (never
 	// cw.scratch) and relies on the MessageWriter's internal lock to keep
 	// whole messages atomic against the stream writer.
@@ -326,7 +324,7 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 
 	var fbScratch []byte
 	for {
-		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		s.armRead(conn)
 		typ, payload, err := wire.ReadMessageInto(br, rbuf, s.cfg.MaxPayload)
 		if err != nil {
 			// Disconnect, timeout, shutdown wake-up, or the writer ended
@@ -356,12 +354,6 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 			// final ACK; then the write side is ours again.
 			return <-writerDone != nil
 		case wire.MsgStreamLabels:
-			if hello.Version < 5 {
-				sub.Abort()
-				<-writerDone
-				return cw.writeErr(wire.CodeProto, fmt.Sprintf(
-					"STREAM_LABELS requires protocol v5, session negotiated v%d", hello.Version)) != nil
-			}
 			sl, err := wire.UnmarshalStreamLabels(payload)
 			if err != nil || sl.SubID != sub.ID() {
 				sub.Abort()
@@ -393,7 +385,8 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 				return true
 			}
 		default:
-			// Only CREDIT and UNSUBSCRIBE are legal while streaming.
+			// Only CREDIT, UNSUBSCRIBE and STREAM_LABELS are legal while
+			// streaming.
 			sub.Abort()
 			<-writerDone
 			return cw.writeErr(wire.CodeProto, fmt.Sprintf(
@@ -479,7 +472,7 @@ func (s *TCPServer) streamWriter(sub *Subscription, conn net.Conn, cw *connWrite
 
 // serveMsg dispatches one request message; it reports true when the
 // connection should end.
-func (s *TCPServer) serveMsg(sess *Session, cw *connWriter, typ byte, payload []byte, hello wire.Hello, frameBytes int, packed bool) bool {
+func (s *TCPServer) serveMsg(sess *Session, cw *connWriter, typ byte, payload []byte, hello wire.Hello, frameBytes int) bool {
 	fail := func(err error) bool {
 		code := wire.CodeInternal
 		switch {
@@ -552,9 +545,8 @@ func (s *TCPServer) serveMsg(sess *Session, cw *connWriter, typ byte, payload []
 	case wire.MsgGetEncoded:
 		// The RPXE container is serialized on the session worker directly
 		// into this connection's scratch — no intermediate EncodedFrame copy
-		// and no per-request buffer. Sessions that negotiated the packed
-		// codec at HELLO get the v2 container; everyone else the raw v1.
-		enc, err := sess.LastEncodedTo(cw.scratch[:0], packed)
+		// and no per-request buffer.
+		enc, err := sess.LastEncodedTo(cw.scratch[:0])
 		if err != nil {
 			return fail(err)
 		}

@@ -7,9 +7,9 @@ import (
 	"repro/internal/region"
 )
 
-// Closed-loop label feedback (protocol v5).
+// Closed-loop label feedback.
 //
-// A v5 subscriber may push region-label workloads *back* to the session its
+// A subscriber may push region-label workloads *back* to the session its
 // subscription is attached to without leaving push mode: STREAM_LABELS rides
 // the connection's write side (like CREDIT) while FRAME_PUSH batches keep
 // flowing the other way. The server applies the labels through the target
@@ -18,7 +18,7 @@ import (
 // LABELS_APPLIED carrying the first frame sequence number that will observe
 // the new workload. That boundary is deterministic: every pushed frame with
 // Seq >= AppliedSeq was captured under the new labels, every earlier frame
-// under the old ones, regardless of pipeline parallelism or codec.
+// under the old ones, regardless of pipeline parallelism.
 
 // StreamLabels is the client-to-server feedback message: a region-label
 // workload for the session the subscription targets.

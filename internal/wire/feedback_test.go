@@ -87,7 +87,7 @@ func mustErr(t *testing.T, b []byte) string {
 	return err.Error()
 }
 
-// FuzzReadStreamLabels drives arbitrary bytes through both v5 feedback
+// FuzzReadStreamLabels drives arbitrary bytes through both feedback
 // decoders: errors, never panics, and anything accepted re-marshals
 // byte-identically (the decoders neither invent nor drop bytes).
 func FuzzReadStreamLabels(f *testing.F) {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/region"
@@ -23,7 +24,11 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	f.Add(seed(MsgHello, MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4, Parallelism: 2})))
 	f.Add(seed(MsgHelloAck, MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload})))
-	f.Add(seed(MsgHelloAck, MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload, Version: ProtoVersion})))
+	// A HELLO from a retired revision in its own layout (v5 with the
+	// packed-mask codec byte): one mutation away from the version check.
+	v5 := append(MarshalHello(Hello{W: 64, H: 48}), 1)
+	binary.LittleEndian.PutUint32(v5[4:], 5)
+	f.Add(seed(MsgHello, v5))
 	f.Add(seed(MsgSubscribe, MarshalSubscribe(Subscribe{Target: 3, Credit: 8, Batch: 4})))
 	f.Add(seed(MsgFramePush, MarshalFramePush(FramePush{SubID: 1, Frames: []PushFrame{{Seq: 2, Enc: []byte{1, 2, 3}}}})))
 	f.Add(seed(MsgCaptureAck, MarshalCaptureAck(CaptureAck{FrameIndex: 3, EncodedPixels: 10, EncodedBytes: 10, PixelFraction: 0.5})))
@@ -83,10 +88,11 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// FuzzReadSubscribe exercises the small fixed-size v3 control payloads
-// (SUBSCRIBE, SUBSCRIBE_ACK, CREDIT, UNSUBSCRIBE) with arbitrary bytes:
-// errors, never panics, and any accepted SUBSCRIBE obeys the credit and
-// batch caps — the bounds the server's per-subscription ledger relies on.
+// FuzzReadSubscribe exercises the small fixed-size streaming control
+// payloads (SUBSCRIBE, SUBSCRIBE_ACK, CREDIT, UNSUBSCRIBE) with arbitrary
+// bytes: errors, never panics, and any accepted SUBSCRIBE obeys the credit
+// and batch caps — the bounds the server's per-subscription ledger relies
+// on.
 func FuzzReadSubscribe(f *testing.F) {
 	f.Add(MarshalSubscribe(Subscribe{Target: 0, Credit: 1, Batch: 1}))
 	f.Add(MarshalSubscribe(Subscribe{Target: 1 << 40, Credit: MaxCreditWindow, Batch: MaxBatch}))

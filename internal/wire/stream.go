@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// Streaming push mode (protocol v3) payloads.
+// Streaming push mode payloads.
 //
 // The flow-control contract: a subscription starts with Subscribe.Credit
 // push credits; every frame the server accepts into the subscription
@@ -168,11 +168,11 @@ type PushFrame struct {
 	// producer captured it at. Consecutive pushes with non-consecutive Seq
 	// mean the subscription ran out of credit and frames were dropped.
 	Seq uint64
-	// Stats are the frame's capture statistics, identical to what a v2
+	// Stats are the frame's capture statistics, identical to what a
 	// CAPTURE_ACK for the same frame reported.
 	Stats CaptureAck
 	// Enc is the encoded frame in the RPXE container framing
-	// (core.EncodedFrame.WriteTo) — byte-identical to a v2 GET_ENCODED
+	// (core.EncodedFrame.WriteTo) — byte-identical to a GET_ENCODED
 	// reply for the same frame.
 	Enc []byte
 }

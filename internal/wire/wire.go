@@ -33,30 +33,14 @@ import (
 // ProtoMagic identifies the rpxd protocol in the HELLO message.
 const ProtoMagic = 0x52505844 // "RPXD"
 
-// ProtoVersion is the newest protocol revision this package speaks. HELLO
-// carries the client's version; servers negotiate down to it when it is
-// older but still supported, and reject anything outside
-// [MinProtoVersion, ProtoVersion] with a typed *VersionError so framing
-// changes fail loudly. Version 2 added the Parallelism field to HELLO.
-// Version 3 added the streaming push mode: SUBSCRIBE / SUBSCRIBE_ACK /
-// CREDIT / FRAME_PUSH / UNSUBSCRIBE and the extended HELLO_ACK that echoes
-// the negotiated version. Version 4 added the codec capability byte to
-// HELLO and HELLO_ACK: a v4 client may request CodecPackedMask and, when
-// the server echoes it, FRAME/FRAME_PUSH payloads carry the RPXE v2
-// packed-metadata container instead of raw offsets + mask. Version 5 added
-// in-stream label feedback: a subscribed v5 connection may send
-// STREAM_LABELS to install a region-label workload on the subscription's
-// target session and receives LABELS_APPLIED with the first frame sequence
-// number captured under the new labels. The v5 HELLO/HELLO_ACK byte layout
-// is identical to v4 — only the version number and the two new message
-// types differ.
-const ProtoVersion = 5
-
-// MinProtoVersion is the oldest protocol revision servers still accept. A
-// v2 client negotiates a v2 session against a v3 server and sees identical
-// behaviour to the old implementation: 12-byte HELLO_ACK, request/reply
-// only, no push traffic.
-const MinProtoVersion = 2
+// ProtoVersion is the one protocol revision this package speaks. HELLO
+// carries it and receivers accept it by exact match: any other version
+// fails with a typed *VersionError, so framing changes fail loudly. Every
+// message type below is legal in this revision — request/reply, the
+// streaming push mode, and in-stream label feedback — and every encoded
+// frame on the wire (ENCODED, FRAME_PUSH) is the raw RPXE v1 container
+// that .rpxs files use.
+const ProtoVersion = 6
 
 // DefaultMaxPayload caps a single message payload (32 MiB): comfortably
 // above a 1080p RGB frame plus metadata, far below an OOM.
@@ -98,11 +82,11 @@ const (
 	// MsgError is the failure reply: code + human-readable message.
 	MsgError byte = 15
 
-	// Streaming push mode (protocol v3). A SUBSCRIBE switches the
-	// connection from request/reply to push mode: the server sends
-	// FRAME_PUSH messages as frames are produced — never beyond the credits
-	// the client has granted — until the client UNSUBSCRIBEs (acknowledged
-	// with ACK after the last push) or the stream ends with an ERROR.
+	// Streaming push mode. A SUBSCRIBE switches the connection from
+	// request/reply to push mode: the server sends FRAME_PUSH messages as
+	// frames are produced — never beyond the credits the client has
+	// granted — until the client UNSUBSCRIBEs (acknowledged with ACK after
+	// the last push) or the stream ends with an ERROR.
 
 	// MsgSubscribe attaches the connection to a session's encoded-frame
 	// stream with an initial credit window and a batching bound.
@@ -119,11 +103,10 @@ const (
 	// already accepted against credit, then replies ACK.
 	MsgUnsubscribe byte = 20
 
-	// Closed-loop label feedback (protocol v5). While subscribed, a v5
-	// client may push a region-label workload back to the subscription's
-	// target session; the reply rides the push stream as its own message
-	// type (never ACK/ERROR, which gateways and clients treat as
-	// stream-terminal).
+	// Closed-loop label feedback. While subscribed, a client may push a
+	// region-label workload back to the subscription's target session; the
+	// reply rides the push stream as its own message type (never
+	// ACK/ERROR, which gateways and clients treat as stream-terminal).
 
 	// MsgStreamLabels installs a region-label workload on the
 	// subscription's target session (client to server, while streaming).
@@ -165,18 +148,16 @@ const (
 var ErrTooLarge = errors.New("wire: message exceeds payload cap")
 
 // VersionError is the typed rejection of a HELLO whose protocol version is
-// outside the range a receiver supports. It is distinguishable from other
-// handshake failures (errors.As) so clients and gateways can report "speak
-// an older protocol" rather than a generic rejection.
+// not ProtoVersion. It is distinguishable from other handshake failures
+// (errors.As) so clients and gateways can report a protocol mismatch
+// rather than a generic rejection.
 type VersionError struct {
 	// Got is the version the HELLO carried.
 	Got uint32
-	// Min, Max bound the versions the receiver accepts.
-	Min, Max uint32
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("wire: unsupported protocol version %d (speak %d..%d)", e.Got, e.Min, e.Max)
+	return fmt.Sprintf("wire: unsupported protocol version %d (speak %d)", e.Got, ProtoVersion)
 }
 
 // RemoteError is a server-reported failure decoded from MsgError.
@@ -198,7 +179,7 @@ func (e *RemoteError) Error() string {
 // WriteMessage itself is not safe for concurrent writers on one conn — two
 // goroutines can still interleave whole messages' bytes only if the writer
 // below splits them (bufio does). Connections with concurrent writers (the
-// v3 push publisher sharing a conn with a reply path) must funnel through a
+// push publisher sharing a conn with a reply path) must funnel through a
 // MessageWriter, which serializes messages under its own mutex.
 func WriteMessage(w io.Writer, typ byte, payload []byte, maxPayload int) error {
 	if maxPayload <= 0 {
@@ -220,7 +201,7 @@ func WriteMessage(w io.Writer, typ byte, payload []byte, maxPayload int) error {
 }
 
 // MessageWriter serializes framed messages onto a shared writer. It exists
-// for connections with more than one writing goroutine — the server's v3
+// for connections with more than one writing goroutine — the server's
 // FRAME_PUSH publisher and its reply path, the client's CREDIT grants racing
 // round-trip requests — where per-message atomicity must hold: a message's
 // header and payload always reach the wire contiguously, never interleaved
@@ -340,13 +321,9 @@ func ReadMessageInto(r io.Reader, buf *[]byte, maxPayload int) (typ byte, payloa
 	return typ, b, nil
 }
 
-// Hello is the session-opening handshake payload.
+// Hello is the session-opening handshake payload. On the wire it is
+// prefixed with ProtoMagic and ProtoVersion.
 type Hello struct {
-	// Version is the protocol revision the client speaks. MarshalHello
-	// writes ProtoVersion when it is zero; UnmarshalHello records what the
-	// peer actually sent so servers can gate v3-only messages (SUBSCRIBE)
-	// on the negotiated revision.
-	Version int
 	// W, H are the session frame dimensions.
 	W, H int
 	// Format is the pixel format (Gray8, RGB24, YUV444).
@@ -362,42 +339,20 @@ type Hello struct {
 	// session's pipeline fans out to (0 = server default, i.e. 1: the
 	// sequential reference path).
 	Parallelism int
-	// Codec is the v4 capability bitmap of frame codecs the client can
-	// decode (zero = raw only). Servers grant the intersection of what the
-	// client offers and what they implement, echoed in the HELLO_ACK. The
-	// byte exists on the wire only from v4 on; v2/v3 HELLOs imply zero.
-	Codec uint8
 }
-
-// CodecPackedMask is the Hello.Codec capability bit for the RPXE v2
-// packed-metadata container (varint row-offset deltas + RLE mask, see
-// core/bitpack). Raw remains the byte-identity reference path when unset.
-const CodecPackedMask uint8 = 1 << 0
-
-// codecKnownMask is every capability bit this revision defines. Unknown
-// bits are rejected rather than ignored: a future revision that defines
-// more bits will also bump ProtoVersion, so nothing legitimate sends them.
-const codecKnownMask = CodecPackedMask
 
 // MaxParallelism caps the HELLO Parallelism field so a hostile handshake
 // cannot request an absurd per-session worker count. Matches rpx's cap.
 const MaxParallelism = 256
 
-// helloSize is the v2/v3 HELLO length; v4 appends the codec byte.
+// helloSize is the HELLO payload length: magic, version, then the fields.
 const helloSize = 4 + 4 + 4 + 4 + 1 + 4 + 4 + 1 + 4
-const helloSizeV4 = helloSize + 1
 
 // AppendHello appends a HELLO payload to dst, prefixed with magic and
-// version (h.Version, defaulting to ProtoVersion when zero). The codec
-// capability byte rides only on v4 payloads, so a client pinning Version 3
-// or 2 emits bytes identical to the previous protocol revisions.
+// ProtoVersion.
 func AppendHello(dst []byte, h Hello) []byte {
-	v := uint32(h.Version)
-	if v == 0 {
-		v = ProtoVersion
-	}
 	dst = binary.LittleEndian.AppendUint32(dst, ProtoMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, v)
+	dst = binary.LittleEndian.AppendUint32(dst, ProtoVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.W))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.H))
 	dst = append(dst, byte(h.Format))
@@ -408,17 +363,15 @@ func AppendHello(dst []byte, h Hello) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.Parallelism))
-	if v >= 4 {
-		dst = append(dst, h.Codec)
-	}
-	return dst
+	return binary.LittleEndian.AppendUint32(dst, uint32(h.Parallelism))
 }
 
 // MarshalHello encodes a HELLO payload into a fresh buffer.
 func MarshalHello(h Hello) []byte { return AppendHello(nil, h) }
 
 // UnmarshalHello validates magic and version and decodes the handshake.
+// The version is checked before the length, so a HELLO from any other
+// revision fails with *VersionError whatever its layout.
 func UnmarshalHello(b []byte) (Hello, error) {
 	if len(b) < 8 {
 		return Hello{}, fmt.Errorf("wire: HELLO payload is %d bytes, want at least 8", len(b))
@@ -426,19 +379,13 @@ func UnmarshalHello(b []byte) (Hello, error) {
 	if m := binary.LittleEndian.Uint32(b); m != ProtoMagic {
 		return Hello{}, fmt.Errorf("wire: bad protocol magic %#x", m)
 	}
-	v := binary.LittleEndian.Uint32(b[4:])
-	if v < MinProtoVersion || v > ProtoVersion {
-		return Hello{}, &VersionError{Got: v, Min: MinProtoVersion, Max: ProtoVersion}
+	if v := binary.LittleEndian.Uint32(b[4:]); v != ProtoVersion {
+		return Hello{}, &VersionError{Got: v}
 	}
-	want := helloSize
-	if v >= 4 {
-		want = helloSizeV4
-	}
-	if len(b) != want {
-		return Hello{}, fmt.Errorf("wire: v%d HELLO payload is %d bytes, want %d", v, len(b), want)
+	if len(b) != helloSize {
+		return Hello{}, fmt.Errorf("wire: HELLO payload is %d bytes, want %d", len(b), helloSize)
 	}
 	h := Hello{
-		Version:      int(v),
 		W:            int(binary.LittleEndian.Uint32(b[8:])),
 		H:            int(binary.LittleEndian.Uint32(b[12:])),
 		Format:       frame.Format(b[16]),
@@ -458,12 +405,6 @@ func UnmarshalHello(b []byte) (Hello, error) {
 	if h.Parallelism < 0 || h.Parallelism > MaxParallelism {
 		return Hello{}, fmt.Errorf("wire: parallelism %d outside [0,%d]", h.Parallelism, MaxParallelism)
 	}
-	if v >= 4 {
-		h.Codec = b[26+4]
-		if h.Codec&^codecKnownMask != 0 {
-			return Hello{}, fmt.Errorf("wire: unknown codec capability bits %#x", h.Codec&^codecKnownMask)
-		}
-	}
 	return h, nil
 }
 
@@ -473,63 +414,28 @@ type HelloAck struct {
 	SessionID uint64
 	// MaxPayload is the per-message payload cap both sides must honour.
 	MaxPayload int
-	// Version is the negotiated protocol revision. Sessions negotiated at
-	// v2 receive the legacy 12-byte acknowledgment (which cannot carry a
-	// version and implies 2), so old clients parse replies from new servers
-	// unchanged; v3 sessions receive the 16-byte form, v4 sessions the
-	// 17-byte form with the granted codec byte.
-	Version int
-	// Codec is the granted codec capability bitmap: the intersection of
-	// what the client offered in HELLO and what the server implements.
-	// Zero (and any pre-v4 acknowledgment) means raw frames.
-	Codec uint8
 }
 
-// AppendHelloAck appends a HELLO acknowledgment to dst: the legacy 12-byte
-// form for v2 (or unset) sessions, the extended 16-byte form for v3, and
-// the 17-byte form carrying the granted codec byte from v4 on.
+// helloAckSize is the HELLO_ACK payload length: u64 session id + u32 cap.
+const helloAckSize = 8 + 4
+
+// AppendHelloAck appends a HELLO acknowledgment to dst.
 func AppendHelloAck(dst []byte, a HelloAck) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, a.SessionID)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.MaxPayload))
-	if a.Version <= MinProtoVersion {
-		return dst
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.Version))
-	if a.Version >= 4 {
-		dst = append(dst, a.Codec)
-	}
-	return dst
+	return binary.LittleEndian.AppendUint32(dst, uint32(a.MaxPayload))
 }
 
 // MarshalHelloAck encodes a HELLO acknowledgment into a fresh buffer.
 func MarshalHelloAck(a HelloAck) []byte { return AppendHelloAck(nil, a) }
 
-// UnmarshalHelloAck decodes a HELLO acknowledgment in any of its forms.
+// UnmarshalHelloAck decodes a HELLO acknowledgment.
 func UnmarshalHelloAck(b []byte) (HelloAck, error) {
-	if len(b) != 12 && len(b) != 16 && len(b) != 17 {
-		return HelloAck{}, fmt.Errorf("wire: HELLO_ACK payload is %d bytes, want 12, 16 or 17", len(b))
+	if len(b) != helloAckSize {
+		return HelloAck{}, fmt.Errorf("wire: HELLO_ACK payload is %d bytes, want %d", len(b), helloAckSize)
 	}
 	a := HelloAck{
 		SessionID:  binary.LittleEndian.Uint64(b),
 		MaxPayload: int(binary.LittleEndian.Uint32(b[8:])),
-		Version:    MinProtoVersion,
-	}
-	if len(b) >= 16 {
-		a.Version = int(binary.LittleEndian.Uint32(b[12:]))
-		if a.Version < MinProtoVersion || a.Version > ProtoVersion {
-			return HelloAck{}, &VersionError{Got: uint32(a.Version), Min: MinProtoVersion, Max: ProtoVersion}
-		}
-	}
-	if len(b) == 17 {
-		if a.Version < 4 {
-			return HelloAck{}, fmt.Errorf("wire: codec byte on a v%d HELLO_ACK", a.Version)
-		}
-		a.Codec = b[16]
-		if a.Codec&^codecKnownMask != 0 {
-			return HelloAck{}, fmt.Errorf("wire: unknown codec capability bits %#x", a.Codec&^codecKnownMask)
-		}
-	} else if a.Version >= 4 {
-		return HelloAck{}, fmt.Errorf("wire: v%d HELLO_ACK missing codec byte", a.Version)
 	}
 	if a.MaxPayload <= 0 {
 		return HelloAck{}, fmt.Errorf("wire: non-positive payload cap %d", a.MaxPayload)

@@ -52,68 +52,79 @@ func TestMessageSizeLimits(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{W: 640, H: 480, Format: frame.RGB24, HistoryDepth: 6, QueueDepth: 3, Block: true}
+	h := Hello{W: 640, H: 480, Format: frame.RGB24, HistoryDepth: 6, QueueDepth: 3, Block: true, Parallelism: 4}
 	got, err := UnmarshalHello(MarshalHello(h))
 	if err != nil {
 		t.Fatalf("UnmarshalHello: %v", err)
 	}
-	h.Version = ProtoVersion // zero Version marshals as the newest revision
 	if got != h {
 		t.Fatalf("hello round trip = %+v, want %+v", got, h)
 	}
 }
 
-// TestHelloVersionNegotiation pins the compatibility contract: a v2 HELLO
-// against a v3 decoder negotiates down cleanly (the old wire layout is
-// version-identical), while versions outside [MinProtoVersion, ProtoVersion]
-// — what a v3 HELLO hits on a server with the old strict `v != 2` check, and
-// what a hypothetical v4 client hits on this server — fail with the typed
+// TestHelloVersionNegotiation pins the single-revision contract: only a
+// ProtoVersion HELLO is accepted, and every other version — including the
+// retired revisions 2-5 in their own byte layouts — fails with the typed
 // *VersionError rather than a stringly error.
 func TestHelloVersionNegotiation(t *testing.T) {
-	h := Hello{W: 64, H: 48, Format: frame.Gray8, Version: MinProtoVersion}
-	got, err := UnmarshalHello(MarshalHello(h))
-	if err != nil {
-		t.Fatalf("v2 HELLO rejected: %v", err)
+	cur := MarshalHello(Hello{W: 64, H: 48, Format: frame.Gray8})
+	if _, err := UnmarshalHello(cur); err != nil {
+		t.Fatalf("v%d HELLO rejected: %v", ProtoVersion, err)
 	}
-	if got.Version != MinProtoVersion {
-		t.Fatalf("negotiated version = %d, want %d", got.Version, MinProtoVersion)
-	}
-	for _, v := range []uint32{MinProtoVersion - 1, ProtoVersion + 1, 0xffffffff} {
-		b := MarshalHello(Hello{W: 64, H: 48, Format: frame.Gray8, Version: ProtoVersion})
+	// helloAt rebuilds the HELLO at version v in that revision's layout:
+	// v2 and v3 share today's fields, v4 and v5 appended a codec byte
+	// (1 = packed mask).
+	helloAt := func(v uint32, codec ...byte) []byte {
+		b := append([]byte(nil), cur...)
 		binary.LittleEndian.PutUint32(b[4:], v)
-		_, err := UnmarshalHello(b)
+		return append(b, codec...)
+	}
+	for _, tc := range []struct {
+		name  string
+		hello []byte
+		got   uint32
+	}{
+		{"v1", helloAt(1), 1},
+		{"v2", helloAt(2), 2},
+		{"v3", helloAt(3), 3},
+		{"v4 raw", helloAt(4, 0), 4},
+		{"v4 packed", helloAt(4, 1), 4},
+		{"v5 raw", helloAt(5, 0), 5},
+		{"v5 packed", helloAt(5, 1), 5},
+		{"next", helloAt(ProtoVersion + 1), ProtoVersion + 1},
+		{"max", helloAt(0xffffffff), 0xffffffff},
+	} {
+		_, err := UnmarshalHello(tc.hello)
 		var ve *VersionError
 		if !errors.As(err, &ve) {
-			t.Fatalf("version %d: err = %v, want *VersionError", v, err)
+			t.Errorf("%s: err = %v, want *VersionError", tc.name, err)
+			continue
 		}
-		if ve.Got != v || ve.Min != MinProtoVersion || ve.Max != ProtoVersion {
-			t.Fatalf("version %d: VersionError = %+v", v, ve)
+		if ve.Got != tc.got {
+			t.Errorf("%s: VersionError.Got = %d, want %d", tc.name, ve.Got, tc.got)
 		}
 	}
 }
 
-// TestHelloAckBothForms: the legacy 12-byte HELLO_ACK (what a v2 session
-// receives, and all an old client can parse) implies version 2; the 16-byte
-// v3 form carries the negotiated version explicitly.
-func TestHelloAckBothForms(t *testing.T) {
-	legacy := MarshalHelloAck(HelloAck{SessionID: 9, MaxPayload: 1 << 20, Version: 2})
-	if len(legacy) != 12 {
-		t.Fatalf("v2 HELLO_ACK is %d bytes, want 12 (old clients reject anything else)", len(legacy))
+// TestHelloAckRoundTrip: HELLO_ACK has one 12-byte form; the 16- and
+// 17-byte acknowledgments of retired revisions are rejected.
+func TestHelloAckRoundTrip(t *testing.T) {
+	want := HelloAck{SessionID: 9, MaxPayload: 1 << 20}
+	b := MarshalHelloAck(want)
+	if len(b) != 12 {
+		t.Fatalf("HELLO_ACK is %d bytes, want 12", len(b))
 	}
-	a, err := UnmarshalHelloAck(legacy)
-	if err != nil || a.Version != 2 || a.SessionID != 9 {
-		t.Fatalf("legacy ack = %+v %v", a, err)
+	got, err := UnmarshalHelloAck(b)
+	if err != nil || got != want {
+		t.Fatalf("ack round trip = %+v %v, want %+v", got, err, want)
 	}
-	ext := MarshalHelloAck(HelloAck{SessionID: 9, MaxPayload: 1 << 20, Version: 3})
-	if len(ext) != 16 {
-		t.Fatalf("v3 HELLO_ACK is %d bytes, want 16", len(ext))
+	for _, n := range []int{11, 16, 17} {
+		if _, err := UnmarshalHelloAck(append(b, 6, 0, 0, 0, 1)[:n]); err == nil {
+			t.Fatalf("%d-byte HELLO_ACK accepted", n)
+		}
 	}
-	a, err = UnmarshalHelloAck(ext)
-	if err != nil || a.Version != 3 || a.SessionID != 9 || a.MaxPayload != 1<<20 {
-		t.Fatalf("extended ack = %+v %v", a, err)
-	}
-	if _, err := UnmarshalHelloAck(ext[:14]); err == nil {
-		t.Fatal("14-byte HELLO_ACK accepted")
+	if _, err := UnmarshalHelloAck(MarshalHelloAck(HelloAck{SessionID: 9})); err == nil {
+		t.Fatal("HELLO_ACK with zero payload cap accepted")
 	}
 }
 
@@ -136,6 +147,9 @@ func TestHelloRejectsBadMagicAndVersion(t *testing.T) {
 	}
 	if _, err := UnmarshalHello(b[:10]); err == nil {
 		t.Fatal("short hello accepted")
+	}
+	if _, err := UnmarshalHello(append(b, 0)); err == nil {
+		t.Fatal("oversized hello accepted")
 	}
 }
 

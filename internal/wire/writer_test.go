@@ -38,7 +38,7 @@ func TestMessageWriterFramingMatchesWriteMessage(t *testing.T) {
 // goroutines write messages through one shared writer to a net.Pipe whose
 // reader byte-checks every frame. Routing the same workload through bare
 // WriteMessage calls on a shared conn interleaves header and payload bytes
-// of different messages (that is exactly the v3 FRAME_PUSH publisher vs.
+// of different messages (that is exactly the FRAME_PUSH publisher vs.
 // reply writer hazard); the MessageWriter must deliver every message intact.
 func TestMessageWriterConcurrentWritersNoTearing(t *testing.T) {
 	const (

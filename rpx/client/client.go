@@ -77,20 +77,6 @@ type Config struct {
 	// server gives this session's pipeline (0 = server default: 1, the
 	// sequential reference path). Any value yields byte-identical results.
 	Parallelism int
-	// PackedMask requests the packed-metadata codec (wire.CodecPackedMask)
-	// at the handshake: GET_ENCODED replies and FRAME_PUSH records then
-	// carry the RPXE v2 container, whose mask is run-length encoded and
-	// whose row offsets are varint deltas. Decoding is transparent —
-	// LastEncoded and StreamFrame.Decode handle both containers — but the
-	// raw bytes differ, so leave this unset for byte-identity with v1
-	// captures. Requires a v4 server; older servers fail the handshake.
-	PackedMask bool
-	// LabelFeedback negotiates protocol v5 so an open subscription may push
-	// region-label workloads back to its target session in-stream
-	// (Stream.SetLabels) — the closed-loop policy path. Leave unset for
-	// byte-identity with v3/v4 handshakes. Requires a v5 server; older
-	// servers fail the handshake.
-	LabelFeedback bool
 	// DialTimeout bounds connection establishment (default 10s).
 	DialTimeout time.Duration
 	// RequestTimeout bounds each request round trip (default 30s).
@@ -113,22 +99,20 @@ type Session struct {
 	addr string
 	cfg  Config
 
-	mu           sync.Mutex // serializes request/reply round trips
-	conn         net.Conn
-	br           *bufio.Reader
-	mw           *wire.MessageWriter // framing writer; serializes concurrent writers itself
-	closed       bool
-	broken       bool
-	id           uint64
-	maxPayload   int
-	protoVersion int     // negotiated protocol revision (from HELLO_ACK)
-	codec        uint8   // granted codec bits (from a v4 HELLO_ACK)
-	stream       *Stream // open push subscription, nil in request/reply mode
-	dialTimeout  time.Duration
-	timeout      time.Duration
-	lastLabels   []rpx.RegionLabel // replayed after reconnect; nil = never set
-	reconnects   int
-	rng          *rand.Rand // backoff jitter; guarded by mu
+	mu          sync.Mutex // serializes request/reply round trips
+	conn        net.Conn
+	br          *bufio.Reader
+	mw          *wire.MessageWriter // framing writer; serializes concurrent writers itself
+	closed      bool
+	broken      bool
+	id          uint64
+	maxPayload  int
+	stream      *Stream // open push subscription, nil in request/reply mode
+	dialTimeout time.Duration
+	timeout     time.Duration
+	lastLabels  []rpx.RegionLabel // replayed after reconnect; nil = never set
+	reconnects  int
+	rng         *rand.Rand // backoff jitter; guarded by mu
 }
 
 // Dial connects to an rpxd server and negotiates a session.
@@ -172,23 +156,6 @@ func (s *Session) connectLocked() error {
 		Block:        s.cfg.Block,
 		Parallelism:  s.cfg.Parallelism,
 	}
-	switch {
-	case s.cfg.LabelFeedback:
-		// v5 is the lowest revision with in-stream label feedback; the
-		// HELLO byte layout is the v4 one plus the version number.
-		hello.Version = 5
-	case s.cfg.PackedMask:
-		// Pin v4, the revision that introduced the codec byte, so the
-		// packed handshake bytes never drift as ProtoVersion advances.
-		hello.Version = 4
-	default:
-		// Pin v3 so the default handshake and everything after it stay
-		// byte-identical to pre-codec clients — raw is the reference path.
-		hello.Version = 3
-	}
-	if s.cfg.PackedMask {
-		hello.Codec = wire.CodecPackedMask
-	}
 	ack, _, err := replay.Handshake(conn, br, wire.MarshalHello(hello), s.maxPayload, s.timeout)
 	if err != nil {
 		conn.Close()
@@ -203,32 +170,8 @@ func (s *Session) connectLocked() error {
 	s.mw = wire.NewMessageWriter(conn)
 	s.id = ack.SessionID
 	s.maxPayload = ack.MaxPayload
-	s.protoVersion = ack.Version
-	s.codec = ack.Codec
 	s.broken = false
-	if s.cfg.PackedMask && s.codec&wire.CodecPackedMask == 0 {
-		// A v4 server always grants the packed bit; anything else means the
-		// peer cannot honor what Config asked for.
-		conn.Close()
-		return fmt.Errorf("client: server did not grant the packed-mask codec")
-	}
 	return nil
-}
-
-// PackedMask reports whether the server granted the packed-metadata codec
-// at the handshake (Config.PackedMask was set and the peer speaks v4).
-func (s *Session) PackedMask() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.codec&wire.CodecPackedMask != 0
-}
-
-// ProtoVersion returns the protocol revision the server negotiated in the
-// HELLO_ACK (wire.MinProtoVersion for a legacy 12-byte ack).
-func (s *Session) ProtoVersion() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.protoVersion
 }
 
 // ID returns the server-assigned session id (of the newest connection, if
@@ -387,8 +330,8 @@ func (s *Session) DecodeWindow(x, y, w, h int) (*rpx.Frame, error) {
 	return wire.UnmarshalFrame(payload)
 }
 
-// LastEncoded fetches the newest encoded frame in its packed (RPXE)
-// representation — the same container .rpxs streams use.
+// LastEncoded fetches the newest encoded frame in its RPXE container — the
+// same container .rpxs streams use.
 func (s *Session) LastEncoded() (*rpx.EncodedFrame, error) {
 	payload, err := s.call(wire.MsgGetEncoded, nil, wire.MsgEncoded, true)
 	if err != nil {

@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -15,10 +16,10 @@ import (
 // subscription takes effect on the deterministic boundary the server
 // reports, and the streamed output is byte-identical to an in-process
 // rpx.System (sequential reference path) that switches workloads at exactly
-// that boundary — for every combination of server-side parallelism (1, 2,
-// 8) and wire codec (raw, packed). Whatever the parallelism and container
-// format, the frames on each side of the boundary reconstruct to the same
-// bytes the reference produces.
+// that boundary — at server-side parallelism 1, 2 and 8. Whatever the
+// parallelism, every pushed record equals the reference's LastEncoded
+// serialization, and the frames on each side of the boundary reconstruct
+// to the same bytes the reference produces.
 func TestStreamLabelBoundaryDifferential(t *testing.T) {
 	const w, h = 64, 48
 	labelsA := []rpx.RegionLabel{rpx.FullFrame(w, h)}
@@ -29,23 +30,17 @@ func TestStreamLabelBoundaryDifferential(t *testing.T) {
 		{X: 32, Y: 24, W: 32, H: 24, Stride: 2, Skip: 2, Phase: 1},
 	}
 	for _, parallelism := range []int{1, 2, 8} {
-		for _, packed := range []bool{false, true} {
-			codec := "raw"
-			if packed {
-				codec = "packed"
-			}
-			t.Run(fmt.Sprintf("p%d/%s", parallelism, codec), func(t *testing.T) {
-				runLabelBoundaryDifferential(t, w, h, parallelism, packed, labelsA, labelsB)
-			})
-		}
+		t.Run(fmt.Sprintf("p%d", parallelism), func(t *testing.T) {
+			runLabelBoundaryDifferential(t, w, h, parallelism, labelsA, labelsB)
+		})
 	}
 }
 
-func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, packed bool, labelsA, labelsB []rpx.RegionLabel) {
+func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, labelsA, labelsB []rpx.RegionLabel) {
 	addr := startServer(t, server.Config{}, server.TCPConfig{})
 	producer, err := client.Dial(addr, client.Config{
 		W: w, H: h, Format: rpx.Gray8, Block: true,
-		Parallelism: parallelism, PackedMask: packed,
+		Parallelism: parallelism,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,10 +49,7 @@ func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, packed bo
 	if err := producer.SetRegionLabels(labelsA); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := client.Dial(addr, client.Config{
-		W: 8, H: 8, Format: rpx.Gray8,
-		LabelFeedback: true, PackedMask: packed,
-	})
+	sub, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +112,7 @@ func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, packed bo
 	// Reference: always the sequential in-process pipeline (parallelism 1),
 	// fed the same inputs, switching workloads exactly at the reported
 	// boundary. Byte-identity against it proves both the boundary exactness
-	// and the parallelism/codec independence of everything after it.
+	// and the parallelism independence of everything after it.
 	ref, err := rpx.NewSystem(w, h, rpx.Gray8)
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +139,9 @@ func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, packed bo
 		if f.Stats != refStats {
 			t.Fatalf("frame %d stats %+v, reference %+v (boundary %d)", i, f.Stats, refStats, boundary)
 		}
+		if !bytes.Equal(f.Raw, ref.LastEncoded().AppendTo(nil)) {
+			t.Fatalf("frame %d record differs from the reference serialization (boundary %d)", i, boundary)
+		}
 		refDec, err := ref.Decoded()
 		if err != nil {
 			t.Fatal(err)
@@ -163,8 +158,8 @@ func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, packed bo
 			t.Fatal(err)
 		}
 		if !got.Equal(refDec) {
-			t.Fatalf("frame %d decodes differently from the sequential reference (boundary %d, parallelism %d, packed %v)",
-				i, boundary, parallelism, packed)
+			t.Fatalf("frame %d decodes differently from the sequential reference (boundary %d, parallelism %d)",
+				i, boundary, parallelism)
 		}
 	}
 }

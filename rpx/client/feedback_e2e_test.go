@@ -8,11 +8,11 @@ import (
 	"repro/rpx/client"
 )
 
-// TestStreamLabelFeedback: the closed-loop path end to end. A v5 subscriber
+// TestStreamSetLabelsBoundary: the closed-loop path end to end. A subscriber
 // pushes a label workload back to the producer mid-stream and the
 // LABELS_APPLIED boundary is exact — every frame before it carries the old
 // workload's pixel fraction, every frame from it on the new one.
-func TestStreamLabelFeedback(t *testing.T) {
+func TestStreamSetLabelsBoundary(t *testing.T) {
 	const w, h = 64, 48
 	addr := startServer(t, server.Config{}, server.TCPConfig{})
 	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
@@ -24,14 +24,11 @@ func TestStreamLabelFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sub, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8, LabelFeedback: true})
+	sub, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if v := sub.ProtoVersion(); v != 5 {
-		t.Fatalf("LabelFeedback client negotiated v%d, want 5", v)
-	}
 	st, err := sub.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 64, Batch: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -131,37 +128,5 @@ func TestStreamLabelFeedback(t *testing.T) {
 	// The session is back in request/reply mode.
 	if _, err := sub.ServerStats(); err != nil {
 		t.Fatalf("request/reply after unsubscribe: %v", err)
-	}
-}
-
-// TestStreamLabelsNeedV5: a default (v3) subscriber cannot push labels —
-// the client refuses locally before touching the wire, and the stream
-// stays usable.
-func TestStreamLabelsNeedV5(t *testing.T) {
-	addr := startServer(t, server.Config{}, server.TCPConfig{})
-	producer, err := client.Dial(addr, client.Config{W: 32, H: 32, Format: rpx.Gray8, Block: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer producer.Close()
-	sub, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	st, err := sub.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetLabels([]rpx.RegionLabel{rpx.FullFrame(32, 32)}); err == nil {
-		t.Fatal("SetLabels on a v3 stream succeeded")
-	}
-	fr := rpx.NewFrame(32, 32, rpx.Gray8)
-	fillFrame(fr, 2, 0)
-	if _, err := producer.Capture(fr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Recv(); err != nil {
-		t.Fatalf("stream broken by the refused SetLabels: %v", err)
 	}
 }

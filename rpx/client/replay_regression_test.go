@@ -149,8 +149,7 @@ func TestReconnectReplayByteIdentical(t *testing.T) {
 		t.Errorf("replayed HELLO differs from original:\n  dial:   %x\n  replay: %x", first[0].payload, second[0].payload)
 	}
 	if want := wire.MarshalHello(wire.Hello{
-		Version: 3, // default clients pin v3 (no codec negotiation)
-		W:       cfg.W, H: cfg.H, Format: cfg.Format,
+		W: cfg.W, H: cfg.H, Format: cfg.Format,
 		HistoryDepth: cfg.HistoryDepth, QueueDepth: cfg.QueueDepth,
 		Block: cfg.Block, Parallelism: cfg.Parallelism,
 	}); !bytes.Equal(second[0].payload, want) {

@@ -12,7 +12,7 @@ import (
 	"repro/rpx"
 )
 
-// Streaming push mode (protocol v3).
+// Streaming push mode.
 //
 // Subscribe switches the session from request/reply to server push: the
 // server sends FRAME_PUSH batches as frames are captured, bounded by the
@@ -34,10 +34,6 @@ import (
 // ErrStreaming is returned by request/reply calls while a push stream owns
 // the connection.
 var ErrStreaming = errors.New("client: session is in streaming mode")
-
-// ErrStreamingUnsupported is returned by Subscribe when the server
-// negotiated protocol v2, which has no push mode.
-var ErrStreamingUnsupported = errors.New("client: server negotiated protocol v2, streaming needs v3")
 
 // SubscribeOptions parameterizes Subscribe.
 type SubscribeOptions struct {
@@ -92,8 +88,10 @@ type Stream struct {
 	id      uint64
 	nextSeq uint64
 	buf     []StreamFrame
-	done    bool
-	err     error
+	// done and err record how the stream ended. Grant and SetLabels read
+	// them from other goroutines, so both are guarded by s.mu.
+	done bool
+	err  error
 
 	// onApplied, when set, receives each LABELS_APPLIED synchronously from
 	// the goroutine calling Recv; unset, outcomes queue in applied.
@@ -101,8 +99,8 @@ type Stream struct {
 	applied   []LabelsApplied
 }
 
-// Subscribe opens a push stream. The session must have negotiated protocol
-// v3 and must not be broken, closed, or already streaming.
+// Subscribe opens a push stream. The session must not be broken, closed,
+// or already streaming.
 func (s *Session) Subscribe(opts SubscribeOptions) (*Stream, error) {
 	if opts.Credit < 0 || opts.Credit > wire.MaxCreditWindow {
 		return nil, fmt.Errorf("client: subscribe credit %d outside [0, %d]", opts.Credit, wire.MaxCreditWindow)
@@ -125,9 +123,6 @@ func (s *Session) Subscribe(opts SubscribeOptions) (*Stream, error) {
 		if err := s.reconnectLocked(); err != nil {
 			return nil, err
 		}
-	}
-	if s.protoVersion < 3 {
-		return nil, ErrStreamingUnsupported
 	}
 	rtyp, rpayload, err := s.roundTripLocked(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{
 		Target: opts.Target,
@@ -169,11 +164,9 @@ func (st *Stream) NextSeq() uint64 { return st.nextSeq }
 // framing, a transport error desynchronizes both — and ends the stream.
 func (st *Stream) failTransport(err error) error {
 	st.s.mu.Lock()
+	defer st.s.mu.Unlock()
 	st.s.poisonLocked()
-	st.s.stream = nil
-	st.s.mu.Unlock()
-	st.done = true
-	st.err = err
+	st.endLocked(err)
 	return err
 }
 
@@ -181,10 +174,22 @@ func (st *Stream) failTransport(err error) error {
 // framing is intact and resumes.
 func (st *Stream) finish(err error) {
 	st.s.mu.Lock()
+	defer st.s.mu.Unlock()
+	st.endLocked(err)
+}
+
+// endLocked detaches the stream from its session and records how it
+// ended. Callers hold s.mu.
+func (st *Stream) endLocked(err error) {
 	st.s.stream = nil
-	st.s.mu.Unlock()
-	st.done = true
-	st.err = err
+	st.done, st.err = true, err
+}
+
+// ended reports whether the stream has ended and the error it ended with.
+func (st *Stream) ended() (bool, error) {
+	st.s.mu.Lock()
+	defer st.s.mu.Unlock()
+	return st.done, st.err
 }
 
 // Recv returns the next pushed frame, reading FRAME_PUSH batches off the
@@ -198,8 +203,8 @@ func (st *Stream) Recv() (StreamFrame, error) {
 			st.buf = st.buf[1:]
 			return f, nil
 		}
-		if st.done {
-			return StreamFrame{}, st.err
+		if done, err := st.ended(); done {
+			return StreamFrame{}, err
 		}
 		typ, payload, err := st.readMsg()
 		if err != nil {
@@ -265,26 +270,34 @@ func (st *Stream) TakeLabelsApplied() []LabelsApplied {
 }
 
 // SetLabels pushes a region-label workload back to the subscription's
-// target session without leaving push mode — the closed-loop feedback path
-// (protocol v5, Config.LabelFeedback). The write returns immediately; the
-// server's acknowledgment (the first frame sequence number captured under
-// the new labels, or a rejection) is delivered through Recv to the
-// OnLabelsApplied callback or the TakeLabelsApplied queue. Like Grant, it
-// is safe to call while another goroutine blocks in Recv.
+// target session without leaving push mode — the closed-loop feedback
+// path. The write returns immediately; the server's acknowledgment (the
+// first frame sequence number captured under the new labels, or a
+// rejection) is delivered through Recv to the OnLabelsApplied callback or
+// the TakeLabelsApplied queue. Like Grant, it is safe to call while another
+// goroutine blocks in Recv.
 func (st *Stream) SetLabels(labels []rpx.RegionLabel) error {
-	s := st.s
-	if st.done {
-		return st.err
-	}
-	if v := s.ProtoVersion(); v < 5 {
-		return fmt.Errorf("client: in-stream labels need protocol v5 (Config.LabelFeedback), session negotiated v%d", v)
-	}
-	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	if err := s.mw.WriteMessage(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{
+	return st.send(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{
 		SubID:  st.id,
 		Labels: labels,
-	}), s.maxPayload); err != nil {
-		return st.failTransport(fmt.Errorf("client: stream labels: %w", err))
+	}), "stream labels")
+}
+
+// send writes one client-to-server stream message (CREDIT, STREAM_LABELS)
+// on the connection's write side. The MessageWriter serializes it against
+// any concurrent write and emits the whole message in one vectored write,
+// so it can never tear another in-flight message.
+func (st *Stream) send(typ byte, payload []byte, what string) error {
+	s := st.s
+	s.mu.Lock()
+	done, err, conn, mw, maxPayload := st.done, st.err, s.conn, s.mw, s.maxPayload
+	s.mu.Unlock()
+	if done {
+		return err
+	}
+	conn.SetWriteDeadline(time.Now().Add(s.timeout))
+	if err := mw.WriteMessage(typ, payload, maxPayload); err != nil {
+		return st.failTransport(fmt.Errorf("client: %s: %w", what, err))
 	}
 	return nil
 }
@@ -331,21 +344,10 @@ func (st *Stream) Grant(n int) error {
 	if n <= 0 || n > wire.MaxCreditWindow {
 		return fmt.Errorf("client: grant %d outside [1, %d]", n, wire.MaxCreditWindow)
 	}
-	s := st.s
-	if st.done {
-		return st.err
-	}
-	// The MessageWriter serializes this against any concurrent write and
-	// emits the whole message in one vectored write, so a grant can never
-	// tear another in-flight message.
-	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	if err := s.mw.WriteMessage(wire.MsgCredit, wire.MarshalCredit(wire.Credit{
+	return st.send(wire.MsgCredit, wire.MarshalCredit(wire.Credit{
 		SubID: st.id,
 		N:     uint32(n),
-	}), s.maxPayload); err != nil {
-		return st.failTransport(fmt.Errorf("client: stream grant: %w", err))
-	}
-	return nil
+	}), "stream grant")
 }
 
 // Close unsubscribes cleanly: it sends UNSUBSCRIBE, then reads and discards
@@ -353,7 +355,7 @@ func (st *Stream) Grant(n int) error {
 // request/reply mode. After Close, Recv returns io.EOF. Close must not be
 // called concurrently with Recv.
 func (st *Stream) Close() error {
-	if st.done {
+	if done, _ := st.ended(); done {
 		return nil
 	}
 	s := st.s

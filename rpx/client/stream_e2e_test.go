@@ -24,11 +24,6 @@ func TestStreamPushBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer producer.Close()
-	// Default clients pin v3 — the byte-identity reference path; only
-	// Config.PackedMask opts into the v4 codec handshake.
-	if v := producer.ProtoVersion(); v != 3 {
-		t.Fatalf("negotiated version %d, want 3", v)
-	}
 	sub, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +259,54 @@ func TestStreamFanOutAndSessionClose(t *testing.T) {
 		if _, err := st.Recv(); !errors.As(err, &re) {
 			t.Fatalf("sub %d Recv after end = %v", si, err)
 		}
+	}
+}
+
+// TestStreamGrantRacesEnd: Grant is documented as safe to call while
+// another goroutine blocks in Recv, and that includes the moment Recv sees
+// the stream end. One goroutine grants credit in a loop while Recv observes
+// the producer closing; under -race an unsynchronized read or write of the
+// stream's end state is reported.
+func TestStreamGrantRacesEnd(t *testing.T) {
+	addr := startServer(t, server.Config{}, server.TCPConfig{})
+	producer, err := client.Dial(addr, client.Config{W: 16, H: 16, Format: rpx.Gray8, Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer producer.Close()
+	sub, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	st, err := sub.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	granted := make(chan struct{})
+	granterDone := make(chan struct{})
+	go func() {
+		defer close(granterDone)
+		for i := 0; ; i++ {
+			if err := st.Grant(1); err != nil {
+				return // the stream has ended
+			}
+			if i == 0 {
+				close(granted)
+			}
+		}
+	}()
+	<-granted
+	if err := producer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); err == nil {
+		t.Fatal("Recv returned a frame from a producer that captured none")
+	}
+	<-granterDone
+	if err := st.Grant(1); err == nil {
+		t.Fatal("Grant after the stream ended succeeded")
 	}
 }
 

@@ -98,9 +98,11 @@ func drainUntilFault(t *testing.T, st *client.Stream, want [][]byte) (int, error
 // subscriber's 5th server→client message, i.e. the 3rd FRAME_PUSH
 // (1 HELLO_ACK, 2 SUBSCRIBE_ACK, 3+ pushes). The subscriber must see the
 // untouched pushes byte-perfect and then a transport error that poisons the
-// session — never a short or mangled frame surfaced as data.
+// session — never a short or mangled frame surfaced as data. The server
+// coalesces up to Batch frames per push when the subscriber lags, so the
+// run captures 4×Batch frames: at least 4 pushes, whatever the timing.
 func TestStreamFaultScriptedCuts(t *testing.T) {
-	const w, h, frames = 48, 32, 8
+	const w, h, frames = 48, 32, 16
 	cuts := []struct {
 		name string
 		rule faultnet.Rule

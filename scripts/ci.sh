@@ -7,7 +7,7 @@
 #   scripts/ci.sh alloc fuzz       # a subset, in the order given
 #
 # Stages:
-#   tier1        go vet + go build + go test -race ./...
+#   tier1        gofmt -l + go vet + go build + go test -race ./...
 #   alloc        steady-state zero-allocation gates (AllocsPerRun, no -race)
 #   fuzz         short fuzz budget per untrusted decode surface
 #   smoke        live binaries: faultnet matrix, rpxd admin, rpxgw
@@ -23,6 +23,14 @@ cd "$(dirname "$0")/.."
 # ---------------------------------------------------------------- tier1
 
 stage_tier1() {
+    echo "== gofmt -l ."
+    UNFORMATTED="$(gofmt -l .)"
+    if [ -n "$UNFORMATTED" ]; then
+        echo "ci: gofmt would reformat:" >&2
+        echo "$UNFORMATTED" >&2
+        exit 1
+    fi
+
     echo "== go vet ./..."
     go vet ./...
 
@@ -58,7 +66,6 @@ stage_fuzz() {
     go test -run='^$' -fuzz='^FuzzReadFramePush$' -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzReadEncodedFrame$' -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzStreamReader$' -fuzztime="$FUZZTIME" ./internal/core
-    go test -run='^$' -fuzz='^FuzzMaskCodec$' -fuzztime="$FUZZTIME" ./internal/bitpack
 }
 
 # ---------------------------------------------------------------- smoke
