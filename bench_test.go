@@ -188,14 +188,71 @@ func benchLabels(n, w, h int) region.List {
 	return ls.SortByY()
 }
 
+// tileGridLabels covers a w x h frame with 16-pixel tiles the way the
+// scenario policies do: each tile draws its (stride, skip) from classes by
+// a fixed hash of its position, one label spans each horizontal run of
+// identical tiles, and a tile's skip phase follows its position.
+func tileGridLabels(w, h int, classes [][2]int) region.List {
+	const tile = 16
+	class := func(c, r int) [2]int {
+		hsh := uint32(c*73856093) ^ uint32(r*19349663)
+		return classes[int(hsh>>7)%len(classes)]
+	}
+	var ls region.List
+	for r := 0; r*tile < h; r++ {
+		for c := 0; c*tile < w; {
+			k := class(c, r)
+			run := c + 1
+			for run*tile < w && class(run, r) == k {
+				run++
+			}
+			l, ok := region.Clip(region.Label{
+				X: c * tile, Y: r * tile, W: (run - c) * tile, H: tile,
+				Stride: k[0], Skip: k[1], Phase: (c + 31*r) % k[1],
+			}, w, h)
+			if ok {
+				ls = append(ls, l)
+			}
+			c = run
+		}
+	}
+	return ls.SortByY()
+}
+
+// tileGrids are the tile-grid workloads of the codec microbenchmarks, as
+// tileGridLabels classes. motion-skip is the motion-skip policy's steady
+// state (every tile captured at stride 1, skipped 1, 2 or 3 frames by
+// change energy); stride-skip mixes the saliency-stride policy's strides
+// 1, 2 and 4 with skips 1 and 2.
+var tileGrids = []struct {
+	name    string
+	classes [][2]int
+}{
+	{"motion-skip", [][2]int{{1, 1}, {1, 2}, {1, 3}, {1, 3}}},
+	{"stride-skip", [][2]int{{1, 1}, {2, 1}, {4, 1}, {2, 2}, {4, 2}}},
+}
+
 // BenchmarkEncoder1080p measures streaming encode of a 1080p frame at
-// several region counts — the 2 px/clock claim's software analogue.
+// several region counts — the 2 px/clock claim's software analogue — and
+// on the tile-grid workloads of the scenario policies.
 func BenchmarkEncoder1080p(b *testing.B) {
+	const w, h = 1920, 1080
+	type encCase struct {
+		name   string
+		labels region.List
+	}
+	var cases []encCase
 	for _, n := range []int{16, 100, 400, 1600} {
-		b.Run(fmt.Sprintf("regions-%d", n), func(b *testing.B) {
-			fr := frame.New(1920, 1080, frame.Gray8)
-			enc := core.NewEncoder(1920, 1080, frame.Gray8)
-			if err := enc.SetRegionLabels(benchLabels(n, 1920, 1080)); err != nil {
+		cases = append(cases, encCase{fmt.Sprintf("regions-%d", n), benchLabels(n, w, h)})
+	}
+	for _, g := range tileGrids {
+		cases = append(cases, encCase{g.name, tileGridLabels(w, h, g.classes)})
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			fr := frame.New(w, h, frame.Gray8)
+			enc := core.NewEncoder(w, h, frame.Gray8)
+			if err := enc.SetRegionLabels(c.labels); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(fr.SizeBytes()))
@@ -212,7 +269,10 @@ func BenchmarkEncoder1080p(b *testing.B) {
 
 // BenchmarkSoftwareDecoder1080p measures full-frame decode at the paper's
 // reference point: "a few ms of CPU time for a 1080p frame where 30% of the
-// pixels are regional pixels", scaling linearly with regional share.
+// pixels are regional pixels", scaling linearly with regional share. The
+// tile-grid cases decode the newest of a warmed 4-frame history (the
+// decoder's default depth), so temporally skipped tiles resolve against
+// older frames and strided tiles resample, as on a policy-steered stream.
 func BenchmarkSoftwareDecoder1080p(b *testing.B) {
 	for _, pct := range []int{10, 30, 60, 100} {
 		b.Run(fmt.Sprintf("regional-%dpct", pct), func(b *testing.B) {
@@ -235,6 +295,37 @@ func BenchmarkSoftwareDecoder1080p(b *testing.B) {
 			dec := core.NewDecoder(w, h, frame.Gray8)
 			if err := dec.Push(ef); err != nil {
 				b.Fatal(err)
+			}
+			b.SetBytes(int64(w * h))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dec.DecodeFrame(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, g := range tileGrids {
+		b.Run(g.name, func(b *testing.B) {
+			const w, h = 1920, 1080
+			enc := core.NewEncoder(w, h, frame.Gray8)
+			if err := enc.SetRegionLabels(tileGridLabels(w, h, g.classes)); err != nil {
+				b.Fatal(err)
+			}
+			dec := core.NewDecoder(w, h, frame.Gray8)
+			fr := frame.New(w, h, frame.Gray8)
+			for fi := 0; fi < core.DefaultHistoryDepth; fi++ {
+				for i := range fr.Pix {
+					fr.Pix[i] = byte(i*7 + fi)
+				}
+				ef, err := enc.EncodeFrame(fr, fi)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := dec.Push(ef); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.SetBytes(int64(w * h))
 			b.ReportAllocs()

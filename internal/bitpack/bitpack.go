@@ -164,6 +164,38 @@ func (m *Mask2) Fill(lo, hi int, c Code) {
 	}
 }
 
+// WriteRow stores codes into elements [lo, lo+len(codes)), packing four
+// codes per byte. The codes are ORed into place, so the fields a partial
+// first or last byte shares with neighbouring elements survive; the written
+// elements must therefore hold CodeN beforehand (a fresh or Reset mask),
+// which is how the encoders fill a frame's mask row by row. Codes must be
+// valid.
+func (m *Mask2) WriteRow(lo int, codes []Code) {
+	hi := lo + len(codes)
+	if lo < 0 || hi > m.n {
+		panic(fmt.Sprintf("bitpack: row [%d,%d) out of range [0,%d]", lo, hi, m.n))
+	}
+	i := lo
+	for ; i < hi && i&3 != 0; i++ {
+		m.data[i>>2] |= byte(codes[i-lo]) << uint((i&3)*2)
+	}
+	// Two whole bytes per step: the eight codes load as one little-endian
+	// word, one code per byte lane, and two shift-or-mask steps gather each
+	// lane pair into a nibble and each nibble pair into a byte.
+	for ; hi-i >= 8; i += 8 {
+		c := codes[i-lo : i-lo+8 : i-lo+8]
+		v := uint64(c[0]) | uint64(c[1])<<8 | uint64(c[2])<<16 | uint64(c[3])<<24 |
+			uint64(c[4])<<32 | uint64(c[5])<<40 | uint64(c[6])<<48 | uint64(c[7])<<56
+		v = (v | v>>6) & 0x000F000F000F000F
+		v = (v | v>>12) & 0x000000FF000000FF
+		m.data[i>>2] = byte(v)
+		m.data[i>>2+1] = byte(v >> 32)
+	}
+	for ; i < hi; i++ {
+		m.data[i>>2] |= byte(codes[i-lo]) << uint((i&3)*2)
+	}
+}
+
 // Reset sets every element to CodeN.
 func (m *Mask2) Reset() {
 	for i := range m.data {

@@ -211,6 +211,35 @@ func TestFillAndHistogram(t *testing.T) {
 	}
 }
 
+// TestWriteRowMatchesSet writes a mask row by row, rows of every width
+// against every byte alignment, and checks it equals the same codes stored
+// one Set at a time: partial bytes shared by two rows keep both rows'
+// fields.
+func TestWriteRowMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for w := 1; w <= 13; w++ {
+		const h = 9
+		got, want := NewMask2(w*h), NewMask2(w*h)
+		for y := 0; y < h; y++ {
+			row := make([]Code, w)
+			for x := range row {
+				row[x] = Code(rng.Intn(4))
+				want.Set(y*w+x, row[x])
+			}
+			got.WriteRow(y*w, row)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("width %d: WriteRow mask % x, Set mask % x", w, got.Bytes(), want.Bytes())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("WriteRow past the end did not panic")
+		}
+	}()
+	NewMask2(5).WriteRow(3, make([]Code, 3))
+}
+
 func TestReset(t *testing.T) {
 	m := NewMask2(10)
 	m.Fill(0, 10, CodeR)

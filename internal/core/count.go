@@ -11,7 +11,9 @@ import (
 // alone, exactly as the paper's evaluation methodology does (§5.3.1).
 //
 // The returned array is indexed by bitpack.Code: [N, St, Sk, R] counts.
-// Labels must be y-sorted.
+// Labels must be y-sorted. Rows are classified by the encoder's own RoI
+// Selector and Comparison Engine kernels, so the histogram always matches
+// the EncMask an encoder would build.
 func CountCodes(w, h, frameIndex int, labels region.List) [4]int {
 	var counts [4]int
 	if len(labels) == 0 {
@@ -19,49 +21,15 @@ func CountCodes(w, h, frameIndex int, labels region.List) [4]int {
 		return counts
 	}
 	codes := make([]bitpack.Code, w)
-	var sublist []region.Label
+	var sublist []int
+	var stats EncoderStats // discarded: the shared kernels require one
 	for y := 0; y < h; y++ {
-		sublist = sublist[:0]
-		for _, l := range labels {
-			if l.Y > y {
-				break
-			}
-			if l.RowInYRange(y) {
-				sublist = append(sublist, l)
-			}
-		}
+		sublist = rowSublist(labels, y, sublist, &stats)
 		if len(sublist) == 0 {
 			counts[bitpack.CodeN] += w
 			continue
 		}
-		for i := range codes {
-			codes[i] = bitpack.CodeN
-		}
-		for _, l := range sublist {
-			x1 := l.X + l.W
-			switch {
-			case !l.ActiveAt(frameIndex):
-				for x := l.X; x < x1; x++ {
-					if codes[x] < bitpack.CodeSk {
-						codes[x] = bitpack.CodeSk
-					}
-				}
-			case l.Stride > 1 && (y-l.Y)%l.Stride != 0:
-				for x := l.X; x < x1; x++ {
-					if codes[x] < bitpack.CodeSt {
-						codes[x] = bitpack.CodeSt
-					}
-				}
-			default:
-				for x := l.X; x < x1; x++ {
-					if l.Stride <= 1 || (x-l.X)%l.Stride == 0 {
-						codes[x] = bitpack.CodeR
-					} else if codes[x] < bitpack.CodeSt {
-						codes[x] = bitpack.CodeSt
-					}
-				}
-			}
-		}
+		paintRowCodes(labels, sublist, codes, y, frameIndex, &stats)
 		for _, c := range codes {
 			counts[c]++
 		}

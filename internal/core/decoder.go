@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bitpack"
 	"repro/internal/frame"
+	"repro/internal/region"
 )
 
 // DefaultHistoryDepth is the number of recent encoded frames whose metadata
@@ -13,11 +14,11 @@ import (
 // encoded frames" (§4.2.1).
 const DefaultHistoryDepth = 4
 
-// strideLookbackRows bounds how many rows above a requested window the
-// decoder pre-decodes to prime its line buffer, so that vertically strided
-// pixels at the top of a mid-frame window reconstruct correctly. The paper's
-// workloads use strides up to 4 (Table 4); 8 gives margin.
-const strideLookbackRows = 8
+// minBandRows is the shortest row band a parallel decode splits a window
+// into. A strided row copies its pixels from the row above, back to its
+// lattice row up to region.MaxStride-1 rows up, so a band shorter than that
+// could spend more rows priming its line buffer than producing output.
+const minBandRows = region.MaxStride
 
 // DecoderStats counts decode work and traffic for the evaluation harness.
 type DecoderStats struct {
@@ -176,16 +177,16 @@ func (d *Decoder) DecodeFrame() (*frame.Frame, error) {
 // the property that makes any window decode agree exactly with the
 // corresponding crop of a full-frame decode (strided pixels may hold values
 // that originate left of the window). When the window starts below the
-// frame top, up to strideLookbackRows rows above it are decoded into the
-// line buffer first (and discarded) so vertically strided pixels on the
-// window's first rows reconstruct from their source row; warm-up rows are
-// excluded from Stats.
+// frame top, the rows above it that its first row depends on through the
+// line buffer (see lineChainStart) are decoded first and discarded, so
+// vertically strided pixels reconstruct from their source row; warm-up
+// rows are excluded from Stats.
 // When the decoder was configured WithParallelism(n > 1), the window is
 // split into independent row-band sub-decodes that share the frame history
-// read-only; each band primes its own line buffer with the same lookback
-// warm-up, so the stitched result is byte-identical to the sequential path
-// and the accumulated statistics are too (each output row is charged
-// exactly once; warm-up rows are always discarded).
+// read-only; each band primes its own line buffer the same way, so the
+// stitched result is byte-identical to the sequential path and the
+// accumulated statistics are too (each output row is charged exactly once;
+// warm-up rows are always discarded).
 func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
 	if len(d.history) == 0 {
 		return nil, fmt.Errorf("core: decode before any encoded frame was pushed")
@@ -195,9 +196,7 @@ func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
 	}
 	out := frame.New(w, h, d.format)
 
-	// A band shorter than the warm-up lookback spends more rows priming
-	// than producing, so small requests stay sequential.
-	nb := min(d.parallelism, max(1, h/strideLookbackRows))
+	nb := min(d.parallelism, max(1, h/minBandRows))
 	if nb <= 1 {
 		if err := d.decodeBand(out, x0, y0, w, 0, h, &d.stats); err != nil {
 			return nil, err
@@ -236,20 +235,23 @@ func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
 }
 
 // decodeBand reconstructs output rows [r0, r1) of the window anchored at
-// (x0, y0): the sequential decode loop over one row band, with up to
-// strideLookbackRows of discarded warm-up rows above the band so vertically
-// strided pixels on its first rows reconstruct from their source row.
+// (x0, y0): the sequential decode loop over one row band, after discarded
+// warm-up rows from lineChainStart so vertically strided pixels on its
+// first rows reconstruct from their source row.
 func (d *Decoder) decodeBand(out *frame.Frame, x0, y0, w, r0, r1 int, stats *DecoderStats) error {
 	pmmu := NewPMMU(d.history, 0)
 	fifo := newFIFOSampler(d.bpp, d.w)
 
-	warmup := min(y0+r0, strideLookbackRows)
+	start, err := lineChainStart(pmmu, y0+r0, d.w)
+	if err != nil {
+		return err
+	}
 	var discard DecoderStats
 	rowBuf := make([]byte, d.w*d.bpp)
-	prevMetaBits := 0
-	for row := r0 - warmup; row < r1; row++ {
+	prevMetaBits := pmmu.Stats().MetadataBitsRead // the search's reads are not charged
+	for row := start - y0; row < r1; row++ {
 		y := y0 + row
-		subs, err := pmmu.TranslateRow(y, 0, d.w)
+		subs, err := pmmu.translateRow(y, 0, d.w)
 		if err != nil {
 			return err
 		}
@@ -274,6 +276,43 @@ func (d *Decoder) decodeBand(out *frame.Frame, x0, y0, w, r0, r1 int, stats *Dec
 		}
 	}
 	return nil
+}
+
+// lineChainStart returns the row a decode must start at for row y to come
+// out as it does in a decode from the frame top: the nearest row at or
+// above y whose reconstruction reads nothing from the line buffer. A
+// strided pixel that no fetch precedes in its row copies the pixel above
+// it, so rows chain upward until one reads no such pixel; row 0 ends every
+// chain, because its line buffer is empty either way. Under one label list
+// a chain spans less than a label's stride, but a pixel skipped in the
+// newest frame and strided out in the older frame it resolves against
+// copies from above on every row, however long the run of such rows.
+func lineChainStart(p *PMMU, y, w int) (int, error) {
+	for ; y > 0; y-- {
+		subs, err := p.translateRow(y, 0, w)
+		if err != nil {
+			return 0, err
+		}
+		if !readsLineBuffer(subs) {
+			break
+		}
+	}
+	return y, nil
+}
+
+// readsLineBuffer reports whether servicing a row's sub-requests reads the
+// line buffer: whether a strided run comes before the row's first fetch,
+// which would otherwise give it a value to hold.
+func readsLineBuffer(subs []SubRequest) bool {
+	for _, s := range subs {
+		if s.Source != SourceNone {
+			return false
+		}
+		if s.Code == bitpack.CodeSt {
+			return true
+		}
+	}
+	return false
 }
 
 // add accumulates o into s.

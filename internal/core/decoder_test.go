@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -569,4 +571,152 @@ func TestDecodeWindowConsistencyProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDecodeStrideCapWindowsAndBands is the regression test for strides of
+// 10 and more, whose windows and row bands reconstructed their first
+// strided rows from an unprimed line buffer while the decoder warmed up a
+// fixed eight rows. Strides above region.MaxStride are rejected; at every
+// stride up to the cap, windows and bands equal the full-frame decode (see
+// assertWindowsAndBands) on a captured frame and on the skipped frame
+// after it, which resolves against the first.
+func TestDecodeStrideCapWindowsAndBands(t *testing.T) {
+	const w, h = 13, 8 * 12 // tall enough for 12 row bands
+	for stride := 1; stride <= 16; stride++ {
+		// Two overlapping regions with lattices at different row phases;
+		// skip 2 makes frame 1 all Sk over them.
+		labels := region.List{
+			{X: 0, Y: 3, W: 9, H: h - 3, Stride: stride, Skip: 2},
+			{X: 5, Y: 10, W: 8, H: 70, Stride: stride, Skip: 2},
+		}
+		enc := NewEncoder(w, h, frame.Gray8)
+		err := enc.SetRegionLabels(labels)
+		if stride > region.MaxStride {
+			if err == nil {
+				t.Fatalf("stride %d accepted by Encoder", stride)
+			}
+			if err := NewParallelEncoder(w, h, frame.Gray8, 2).SetRegionLabels(labels); err == nil {
+				t.Fatalf("stride %d accepted by ParallelEncoder", stride)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("stride %d: %v", stride, err)
+		}
+		decs := parallelDecoders(w, h)
+		for fi := 0; fi < 2; fi++ {
+			pushAll(t, decs, mustEncode(t, enc, testFrame(w, h, frame.Gray8, int64(80+fi)), fi))
+			assertWindowsAndBands(t, fmt.Sprintf("stride %d frame %d", stride, fi), decs)
+		}
+	}
+}
+
+// TestDecodeLineChainAcrossLabelChange is the regression test for line
+// buffer chains no fixed warm-up covers. Frame 0 captures column 3 strided
+// out on every row (a stride-2 region); frame 1 captures rows 0-1 and
+// skips a region whose left edge is column 3. Decoding frame 1, each
+// pixel of column 3 resolves to St in frame 0 with no fetch before it in
+// its row, so it copies the pixel above — a chain from row 63 up to the
+// captured row 1 that a band or window starting below row 9 used to cut
+// off and fill with black.
+func TestDecodeLineChainAcrossLabelChange(t *testing.T) {
+	const w, h = 16, 64
+	enc := NewEncoder(w, h, frame.Gray8)
+	decs := parallelDecoders(w, h)
+	for fi, labels := range []region.List{
+		{{X: 0, Y: 0, W: w, H: h, Stride: 2, Skip: 1}},
+		{{X: 0, Y: 0, W: w, H: 2, Stride: 1, Skip: 1}, {X: 3, Y: 2, W: w - 3, H: h - 2, Stride: 1, Skip: 2}},
+	} {
+		if err := enc.SetRegionLabels(labels); err != nil {
+			t.Fatal(err)
+		}
+		pushAll(t, decs, mustEncode(t, enc, testFrame(w, h, frame.Gray8, int64(90+fi)), fi))
+	}
+	assertWindowsAndBands(t, "frame 1", decs)
+}
+
+// parallelDecoders returns decoders at parallelism 1 to 12.
+func parallelDecoders(w, h int) []*Decoder {
+	decs := make([]*Decoder, 12)
+	for p := range decs {
+		decs[p] = NewDecoder(w, h, frame.Gray8, WithParallelism(p+1))
+	}
+	return decs
+}
+
+func pushAll(t *testing.T, decs []*Decoder, ef *EncodedFrame) {
+	t.Helper()
+	for _, d := range decs {
+		if err := d.Push(ef); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// assertWindowsAndBands checks that a full-height window starting at every
+// row, decoded by each of decs, equals the crop of decs[0]'s sequential
+// full-frame decode.
+func assertWindowsAndBands(t *testing.T, tag string, decs []*Decoder) {
+	t.Helper()
+	want, err := decs[0].DecodeFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, h := want.W, want.H
+	for _, d := range decs {
+		for y0 := 0; y0 < h; y0++ {
+			got, err := d.DecodeWindow(0, y0, w, h-y0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want.Crop(0, y0, w, h-y0)) {
+				t.Fatalf("%s, parallelism %d: window from row %d differs from the full decode", tag, d.Parallelism(), y0)
+			}
+		}
+	}
+}
+
+// TestAllocsDecodeFrame pins the decoder's steady-state allocations: a
+// full-frame decode allocates its output frame and a fixed set of per-call
+// scratch (translator, sampler, row buffer), never anything per row, so
+// the count is the same at 1080 rows as at 270. The workload is a 16-pixel
+// tile grid of skipped and strided tiles over a warmed 4-frame history,
+// repeating every four tile rows so both heights hold the same row shapes.
+func TestAllocsDecodeFrame(t *testing.T) {
+	const w = 1920
+	allocs := func(h int) float64 {
+		var labels region.List
+		for y := 0; y < h; y += 16 {
+			for x := 0; x < w; x += 16 {
+				k := (x/16 + y/16) % 4
+				labels = append(labels, region.Label{
+					X: x, Y: y, W: 16, H: min(16, h-y),
+					Stride: 1 + k%2, Skip: 1 + k, Phase: (x / 16) % (1 + k),
+				})
+			}
+		}
+		enc := NewEncoder(w, h, frame.Gray8)
+		if err := enc.SetRegionLabels(labels); err != nil {
+			t.Fatal(err)
+		}
+		dec := NewDecoder(w, h, frame.Gray8)
+		for fi := 0; fi < DefaultHistoryDepth; fi++ {
+			if err := dec.Push(mustEncode(t, enc, testFrame(w, h, frame.Gray8, int64(fi)), fi)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := dec.DecodeFrame(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// With the collector running, its own bookkeeping can add an object to
+	// a run now and then, more often at 1080 rows, which allocate more.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	full, quarter := allocs(1080), allocs(270)
+	if full != quarter {
+		t.Errorf("DecodeFrame allocates %v objects at 1080 rows and %v at 270, want a constant", full, quarter)
+	}
+	t.Logf("DecodeFrame allocates %v objects per 1080p frame", full)
 }

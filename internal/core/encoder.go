@@ -139,8 +139,6 @@ func (e *Encoder) PushRow(line []byte) {
 	e.stats.PixelsIn += e.w
 
 	e.sublist = rowSublist(e.labels, y, e.sublist, &e.stats)
-
-	maskBase := y * e.w
 	if len(e.sublist) == 0 {
 		// Entire row is non-regional: skip per-pixel comparison entirely
 		// (the paper's "the encoder saves work by skipping region
@@ -151,21 +149,9 @@ func (e *Encoder) PushRow(line []byte) {
 		return
 	}
 
-	codes := e.rowCodes
-	paintRowCodes(e.labels, e.sublist, codes, y, e.cur.FrameIndex, &e.stats)
-
-	// Sampler: forward CodeR pixels and emit metadata.
-	count := 0
-	for x := 0; x < e.w; x++ {
-		c := codes[x]
-		if c != bitpack.CodeN {
-			e.cur.Mask.Set(maskBase+x, c)
-		}
-		if c == bitpack.CodeR {
-			e.cur.Pix = append(e.cur.Pix, line[x*e.bpp:(x+1)*e.bpp]...)
-			count++
-		}
-	}
+	paintRowCodes(e.labels, e.sublist, e.rowCodes, y, e.cur.FrameIndex, &e.stats)
+	var count int
+	e.cur.Pix, count = sampleRow(e.rowCodes, line, e.bpp, e.cur.Mask, y*e.w, e.cur.Pix)
 	e.stats.PixelsOut += count
 	e.cur.RowOffsets = append(e.cur.RowOffsets, e.cur.RowOffsets[y]+uint32(count))
 	e.row++
@@ -208,43 +194,106 @@ func rowSublist(labels region.List, y int, dst []int, stats *EncoderStats) []int
 // paintRowCodes is the Comparison Engine (§4.1) in function form: it paints
 // row y's classification into codes (length frame-width) from the sublist.
 // Painting per region interval costs O(sum of region widths) rather than
-// O(W x regions); the R/St lattice distinction is a cheap modulo. Pixels are
-// classified with code precedence R > Sk > St > N. Shared by the sequential
-// and parallel encoders.
+// O(W x regions); the R/St lattice distinction is a strided store. Pixels
+// are classified with code precedence R > Sk > St > N. Shared by the
+// sequential and parallel encoders.
 func paintRowCodes(labels region.List, sublist []int, codes []bitpack.Code, y, frameIndex int, stats *EncoderStats) {
-	for i := range codes {
-		codes[i] = bitpack.CodeN
-	}
+	clear(codes) // CodeN
 	for _, li := range sublist {
 		l := labels[li]
-		x1 := l.X + l.W
+		span := codes[l.X : l.X+l.W]
+		stats.RegionPaintOps += len(span)
 		switch {
 		case !l.ActiveAt(frameIndex):
-			for x := l.X; x < x1; x++ {
-				stats.RegionPaintOps++
-				if codes[x] < bitpack.CodeSk {
-					codes[x] = bitpack.CodeSk
-				}
-			}
+			raiseCodes(span, bitpack.CodeSk)
 		case l.Stride > 1 && (y-l.Y)%l.Stride != 0:
 			// Row off the vertical stride lattice: all pixels strided.
-			for x := l.X; x < x1; x++ {
-				stats.RegionPaintOps++
-				if codes[x] < bitpack.CodeSt {
-					codes[x] = bitpack.CodeSt
-				}
+			raiseCodes(span, bitpack.CodeSt)
+		case l.Stride <= 1:
+			span[0] = bitpack.CodeR // then fill by doubling copies
+			for n := 1; n < len(span); n *= 2 {
+				copy(span[n:], span[:n])
 			}
 		default:
-			for x := l.X; x < x1; x++ {
-				stats.RegionPaintOps++
-				if l.Stride <= 1 || (x-l.X)%l.Stride == 0 {
-					codes[x] = bitpack.CodeR
-				} else if codes[x] < bitpack.CodeSt {
-					codes[x] = bitpack.CodeSt
-				}
+			raiseCodes(span, bitpack.CodeSt)
+			for x := 0; x < len(span); x += l.Stride {
+				span[x] = bitpack.CodeR
 			}
 		}
 	}
+}
+
+// The row kernels below step eight codes at a time: a []bitpack.Code holds
+// one code per byte, so eight consecutive codes load as one little-endian
+// word with a code in the low two bits of each byte lane.
+const (
+	laneBit0 = 0x0101010101010101 // bit 0 of every lane
+	laneAllR = 0x0303030303030303 // CodeR in every lane
+)
+
+func loadCodes(c []bitpack.Code) uint64 {
+	c = c[:8:8]
+	return uint64(c[0]) | uint64(c[1])<<8 | uint64(c[2])<<16 | uint64(c[3])<<24 |
+		uint64(c[4])<<32 | uint64(c[5])<<40 | uint64(c[6])<<48 | uint64(c[7])<<56
+}
+
+func storeCodes(c []bitpack.Code, v uint64) {
+	c = c[:8:8]
+	c[0], c[1], c[2], c[3] = bitpack.Code(v), bitpack.Code(v>>8), bitpack.Code(v>>16), bitpack.Code(v>>24)
+	c[4], c[5], c[6], c[7] = bitpack.Code(v>>32), bitpack.Code(v>>40), bitpack.Code(v>>48), bitpack.Code(v>>56)
+}
+
+// raiseCodes lifts every code of span below c to c (precedence painting);
+// c is CodeSk or CodeSt. Per lane, Sk lifts every code but R (both bits
+// set) to Sk, and St lifts only N (both bits clear) to St.
+func raiseCodes(span []bitpack.Code, c bitpack.Code) {
+	x := 0
+	for ; len(span)-x >= 8; x += 8 {
+		v := loadCodes(span[x:])
+		if c == bitpack.CodeSk {
+			v = v&(v>>1)&laneBit0 | 2*laneBit0
+		} else {
+			v |= ^(v | v>>1) & laneBit0
+		}
+		storeCodes(span[x:], v)
+	}
+	for ; x < len(span); x++ {
+		span[x] = max(span[x], c)
+	}
+}
+
+// sampleRow is the Sampler and metadata generator (§4.1) in function form:
+// it writes row codes into mask at element maskBase (whose elements must
+// still be CodeN) and appends the row's CodeR pixels from line, bpp bytes
+// each, to pix — one copy per run of consecutive CodeR pixels. It returns
+// the extended payload and the number of pixels appended. Shared by the
+// sequential and parallel encoders.
+func sampleRow(codes []bitpack.Code, line []byte, bpp int, mask *bitpack.Mask2, maskBase int, pix []byte) ([]byte, int) {
+	mask.WriteRow(maskBase, codes)
+	count := 0
+	for x := 0; x < len(codes); {
+		if len(codes)-x >= 8 {
+			if v := loadCodes(codes[x:]); v&(v>>1)&laneBit0 == 0 { // no R among eight
+				x += 8
+				continue
+			}
+		}
+		if codes[x] != bitpack.CodeR {
+			x++
+			continue
+		}
+		end := x + 1
+		for len(codes)-end >= 8 && loadCodes(codes[end:]) == laneAllR {
+			end += 8
+		}
+		for end < len(codes) && codes[end] == bitpack.CodeR {
+			end++
+		}
+		pix = append(pix, line[x*bpp:end*bpp]...)
+		count += end - x
+		x = end
+	}
+	return pix, count
 }
 
 // EncodeFrame streams an entire frame through the encoder and returns the

@@ -1,0 +1,310 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/bitpack"
+	"repro/internal/frame"
+	"repro/internal/region"
+)
+
+// Differential tests of the run-level encoder and PMMU kernels against the
+// per-pixel oracle in reference_test.go. One byte-driven generator serves
+// both the seeded randomized test and the fuzz target, so a fuzzer finding
+// is a plain []byte that replays through either.
+
+// kernelFrame is one step of a kernel case: the label list installed before
+// the frame (nil keeps the previous list), or, in raw-mask cases, a
+// directly built encoded frame.
+type kernelFrame struct {
+	labels region.List
+	pix    *frame.Frame
+	raw    *EncodedFrame
+}
+
+// kernelCase is one generated workload.
+type kernelCase struct {
+	w, h    int
+	format  frame.Format
+	depth   int
+	frames  []kernelFrame
+	windows [][4]int // x0, y0, w, h
+	seed    int64    // drives the PMMU sub-run choices
+}
+
+// byteSource turns fuzz bytes into bounded choices; an exhausted source
+// yields zeros, so every input maps to some valid case.
+type byteSource struct {
+	data []byte
+	i    int
+}
+
+func (s *byteSource) intn(n int) int {
+	if n <= 1 || s.i >= len(s.data) {
+		return 0
+	}
+	b := s.data[s.i]
+	s.i++
+	return int(b) % n
+}
+
+// genKernelCase maps bytes to a workload: widths 1-67 (most not a multiple
+// of 4, so mask bytes straddle rows), heights 1-40, Gray8 or RGB24, history
+// depth 1-5 and up to 7 frames. Label cases draw up to five overlapping
+// labels per list with strides 1-8 and skips 1-4 at any phase, half of them
+// snapped to a 4-pixel grid so uniform mask bytes and uniform history bytes
+// occur; lists change between frames. Raw-mask cases skip the encoder and
+// build frames from runs of uniform and random mask bytes, reaching byte
+// combinations no label list produces.
+func genKernelCase(data []byte) kernelCase {
+	s := &byteSource{data: data}
+	h64 := fnv.New64a()
+	h64.Write(data)
+	seed := int64(h64.Sum64())
+	rng := rand.New(rand.NewSource(seed))
+
+	c := kernelCase{
+		w:     1 + s.intn(67),
+		h:     1 + s.intn(40),
+		depth: 1 + s.intn(5),
+		seed:  seed,
+	}
+	c.format = frame.Gray8
+	if s.intn(2) == 1 {
+		c.format = frame.RGB24
+	}
+	raw := s.intn(4) == 0
+	nframes := 1 + s.intn(7)
+	for fi := 0; fi < nframes; fi++ {
+		var kf kernelFrame
+		if raw {
+			kf.raw = genRawFrame(s, rng, c.w, c.h, formatBPP(c.format), fi)
+		} else {
+			kf.pix = genFrame(rng, c.w, c.h, c.format)
+			if fi == 0 || s.intn(3) == 0 {
+				kf.labels = genKernelLabels(s, c.w, c.h)
+			}
+		}
+		c.frames = append(c.frames, kf)
+	}
+	for i := 0; i < 2; i++ {
+		x0, y0 := s.intn(c.w), s.intn(c.h)
+		c.windows = append(c.windows, [4]int{x0, y0, 1 + s.intn(c.w-x0), 1 + s.intn(c.h-y0)})
+	}
+	return c
+}
+
+// genKernelLabels draws a label list (possibly empty) over a w x h frame.
+func genKernelLabels(s *byteSource, w, h int) region.List {
+	ls := region.List{} // non-nil: an empty list still replaces the previous
+	for n := s.intn(6); n > 0; n-- {
+		l := region.Label{
+			X: s.intn(w), Y: s.intn(h), W: 1 + s.intn(w), H: 1 + s.intn(h),
+			Stride: 1 + s.intn(region.MaxStride), Skip: 1 + s.intn(4),
+		}
+		l.Phase = s.intn(l.Skip)
+		if s.intn(2) == 0 { // grid-snapped: whole mask bytes where rows align
+			l.X &^= 3
+			l.W = (l.W + 3) &^ 3
+		}
+		if clipped, ok := region.Clip(l, w, h); ok {
+			ls = append(ls, clipped)
+		}
+	}
+	return ls
+}
+
+// genRawFrame builds a consistent encoded frame from an arbitrary mask:
+// runs of one to eight bytes that are all N, St, Sk, R or random, with
+// RowOffsets and a payload sized from the mask's R codes.
+func genRawFrame(s *byteSource, rng *rand.Rand, w, h, bpp, frameIndex int) *EncodedFrame {
+	data := make([]byte, (w*h+3)/4)
+	for i := 0; i < len(data); {
+		run := 1 + s.intn(8)
+		kind := s.intn(5)
+		for ; run > 0 && i < len(data); run-- {
+			switch kind {
+			case 4:
+				data[i] = byte(rng.Intn(256))
+			default:
+				data[i] = []byte{0x00, 0x55, 0xAA, 0xFF}[kind]
+			}
+			i++
+		}
+	}
+	mask, err := bitpack.FromBytes(data, w*h)
+	if err != nil {
+		panic(err)
+	}
+	ef := &EncodedFrame{W: w, H: h, BytesPerPixel: bpp, FrameIndex: frameIndex, Mask: mask}
+	ef.RowOffsets = append(ef.RowOffsets, 0)
+	for y := 0; y < h; y++ {
+		ef.RowOffsets = append(ef.RowOffsets, ef.RowOffsets[y]+uint32(mask.CountRRange(y*w, (y+1)*w)))
+	}
+	ef.Pix = make([]byte, int(ef.RowOffsets[h])*bpp)
+	rng.Read(ef.Pix)
+	return ef
+}
+
+// serialize returns an encoded frame's RPXE container bytes.
+func serialize(ef *EncodedFrame) []byte { return ef.AppendTo(nil) }
+
+// checkKernels runs one case through the production kernels and the
+// oracle and fails on the first difference: containers and EncoderStats of
+// the sequential and parallel encoders, decoded full frames and windows at
+// decode parallelism 1-3 with their DecoderStats, and the sub-requests and
+// PMMUStats of every row translated whole and as a sub-run.
+func checkKernels(t *testing.T, c kernelCase) {
+	t.Helper()
+	ref := newRefEncoder(c.w, c.h, c.format)
+	seq := NewEncoder(c.w, c.h, c.format)
+	pars := []*ParallelEncoder{NewParallelEncoder(c.w, c.h, c.format, 2), NewParallelEncoder(c.w, c.h, c.format, 3)}
+	var decs []*Decoder
+	for p := 1; p <= 3; p++ {
+		decs = append(decs, NewDecoder(c.w, c.h, c.format, WithHistoryDepth(c.depth), WithParallelism(p)))
+	}
+	var refHist []*EncodedFrame // newest first
+	var refStats DecoderStats
+	rng := rand.New(rand.NewSource(c.seed))
+
+	for fi, kf := range c.frames {
+		tag := func(what string) string {
+			return fmt.Sprintf("%s (%dx%d %v, depth %d, seed %d, frame %d)", what, c.w, c.h, c.format, c.depth, c.seed, fi)
+		}
+		var want, got *EncodedFrame
+		if kf.raw != nil {
+			want, got = kf.raw, kf.raw
+		} else {
+			if kf.labels != nil {
+				if err := ref.setRegionLabels(kf.labels); err != nil {
+					t.Fatalf("%s: %v", tag("labels"), err)
+				}
+				if err := seq.SetRegionLabels(kf.labels); err != nil {
+					t.Fatalf("%s: %v", tag("labels"), err)
+				}
+				for _, p := range pars {
+					if err := p.SetRegionLabels(kf.labels); err != nil {
+						t.Fatalf("%s: %v", tag("labels"), err)
+					}
+				}
+			}
+			want = ref.encodeFrame(kf.pix, fi)
+			var err error
+			if got, err = seq.EncodeFrame(kf.pix, fi); err != nil {
+				t.Fatalf("%s: %v", tag("encode"), err)
+			}
+			if !bytes.Equal(serialize(want), serialize(got)) {
+				t.Fatalf("%s: sequential container differs from the reference", tag("encode"))
+			}
+			if seq.Stats() != ref.stats {
+				t.Fatalf("%s: EncoderStats %+v, reference %+v", tag("encode"), seq.Stats(), ref.stats)
+			}
+			for _, p := range pars {
+				pf, err := p.EncodeFrame(kf.pix, fi)
+				if err != nil {
+					t.Fatalf("%s: %v", tag("parallel encode"), err)
+				}
+				if !bytes.Equal(serialize(want), serialize(pf)) {
+					t.Fatalf("%s: parallel(n=%d) container differs from the reference", tag("encode"), p.Parallelism())
+				}
+				if p.Stats() != ref.stats {
+					t.Fatalf("%s: parallel(n=%d) EncoderStats %+v, reference %+v", tag("encode"), p.Parallelism(), p.Stats(), ref.stats)
+				}
+			}
+		}
+
+		refHist = append([]*EncodedFrame{want}, refHist...)
+		if len(refHist) > c.depth {
+			refHist = refHist[:c.depth]
+		}
+		for _, d := range decs {
+			if err := d.Push(got); err != nil {
+				t.Fatalf("%s: %v", tag("push"), err)
+			}
+		}
+
+		// PMMU: every row whole, then a random sub-run, through one
+		// translator each so the reused per-row state is exercised.
+		pm, rp := NewPMMU(decs[0].history, 0), &refPMMU{history: refHist}
+		var kept [][2][]SubRequest // TranslateRow's result and the reference's
+		for y := 0; y < c.h; y++ {
+			x0 := rng.Intn(c.w)
+			x1 := x0 + 1 + rng.Intn(c.w-x0)
+			for _, run := range [][2]int{{0, c.w}, {x0, x1}} {
+				gs, err := pm.TranslateRow(y, run[0], run[1])
+				if err != nil {
+					t.Fatalf("%s: %v", tag("translate"), err)
+				}
+				ws, err := rp.translateRow(y, run[0], run[1])
+				if err != nil {
+					t.Fatalf("%s: %v", tag("reference translate"), err)
+				}
+				if !reflect.DeepEqual(gs, ws) {
+					t.Fatalf("%s: row %d [%d,%d) sub-requests\n got %+v\nwant %+v", tag("translate"), y, run[0], run[1], gs, ws)
+				}
+				if pm.Stats() != rp.stats {
+					t.Fatalf("%s: row %d [%d,%d) PMMUStats %+v, reference %+v", tag("translate"), y, run[0], run[1], pm.Stats(), rp.stats)
+				}
+				kept = append(kept, [2][]SubRequest{gs, ws})
+			}
+		}
+		// TranslateRow hands out fresh slices: later rows must not have
+		// overwritten earlier results.
+		for _, k := range kept {
+			if !reflect.DeepEqual(k[0], k[1]) {
+				t.Fatalf("%s: result of row %d changed after later translations", tag("translate"), k[1][0].Y)
+			}
+		}
+
+		// Decoder: the full frame and the case's windows at every
+		// parallelism, against the oracle's sequential decode.
+		for _, win := range append([][4]int{{0, 0, c.w, c.h}}, c.windows...) {
+			wantFr, wantErr := refDecodeWindow(refHist, c.format, win[0], win[1], win[2], win[3], &refStats)
+			for _, d := range decs {
+				gotFr, err := d.DecodeWindow(win[0], win[1], win[2], win[3])
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("%s: window %v at parallelism %d: error %v, reference %v", tag("decode"), win, d.Parallelism(), err, wantErr)
+				}
+				if err == nil && !bytes.Equal(gotFr.Pix, wantFr.Pix) {
+					t.Fatalf("%s: window %v at parallelism %d differs from the reference", tag("decode"), win, d.Parallelism())
+				}
+				if d.Stats() != refStats {
+					t.Fatalf("%s: window %v at parallelism %d: DecoderStats\n got %+v\nwant %+v", tag("decode"), win, d.Parallelism(), d.Stats(), refStats)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsMatchReference runs 300 seeded random workloads through
+// checkKernels.
+func TestKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x6b65726e))
+	data := make([]byte, 512)
+	for i := 0; i < 300; i++ {
+		rng.Read(data)
+		checkKernels(t, genKernelCase(data))
+	}
+}
+
+// FuzzKernelsMatchReference is TestKernelsMatchReference driven by the
+// fuzzer: any input is a workload, and every workload must match the
+// oracle.
+func FuzzKernelsMatchReference(f *testing.F) {
+	f.Add([]byte{})
+	// 64x16 Gray8, depth 4, five frames under one full-width skip-3 label:
+	// uniform Sk bytes resolving against uniform R history bytes.
+	f.Add([]byte{63, 15, 3, 0, 1, 4, 1, 0, 0, 64, 16, 0, 2, 0, 0})
+	// 13x9 RGB24, depth 5, raw masks.
+	f.Add([]byte{12, 8, 4, 1, 0, 6, 3, 0, 7, 1, 2, 2, 5, 4, 8, 3})
+	// 30x33, strided and skipped overlapping labels, changing per frame.
+	f.Add([]byte{29, 32, 2, 0, 2, 6, 5, 3, 4, 20, 20, 7, 2, 1, 1, 8, 1, 25, 9, 3, 3, 2, 0, 0, 4, 2, 1, 1, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkKernels(t, genKernelCase(data))
+	})
+}

@@ -24,7 +24,7 @@ import (
 // 2-bit codes per byte, so a band boundary at a multiple of four rows sits
 // at element index y*w ≡ 0 (mod 4) — a byte boundary for any frame width —
 // and every worker owns a disjoint byte range of the shared mask, keeping
-// concurrent Mask.Set read-modify-writes race-free.
+// the read-modify-write of Mask2.WriteRow's partial bytes race-free.
 const bandAlign = 4
 
 // ParallelEncoder encodes frames by sharding rows across a pool of workers.
@@ -213,19 +213,8 @@ func (p *ParallelEncoder) encodeBand(w *encodeWorker, fr *frame.Frame, ef *Encod
 		}
 		paintRowCodes(p.labels, w.sublist, w.rowCodes, y, frameIndex, &w.stats)
 
-		line := fr.Pix[y*stride : (y+1)*stride]
-		maskBase := y * p.w
-		count := 0
-		for x := 0; x < p.w; x++ {
-			c := w.rowCodes[x]
-			if c != bitpack.CodeN {
-				ef.Mask.Set(maskBase+x, c)
-			}
-			if c == bitpack.CodeR {
-				w.payload = append(w.payload, line[x*p.bpp:(x+1)*p.bpp]...)
-				count++
-			}
-		}
+		var count int
+		w.payload, count = sampleRow(w.rowCodes, fr.Pix[y*stride:(y+1)*stride], p.bpp, ef.Mask, y*p.w, w.payload)
 		w.stats.PixelsOut += count
 		w.counts[y-y0] = uint32(count)
 	}

@@ -45,6 +45,11 @@ type PMMU struct {
 	history []*EncodedFrame // newest first; the Metadata Scratchpad contents
 	base    uint64          // decoded framebuffer base address (Out-of-Frame handler)
 
+	// Translation state of the current row, reused from row to row.
+	y, rowBase, x0 int
+	cursors        []rCursor    // one per history frame
+	subs           []SubRequest // translateRow's result buffer
+
 	stats PMMUStats
 }
 
@@ -58,12 +63,13 @@ type PMMUStats struct {
 	// the Out-of-Frame handler.
 	Bypassed int
 	// MetadataBitsRead counts EncMask bits examined during translation:
-	// 2 bits per classified pixel (8 per byte-aligned fast-path group, plus
-	// 2 per history frame consulted while resolving an Sk pixel), and one
-	// 2*x0-bit row-prefix scan per history frame the first time a fetch
-	// consults that frame's R-count cursor for the run. Frames no pixel
-	// resolves against charge nothing — matching what the hardware metadata
-	// scratchpad actually reads.
+	// 2 bits per classified pixel (plus 2 per history frame consulted while
+	// resolving an Sk pixel), and one 2*x0-bit row-prefix scan per history
+	// frame the first time a fetch consults that frame's R-count cursor for
+	// the run. Frames no pixel resolves against charge nothing — matching
+	// what the hardware metadata scratchpad actually reads. Pixels the
+	// translator handles a byte or a run at a time are charged as if read
+	// one by one.
 	MetadataBitsRead int
 }
 
@@ -129,120 +135,227 @@ func (p *PMMU) TranslateAddr(addr uint64, length int) (subs []SubRequest, pixel 
 // sub-requests. This is the Transaction Analyzer + translator: it reads the
 // EncMask codes of the run, resolves each pixel's hosting frame, and merges
 // consecutive pixels with the same resolution into a single sub-request.
+// The returned slice is the caller's to keep.
 func (p *PMMU) TranslateRow(y, x0, x1 int) ([]SubRequest, error) {
+	subs, err := p.translateRow(y, x0, x1)
+	if err != nil {
+		return nil, err
+	}
+	return append([]SubRequest(nil), subs...), nil
+}
+
+// rCursor is one history frame's incremental R-count cursor for the row
+// being translated, so that translating a full row costs O(W) rather than
+// O(W^2) popcounts: count is the number of R codes in the row strictly
+// before column at, or at < 0 before the frame is first consulted.
+type rCursor struct{ at, count int }
+
+// translateRow is TranslateRow into the PMMU's reused sub-request buffer,
+// which stays valid until the next call.
+//
+// The EncMask is read a byte (four pixels) at a time wherever the run
+// covers a whole byte: a run of identical uniform N, R or St bytes becomes
+// one sub-request, and so does a run of uniform Sk bytes that resolve alike
+// while every history byte they consult is uniform too; a mixed byte with
+// no Sk code (a strided lattice row) needs no history and is decoded from
+// the byte alone. Any other byte — and the unaligned pixels at either end
+// of the run — is translated pixel by pixel. Every path charges
+// MetadataBitsRead exactly as a per-pixel walk does, so the statistics do
+// not depend on which path a pixel took.
+func (p *PMMU) translateRow(y, x0, x1 int) ([]SubRequest, error) {
 	f := p.newest()
 	if y < 0 || y >= f.H || x0 < 0 || x1 > f.W || x0 >= x1 {
 		return nil, fmt.Errorf("core: run [%d,%d) of row %d outside %dx%d frame", x0, x1, y, f.W, f.H)
 	}
-	base := y * f.W
-
-	// Incremental R-count cursor per history frame, so that translating a
-	// full row costs O(W) rather than O(W^2) popcounts. rCount[i] is the
-	// number of R codes in frame i's row y strictly before column `at[i]`.
-	//
-	// Cursors initialize lazily, on the first fetch that consults a frame:
-	// the hardware scratchpad only performs a frame's 2*x0-bit row-prefix
-	// scan when some pixel actually resolves against that frame, so eager
-	// initialization would over-charge MetadataBitsRead by 2*x0 bits for
-	// every history frame no Sk pixel ever touches (and for the newest frame
-	// on runs with no R pixels).
-	nf := len(p.history)
-	rCount := make([]int, nf)
-	at := make([]int, nf)
-	for i := range at {
-		at[i] = -1 // cursor not yet initialized
+	p.y, p.rowBase, p.x0 = y, y*f.W, x0
+	p.subs = p.subs[:0]
+	if len(p.cursors) != len(p.history) {
+		p.cursors = make([]rCursor, len(p.history))
 	}
-	advance := func(i, x int) int { // returns R-count before column x in frame i
-		hf := p.history[i]
-		if at[i] < 0 {
-			rCount[i] = hf.Mask.CountRRange(base, base+x0)
-			at[i] = x0
-			p.stats.MetadataBitsRead += 2 * x0 // scratchpad row prefix scan
-		}
-		if x > at[i] {
-			rCount[i] += hf.Mask.CountRRange(base+at[i], base+x)
-			at[i] = x
-		}
-		return rCount[i]
-	}
-
-	var subs []SubRequest
-	emit := func(s SubRequest) {
-		// Merge with the previous sub-request when the run is contiguous in
-		// both decoded and encoded space.
-		if n := len(subs); n > 0 {
-			prev := &subs[n-1]
-			if prev.Code == s.Code && prev.Source == s.Source && prev.Y == s.Y &&
-				prev.X+prev.Count == s.X &&
-				(s.Source == SourceNone || prev.EncIndex+prev.Count == s.EncIndex) {
-				prev.Count += s.Count
-				return
-			}
-		}
-		subs = append(subs, s)
-		p.stats.SubRequests++
+	for i := range p.cursors {
+		p.cursors[i].at = -1
 	}
 
 	maskBytes := f.Mask.Bytes()
 	for x := x0; x < x1; {
-		// Fast path: a byte-aligned group of four identical N or R codes is
-		// translated as one run without per-pixel work. Frames are mostly
-		// uniform runs of non-regional or fully captured pixels, so this is
-		// what makes software decode scale with the regional share.
-		if (base+x)&3 == 0 && x+4 <= x1 {
-			switch maskBytes[(base+x)>>2] {
-			case 0x00: // N N N N
-				p.stats.MetadataBitsRead += 8
-				emit(SubRequest{X: x, Y: y, Count: 4, Code: bitpack.CodeN, Source: SourceNone})
-				x += 4
-				continue
-			case 0xFF: // R R R R
-				p.stats.MetadataBitsRead += 8
-				enc := int(f.RowOffsets[y]) + advance(0, x)
-				emit(SubRequest{X: x, Y: y, Count: 4, Code: bitpack.CodeR, Source: 0, EncIndex: enc})
-				x += 4
-				continue
-			}
-		}
-		code := f.Mask.Get(base + x)
-		p.stats.MetadataBitsRead += 2
-		switch code {
-		case bitpack.CodeR:
-			enc := int(f.RowOffsets[y]) + advance(0, x)
-			emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeR, Source: 0, EncIndex: enc})
-		case bitpack.CodeSt:
-			emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeSt, Source: SourceNone})
-		case bitpack.CodeSk:
-			// Resolve against history: the most recent older frame where
-			// this pixel was captured (CodeR).
-			resolved := false
-			for i := 1; i < nf; i++ {
-				hf := p.history[i]
-				hcode := hf.Mask.Get(base + x)
-				p.stats.MetadataBitsRead += 2
-				if hcode == bitpack.CodeR {
-					enc := int(hf.RowOffsets[y]) + advance(i, x)
-					emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeSk, Source: i, EncIndex: enc})
-					resolved = true
-					break
+		if i := p.rowBase + x; i&3 == 0 && x+4 <= x1 {
+			switch b := maskBytes[i>>2]; b {
+			case 0x00, 0xFF, 0x55: // N N N N, R R R R, St St St St
+				n := 4
+				for x+n+4 <= x1 && maskBytes[(i+n)>>2] == b {
+					n += 4
 				}
-				if hcode == bitpack.CodeSt {
-					// The hosting frame strided this pixel out; fall back to
-					// the resampling buffer, as the hosting frame's own
-					// decode would have.
-					emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeSt, Source: SourceNone})
-					resolved = true
-					break
+				p.stats.MetadataBitsRead += 2 * n
+				p.emitCode(bitpack.Code(b&3), x, n)
+				x += n
+				continue
+			case 0xAA: // Sk Sk Sk Sk
+				if n := p.resolveSkRun(x, x1); n > 0 {
+					x += n
+					continue
+				}
+			default:
+				if b&^(b<<1)&0xAA == 0 { // no Sk code among the four
+					p.translateByte(x, b)
+					x += 4
+					continue
 				}
 			}
-			if !resolved {
-				// Not present in the metadata scratchpad window: black.
-				emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeN, Source: SourceNone})
-			}
-		default: // CodeN
-			emit(SubRequest{X: x, Y: y, Count: 1, Code: bitpack.CodeN, Source: SourceNone})
 		}
+		p.translatePixel(x)
 		x++
 	}
-	return subs, nil
+	return p.subs, nil
+}
+
+// rBefore returns the number of R codes before column x in row p.y of
+// history frame i, advancing that frame's cursor. The hardware scratchpad
+// performs a frame's 2*x0-bit row-prefix scan only when some pixel actually
+// resolves against that frame, so the cursor initializes (and charges) on
+// first use: eager initialization would over-charge MetadataBitsRead for
+// every history frame no Sk pixel touches, and for the newest frame on runs
+// with no R pixels.
+func (p *PMMU) rBefore(i, x int) int {
+	c := &p.cursors[i]
+	m := p.history[i].Mask
+	if c.at < 0 {
+		c.count = m.CountRRange(p.rowBase, p.rowBase+p.x0)
+		c.at = p.x0
+		p.stats.MetadataBitsRead += 2 * p.x0 // scratchpad row prefix scan
+	}
+	if x > c.at {
+		c.count += m.CountRRange(p.rowBase+c.at, p.rowBase+x)
+		c.at = x
+	}
+	return c.count
+}
+
+// emit appends a sub-request for n pixels of row p.y starting at column x,
+// merging it into the previous one when the run is contiguous in both
+// decoded and encoded space.
+func (p *PMMU) emit(code bitpack.Code, src, x, n, enc int) {
+	if k := len(p.subs); k > 0 {
+		prev := &p.subs[k-1]
+		if prev.Code == code && prev.Source == src && prev.X+prev.Count == x &&
+			(src == SourceNone || prev.EncIndex+prev.Count == enc) {
+			prev.Count += n
+			return
+		}
+	}
+	p.subs = append(p.subs, SubRequest{X: x, Y: p.y, Count: n, Code: code, Source: src, EncIndex: enc})
+	p.stats.SubRequests++
+}
+
+// emitCode emits n pixels from column x that the newest frame codes as
+// code: R fetches from the newest frame, St holds, N is black. (Sk pixels
+// resolve against history instead.)
+func (p *PMMU) emitCode(code bitpack.Code, x, n int) {
+	if code == bitpack.CodeR {
+		p.emit(code, 0, x, n, int(p.newest().RowOffsets[p.y])+p.rBefore(0, x))
+		return
+	}
+	p.emit(code, SourceNone, x, n, 0)
+}
+
+// skHost finds where the four Sk pixels of mask byte bi resolve when every
+// history byte it probes is uniform: they share one resolution, the first
+// older frame that captured them (hb = 0xFF) or strided them out (hb =
+// 0x55), else none (host = -1, hb = 0; they decode black). probes is the
+// number of history frames read per pixel. ok is false when a probed byte
+// is mixed, so the four pixels resolve differently.
+func (p *PMMU) skHost(bi int) (host, probes int, hb byte, ok bool) {
+	for i := 1; i < len(p.history); i++ {
+		switch b := p.history[i].Mask.Bytes()[bi]; b {
+		case 0x00, 0xAA: // not captured there: probe the next older frame
+		case 0xFF, 0x55:
+			return i, i, b, true
+		default:
+			return 0, 0, 0, false
+		}
+	}
+	return -1, len(p.history) - 1, 0, true
+}
+
+// resolveSkRun translates the uniform Sk bytes from byte-aligned column x
+// on (at least four pixels before x1) that all resolve like the first, as
+// one sub-request, and returns the number of pixels it translated: zero,
+// having charged nothing, when the first byte's pixels resolve differently
+// from one another, which the caller then resolves one at a time.
+func (p *PMMU) resolveSkRun(x, x1 int) int {
+	bi := (p.rowBase + x) >> 2
+	host, probes, hb, ok := p.skHost(bi)
+	if !ok {
+		return 0
+	}
+	mask := p.newest().Mask.Bytes()
+	n := 4
+	for ; x+n+4 <= x1 && mask[bi+n/4] == 0xAA; n += 4 {
+		if h, _, b, ok := p.skHost(bi + n/4); !ok || h != host || b != hb {
+			break
+		}
+	}
+	p.stats.MetadataBitsRead += 2 * n * (1 + probes) // own code + probes, per pixel
+	switch hb {
+	case 0xFF:
+		p.emit(bitpack.CodeSk, host, x, n, int(p.history[host].RowOffsets[p.y])+p.rBefore(host, x))
+	case 0x55:
+		// The hosting frame strided these pixels out; fall back to the
+		// resampling buffer, as the hosting frame's own decode would have.
+		p.emit(bitpack.CodeSt, SourceNone, x, n, 0)
+	default:
+		// Not present in the metadata scratchpad window: black.
+		p.emit(bitpack.CodeN, SourceNone, x, n, 0)
+	}
+	return n
+}
+
+// translateByte translates the four pixels of mask byte b, which holds no
+// Sk code, from byte-aligned column x: R pixels fetch from the newest frame
+// at consecutive encoded indexes, St pixels hold and N pixels go black.
+func (p *PMMU) translateByte(x int, b byte) {
+	p.stats.MetadataBitsRead += 8
+	enc := -1
+	for k := 0; k < 4; k, b = k+1, b>>2 {
+		code := bitpack.Code(b & 3)
+		if code != bitpack.CodeR {
+			p.emit(code, SourceNone, x+k, 1, 0)
+			continue
+		}
+		if enc < 0 {
+			enc = int(p.newest().RowOffsets[p.y]) + p.rBefore(0, x+k)
+		}
+		p.emit(code, 0, x+k, 1, enc)
+		enc++
+	}
+}
+
+// translatePixel translates the single pixel at column x of row p.y.
+func (p *PMMU) translatePixel(x int) {
+	i := p.rowBase + x
+	code := p.newest().Mask.Get(i)
+	p.stats.MetadataBitsRead += 2
+	if code != bitpack.CodeSk {
+		p.emitCode(code, x, 1)
+		return
+	}
+	// Resolve against history: the most recent older frame where this
+	// pixel was captured (CodeR).
+	for h := 1; h < len(p.history); h++ {
+		hf := p.history[h]
+		hcode := hf.Mask.Get(i)
+		p.stats.MetadataBitsRead += 2
+		switch hcode {
+		case bitpack.CodeR:
+			p.emit(bitpack.CodeSk, h, x, 1, int(hf.RowOffsets[p.y])+p.rBefore(h, x))
+			return
+		case bitpack.CodeSt:
+			// The hosting frame strided this pixel out; fall back to the
+			// resampling buffer, as the hosting frame's own decode would
+			// have.
+			p.emit(bitpack.CodeSt, SourceNone, x, 1, 0)
+			return
+		}
+	}
+	// Not present in the metadata scratchpad window: black.
+	p.emit(bitpack.CodeN, SourceNone, x, 1, 0)
 }

@@ -33,9 +33,16 @@ type Label struct {
 	Phase  int
 }
 
+// MaxStride is the largest spatial stride a label may have. A vertically
+// strided row reconstructs from its lattice row up to Stride-1 rows above
+// it, and a windowed or row-band decode first replays the rows its first
+// row depends on that way; the cap keeps that warm-up short. The paper's
+// workloads use strides up to 4 (Table 4).
+const MaxStride = 8
+
 // Validate reports whether the label is well formed within a w x h frame.
-// Labels must be non-empty, lie fully inside the frame, and have positive
-// stride and skip.
+// Labels must be non-empty, lie fully inside the frame, have a stride in
+// [1, MaxStride] and a positive skip.
 func (l Label) Validate(frameW, frameH int) error {
 	switch {
 	case l.W <= 0 || l.H <= 0:
@@ -44,6 +51,8 @@ func (l Label) Validate(frameW, frameH int) error {
 		return fmt.Errorf("region: label (%d,%d %dx%d) outside %dx%d frame", l.X, l.Y, l.W, l.H, frameW, frameH)
 	case l.Stride < 1:
 		return fmt.Errorf("region: stride %d < 1", l.Stride)
+	case l.Stride > MaxStride:
+		return fmt.Errorf("region: stride %d > %d", l.Stride, MaxStride)
 	case l.Skip < 1:
 		return fmt.Errorf("region: skip %d < 1", l.Skip)
 	case l.Phase < 0 || l.Phase >= l.Skip:
@@ -157,8 +166,9 @@ func FullFrame(w, h int) Label {
 	return Label{X: 0, Y: 0, W: w, H: h, Stride: 1, Skip: 1}
 }
 
-// Clip returns a copy of l clipped to the w x h frame with stride/skip
-// floored to legal values, or false if the clipped rectangle is empty.
+// Clip returns a copy of l clipped to the w x h frame with stride clamped
+// to [1, MaxStride] and skip floored to 1, or false if the clipped
+// rectangle is empty.
 // Policies use this to sanitize predicted regions near frame borders.
 func Clip(l Label, w, h int) (Label, bool) {
 	if l.X < 0 {
@@ -178,9 +188,7 @@ func Clip(l Label, w, h int) (Label, bool) {
 	if l.W <= 0 || l.H <= 0 || l.X >= w || l.Y >= h {
 		return Label{}, false
 	}
-	if l.Stride < 1 {
-		l.Stride = 1
-	}
+	l.Stride = min(max(l.Stride, 1), MaxStride)
 	if l.Skip < 1 {
 		l.Skip = 1
 	}

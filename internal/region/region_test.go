@@ -12,19 +12,23 @@ func TestValidate(t *testing.T) {
 		t.Errorf("valid label rejected: %v", err)
 	}
 	bad := []Label{
-		{X: 0, Y: 0, W: 0, H: 5, Stride: 1, Skip: 1},           // empty W
-		{X: 0, Y: 0, W: 5, H: -1, Stride: 1, Skip: 1},          // empty H
-		{X: -1, Y: 0, W: 5, H: 5, Stride: 1, Skip: 1},          // off left
-		{X: 98, Y: 0, W: 5, H: 5, Stride: 1, Skip: 1},          // off right
-		{X: 0, Y: 98, W: 5, H: 5, Stride: 1, Skip: 1},          // off bottom
-		{X: 0, Y: 0, W: 5, H: 5, Stride: 0, Skip: 1},           // bad stride
-		{X: 0, Y: 0, W: 5, H: 5, Stride: 1, Skip: 0},           // bad skip
-		{X: 0, Y: 0, W: 5, H: 5, Stride: 1, Skip: 2, Phase: 2}, // bad phase
+		{X: 0, Y: 0, W: 0, H: 5, Stride: 1, Skip: 1},             // empty W
+		{X: 0, Y: 0, W: 5, H: -1, Stride: 1, Skip: 1},            // empty H
+		{X: -1, Y: 0, W: 5, H: 5, Stride: 1, Skip: 1},            // off left
+		{X: 98, Y: 0, W: 5, H: 5, Stride: 1, Skip: 1},            // off right
+		{X: 0, Y: 98, W: 5, H: 5, Stride: 1, Skip: 1},            // off bottom
+		{X: 0, Y: 0, W: 5, H: 5, Stride: 0, Skip: 1},             // bad stride
+		{X: 0, Y: 0, W: 5, H: 5, Stride: MaxStride + 1, Skip: 1}, // stride above cap
+		{X: 0, Y: 0, W: 5, H: 5, Stride: 1, Skip: 0},             // bad skip
+		{X: 0, Y: 0, W: 5, H: 5, Stride: 1, Skip: 2, Phase: 2},   // bad phase
 	}
 	for i, l := range bad {
 		if err := l.Validate(100, 100); err == nil {
 			t.Errorf("bad label %d accepted: %v", i, l)
 		}
+	}
+	if err := (Label{X: 0, Y: 0, W: 5, H: 5, Stride: MaxStride, Skip: 1}).Validate(100, 100); err != nil {
+		t.Errorf("stride at the cap rejected: %v", err)
 	}
 }
 
@@ -148,6 +152,9 @@ func TestClip(t *testing.T) {
 	l2, ok := Clip(Label{X: 90, Y: 90, W: 50, H: 50, Stride: 2, Skip: 2}, 100, 100)
 	if !ok || l2.W != 10 || l2.H != 10 {
 		t.Errorf("Clip overflow = %v ok=%v", l2, ok)
+	}
+	if l3, ok := Clip(Label{X: 0, Y: 0, W: 10, H: 10, Stride: 16, Skip: 1}, 100, 100); !ok || l3.Stride != MaxStride {
+		t.Errorf("Clip stride 16 = %v ok=%v, want stride clamped to %d", l3, ok, MaxStride)
 	}
 	if _, ok := Clip(Label{X: 200, Y: 0, W: 10, H: 10}, 100, 100); ok {
 		t.Error("fully outside label not rejected")

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/frame"
+	"repro/internal/region"
 	"repro/internal/wire"
 )
 
@@ -143,6 +144,30 @@ func TestTCPCaptureSizeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	readExpect(t, conn, wire.MsgCaptureAck)
+}
+
+// TestTCPSetLabelsRejectsStrideAboveCap pins the stride cap on the wire: a
+// SET_LABELS whose stride exceeds region.MaxStride gets a BadRequest ERROR
+// (windowed and parallel decodes are only exact up to the cap), and the
+// session keeps serving.
+func TestTCPSetLabelsRejectsStrideAboveCap(t *testing.T) {
+	_, addr := startTestServer(t, Config{}, TCPConfig{})
+	conn := dialRaw(t, addr)
+	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{W: 32, H: 32, Format: frame.Gray8}), 0); err != nil {
+		t.Fatal(err)
+	}
+	readExpect(t, conn, wire.MsgHelloAck)
+	for _, stride := range []int{region.MaxStride + 1, region.MaxStride} {
+		labels := region.List{{X: 0, Y: 0, W: 32, H: 32, Stride: stride, Skip: 1}}
+		if err := wire.WriteMessage(conn, wire.MsgSetLabels, wire.MarshalLabels(labels), 0); err != nil {
+			t.Fatal(err)
+		}
+		if stride > region.MaxStride {
+			readError(t, conn, wire.CodeBadRequest)
+		} else {
+			readExpect(t, conn, wire.MsgAck)
+		}
+	}
 }
 
 func TestTCPGracefulShutdownDisconnectsIdleClients(t *testing.T) {

@@ -9,7 +9,8 @@
 # Stages:
 #   tier1        gofmt -l + go vet + go build + go test -race ./...
 #   alloc        steady-state zero-allocation gates (AllocsPerRun, no -race)
-#   fuzz         short fuzz budget per untrusted decode surface
+#   fuzz         short fuzz budget per untrusted decode surface, plus the
+#                EncMask kernels against their per-pixel reference
 #   smoke        live binaries: faultnet matrix, rpxd admin, rpxgw
 #                relay/failover, and the rpxpolicy closed-loop smoke
 #   bench-check  rpxbench -exp hotpath vs the committed BENCH_hotpath.json
@@ -44,8 +45,9 @@ stage_tier1() {
 # ---------------------------------------------------------------- alloc
 
 # The steady-state zero-allocation contracts of the pooled hot path (mask
-# popcount, pooled encode, wire framing, capture). Deliberately WITHOUT
-# -race — the race runtime changes allocation counts, so these
+# popcount, pooled encode, wire framing, capture), and a per-frame decode
+# allocation count that does not grow with frame height. Deliberately
+# WITHOUT -race — the race runtime changes allocation counts, so these
 # testing.AllocsPerRun assertions are only meaningful in a plain build.
 stage_alloc() {
     echo "== alloc gate (AllocsPerRun, no -race)"
@@ -55,7 +57,8 @@ stage_alloc() {
 
 # ----------------------------------------------------------------- fuzz
 
-# A short budget per untrusted decode surface. Regressions the fuzzer
+# A short budget per untrusted decode surface, and for the run-level
+# encoder/PMMU kernels against their per-pixel oracle. Regressions the fuzzer
 # finds land in testdata/fuzz/ seed corpora, which tier1's -race run then
 # replays forever after.
 stage_fuzz() {
@@ -66,6 +69,7 @@ stage_fuzz() {
     go test -run='^$' -fuzz='^FuzzReadFramePush$' -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzReadEncodedFrame$' -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzStreamReader$' -fuzztime="$FUZZTIME" ./internal/core
+    go test -run='^$' -fuzz='^FuzzKernelsMatchReference$' -fuzztime="$FUZZTIME" ./internal/core
 }
 
 # ---------------------------------------------------------------- smoke
