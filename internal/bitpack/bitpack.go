@@ -97,15 +97,27 @@ func NewMask2(n int) *Mask2 {
 // compares codes rather than padding garbage). Callers keeping a reference
 // to data should expect that final byte to be rewritten.
 func FromBytes(data []byte, n int) (*Mask2, error) {
+	m := new(Mask2)
+	if err := m.SetBytes(data, n); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// SetBytes is FromBytes into an existing Mask2: m becomes a view of data
+// holding n elements, canonicalized the same way, and drops its previous
+// storage. On error m is unchanged.
+func (m *Mask2) SetBytes(data []byte, n int) error {
 	need := (n + 3) / 4
 	if len(data) < need {
-		return nil, fmt.Errorf("bitpack: buffer holds %d bytes, need %d for %d elements", len(data), need, n)
+		return fmt.Errorf("bitpack: buffer holds %d bytes, need %d for %d elements", len(data), need, n)
 	}
 	data = data[:need]
 	if rem := n & 3; rem != 0 {
 		data[need-1] &= byte(1)<<(uint(rem)*2) - 1
 	}
-	return &Mask2{n: n, data: data}, nil
+	m.n, m.data = n, data
+	return nil
 }
 
 // Len returns the number of two-bit elements.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -72,6 +73,23 @@ type Decoder struct {
 	count   int
 	history []*EncodedFrame // newest first; view over ring
 	stats   DecoderStats
+
+	// seq is the sequential decode's translator, sampler and row buffer,
+	// kept from call to call so a warm decode allocates nothing.
+	seq *bandScratch
+}
+
+// bandScratch is one row band's decode state: the PMMU with its reused
+// translation buffers, the FIFO sampler, and the full-width row buffer.
+type bandScratch struct {
+	pmmu PMMU
+	fifo *fifoSampler
+	row  []byte
+}
+
+// newBandScratch returns decode state sized for the decoder's rows.
+func (d *Decoder) newBandScratch() *bandScratch {
+	return &bandScratch{fifo: newFIFOSampler(d.bpp, d.w), row: make([]byte, d.w*d.bpp)}
 }
 
 // DecoderOption configures a Decoder.
@@ -168,6 +186,24 @@ func (d *Decoder) DecodeFrame() (*frame.Frame, error) {
 	return d.DecodeWindow(0, 0, d.w, d.h)
 }
 
+// DecodeFrameInto is DecodeFrame into a caller's frame: out must have the
+// decoder's geometry and format, and every pixel of it is overwritten.
+// Without WithParallelism, a decode into a reused frame allocates nothing
+// once the decoder is warm.
+func (d *Decoder) DecodeFrameInto(out *frame.Frame) error {
+	if out.W != d.w || out.H != d.h || out.Format != d.format || len(out.Pix) != d.w*d.h*d.bpp {
+		return fmt.Errorf("core: output frame %dx%d %v (%d bytes) does not match decoder %dx%d %v",
+			out.W, out.H, out.Format, len(out.Pix), d.w, d.h, d.format)
+	}
+	if len(d.history) == 0 {
+		return errNoHistory
+	}
+	return d.decodeWindow(out, 0, 0)
+}
+
+// errNoHistory rejects a decode before the first Push.
+var errNoHistory = errors.New("core: decode before any encoded frame was pushed")
+
 // DecodeWindow reconstructs the rectangle [x0, x0+w) x [y0, y0+h) in decoded
 // space, the request shape a vision accelerator issues when reading a frame
 // tile. At least one encoded frame must have been pushed.
@@ -189,19 +225,28 @@ func (d *Decoder) DecodeFrame() (*frame.Frame, error) {
 // warm-up rows are always discarded).
 func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
 	if len(d.history) == 0 {
-		return nil, fmt.Errorf("core: decode before any encoded frame was pushed")
+		return nil, errNoHistory
 	}
 	if x0 < 0 || y0 < 0 || w <= 0 || h <= 0 || x0+w > d.w || y0+h > d.h {
 		return nil, fmt.Errorf("core: window (%d,%d %dx%d) outside %dx%d frame", x0, y0, w, h, d.w, d.h)
 	}
 	out := frame.New(w, h, d.format)
+	if err := d.decodeWindow(out, x0, y0); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
+// decodeWindow reconstructs the out.W x out.H window anchored at (x0, y0)
+// into out, which the caller has checked against the frame.
+func (d *Decoder) decodeWindow(out *frame.Frame, x0, y0 int) error {
+	w, h := out.W, out.H
 	nb := min(d.parallelism, max(1, h/minBandRows))
 	if nb <= 1 {
-		if err := d.decodeBand(out, x0, y0, w, 0, h, &d.stats); err != nil {
-			return nil, err
+		if d.seq == nil {
+			d.seq = d.newBandScratch()
 		}
-		return out, nil
+		return d.decodeBand(d.seq, out, x0, y0, w, 0, h, &d.stats)
 	}
 
 	rows := (h + nb - 1) / nb
@@ -221,33 +266,33 @@ func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
 			defer wg.Done()
 			// Bands write disjoint row ranges of out and read the shared
 			// history; each gets a private sampler, PMMU, and stats.
-			b.err = d.decodeBand(out, x0, y0, w, b.r0, b.r1, &b.stats)
+			b.err = d.decodeBand(d.newBandScratch(), out, x0, y0, w, b.r0, b.r1, &b.stats)
 		}(&bands[i])
 	}
 	wg.Wait()
 	for i := range bands {
 		if bands[i].err != nil {
-			return nil, bands[i].err
+			return bands[i].err
 		}
 		d.stats.add(bands[i].stats)
 	}
-	return out, nil
+	return nil
 }
 
 // decodeBand reconstructs output rows [r0, r1) of the window anchored at
 // (x0, y0): the sequential decode loop over one row band, after discarded
 // warm-up rows from lineChainStart so vertically strided pixels on its
 // first rows reconstruct from their source row.
-func (d *Decoder) decodeBand(out *frame.Frame, x0, y0, w, r0, r1 int, stats *DecoderStats) error {
-	pmmu := NewPMMU(d.history, 0)
-	fifo := newFIFOSampler(d.bpp, d.w)
+func (d *Decoder) decodeBand(sc *bandScratch, out *frame.Frame, x0, y0, w, r0, r1 int, stats *DecoderStats) error {
+	sc.pmmu.reset(d.history)
+	pmmu, fifo, rowBuf := &sc.pmmu, sc.fifo, sc.row
+	fifo.reset()
 
 	start, err := lineChainStart(pmmu, y0+r0, d.w)
 	if err != nil {
 		return err
 	}
 	var discard DecoderStats
-	rowBuf := make([]byte, d.w*d.bpp)
 	prevMetaBits := pmmu.Stats().MetadataBitsRead // the search's reads are not charged
 	for row := start - y0; row < r1; row++ {
 		y := y0 + row
@@ -351,6 +396,12 @@ func newFIFOSampler(bpp, w int) *fifoSampler {
 	}
 }
 
+// reset readies the sampler for a decode's first row: no held value and an
+// empty line buffer.
+func (f *fifoSampler) reset() {
+	f.hasValue, f.lineOK = false, false
+}
+
 // beginRow resets the resampling buffer at a row boundary.
 func (f *fifoSampler) beginRow() {
 	f.hasValue = false
@@ -407,7 +458,7 @@ func (f *fifoSampler) serviceRow(subs []SubRequest, history []*EncodedFrame, x0 
 		default:
 			// Non-regional, unresolvable skip, or stride with neither a
 			// held value nor a line buffer: black.
-			fillBytes(dst[dstOff:dstOff+s.Count*f.bpp], 0)
+			clear(dst[dstOff : dstOff+s.Count*f.bpp])
 			stats.Black += s.Count
 			stats.PixelsRequested += s.Count
 		}
@@ -415,8 +466,8 @@ func (f *fifoSampler) serviceRow(subs []SubRequest, history []*EncodedFrame, x0 
 	return nil
 }
 
-// fillBytes sets every byte of b to v (the compiler lowers the loop to a
-// memset-style fill).
+// fillBytes sets every byte of b to v. The compiler turns only a loop
+// storing the constant zero into a block clear, so black runs use clear.
 func fillBytes(b []byte, v byte) {
 	for i := range b {
 		b[i] = v

@@ -720,3 +720,47 @@ func TestAllocsDecodeFrame(t *testing.T) {
 	}
 	t.Logf("DecodeFrame allocates %v objects per 1080p frame", full)
 }
+
+// TestDecodeFrameIntoMatchesDecodeFrame: a decode into a reused, dirty
+// output frame equals a fresh DecodeFrame at any parallelism, frame after
+// frame, and a frame of the wrong geometry or format is refused.
+func TestDecodeFrameIntoMatchesDecodeFrame(t *testing.T) {
+	const w, h = 40, 36
+	enc := NewEncoder(w, h, frame.RGB24)
+	if err := enc.SetRegionLabels(region.List{
+		{X: 2, Y: 1, W: 30, H: 20, Stride: 2, Skip: 1},
+		{X: 0, Y: 18, W: w, H: 18, Stride: 1, Skip: 3, Phase: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 3} {
+		dec := NewDecoder(w, h, frame.RGB24, WithParallelism(par))
+		out := frame.New(w, h, frame.RGB24)
+		if err := dec.DecodeFrameInto(out); err == nil {
+			t.Fatal("decode before any push succeeded")
+		}
+		for i := 0; i < 8; i++ {
+			if err := dec.Push(mustEncode(t, enc, testFrame(w, h, frame.RGB24, int64(i)), i)); err != nil {
+				t.Fatal(err)
+			}
+			want, err := dec.DecodeFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range out.Pix {
+				out.Pix[j] = 0xA5
+			}
+			if err := dec.DecodeFrameInto(out); err != nil {
+				t.Fatal(err)
+			}
+			if !out.Equal(want) {
+				t.Fatalf("parallelism %d frame %d: DecodeFrameInto differs from DecodeFrame", par, i)
+			}
+		}
+		for _, bad := range []*frame.Frame{frame.New(w, h-1, frame.RGB24), frame.New(w, h, frame.Gray8)} {
+			if err := dec.DecodeFrameInto(bad); err == nil {
+				t.Errorf("parallelism %d: decode into a %dx%d %v frame succeeded", par, bad.W, bad.H, bad.Format)
+			}
+		}
+	}
+}

@@ -226,78 +226,102 @@ const MaxFrameDim = 1 << 15
 // allocation (it fails after at most one spare chunk).
 const readChunk = 1 << 20
 
-// readExact reads exactly n bytes from r, growing the buffer in bounded
-// chunks.
-func readExact(r io.Reader, n int) ([]byte, error) {
-	if n <= readChunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
+// readAppend reads exactly n bytes from r and appends them to dst. It fills
+// dst's spare capacity first and otherwise grows the buffer as bytes arrive,
+// at most readChunk ahead of what was read, so a reused buffer of the right
+// size takes the bytes with no allocation.
+func readAppend(r io.Reader, dst []byte, n int) ([]byte, error) {
+	for n > 0 {
+		start := len(dst)
+		m := min(n, max(cap(dst)-start, readChunk))
+		if cap(dst)-start >= m {
+			dst = dst[:start+m]
+		} else {
+			dst = append(dst, make([]byte, m)...)
 		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, readChunk)
-	for len(buf) < n {
-		m := min(readChunk, n-len(buf))
-		start := len(buf)
-		buf = append(buf, make([]byte, m)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
+		if _, err := io.ReadFull(r, dst[start:]); err != nil {
+			return dst[:start], err
 		}
+		n -= m
 	}
-	return buf, nil
+	return dst, nil
 }
 
-// ReadEncodedFrame deserializes a frame written by WriteTo. The input is
-// untrusted: structurally invalid or truncated data yields an error (never
-// a panic), and allocations are bounded by the bytes actually present plus
-// one chunk, so a hostile length prefix cannot force an over-allocation.
+// ReadEncodedFrame deserializes a frame written by WriteTo into a new
+// EncodedFrame, with ReadEncodedFrameInto's bounds on untrusted input.
 func ReadEncodedFrame(r io.Reader) (*EncodedFrame, error) {
-	hdr := make([]byte, 28)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("core: short header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr) != encodedMagic {
-		return nil, fmt.Errorf("core: bad magic %#x", binary.LittleEndian.Uint32(hdr))
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != encodedVersion {
-		return nil, fmt.Errorf("core: unsupported version %d", v)
-	}
-	w := int(binary.LittleEndian.Uint32(hdr[8:]))
-	h := int(binary.LittleEndian.Uint32(hdr[12:]))
-	bpp := int(binary.LittleEndian.Uint32(hdr[16:]))
-	idx := int(binary.LittleEndian.Uint32(hdr[20:]))
-	payloadLen := int(binary.LittleEndian.Uint32(hdr[24:]))
-	if w <= 0 || h <= 0 || w > MaxFrameDim || h > MaxFrameDim || bpp <= 0 || bpp > 4 {
-		return nil, fmt.Errorf("core: unreasonable header %dx%d bpp=%d", w, h, bpp)
-	}
-	if !payloadLenOK(payloadLen, w, h, bpp) {
-		return nil, fmt.Errorf("core: payload %d exceeds frame size", payloadLen)
-	}
-	ef := &EncodedFrame{W: w, H: h, BytesPerPixel: bpp, FrameIndex: idx}
-	var err error
-	if ef.Pix, err = readExact(r, payloadLen); err != nil {
-		return nil, fmt.Errorf("core: short payload: %w", err)
-	}
-	offs := make([]byte, 4*(h+1))
-	if _, err := io.ReadFull(r, offs); err != nil {
-		return nil, fmt.Errorf("core: short offsets: %w", err)
-	}
-	ef.RowOffsets = make([]uint32, h+1)
-	for i := range ef.RowOffsets {
-		ef.RowOffsets[i] = binary.LittleEndian.Uint32(offs[4*i:])
-	}
-	maskBytes, err := readExact(r, (w*h+3)/4)
-	if err != nil {
-		return nil, fmt.Errorf("core: short mask: %w", err)
-	}
-	if ef.Mask, err = bitpack.FromBytes(maskBytes, w*h); err != nil {
+	ef := new(EncodedFrame)
+	if err := ReadEncodedFrameInto(r, ef); err != nil {
 		return nil, err
 	}
-	if err := ef.Validate(); err != nil {
-		return nil, fmt.Errorf("core: corrupt encoded frame: %w", err)
-	}
 	return ef, nil
+}
+
+// ReadEncodedFrameInto deserializes a frame written by WriteTo into ef,
+// reusing its payload, row-offset and mask storage, so a recycled frame
+// whose buffers are large enough parses with no allocation. ef must not be
+// shared: not held by a Decoder's history, nor its Mask by another frame.
+//
+// The input is untrusted: structurally invalid or truncated data yields an
+// error (never a panic), and allocations are bounded by the bytes actually
+// present plus one chunk, so a hostile length prefix cannot force an
+// over-allocation. After an error ef holds no valid frame but may be
+// reused.
+func ReadEncodedFrameInto(r io.Reader, ef *EncodedFrame) error {
+	// The payload buffer doubles as scratch for the header and, past the
+	// payload, for the row-offset table; both are decoded before the bytes
+	// they occupy are needed again.
+	buf, err := readAppend(r, ef.Pix[:0], encodedHeaderSize)
+	if err != nil {
+		return fmt.Errorf("core: short header: %w", err)
+	}
+	if binary.LittleEndian.Uint32(buf) != encodedMagic {
+		return fmt.Errorf("core: bad magic %#x", binary.LittleEndian.Uint32(buf))
+	}
+	if v := binary.LittleEndian.Uint32(buf[4:]); v != encodedVersion {
+		return fmt.Errorf("core: unsupported version %d", v)
+	}
+	w := int(binary.LittleEndian.Uint32(buf[8:]))
+	h := int(binary.LittleEndian.Uint32(buf[12:]))
+	bpp := int(binary.LittleEndian.Uint32(buf[16:]))
+	idx := int(binary.LittleEndian.Uint32(buf[20:]))
+	payloadLen := int(binary.LittleEndian.Uint32(buf[24:]))
+	if w <= 0 || h <= 0 || w > MaxFrameDim || h > MaxFrameDim || bpp <= 0 || bpp > 4 {
+		return fmt.Errorf("core: unreasonable header %dx%d bpp=%d", w, h, bpp)
+	}
+	if !payloadLenOK(payloadLen, w, h, bpp) {
+		return fmt.Errorf("core: payload %d exceeds frame size", payloadLen)
+	}
+	n := payloadLen + 4*(h+1) // the payload, then the row-offset table
+	if n < payloadLen {       // wrapped: a 32-bit int cannot hold both
+		return fmt.Errorf("core: payload %d exceeds frame size", payloadLen)
+	}
+	ef.W, ef.H, ef.BytesPerPixel, ef.FrameIndex = w, h, bpp, idx
+	if buf, err = readAppend(r, buf[:0], n); err != nil {
+		return fmt.Errorf("core: short payload or row offsets: %w", err)
+	}
+	ef.Pix = buf[:payloadLen]
+	if cap(ef.RowOffsets) < h+1 {
+		ef.RowOffsets = make([]uint32, h+1)
+	}
+	ef.RowOffsets = ef.RowOffsets[:h+1]
+	for i, off := 0, buf[payloadLen:]; i <= h; i++ {
+		ef.RowOffsets[i] = binary.LittleEndian.Uint32(off[4*i:])
+	}
+	if ef.Mask == nil {
+		ef.Mask = new(bitpack.Mask2)
+	}
+	maskBytes, err := readAppend(r, ef.Mask.Bytes()[:0], (w*h+3)/4)
+	if err != nil {
+		return fmt.Errorf("core: short mask: %w", err)
+	}
+	if err := ef.Mask.SetBytes(maskBytes, w*h); err != nil {
+		return err
+	}
+	if err := ef.Validate(); err != nil {
+		return fmt.Errorf("core: corrupt encoded frame: %w", err)
+	}
+	return nil
 }
 
 // payloadLenOK reports whether a wire-declared payload length fits within

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/frame"
@@ -13,7 +14,7 @@ import (
 // Fuzz targets for the two untrusted decode surfaces owned by this package:
 // the RPXE encoded-frame container and the RPXS stream container. Both
 // guarantee error-never-panic on arbitrary bytes, with allocations bounded
-// by the bytes actually present (see readExact) — the fuzzers double as
+// by the bytes actually present (see readAppend) — the fuzzers double as
 // regression tests for those bounds.
 
 // fuzzEncodedSeed encodes a small synthetic frame so the corpus starts from
@@ -87,7 +88,41 @@ func fuzzDirtyPaddingSeed() []byte {
 	return append(b, 0x00, 0x00, 0xC0)
 }
 
+// fuzzRecycleSeed is a w x h RGB24 full-frame container whose pixel, row
+// offset and mask bytes are all nonzero: a frame parsed from it leaves
+// stale bytes in every buffer a later parse into it reuses.
+func fuzzRecycleSeed(tb testing.TB, w, h int) []byte {
+	tb.Helper()
+	enc := NewEncoder(w, h, frame.RGB24)
+	if err := enc.SetRegionLabels(region.List{region.FullFrame(w, h)}); err != nil {
+		tb.Fatal(err)
+	}
+	fr := frame.New(w, h, frame.RGB24)
+	for i := range fr.Pix {
+		fr.Pix[i] = byte(i*13 + 1)
+	}
+	ef, err := enc.EncodeFrame(fr, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ef.AppendTo(nil)
+}
+
+// sameEncoded reports whether a and b hold the same frame, down to the
+// length of every buffer and the mask's padding bits.
+func sameEncoded(a, b *EncodedFrame) bool {
+	return a.W == b.W && a.H == b.H && a.BytesPerPixel == b.BytesPerPixel && a.FrameIndex == b.FrameIndex &&
+		bytes.Equal(a.Pix, b.Pix) && slices.Equal(a.RowOffsets, b.RowOffsets) &&
+		a.Mask.Len() == b.Mask.Len() && bytes.Equal(a.Mask.Bytes(), b.Mask.Bytes())
+}
+
 func FuzzReadEncodedFrame(f *testing.F) {
+	// Every input is also parsed into recycled frames, one filled from a
+	// container larger than the seeds (its buffers are reused in place, so
+	// stale bytes must not leak through) and one from a smaller container
+	// (its buffers must grow): each must fail exactly when a fresh parse
+	// fails and otherwise equal it.
+	recycled := [][]byte{fuzzRecycleSeed(f, 40, 30), fuzzRecycleSeed(f, 3, 2)}
 	f.Add(fuzzEncodedSeed(f, frame.Gray8))
 	f.Add(fuzzEncodedSeed(f, frame.RGB24))
 	f.Add(fuzzRetiredVersionSeed(f, frame.Gray8))
@@ -98,6 +133,19 @@ func FuzzReadEncodedFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ef, err := ReadEncodedFrame(bytes.NewReader(data))
+		for _, src := range recycled {
+			dirty, derr := ReadEncodedFrame(bytes.NewReader(src))
+			if derr != nil {
+				t.Fatal(derr)
+			}
+			rerr := ReadEncodedFrameInto(bytes.NewReader(data), dirty)
+			if (rerr == nil) != (err == nil) {
+				t.Fatalf("fresh parse error %v, recycled parse into a %dx%d frame error %v", err, dirty.W, dirty.H, rerr)
+			}
+			if err == nil && !sameEncoded(ef, dirty) {
+				t.Fatalf("recycled parse differs from a fresh parse")
+			}
+		}
 		if err != nil {
 			return
 		}

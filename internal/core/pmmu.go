@@ -79,6 +79,12 @@ func NewPMMU(history []*EncodedFrame, base uint64) *PMMU {
 	return &PMMU{history: history, base: base}
 }
 
+// reset points the PMMU at a new history window with zeroed counters,
+// keeping its translation buffers.
+func (p *PMMU) reset(history []*EncodedFrame) {
+	p.history, p.stats = history, PMMUStats{}
+}
+
 // Stats returns the accumulated counters.
 func (p *PMMU) Stats() PMMUStats { return p.stats }
 

@@ -60,11 +60,10 @@ func (sw *StreamWriter) FramesWritten() int { return sw.wrote }
 
 // StreamReader deserializes a sequence of encoded frames.
 type StreamReader struct {
-	r       io.Reader
-	W, H    int
-	BPP     int
-	read    int
-	started bool
+	r    io.Reader
+	W, H int
+	BPP  int
+	read int
 }
 
 // NewStreamReader validates the stream header and returns a reader.
@@ -93,24 +92,28 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 
 // ReadFrame returns the next encoded frame, or io.EOF at stream end.
 func (sr *StreamReader) ReadFrame() (*EncodedFrame, error) {
-	ef, err := ReadEncodedFrame(sr.r)
-	if err != nil {
-		if !sr.started && err == io.EOF {
-			return nil, io.EOF
-		}
+	ef := new(EncodedFrame)
+	if err := sr.readFrameInto(ef); err != nil {
+		return nil, err
+	}
+	return ef, nil
+}
+
+// readFrameInto is ReadFrame into ef's buffers (see ReadEncodedFrameInto).
+func (sr *StreamReader) readFrameInto(ef *EncodedFrame) error {
+	if err := ReadEncodedFrameInto(sr.r, ef); err != nil {
 		// Distinguish a clean end (EOF exactly at a frame boundary) from a
 		// truncated frame.
 		if isCleanEOF(err) {
-			return nil, io.EOF
+			return io.EOF
 		}
-		return nil, err
+		return err
 	}
 	if ef.W != sr.W || ef.H != sr.H || ef.BytesPerPixel != sr.BPP {
-		return nil, fmt.Errorf("core: stream frame geometry mismatch")
+		return fmt.Errorf("core: stream frame geometry mismatch")
 	}
-	sr.started = true
 	sr.read++
-	return ef, nil
+	return nil
 }
 
 // FramesRead returns the number of frames consumed.
@@ -138,31 +141,42 @@ func isCleanEOF(err error) bool {
 // DecodeStream replays a stream through a decoder, invoking fn with each
 // decoded frame in capture order. This is the offline analogue of the live
 // pipeline: history accumulates exactly as it did during capture.
+//
+// Every call of fn receives the same output frame, which the next frame's
+// decode overwrites: fn must copy what it keeps. Each frame is read into
+// the buffers of the history frame it evicts, so once the history is full
+// a stream of steady frame sizes decodes without allocating.
 func DecodeStream(r io.Reader, format frame.Format, fn func(frameIndex int, decoded *frame.Frame) error) error {
 	sr, err := NewStreamReader(r)
 	if err != nil {
 		return err
 	}
-	var dec *Decoder
+	var (
+		dec   *Decoder
+		out   *frame.Frame
+		spare *EncodedFrame // evicted from the history; refilled next
+	)
 	for {
-		ef, err := sr.ReadFrame()
-		if err == io.EOF {
-			return nil
+		ef := spare
+		if ef == nil {
+			ef = new(EncodedFrame)
 		}
-		if err != nil {
+		if err := sr.readFrameInto(ef); err == io.EOF {
+			return nil
+		} else if err != nil {
 			return err
 		}
 		if dec == nil {
 			dec = NewDecoder(sr.W, sr.H, format)
+			out = frame.New(sr.W, sr.H, format)
 		}
-		if err := dec.Push(ef); err != nil {
+		if spare, err = dec.PushEvict(ef); err != nil {
 			return err
 		}
-		img, err := dec.DecodeFrame()
-		if err != nil {
+		if err := dec.DecodeFrameInto(out); err != nil {
 			return err
 		}
-		if err := fn(ef.FrameIndex, img); err != nil {
+		if err := fn(ef.FrameIndex, out); err != nil {
 			return err
 		}
 	}

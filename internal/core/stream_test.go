@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/frame"
@@ -171,4 +173,60 @@ func TestReadPNMGarbageRobust(t *testing.T) {
 			_, _ = frame.ReadPNM(bytes.NewReader(garbage))
 		}()
 	}
+}
+
+// TestAllocsDecodeStream pins DecodeStream's steady state: each frame is
+// read into the buffers of the history frame it evicts and decoded into
+// one reused output frame, so the allocations per frame do not depend on
+// the frame's height. The workload is a 16-pixel RGB24 tile grid, skipped
+// every other frame in a checkerboard and strided on every fourth tile
+// row, so every frame holds the same number of pixels; at 1024 rows the
+// payload is larger than one read chunk.
+func TestAllocsDecodeStream(t *testing.T) {
+	const w, frames, steady = 1024, 16, 8
+	perFrame := func(h int) float64 {
+		var labels region.List
+		for y := 0; y < h; y += 16 {
+			for x := 0; x < w; x += 16 {
+				c, r := x/16, y/16
+				labels = append(labels, region.Label{
+					X: x, Y: y, W: 16, H: 16,
+					Stride: 1 + r%4/3, Skip: 2, Phase: (c + r) % 2,
+				})
+			}
+		}
+		enc := NewEncoder(w, h, frame.RGB24)
+		if err := enc.SetRegionLabels(labels); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		sw := NewStreamWriter(&buf)
+		for i := 0; i < frames; i++ {
+			if err := sw.WriteFrame(mustEncode(t, enc, testFrame(w, h, frame.RGB24, int64(i)), i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The collector's own bookkeeping can add an object now and then.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var ms runtime.MemStats
+		var start uint64
+		err := DecodeStream(bytes.NewReader(buf.Bytes()), frame.RGB24, func(idx int, _ *frame.Frame) error {
+			if idx == steady || idx == frames-1 {
+				runtime.ReadMemStats(&ms)
+				if idx == steady {
+					start = ms.Mallocs
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(ms.Mallocs-start) / float64(frames-1-steady)
+	}
+	short, tall := perFrame(256), perFrame(1024)
+	if short != tall {
+		t.Errorf("DecodeStream allocates %v objects per 256-row frame and %v per 1024-row frame, want the same", short, tall)
+	}
+	t.Logf("DecodeStream allocates %v objects per steady-state frame", tall)
 }

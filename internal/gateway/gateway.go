@@ -22,6 +22,7 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -389,8 +390,9 @@ func (g *Gateway) armRead(conn net.Conn) {
 }
 
 // proxySession is one client connection pinned to one backend. hello and
-// labels hold the raw payload bytes the client sent, replayed verbatim on
-// migration so the replacement backend sees exactly the original workload.
+// labels hold copies of the raw payload bytes the client sent, replayed
+// verbatim on migration so the replacement backend sees exactly the
+// original workload.
 type proxySession struct {
 	gw     *Gateway
 	key    string
@@ -403,6 +405,9 @@ type proxySession struct {
 	hello       []byte
 	labels      []byte
 	remoteID    uint64 // session id the pinned backend assigned
+	// reply receives every backend reply forwardLocked reads; a reply is
+	// relayed to the client before the connection's next request.
+	reply []byte
 }
 
 // handle runs one client connection: validate HELLO, pin a backend, then
@@ -413,9 +418,10 @@ func (g *Gateway) handle(conn net.Conn) {
 	// One MessageWriter per client connection: each message leaves in a
 	// single vectored write, and its internal lock keeps the streaming
 	// relay's pump goroutine from tearing frames against this loop's writes.
-	// Client reads stay fresh-alloc (no buffer reuse): HELLO and SET_LABELS
-	// payloads are retained verbatim for migration replay.
+	// Every client message is read into cbuf, which the next read reuses, so
+	// the HELLO and SET_LABELS payloads kept for migration replay are copies.
 	cmw := wire.NewMessageWriter(conn)
+	var cbuf []byte
 	writeClient := func(typ byte, payload []byte) error {
 		conn.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
 		return cmw.WriteMessage(typ, payload, g.cfg.MaxPayload)
@@ -425,7 +431,7 @@ func (g *Gateway) handle(conn net.Conn) {
 	}
 
 	g.armRead(conn)
-	typ, payload, err := wire.ReadMessage(cbr, g.cfg.MaxPayload)
+	typ, payload, err := wire.ReadMessageInto(cbr, &cbuf, g.cfg.MaxPayload)
 	if err != nil {
 		return
 	}
@@ -444,7 +450,7 @@ func (g *Gateway) handle(conn net.Conn) {
 	g.nextKey++
 	key := conn.RemoteAddr().String() + "#" + strconv.FormatUint(g.nextKey, 10)
 	g.mu.Unlock()
-	s := &proxySession{gw: g, key: key, client: conn, hello: payload}
+	s := &proxySession{gw: g, key: key, client: conn, hello: bytes.Clone(payload)}
 
 	ack, reject, err := s.open()
 	if reject != nil {
@@ -481,7 +487,7 @@ func (g *Gateway) handle(conn net.Conn) {
 
 	for {
 		g.armRead(conn)
-		typ, payload, err := wire.ReadMessage(cbr, g.cfg.MaxPayload)
+		typ, payload, err := wire.ReadMessageInto(cbr, &cbuf, g.cfg.MaxPayload)
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {
 				writeErr(wire.CodeTooLarge, err.Error())
@@ -494,7 +500,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		for typ == wire.MsgSubscribe {
 			start := time.Now()
 			var ok bool
-			typ, payload, ok = s.relayStream(conn, cbr, writeClient, payload)
+			typ, payload, ok = s.relayStream(conn, cbr, &cbuf, writeClient, payload)
 			if i := opIndex(wire.MsgSubscribe); i >= 0 {
 				g.opHist[i].Observe(time.Since(start))
 			}
@@ -625,7 +631,7 @@ func (s *proxySession) forwardLocked(typ byte, payload []byte) (byte, []byte, er
 		return 0, nil, err
 	}
 	s.bconn.SetReadDeadline(time.Now().Add(s.gw.cfg.BackendTimeout))
-	rtyp, rpayload, err := wire.ReadMessage(s.bbr, s.gw.cfg.MaxPayload)
+	rtyp, rpayload, err := wire.ReadMessageInto(s.bbr, &s.reply, s.gw.cfg.MaxPayload)
 	if err != nil {
 		s.closeBackendLocked()
 		return 0, nil, err
@@ -658,7 +664,7 @@ func (s *proxySession) roundTrip(typ byte, payload []byte) (byte, []byte) {
 	rtyp, rpayload, err := s.forwardLocked(typ, payload)
 	if err == nil {
 		if typ == wire.MsgSetLabels && rtyp == wire.MsgAck {
-			s.labels = payload
+			s.keepLabels(payload)
 		}
 		return rtyp, rpayload
 	}
@@ -685,9 +691,16 @@ func (s *proxySession) roundTrip(typ byte, payload []byte) (byte, []byte) {
 		return unavailable("retry on %s failed: %v", s.backendAddr, err)
 	}
 	if typ == wire.MsgSetLabels && rtyp == wire.MsgAck {
-		s.labels = payload
+		s.keepLabels(payload)
 	}
 	return rtyp, rpayload
+}
+
+// keepLabels records an acknowledged SET_LABELS payload for migration
+// replay. payload lives in the connection's read buffer, so it is copied,
+// into the storage of the workload it replaces. Callers hold s.mu.
+func (s *proxySession) keepLabels(payload []byte) {
+	s.labels = append(s.labels[:0], payload...)
 }
 
 // registerMetrics publishes the rpxgw_* series.

@@ -15,9 +15,11 @@ import (
 // forwards the subscribe, relays the SUBSCRIBE_ACK, and then runs two pumps
 // — backend→client for FRAME_PUSH batches and the stream's terminal
 // message, client→backend for CREDIT grants and UNSUBSCRIBE. Both pumps
-// move whole messages (one ReadMessage, one WriteMessage), so a relayed
-// frame is never torn even when the gateway dies mid-stream: the client
-// sees complete messages or a closed connection, nothing in between.
+// move whole messages (one read, one WriteMessage), so a relayed frame is
+// never torn even when the gateway dies mid-stream: the client sees
+// complete messages or a closed connection, nothing in between. Each pump
+// reads into one buffer it reuses for the stream's life; a message is
+// written out before the next read overwrites it.
 //
 // Cross-backend fan-out: SUBSCRIBE targets name server-assigned session
 // ids, which only mean something on the backend that assigned them. The
@@ -72,7 +74,9 @@ func (g *Gateway) remotePinBackend(id uint64) (string, bool) {
 // It returns the connection's next state: ok=false ends the connection;
 // otherwise pendingTyp/pendingPayload, when non-zero, carry a request that
 // arrived after the stream ended server-side and must be served normally.
-func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, writeClient func(typ byte, payload []byte) error, payload []byte) (pendingTyp byte, pendingPayload []byte, ok bool) {
+// Client messages are read into cbuf, the connection's read buffer, which
+// also holds payload and the pending payload.
+func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, cbuf *[]byte, writeClient func(typ byte, payload []byte) error, payload []byte) (pendingTyp byte, pendingPayload []byte, ok bool) {
 	g := s.gw
 	writeErr := func(code uint16, msg string) bool {
 		return writeClient(wire.MsgError, wire.MarshalError(code, msg)) == nil
@@ -138,9 +142,10 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, writeClient
 	ended := false
 	go func() {
 		defer close(pumpDone)
+		var buf []byte
 		for {
 			bconn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
-			typ, payload, err := wire.ReadMessage(bbr, g.cfg.MaxPayload)
+			typ, payload, err := wire.ReadMessageInto(bbr, &buf, g.cfg.MaxPayload)
 			if err != nil {
 				// Backend died mid-stream (possibly mid-batch): the client
 				// gets the typed error, never a torn FRAME_PUSH — this
@@ -174,7 +179,7 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, writeClient
 	// back to the request/reply loop.
 	for {
 		g.armRead(conn)
-		typ, payload, err := wire.ReadMessage(cbr, g.cfg.MaxPayload)
+		typ, payload, err := wire.ReadMessageInto(cbr, cbuf, g.cfg.MaxPayload)
 		if err != nil {
 			s.mu.Lock()
 			s.closeBackendLocked()

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/frame"
 	"repro/internal/region"
@@ -56,35 +57,45 @@ func (m *MotionMap) Update(prev, cur *frame.Frame) error {
 	if prev.Format != cur.Format {
 		return fmt.Errorf("policy: motion frames disagree on format: %v vs %v", prev.Format, cur.Format)
 	}
-	sum := make([]float64, len(m.Energy))
-	count := make([]int, len(m.Energy))
+	// Each cell's energy is its byte count's share of the summed absolute
+	// deltas. The sums are integers well below 2^53, so accumulating them
+	// in Energy itself is exact, and cells are complete tiles except at the
+	// right and bottom edges, so the counts follow from the geometry.
+	clear(m.Energy)
 	bpp := cur.BytesPerPixel()
 	stride := cur.Stride()
+	seg := m.Tile * bpp
 	for y := 0; y < m.FrameH; y++ {
-		rowBase := (y / m.Tile) * m.Cols
+		cells := m.Energy[(y/m.Tile)*m.Cols:][:m.Cols]
 		pr := prev.Pix[y*stride : (y+1)*stride]
 		cr := cur.Pix[y*stride : (y+1)*stride]
-		for x := 0; x < m.FrameW; x++ {
-			cell := rowBase + x/m.Tile
-			off := x * bpp
-			for c := 0; c < bpp; c++ {
-				d := int(cr[off+c]) - int(pr[off+c])
-				if d < 0 {
-					d = -d
-				}
-				sum[cell] += float64(d)
-			}
-			count[cell] += bpp
+		for c := range cells {
+			lo := c * seg
+			cells[c] += float64(absDiffSum(pr[lo:min(lo+seg, stride)], cr[lo:]))
 		}
 	}
-	for i := range m.Energy {
-		if count[i] > 0 {
-			m.Energy[i] = sum[i] / float64(count[i])
-		} else {
-			m.Energy[i] = 0
+	for r := 0; r < m.Rows; r++ {
+		h := min(m.Tile, m.FrameH-r*m.Tile)
+		for c := 0; c < m.Cols; c++ {
+			w := min(m.Tile, m.FrameW-c*m.Tile)
+			m.Energy[r*m.Cols+c] /= float64(w * h * bpp)
 		}
 	}
 	return nil
+}
+
+// absDiffSum returns the sum of |a[i] - b[i]| over a (b at least as long).
+// The absolute value takes no branch on the sign, which changing pixels
+// would mispredict about half the time.
+func absDiffSum(a, b []byte) int {
+	b = b[:len(a)]
+	sum := 0
+	for i, x := range a {
+		d := int(x) - int(b[i])
+		m := d >> (strconv.IntSize - 1)
+		sum += (d ^ m) - m
+	}
+	return sum
 }
 
 // Max returns the largest cell energy.

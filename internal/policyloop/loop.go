@@ -1,8 +1,9 @@
 // Package policyloop closes the rhythmic-pixel control loop over the wire:
 // a worker subscribes to a producing session's frame stream (through rpxd
-// directly or an rpxgw in front of a fleet), decodes the pushed frames, runs
-// a registry-selected policy over the observed scene once per cycle, and
-// pushes the resulting region-label workload back to the producer with
+// directly or an rpxgw in front of a fleet), keeps every pushed frame in
+// its decoder history, reconstructs the two frames a cycle's policy reads,
+// runs a registry-selected policy over the observed scene once per cycle,
+// and pushes the resulting region-label workload back to the producer with
 // in-stream label feedback (Stream.SetLabels).
 //
 // The paper's evaluations drive policies offline from ground truth; this
@@ -16,6 +17,7 @@
 package policyloop
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -27,6 +29,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/region"
 	"repro/internal/slam"
 	"repro/internal/wire"
 	"repro/rpx"
@@ -91,7 +94,7 @@ type Config struct {
 
 // Stats is a point-in-time snapshot of loop progress.
 type Stats struct {
-	// Frames is the number of pushed frames received and decoded.
+	// Frames is the number of pushed frames received.
 	Frames uint64
 	// Cycles is the number of completed observe+push cycles.
 	Cycles uint64
@@ -123,7 +126,10 @@ type Loop struct {
 	pushed       atomic.Uint64
 	rejected     atomic.Uint64
 	reconnects   atomic.Uint64
+	gaps         atomic.Uint64
 	lastBoundary atomic.Uint64
+	steerLag     atomic.Uint64 // latest accepted workload's lag in frames
+	steerLagSum  atomic.Uint64 // lags summed over accepted workloads
 	lag          *obs.Histogram
 }
 
@@ -163,13 +169,17 @@ func New(cfg Config) (*Loop, error) {
 	}
 	l := &Loop{cfg: cfg, pol: pol, lag: &obs.Histogram{}}
 	if m := cfg.Metrics; m != nil {
-		m.CounterFunc("rpxpolicy_frames_total", "pushed frames received and decoded", l.frames.Load)
+		m.CounterFunc("rpxpolicy_frames_total", "pushed frames received", l.frames.Load)
 		m.CounterFunc("rpxpolicy_cycles_total", "completed observe+push policy cycles", l.cycles.Load)
 		m.CounterFunc("rpxpolicy_labels_pushed_total", "label workloads pushed to the target", l.pushed.Load)
 		m.CounterFunc("rpxpolicy_labels_rejected_total", "pushed workloads the server refused", l.rejected.Load)
 		m.CounterFunc("rpxpolicy_reconnects_total", "successful re-attachments after transport errors", l.reconnects.Load)
+		m.CounterFunc("rpxpolicy_stream_gaps_total", "Seq discontinuities that restarted the decode history", l.gaps.Load)
 		m.GaugeFunc("rpxpolicy_last_boundary", "frame index of the latest accepted workload's boundary",
 			func() float64 { return float64(l.lastBoundary.Load()) })
+		m.GaugeFunc("rpxpolicy_steer_lag_frames", "latest accepted workload's boundary minus the frame it was observed on",
+			func() float64 { return float64(l.steerLag.Load()) })
+		m.CounterFunc("rpxpolicy_steer_lag_frames_total", "steering lag in frames summed over accepted workloads", l.steerLagSum.Load)
 		m.RegisterHistogram("rpxpolicy_cycle_lag_seconds", "observe-to-push latency per policy cycle", l.lag)
 	}
 	return l, nil
@@ -262,15 +272,6 @@ func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 	l.everAttached = true
 	l.logf("policyloop: attached to session %d (policy %s, CL %d, credit %d)",
 		l.cfg.Target, l.cfg.Policy, l.cfg.CycleLength, l.cfg.Credit)
-	st.OnLabelsApplied(func(la client.LabelsApplied) {
-		if la.Err != nil {
-			l.rejected.Add(1)
-			l.logf("policyloop: workload rejected: %v", la.Err)
-			return
-		}
-		l.lastBoundary.Store(la.AppliedSeq)
-	})
-
 	// Recv blocks in a read; cancelling ctx closes the session underneath it
 	// so the drain is prompt. watcherDone keeps the watcher from outliving
 	// this attachment and closing a future session's connection.
@@ -284,16 +285,30 @@ func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 		}
 	}()
 
-	dec := core.NewDecoder(l.cfg.W, l.cfg.H, frame.Format(l.cfg.Format))
-	motion := policy.NewMotionMap(l.cfg.W, l.cfg.H, l.cfg.Tile)
-	var tracker *slam.System
-	if l.cfg.Features {
-		tracker = slam.New(slam.DefaultConfig())
-	}
+	w := l.newWorker()
+	// pending holds, oldest first, the Seq of the frame whose observation
+	// produced each pushed workload still awaiting its LABELS_APPLIED; the
+	// server answers in push order.
+	var pending []uint64
+	st.OnLabelsApplied(func(la client.LabelsApplied) {
+		observed, known := uint64(0), len(pending) > 0
+		if known {
+			observed, pending = pending[0], pending[1:]
+		}
+		if la.Err != nil {
+			l.rejected.Add(1)
+			l.logf("policyloop: workload rejected: %v", la.Err)
+			return
+		}
+		l.lastBoundary.Store(la.AppliedSeq)
+		// A boundary below the observed frame means the numbering
+		// restarted (a migration) and the difference measures nothing.
+		if known && la.AppliedSeq >= observed {
+			l.steerLag.Store(la.AppliedSeq - observed)
+			l.steerLagSum.Add(la.AppliedSeq - observed)
+		}
+	})
 
-	var prev, cur *frame.Frame
-	sinceCycle := 0
-	pushes := 0
 	consumed := 0
 	replenish := max(1, l.cfg.Credit/2)
 	for {
@@ -312,45 +327,144 @@ func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 			consumed = 0
 		}
 
-		ef, err := f.Decode()
+		closes, err := w.ingest(&f)
 		if err != nil {
-			return true, fmt.Errorf("policyloop: frame %d container: %w", f.Seq, err)
+			return true, err
 		}
-		if err := dec.Push(ef); err != nil {
-			return true, fmt.Errorf("policyloop: frame %d: %w", f.Seq, err)
-		}
-		img, err := dec.DecodeFrame()
-		if err != nil {
-			return true, fmt.Errorf("policyloop: decode frame %d: %w", f.Seq, err)
-		}
-		prev, cur = cur, img
-
-		if sinceCycle++; sinceCycle < l.cfg.CycleLength {
+		if !closes {
 			continue
 		}
-		sinceCycle = 0
 		start := time.Now()
-		var fb policy.Feedback
-		if prev != nil {
-			if err := motion.Update(prev, cur); err != nil {
-				return true, fmt.Errorf("policyloop: motion update: %w", err)
-			}
-			fb.Motion = motion
+		labels, err := w.decide()
+		if err != nil {
+			return true, err
 		}
-		if tracker != nil {
-			step := tracker.ProcessFrame(cur)
-			fb.KeyPoints = step.KeyPoints
-			fb.Displacements = step.Displacements
-			fb.MeanDisplacement = step.MeanDisplacement
-		}
-		l.pol.Observe(fb)
-		labels := l.pol.Labels(pushes)
-		pushes++
 		if err := st.SetLabels(labels); err != nil {
 			return true, fmt.Errorf("policyloop: push labels: %w", err)
 		}
+		pending = append(pending, f.Seq)
 		l.lag.Observe(time.Since(start))
 		l.pushed.Add(1)
 		l.cycles.Add(1)
 	}
+}
+
+// worker is one attachment's per-frame state: the decoder history every
+// pushed frame enters, the two reconstructions the policy compares, and
+// the position in the current cycle.
+//
+// Only the last two frames of each cycle are reconstructed — the prev and
+// cur that the motion grid and the tracker read — so a worker with cycle
+// length CL decodes 2 of every CL frames (every frame at CL 1). The rest
+// are parsed and pushed, because later frames resolve temporally skipped
+// pixels against them. Parsing reuses the buffers of the history frame the
+// push evicts, and reconstruction alternates between two frames, so once
+// warm a frame costs no allocation.
+type worker struct {
+	l       *Loop
+	dec     *core.Decoder
+	motion  *policy.MotionMap
+	tracker *slam.System
+
+	rd    bytes.Reader       // reads the frame being parsed
+	spare *core.EncodedFrame // evicted from the history; parsed into next
+	out   [2]*frame.Frame    // the reconstructions prev and cur point to
+
+	prev, cur  *frame.Frame
+	nextSeq    uint64 // Seq the next frame must carry to continue the history
+	sinceCycle int    // frames of the current cycle consumed
+	pushes     int    // workloads produced since the last restart
+}
+
+func (l *Loop) newWorker() *worker {
+	w := &worker{
+		l:      l,
+		motion: policy.NewMotionMap(l.cfg.W, l.cfg.H, l.cfg.Tile),
+	}
+	if l.cfg.Features {
+		w.tracker = slam.New(slam.DefaultConfig())
+	}
+	w.restart()
+	return w
+}
+
+// restart begins the worker's history and cycle afresh, as a new
+// attachment does.
+func (w *worker) restart() {
+	w.dec = core.NewDecoder(w.l.cfg.W, w.l.cfg.H, frame.Format(w.l.cfg.Format))
+	w.prev, w.cur = nil, nil
+	w.sinceCycle, w.pushes = 0, 0
+}
+
+// ingest parses f into the history and reconstructs it when the policy
+// will read it, reporting whether f closes a cycle; decide then produces
+// the cycle's workload.
+//
+// The decoder resolves a skipped pixel against the newest older frame that
+// captured it, so its history must be the frames the producer captured, in
+// order. A frame whose Seq does not follow the last one — frames dropped
+// for lack of credit, or numbering that restarted after a migration —
+// therefore restarts the history and the cycle instead of joining them.
+func (w *worker) ingest(f *client.StreamFrame) (closes bool, err error) {
+	if w.dec.HistoryLen() > 0 && f.Seq != w.nextSeq {
+		w.l.gaps.Add(1)
+		w.l.logf("policyloop: stream jumped from frame %d to %d; restarting history", w.nextSeq, f.Seq)
+		w.restart()
+	}
+	ef := w.spare
+	if ef == nil {
+		ef = new(core.EncodedFrame)
+	}
+	w.rd.Reset(f.Raw)
+	if err := core.ReadEncodedFrameInto(&w.rd, ef); err != nil {
+		return false, fmt.Errorf("policyloop: frame %d container: %w", f.Seq, err)
+	}
+	if w.spare, err = w.dec.PushEvict(ef); err != nil {
+		return false, fmt.Errorf("policyloop: frame %d: %w", f.Seq, err)
+	}
+	w.nextSeq = f.Seq + 1
+
+	cl := w.l.cfg.CycleLength
+	w.sinceCycle++
+	if w.sinceCycle >= cl-1 {
+		k := 0
+		if w.out[k] == w.cur {
+			k = 1
+		}
+		if w.out[k] == nil { // allocated on first use, not at attachment
+			w.out[k] = frame.New(w.l.cfg.W, w.l.cfg.H, frame.Format(w.l.cfg.Format))
+		}
+		img := w.out[k]
+		if err := w.dec.DecodeFrameInto(img); err != nil {
+			return false, fmt.Errorf("policyloop: decode frame %d: %w", f.Seq, err)
+		}
+		w.prev, w.cur = w.cur, img
+	}
+	if w.sinceCycle < cl {
+		return false, nil
+	}
+	w.sinceCycle = 0
+	return true, nil
+}
+
+// decide runs the policy over the cycle's last two reconstructions and
+// returns the next workload.
+func (w *worker) decide() (region.List, error) {
+	var fb policy.Feedback
+	if w.prev != nil {
+		if err := w.motion.Update(w.prev, w.cur); err != nil {
+			return nil, fmt.Errorf("policyloop: motion update: %w", err)
+		}
+		fb.Motion = w.motion
+	}
+	if w.tracker != nil {
+		step := w.tracker.ProcessFrame(w.cur)
+		fb.KeyPoints = step.KeyPoints
+		fb.Displacements = step.Displacements
+		fb.MeanDisplacement = step.MeanDisplacement
+	}
+	w.l.pol.Observe(fb)
+	labels := w.l.pol.Labels(w.pushes)
+	w.pushes++
+	return labels, nil
 }

@@ -127,13 +127,20 @@ func TestLoopClosesOverLiveServer(t *testing.T) {
 
 	// The metrics registry saw the same counters.
 	found := false
+	series := map[string]float64{}
 	for _, s := range reg.Gather() {
 		if s.Name == "rpxpolicy_cycles_total" && s.Value >= 2 {
 			found = true
 		}
+		series[s.Name] = s.Value
 	}
 	if !found {
 		t.Fatal("rpxpolicy_cycles_total missing or zero in the registry")
+	}
+	// An accepted workload applies from a frame after the one it was
+	// observed on, so the steering lag is at least one frame.
+	if lag, sum := series["rpxpolicy_steer_lag_frames"], series["rpxpolicy_steer_lag_frames_total"]; lag < 1 || sum < lag {
+		t.Fatalf("steering lag %v frames, summed %v; want at least 1 and a sum no smaller", lag, sum)
 	}
 }
 

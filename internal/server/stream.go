@@ -60,6 +60,10 @@ type Subscription struct {
 	granted uint64 // lifetime credits accepted (initial + grants, post-clamp)
 	dropped uint64 // frames missed while out of credit
 	reason  CloseReason
+
+	// items holds the batch Next returns, reused call to call; only the
+	// single consumer calling Next touches it.
+	items []pushItem
 }
 
 // ID returns the server-assigned subscription id.
@@ -171,27 +175,30 @@ func (sub *Subscription) Abort() { sub.close(ReasonConnClosed) }
 // Next blocks for the next accepted frame, then opportunistically drains up
 // to batch-1 more without blocking — one call builds one FRAME_PUSH. The
 // second return is the cumulative dropped count; ok=false means the
-// subscription ended and the buffer is fully drained.
+// subscription ended and the buffer is fully drained. The batch is valid
+// until the next call: its storage is reused, so a steady stream drains
+// without allocating.
 func (sub *Subscription) Next() (items []pushItem, dropped uint64, ok bool) {
+	clear(sub.items) // release the previous batch's frames to the collector
 	it, ok := <-sub.ch
 	if !ok {
 		return nil, sub.Dropped(), false
 	}
-	items = append(items, it)
-	for len(items) < sub.batch {
+	sub.items = append(sub.items[:0], it)
+	for len(sub.items) < sub.batch {
 		select {
 		case it, more := <-sub.ch:
 			if !more {
 				// Closed mid-drain: deliver what we have; the next call
 				// observes end-of-stream.
-				return items, sub.Dropped(), true
+				return sub.items, sub.Dropped(), true
 			}
-			items = append(items, it)
+			sub.items = append(sub.items, it)
 		default:
-			return items, sub.Dropped(), true
+			return sub.items, sub.Dropped(), true
 		}
 	}
-	return items, sub.Dropped(), true
+	return sub.items, sub.Dropped(), true
 }
 
 // Subscribe attaches a push subscription to this session's frame stream.

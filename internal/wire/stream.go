@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Streaming push mode payloads.
@@ -238,44 +239,54 @@ func MarshalFramePush(p FramePush) []byte {
 // against the remaining bytes, so hostile counts or length prefixes yield
 // an error, never a panic or an oversized allocation.
 func UnmarshalFramePush(b []byte) (FramePush, error) {
+	var p FramePush
+	if err := UnmarshalFramePushInto(b, &p); err != nil {
+		return FramePush{}, err
+	}
+	return p, nil
+}
+
+// UnmarshalFramePushInto is UnmarshalFramePush into p, reusing the storage
+// of p.Frames: a consumer that keeps one FramePush decodes a steady stream
+// without allocating. The frames' Enc slices point into b. On error p's
+// contents are unspecified.
+func UnmarshalFramePushInto(b []byte, p *FramePush) error {
 	if len(b) < framePushHeaderSize {
-		return FramePush{}, fmt.Errorf("wire: FRAME_PUSH payload is %d bytes, want >= %d", len(b), framePushHeaderSize)
+		return fmt.Errorf("wire: FRAME_PUSH payload is %d bytes, want >= %d", len(b), framePushHeaderSize)
 	}
-	p := FramePush{
-		SubID:   binary.LittleEndian.Uint64(b),
-		Dropped: binary.LittleEndian.Uint64(b[8:]),
-	}
+	p.SubID = binary.LittleEndian.Uint64(b)
+	p.Dropped = binary.LittleEndian.Uint64(b[8:])
 	count := int64(binary.LittleEndian.Uint32(b[16:]))
 	if count > MaxBatch {
-		return FramePush{}, fmt.Errorf("wire: FRAME_PUSH claims %d frames, batch cap is %d", count, MaxBatch)
+		return fmt.Errorf("wire: FRAME_PUSH claims %d frames, batch cap is %d", count, MaxBatch)
 	}
 	if max := int64(len(b)-framePushHeaderSize) / pushRecordHeaderSize; count > max {
-		return FramePush{}, fmt.Errorf("wire: FRAME_PUSH claims %d frames, payload fits %d", count, max)
+		return fmt.Errorf("wire: FRAME_PUSH claims %d frames, payload fits %d", count, max)
 	}
-	p.Frames = make([]PushFrame, 0, count)
+	p.Frames = slices.Grow(p.Frames[:0], int(count))
 	off := framePushHeaderSize
 	for i := int64(0); i < count; i++ {
 		if len(b)-off < pushRecordHeaderSize {
-			return FramePush{}, fmt.Errorf("wire: FRAME_PUSH record %d truncated at %d bytes", i, len(b)-off)
+			return fmt.Errorf("wire: FRAME_PUSH record %d truncated at %d bytes", i, len(b)-off)
 		}
 		var f PushFrame
 		f.Seq = binary.LittleEndian.Uint64(b[off:])
 		stats, err := UnmarshalCaptureAck(b[off+8 : off+28])
 		if err != nil {
-			return FramePush{}, fmt.Errorf("wire: FRAME_PUSH record %d: %w", i, err)
+			return fmt.Errorf("wire: FRAME_PUSH record %d: %w", i, err)
 		}
 		f.Stats = stats
 		encLen := int64(binary.LittleEndian.Uint32(b[off+28:]))
 		off += pushRecordHeaderSize
 		if encLen > int64(len(b)-off) {
-			return FramePush{}, fmt.Errorf("wire: FRAME_PUSH record %d claims %d encoded bytes, %d remain", i, encLen, len(b)-off)
+			return fmt.Errorf("wire: FRAME_PUSH record %d claims %d encoded bytes, %d remain", i, encLen, len(b)-off)
 		}
 		f.Enc = b[off : off+int(encLen)]
 		off += int(encLen)
 		p.Frames = append(p.Frames, f)
 	}
 	if off != len(b) {
-		return FramePush{}, fmt.Errorf("wire: FRAME_PUSH carries %d trailing bytes", len(b)-off)
+		return fmt.Errorf("wire: FRAME_PUSH carries %d trailing bytes", len(b)-off)
 	}
-	return p, nil
+	return nil
 }

@@ -33,6 +33,14 @@
 // subsequent calls. Note that the server builds a fresh pipeline for the
 // new connection: frame history does not survive a reconnect, so a Decode
 // before the first post-reconnect Capture fails with a remote error.
+//
+// # Streaming
+//
+// Subscribe turns a session into a push consumer of any session's frames
+// (see Stream). A stream reads every message into one buffer it reuses, so
+// a StreamFrame's Raw bytes are valid only until the next Recv or Close on
+// that stream; copy them, or Decode the frame, to keep it. The values the
+// request/reply calls return are the caller's to keep.
 package client
 
 import (

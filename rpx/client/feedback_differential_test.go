@@ -89,6 +89,7 @@ func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, labelsA, 
 		if err != nil {
 			t.Fatalf("Recv: %v", err)
 		}
+		f.Raw = bytes.Clone(f.Raw) // kept past the next Recv
 		frames = append(frames, f)
 	}
 	// The ack rides an independent writer; keep the stream moving until it
@@ -99,6 +100,7 @@ func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, labelsA, 
 		if err != nil {
 			t.Fatalf("Recv awaiting ack: %v", err)
 		}
+		f.Raw = bytes.Clone(f.Raw)
 		frames = append(frames, f)
 	}
 	if acks[0].Err != nil {

@@ -62,11 +62,14 @@ type StreamFrame struct {
 	// the push that carried this frame.
 	Dropped uint64
 	// Raw is the encoded frame in the RPXE container framing —
-	// byte-identical to LastEncoded's wire payload for the same frame.
+	// byte-identical to LastEncoded's wire payload for the same frame. It
+	// points into the stream's receive buffer and is valid until the next
+	// Recv or Close on the stream: copy it to keep it longer.
 	Raw []byte
 }
 
-// Decode unpacks the frame's RPXE container.
+// Decode unpacks the frame's RPXE container into a new EncodedFrame, which
+// stays valid after Raw is overwritten.
 func (f *StreamFrame) Decode() (*rpx.EncodedFrame, error) {
 	return core.ReadEncodedFrame(bytes.NewReader(f.Raw))
 }
@@ -87,7 +90,14 @@ type Stream struct {
 	s       *Session
 	id      uint64
 	nextSeq uint64
-	buf     []StreamFrame
+	// rbuf receives every message the stream reads; push and buf hold the
+	// last FRAME_PUSH's records and the frames Recv has yet to return, from
+	// index next on, whose Raw slices point into rbuf. All are reused
+	// message to message, so a steady stream receives without allocating.
+	rbuf []byte
+	push wire.FramePush
+	buf  []StreamFrame
+	next int
 	// done and err record how the stream ended. Grant and SetLabels read
 	// them from other goroutines, so both are guarded by s.mu.
 	done bool
@@ -198,10 +208,9 @@ func (st *Stream) ended() (bool, error) {
 // usable in both cases). Transport errors poison the session.
 func (st *Stream) Recv() (StreamFrame, error) {
 	for {
-		if len(st.buf) > 0 {
-			f := st.buf[0]
-			st.buf = st.buf[1:]
-			return f, nil
+		if st.next < len(st.buf) {
+			st.next++
+			return st.buf[st.next-1], nil
 		}
 		if done, err := st.ended(); done {
 			return StreamFrame{}, err
@@ -302,24 +311,26 @@ func (st *Stream) send(typ byte, payload []byte, what string) error {
 	return nil
 }
 
-// readMsg reads one message off the stream's connection. The stream owns
-// the read side while open (request/reply calls are locked out), so no
-// session lock is needed.
+// readMsg reads one message off the stream's connection into the stream's
+// receive buffer, which invalidates the Raw bytes of every frame Recv has
+// returned. The stream owns the read side while open (request/reply calls
+// are locked out), so no session lock is needed.
 func (st *Stream) readMsg() (byte, []byte, error) {
 	s := st.s
 	s.conn.SetReadDeadline(time.Now().Add(s.timeout))
-	return wire.ReadMessage(s.br, s.maxPayload)
+	return wire.ReadMessageInto(s.br, &st.rbuf, s.maxPayload)
 }
 
 // buffer validates one FRAME_PUSH payload and queues its frames.
 func (st *Stream) buffer(payload []byte) error {
-	p, err := wire.UnmarshalFramePush(payload)
-	if err != nil {
+	p := &st.push
+	if err := wire.UnmarshalFramePushInto(payload, p); err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
 	if p.SubID != st.id {
 		return fmt.Errorf("%w: FRAME_PUSH for subscription %d, want %d", ErrBrokenSession, p.SubID, st.id)
 	}
+	st.buf, st.next = st.buf[:0], 0
 	for _, f := range p.Frames {
 		st.buf = append(st.buf, StreamFrame{
 			Seq: f.Seq,

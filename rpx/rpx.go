@@ -20,6 +20,10 @@
 //
 // Policies (see NewCyclePolicy, FeatureRegions, BoxRegions) close the loop
 // from vision results back to the next frame's labels.
+//
+// Replay paths reuse their buffers: DecodeStream reads each frame into the
+// storage of the history frame it evicts and decodes into one output
+// frame, so its callback sees a frame that the next decode overwrites.
 package rpx
 
 import (
@@ -500,7 +504,9 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) { return core.NewStream
 
 // DecodeStream replays a persisted stream through a fresh decoder, calling
 // fn with each reconstructed frame in capture order (temporal-skip history
-// accumulates exactly as it did live).
+// accumulates exactly as it did live). fn receives the same reused output
+// frame every time, valid until fn returns: copy what must outlive the
+// call.
 func DecodeStream(r io.Reader, format Format, fn func(frameIndex int, decoded *Frame) error) error {
 	return core.DecodeStream(r, format, fn)
 }
