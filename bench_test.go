@@ -219,22 +219,39 @@ func tileGridLabels(w, h int, classes [][2]int) region.List {
 	return ls.SortByY()
 }
 
-// tileGrids are the tile-grid workloads of the codec microbenchmarks, as
-// tileGridLabels classes. motion-skip is the motion-skip policy's steady
-// state (every tile captured at stride 1, skipped 1, 2 or 3 frames by
-// change energy); stride-skip mixes the saliency-stride policy's strides
-// 1, 2 and 4 with skips 1 and 2.
-var tileGrids = []struct {
-	name    string
-	classes [][2]int
+// staircaseLabels gives every row of a w x h frame its own one-row label,
+// half the frame wide and shifted 7 pixels right of the row above's, with
+// every other row skipped on odd frames: no two rows classify alike, and
+// no row's mask repeats within region.MaxStride rows, so the encoder and
+// the PMMU never reuse a row. It prices the miss path of row reuse.
+func staircaseLabels(w, h int) region.List {
+	var ls region.List
+	for y := 0; y < h; y++ {
+		ls = append(ls, region.Label{X: 7 * y % (w - w/2), Y: y, W: w / 2, H: 1, Stride: 1, Skip: 1 + y%2})
+	}
+	return ls
+}
+
+// codecGrids are the label workloads of the codec microbenchmarks beyond
+// plain region counts. motion-skip is the motion-skip policy's steady state
+// (every tile captured at stride 1, skipped 1, 2 or 3 frames by change
+// energy); stride-skip mixes the saliency-stride policy's strides 1, 2 and
+// 4 with skips 1 and 2; staircase is staircaseLabels.
+var codecGrids = []struct {
+	name   string
+	labels func(w, h int) region.List
 }{
-	{"motion-skip", [][2]int{{1, 1}, {1, 2}, {1, 3}, {1, 3}}},
-	{"stride-skip", [][2]int{{1, 1}, {2, 1}, {4, 1}, {2, 2}, {4, 2}}},
+	{"motion-skip", func(w, h int) region.List { return tileGridLabels(w, h, [][2]int{{1, 1}, {1, 2}, {1, 3}, {1, 3}}) }},
+	{"stride-skip", func(w, h int) region.List {
+		return tileGridLabels(w, h, [][2]int{{1, 1}, {2, 1}, {4, 1}, {2, 2}, {4, 2}})
+	}},
+	{"staircase", staircaseLabels},
 }
 
 // BenchmarkEncoder1080p measures streaming encode of a 1080p frame at
-// several region counts — the 2 px/clock claim's software analogue — and
-// on the tile-grid workloads of the scenario policies.
+// several region counts — the 2 px/clock claim's software analogue — on
+// the tile-grid workloads of the scenario policies, and on a staircase no
+// row of which repeats another.
 func BenchmarkEncoder1080p(b *testing.B) {
 	const w, h = 1920, 1080
 	type encCase struct {
@@ -245,8 +262,8 @@ func BenchmarkEncoder1080p(b *testing.B) {
 	for _, n := range []int{16, 100, 400, 1600} {
 		cases = append(cases, encCase{fmt.Sprintf("regions-%d", n), benchLabels(n, w, h)})
 	}
-	for _, g := range tileGrids {
-		cases = append(cases, encCase{g.name, tileGridLabels(w, h, g.classes)})
+	for _, g := range codecGrids {
+		cases = append(cases, encCase{g.name, g.labels(w, h)})
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -270,9 +287,10 @@ func BenchmarkEncoder1080p(b *testing.B) {
 // BenchmarkSoftwareDecoder1080p measures full-frame decode at the paper's
 // reference point: "a few ms of CPU time for a 1080p frame where 30% of the
 // pixels are regional pixels", scaling linearly with regional share. The
-// tile-grid cases decode the newest of a warmed 4-frame history (the
-// decoder's default depth), so temporally skipped tiles resolve against
-// older frames and strided tiles resample, as on a policy-steered stream.
+// tile-grid and staircase cases decode the newest of a warmed 4-frame
+// history (the decoder's default depth), so temporally skipped pixels
+// resolve against older frames and strided tiles resample, as on a
+// policy-steered stream.
 func BenchmarkSoftwareDecoder1080p(b *testing.B) {
 	for _, pct := range []int{10, 30, 60, 100} {
 		b.Run(fmt.Sprintf("regional-%dpct", pct), func(b *testing.B) {
@@ -306,11 +324,11 @@ func BenchmarkSoftwareDecoder1080p(b *testing.B) {
 			}
 		})
 	}
-	for _, g := range tileGrids {
+	for _, g := range codecGrids {
 		b.Run(g.name, func(b *testing.B) {
 			const w, h = 1920, 1080
 			enc := core.NewEncoder(w, h, frame.Gray8)
-			if err := enc.SetRegionLabels(tileGridLabels(w, h, g.classes)); err != nil {
+			if err := enc.SetRegionLabels(g.labels(w, h)); err != nil {
 				b.Fatal(err)
 			}
 			dec := core.NewDecoder(w, h, frame.Gray8)

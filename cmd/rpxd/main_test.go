@@ -195,7 +195,7 @@ func TestAdminEndpoints(t *testing.T) {
 	for _, sp := range traceDoc.Spans {
 		seen[sp.Op] = true
 	}
-	for _, op := range []string{"classify", "pack", "push", "decode"} {
+	for _, op := range []string{"commit", "encode", "push", "decode"} {
 		if !seen[op] {
 			t.Errorf("/debug/trace missing op %q (saw %v)", op, seen)
 		}

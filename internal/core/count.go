@@ -11,26 +11,24 @@ import (
 // alone, exactly as the paper's evaluation methodology does (§5.3.1).
 //
 // The returned array is indexed by bitpack.Code: [N, St, Sk, R] counts.
-// Labels must be y-sorted. Rows are classified by the encoder's own RoI
-// Selector and Comparison Engine kernels, so the histogram always matches
-// the EncMask an encoder would build.
+// Labels must be y-sorted. Rows are classified by the encoder's own per-row
+// pipeline, reuse of rows that classify alike included, so the histogram
+// always matches the EncMask an encoder would build.
 func CountCodes(w, h, frameIndex int, labels region.List) [4]int {
 	var counts [4]int
 	if len(labels) == 0 {
 		counts[bitpack.CodeN] = w * h
 		return counts
 	}
-	codes := make([]bitpack.Code, w)
-	var sublist []int
+	rows := rowEncoder{w: w}
 	var stats EncoderStats // discarded: the shared kernels require one
 	for y := 0; y < h; y++ {
-		sublist = rowSublist(labels, y, sublist, &stats)
-		if len(sublist) == 0 {
+		slot, _ := rows.classify(labels, y, frameIndex, &stats)
+		if slot < 0 {
 			counts[bitpack.CodeN] += w
 			continue
 		}
-		paintRowCodes(labels, sublist, codes, y, frameIndex, &stats)
-		for _, c := range codes {
+		for _, c := range rows.rows[slot].codes {
 			counts[c]++
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitpack"
 	"repro/internal/frame"
@@ -20,8 +21,12 @@ import (
 //     per-pixel loop;
 //   - once per row, the RoI Selector reduces the label list to the sublist
 //     whose y-range covers the row;
-//   - once per pixel, the Comparison Engine classifies the pixel into one of
-//     the four EncMask codes;
+//   - the Comparison Engine classifies each pixel of the row into one of
+//     the four EncMask codes — but only for rows that classify unlike every
+//     recently classified row of the frame (see rowEncoder): a row whose
+//     sublist, and each strided label's lattice phase, match a remembered
+//     row takes that row's codes instead, and rows with an empty sublist
+//     are not compared at all;
 //   - the Sampler forwards CodeR pixels to the packed output and the
 //     metadata generators count per-row offsets and append EncMask codes.
 //
@@ -38,10 +43,9 @@ type Encoder struct {
 	labels region.List // y-sorted; the "memory-mapped register" contents
 
 	// Per-frame streaming state.
-	cur      *EncodedFrame
-	row      int
-	rowCodes []bitpack.Code // scratch: classification of the current row
-	sublist  []int          // scratch: RoI Selector output (indices into labels)
+	cur  *EncodedFrame
+	row  int
+	rows rowEncoder // per-row pipeline and the rows it remembers this frame
 
 	pool *FramePool // optional frame recycling; nil means allocate fresh
 
@@ -64,6 +68,8 @@ type EncoderStats struct {
 	RoISelectorCompares int
 	// RegionPaintOps counts per-pixel classification writes while painting
 	// row sublist regions (proportional to regional coverage, not W·regions).
+	// A row that reuses a remembered row's classification is charged what
+	// painting it would have cost, so the count does not depend on reuse.
 	RegionPaintOps int
 	// RowsWithNoRegions counts rows where the RoI selector emitted an empty
 	// sublist and per-pixel comparison was skipped entirely.
@@ -75,13 +81,7 @@ func NewEncoder(w, h int, format frame.Format) *Encoder {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("core: invalid encoder dimensions %dx%d", w, h))
 	}
-	return &Encoder{
-		w:        w,
-		h:        h,
-		format:   format,
-		bpp:      formatBPP(format),
-		rowCodes: make([]bitpack.Code, w),
-	}
+	return &Encoder{w: w, h: h, format: format, bpp: formatBPP(format), rows: rowEncoder{w: w}}
 }
 
 // SetRegionLabels installs a capture workload. The list is validated,
@@ -93,6 +93,7 @@ func (e *Encoder) SetRegionLabels(ls region.List) error {
 		return err
 	}
 	e.labels = ls.Clone().SortByY()
+	e.rows.forget()
 	return nil
 }
 
@@ -119,6 +120,7 @@ func (e *Encoder) BeginFrame(frameIndex int) {
 	ef.RowOffsets = append(ef.RowOffsets, 0)
 	e.cur = ef
 	e.row = 0
+	e.rows.forget()
 }
 
 // PushRow consumes one raster line of w*bpp bytes. Rows must arrive in
@@ -135,24 +137,8 @@ func (e *Encoder) PushRow(line []byte) {
 		panic(fmt.Sprintf("core: row is %d bytes, want %d", len(line), e.w*e.bpp))
 	}
 	y := e.row
-	e.stats.RowsProcessed++
-	e.stats.PixelsIn += e.w
-
-	e.sublist = rowSublist(e.labels, y, e.sublist, &e.stats)
-	if len(e.sublist) == 0 {
-		// Entire row is non-regional: skip per-pixel comparison entirely
-		// (the paper's "the encoder saves work by skipping region
-		// comparison entirely for those rows where there are no regions").
-		e.stats.RowsWithNoRegions++
-		e.cur.RowOffsets = append(e.cur.RowOffsets, e.cur.RowOffsets[y])
-		e.row++
-		return
-	}
-
-	paintRowCodes(e.labels, e.sublist, e.rowCodes, y, e.cur.FrameIndex, &e.stats)
 	var count int
-	e.cur.Pix, count = sampleRow(e.rowCodes, line, e.bpp, e.cur.Mask, y*e.w, e.cur.Pix)
-	e.stats.PixelsOut += count
+	e.cur.Pix, count = e.rows.encodeRow(e.labels, y, e.cur.FrameIndex, line, e.bpp, e.cur.Mask, e.cur.Pix, &e.stats)
 	e.cur.RowOffsets = append(e.cur.RowOffsets, e.cur.RowOffsets[y]+uint32(count))
 	e.row++
 }
@@ -175,19 +161,19 @@ func (e *Encoder) EndFrame() *EncodedFrame {
 // rowSublist is the RoI Selector (§4.1) in function form: it fills dst with
 // the indices of labels whose y-range covers row y. The list must be
 // y-sorted, so scanning stops at the first label starting below the row. It
-// is shared by the sequential Encoder (the reference implementation) and the
-// row-band workers of ParallelEncoder; any change here changes both.
+// is shared, through rowEncoder, by the sequential Encoder, the row-band
+// workers of ParallelEncoder and CountCodes; any change here changes all
+// three.
 func rowSublist(labels region.List, y int, dst []int, stats *EncoderStats) []int {
 	dst = dst[:0]
-	for i, l := range labels {
-		stats.RoISelectorCompares++
-		if l.Y > y {
-			break
-		}
-		if l.RowInYRange(y) {
+	i := 0
+	for ; i < len(labels) && labels[i].Y <= y; i++ {
+		if labels[i].RowInYRange(y) {
 			dst = append(dst, i)
 		}
 	}
+	// One compare per label examined, the first label below the row included.
+	stats.RoISelectorCompares += min(i+1, len(labels))
 	return dst
 }
 
@@ -195,8 +181,7 @@ func rowSublist(labels region.List, y int, dst []int, stats *EncoderStats) []int
 // row y's classification into codes (length frame-width) from the sublist.
 // Painting per region interval costs O(sum of region widths) rather than
 // O(W x regions); the R/St lattice distinction is a strided store. Pixels
-// are classified with code precedence R > Sk > St > N. Shared by the
-// sequential and parallel encoders.
+// are classified with code precedence R > Sk > St > N.
 func paintRowCodes(labels region.List, sublist []int, codes []bitpack.Code, y, frameIndex int, stats *EncoderStats) {
 	clear(codes) // CodeN
 	for _, li := range sublist {
@@ -262,15 +247,9 @@ func raiseCodes(span []bitpack.Code, c bitpack.Code) {
 	}
 }
 
-// sampleRow is the Sampler and metadata generator (§4.1) in function form:
-// it writes row codes into mask at element maskBase (whose elements must
-// still be CodeN) and appends the row's CodeR pixels from line, bpp bytes
-// each, to pix — one copy per run of consecutive CodeR pixels. It returns
-// the extended payload and the number of pixels appended. Shared by the
-// sequential and parallel encoders.
-func sampleRow(codes []bitpack.Code, line []byte, bpp int, mask *bitpack.Mask2, maskBase int, pix []byte) ([]byte, int) {
-	mask.WriteRow(maskBase, codes)
-	count := 0
+// appendRRuns is the Sampler's run finder: it appends the [x0, x1) column
+// range of every run of consecutive CodeR codes to runs.
+func appendRRuns(runs []int, codes []bitpack.Code) []int {
 	for x := 0; x < len(codes); {
 		if len(codes)-x >= 8 {
 			if v := loadCodes(codes[x:]); v&(v>>1)&laneBit0 == 0 { // no R among eight
@@ -289,11 +268,131 @@ func sampleRow(codes []bitpack.Code, line []byte, bpp int, mask *bitpack.Mask2, 
 		for end < len(codes) && codes[end] == bitpack.CodeR {
 			end++
 		}
-		pix = append(pix, line[x*bpp:end*bpp]...)
-		count += end - x
+		runs = append(runs, x, end)
 		x = end
 	}
-	return pix, count
+	return runs
+}
+
+// rowMemoDepth is how many classified rows a rowEncoder remembers. A
+// strided label alternates the rows it covers between on and off its
+// vertical lattice, so the last row that classified alike lies up to
+// Stride rows above rather than one: remembering only the previous row
+// would miss every row under an active stride-2 label, and
+// region.MaxStride rows let rows under labels of every stride reuse.
+const rowMemoDepth = region.MaxStride
+
+// rowEncoder is the encoder's per-row pipeline — RoI Selector, Comparison
+// Engine and Sampler — shared by the sequential Encoder, each band worker of
+// ParallelEncoder and CountCodes. It remembers the last rowMemoDepth rows
+// it classified since forget. Within one frame, a row's codes are fixed by
+// its sublist and, for each label in it, whether the label skips the frame,
+// strides the row out (an active strided label off its vertical lattice)
+// or samples its lattice columns; labels are rectangles, so most rows
+// repeat one of the rows above. Such a row takes the remembered row's codes
+// and replays its R runs against the new line, with no painting, packing
+// or run scan.
+type rowEncoder struct {
+	w       int
+	sublist []int // RoI Selector output (indices into labels)
+	key     []int // the current row's classification key (see classify)
+	rows    [rowMemoDepth]classifiedRow
+	n, next int // rows remembered; the slot the next new row overwrites
+}
+
+// classifiedRow is one remembered row of the current frame.
+type classifiedRow struct {
+	y        int            // the row it was painted on
+	key      []int          // per sublist label: index<<1 | strided-out bit
+	codes    []bitpack.Code // its EncMask codes, one per pixel
+	runs     []int          // its R runs as [x0, x1) column pairs
+	count    int            // its R pixels
+	paintOps int            // RegionPaintOps painting it cost
+}
+
+// forget drops the remembered rows: a new frame can change which labels
+// are active, and a new label list renumbers the sublist.
+func (s *rowEncoder) forget() { s.n, s.next = 0, 0 }
+
+// classify runs the RoI Selector on row y and returns the slot of s.rows
+// holding the row's classification: a remembered row that classifies
+// alike (hit), or the oldest slot, painted afresh, whose runs and count
+// the caller must then fill in. It returns -1 when no label covers the row.
+// RoISelectorCompares, RegionPaintOps and RowsWithNoRegions are charged
+// to stats, the same on a hit as on a miss.
+func (s *rowEncoder) classify(labels region.List, y, frameIndex int, stats *EncoderStats) (slot int, hit bool) {
+	s.sublist = rowSublist(labels, y, s.sublist, stats)
+	if len(s.sublist) == 0 {
+		// Entire row is non-regional: skip per-pixel comparison entirely
+		// (the paper's "the encoder saves work by skipping region
+		// comparison entirely for those rows where there are no regions").
+		stats.RowsWithNoRegions++
+		return -1, false
+	}
+	s.key = s.key[:0]
+	for _, li := range s.sublist {
+		l := labels[li]
+		off := 0
+		if l.Stride > 1 && (y-l.Y)%l.Stride != 0 && l.ActiveAt(frameIndex) {
+			off = 1
+		}
+		s.key = append(s.key, li<<1|off)
+	}
+	for i := 1; i <= s.n; i++ { // newest first
+		slot = (s.next - i + rowMemoDepth) % rowMemoDepth
+		if r := &s.rows[slot]; slices.Equal(r.key, s.key) {
+			stats.RegionPaintOps += r.paintOps
+			return slot, true
+		}
+	}
+	slot = s.next
+	s.next = (s.next + 1) % rowMemoDepth
+	s.n = min(s.n+1, rowMemoDepth)
+	r := &s.rows[slot]
+	r.key, s.key = s.key, r.key
+	if len(r.codes) != s.w {
+		r.codes = make([]bitpack.Code, s.w)
+	}
+	ops := stats.RegionPaintOps
+	paintRowCodes(labels, s.sublist, r.codes, y, frameIndex, stats)
+	r.y, r.paintOps = y, stats.RegionPaintOps-ops
+	return slot, false
+}
+
+// encodeRow streams row y, of pixels line (bpp bytes each), through the
+// pipeline: it writes the row's codes into mask, whose row elements must
+// still be CodeN, and appends its CodeR pixels to pix — one copy per R run.
+// It returns the extended payload and the number of pixels appended. A
+// reused row on a frame whose rows start on mask bytes (w a multiple of 4)
+// copies the remembered row's mask bytes; on other widths it packs the
+// remembered codes.
+func (s *rowEncoder) encodeRow(labels region.List, y, frameIndex int, line []byte, bpp int, mask *bitpack.Mask2, pix []byte, stats *EncoderStats) ([]byte, int) {
+	stats.RowsProcessed++
+	stats.PixelsIn += s.w
+	slot, hit := s.classify(labels, y, frameIndex, stats)
+	if slot < 0 {
+		return pix, 0
+	}
+	r := &s.rows[slot]
+	switch {
+	case !hit:
+		mask.WriteRow(y*s.w, r.codes)
+		r.runs = appendRRuns(r.runs[:0], r.codes)
+		r.count = 0
+		for i := 0; i < len(r.runs); i += 2 {
+			r.count += r.runs[i+1] - r.runs[i]
+		}
+	case s.w&3 == 0:
+		b, n := mask.Bytes(), s.w>>2
+		copy(b[y*n:(y+1)*n], b[r.y*n:(r.y+1)*n])
+	default:
+		mask.WriteRow(y*s.w, r.codes)
+	}
+	for i := 0; i < len(r.runs); i += 2 {
+		pix = append(pix, line[r.runs[i]*bpp:r.runs[i+1]*bpp]...)
+	}
+	stats.PixelsOut += r.count
+	return pix, r.count
 }
 
 // EncodeFrame streams an entire frame through the encoder and returns the

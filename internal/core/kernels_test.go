@@ -53,14 +53,24 @@ func (s *byteSource) intn(n int) int {
 	return int(b) % n
 }
 
-// genKernelCase maps bytes to a workload: widths 1-67 (most not a multiple
-// of 4, so mask bytes straddle rows), heights 1-40, Gray8 or RGB24, history
-// depth 1-5 and up to 7 frames. Label cases draw up to five overlapping
-// labels per list with strides 1-8 and skips 1-4 at any phase, half of them
-// snapped to a 4-pixel grid so uniform mask bytes and uniform history bytes
-// occur; lists change between frames. Raw-mask cases skip the encoder and
-// build frames from runs of uniform and random mask bytes, reaching byte
-// combinations no label list produces.
+// genKernelCase maps bytes to a workload: widths 1-67, or a multiple of 4
+// up to 64 about as often (mask rows then start on bytes, and the encoder
+// and PMMU reuse whole rows; otherwise mask bytes straddle rows), heights
+// 1-40, Gray8 or RGB24, history depth 1-5 and up to 7 frames. Label cases
+// draw up to five overlapping labels per list with strides 1-8 and skips
+// 1-4 at any phase, half of them snapped to a 4-pixel grid so uniform mask
+// bytes and uniform history bytes occur; lists change between frames.
+// Raw-mask cases skip the encoder and build frames from runs of uniform and
+// random mask bytes, reaching byte combinations no label list produces.
+//
+// Committed fuzz inputs rely on the byte draws keeping their order and
+// meaning (a first byte below 67 draws the width it always has), so the
+// row-reuse extras draw no bytes: they are up to three more frames from a
+// second generator seeded from the input's hash. In label cases, some
+// strided labels of a new list gain a twin at another lattice phase over
+// the same rows. In raw cases, most extra frames copy rows over later rows
+// by one pattern the case draws, so the same mask rows recur at different
+// row offsets, in some frames of the history but not in others.
 func genKernelCase(data []byte) kernelCase {
 	s := &byteSource{data: data}
 	h64 := fnv.New64a()
@@ -69,10 +79,13 @@ func genKernelCase(data []byte) kernelCase {
 	rng := rand.New(rand.NewSource(seed))
 
 	c := kernelCase{
-		w:     1 + s.intn(67),
+		w:     1 + s.intn(100),
 		h:     1 + s.intn(40),
 		depth: 1 + s.intn(5),
 		seed:  seed,
+	}
+	if c.w > 67 {
+		c.w = 4 * (1 + (c.w-68)%16)
 	}
 	c.format = frame.Gray8
 	if s.intn(2) == 1 {
@@ -87,7 +100,7 @@ func genKernelCase(data []byte) kernelCase {
 		} else {
 			kf.pix = genFrame(rng, c.w, c.h, c.format)
 			if fi == 0 || s.intn(3) == 0 {
-				kf.labels = genKernelLabels(s, c.w, c.h)
+				kf.labels = genKernelLabels(s, nil, c.w, c.h)
 			}
 		}
 		c.frames = append(c.frames, kf)
@@ -96,11 +109,39 @@ func genKernelCase(data []byte) kernelCase {
 		x0, y0 := s.intn(c.w), s.intn(c.h)
 		c.windows = append(c.windows, [4]int{x0, y0, 1 + s.intn(c.w-x0), 1 + s.intn(c.h-y0)})
 	}
+
+	extra := rand.New(rand.NewSource(^seed))
+	copies := make([]int, c.h) // per row, the row it copies, or -1
+	for y := range copies {
+		copies[y] = -1
+		if y > 0 && extra.Intn(3) != 0 {
+			copies[y] = y - 1 - extra.Intn(min(y, region.MaxStride+1))
+		}
+	}
+	for n := extra.Intn(4); n > 0; n-- {
+		xs := &byteSource{data: make([]byte, 1024)}
+		extra.Read(xs.data)
+		fi := len(c.frames)
+		var kf kernelFrame
+		if raw {
+			kf.raw = genRawFrame(xs, extra, c.w, c.h, formatBPP(c.format), fi)
+			if extra.Intn(4) != 0 {
+				copyRows(extra, kf.raw, copies)
+			}
+		} else {
+			kf.pix = genFrame(extra, c.w, c.h, c.format)
+			if extra.Intn(2) == 0 {
+				kf.labels = genKernelLabels(xs, extra, c.w, c.h)
+			}
+		}
+		c.frames = append(c.frames, kf)
+	}
 	return c
 }
 
 // genKernelLabels draws a label list (possibly empty) over a w x h frame.
-func genKernelLabels(s *byteSource, w, h int) region.List {
+// With twins non-nil, it also decides which strided labels get a twin.
+func genKernelLabels(s *byteSource, twins *rand.Rand, w, h int) region.List {
 	ls := region.List{} // non-nil: an empty list still replaces the previous
 	for n := s.intn(6); n > 0; n-- {
 		l := region.Label{
@@ -114,6 +155,16 @@ func genKernelLabels(s *byteSource, w, h int) region.List {
 		}
 		if clipped, ok := region.Clip(l, w, h); ok {
 			ls = append(ls, clipped)
+		}
+		if twins != nil && l.Stride > 1 && twins.Intn(2) == 0 {
+			// A twin over the same rows, one to Stride-1 rows off the
+			// original's lattice, sampled on the same frames: rows with the
+			// same sublist then differ only in lattice phase.
+			l.Y += 1 + twins.Intn(l.Stride-1)
+			l.X = twins.Intn(w)
+			if clipped, ok := region.Clip(l, w, h); ok {
+				ls = append(ls, clipped)
+			}
 		}
 	}
 	return ls
@@ -151,12 +202,35 @@ func genRawFrame(s *byteSource, rng *rand.Rand, w, h, bpp, frameIndex int) *Enco
 	return ef
 }
 
+// copyRows gives each row y of a raw frame with copies[y] >= 0 the codes of
+// row copies[y] (rows are copied top down, so a copy of a copy is a copy),
+// then recomputes RowOffsets and trims or extends (from rng) the payload to
+// the new R count.
+func copyRows(rng *rand.Rand, ef *EncodedFrame, copies []int) {
+	w := ef.W
+	for y, src := range copies {
+		for x := 0; src >= 0 && x < w; x++ {
+			ef.Mask.Set(y*w+x, ef.Mask.Get(src*w+x))
+		}
+	}
+	for y := 0; y < ef.H; y++ {
+		ef.RowOffsets[y+1] = ef.RowOffsets[y] + uint32(ef.Mask.CountRRange(y*w, (y+1)*w))
+	}
+	n := int(ef.RowOffsets[ef.H]) * ef.BytesPerPixel
+	if grow := n - len(ef.Pix); grow > 0 {
+		ef.Pix = append(ef.Pix, make([]byte, grow)...)
+		rng.Read(ef.Pix[n-grow:])
+	}
+	ef.Pix = ef.Pix[:n]
+}
+
 // serialize returns an encoded frame's RPXE container bytes.
 func serialize(ef *EncodedFrame) []byte { return ef.AppendTo(nil) }
 
 // checkKernels runs one case through the production kernels and the
 // oracle and fails on the first difference: containers and EncoderStats of
-// the sequential and parallel encoders, decoded full frames and windows at
+// the sequential and parallel encoders, CountCodes against the encoded
+// mask's code histogram, decoded full frames and windows at
 // decode parallelism 1-3 with their DecoderStats, and the sub-requests and
 // PMMUStats of every row translated whole and as a sub-run.
 func checkKernels(t *testing.T, c kernelCase) {
@@ -203,6 +277,9 @@ func checkKernels(t *testing.T, c kernelCase) {
 			}
 			if seq.Stats() != ref.stats {
 				t.Fatalf("%s: EncoderStats %+v, reference %+v", tag("encode"), seq.Stats(), ref.stats)
+			}
+			if counts, hist := CountCodes(c.w, c.h, fi, seq.Labels()), want.Mask.Histogram(); counts != hist {
+				t.Fatalf("%s: CountCodes %v, encoded mask holds %v", tag("encode"), counts, hist)
 			}
 			for _, p := range pars {
 				pf, err := p.EncodeFrame(kf.pix, fi)

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/bitpack"
 	"repro/internal/frame"
 	"repro/internal/region"
 )
@@ -13,7 +12,8 @@ import (
 // This file implements the row-sharded parallel encode path. The paper's
 // encoder is a spatially streaming block whose per-row work — RoI sublist
 // selection, per-pixel classification, packing — depends only on the row
-// index, the label list, and the frame index, never on other rows. That
+// index, the label list, and the frame index, never on other rows (reusing
+// an earlier row's classification is a shortcut to the same result). That
 // makes row bands the natural parallel decomposition: each worker encodes a
 // contiguous band into private buffers, and a cheap sequential stitch
 // prefix-sums the per-row pixel counts into the global RowOffsets table.
@@ -51,11 +51,10 @@ type ParallelEncoder struct {
 // encodeWorker holds one band worker's reusable scratch, so steady-state
 // encoding allocates only the output frame.
 type encodeWorker struct {
-	rowCodes []bitpack.Code
-	sublist  []int
-	payload  []byte   // packed CodeR pixels of the band, raster order
-	counts   []uint32 // per-row CodeR pixel counts within the band
-	stats    EncoderStats
+	rows    rowEncoder // reuses rows within the band only
+	payload []byte     // packed CodeR pixels of the band, raster order
+	counts  []uint32   // per-row CodeR pixel counts within the band
+	stats   EncoderStats
 }
 
 // NewParallelEncoder returns an encoder for w x h frames of the given
@@ -79,7 +78,7 @@ func NewParallelEncoder(w, h int, format frame.Format, n int) *ParallelEncoder {
 	}
 	p.workers = make([]*encodeWorker, len(p.bands))
 	for i := range p.workers {
-		p.workers[i] = &encodeWorker{rowCodes: make([]bitpack.Code, w)}
+		p.workers[i] = &encodeWorker{rows: rowEncoder{w: w}}
 	}
 	return p
 }
@@ -189,10 +188,11 @@ func (p *ParallelEncoder) EncodeFrame(fr *frame.Frame, frameIndex int) (*Encoded
 	return ef, nil
 }
 
-// encodeBand runs the sequential per-row pipeline — RoI sublist, paint,
-// sample — over rows [y0, y1), packing into the worker's private payload
-// and writing mask codes into the band's exclusively owned byte range of
-// the shared EncMask.
+// encodeBand runs the sequential per-row pipeline over rows [y0, y1),
+// packing into the worker's private payload and writing mask codes into the
+// band's exclusively owned byte range of the shared EncMask. The band
+// remembers only its own rows, so a reused row copies mask bytes the same
+// worker wrote.
 func (p *ParallelEncoder) encodeBand(w *encodeWorker, fr *frame.Frame, ef *EncodedFrame, frameIndex, y0, y1, stride int) {
 	w.payload = w.payload[:0]
 	if cap(w.counts) < y1-y0 {
@@ -201,21 +201,11 @@ func (p *ParallelEncoder) encodeBand(w *encodeWorker, fr *frame.Frame, ef *Encod
 		w.counts = w.counts[:y1-y0]
 	}
 	w.stats = EncoderStats{}
+	w.rows.forget()
 
 	for y := y0; y < y1; y++ {
-		w.stats.RowsProcessed++
-		w.stats.PixelsIn += p.w
-		w.sublist = rowSublist(p.labels, y, w.sublist, &w.stats)
-		if len(w.sublist) == 0 {
-			w.stats.RowsWithNoRegions++
-			w.counts[y-y0] = 0
-			continue
-		}
-		paintRowCodes(p.labels, w.sublist, w.rowCodes, y, frameIndex, &w.stats)
-
 		var count int
-		w.payload, count = sampleRow(w.rowCodes, fr.Pix[y*stride:(y+1)*stride], p.bpp, ef.Mask, y*p.w, w.payload)
-		w.stats.PixelsOut += count
+		w.payload, count = w.rows.encodeRow(p.labels, y, frameIndex, fr.Pix[y*stride:(y+1)*stride], p.bpp, ef.Mask, w.payload, &w.stats)
 		w.counts[y-y0] = uint32(count)
 	}
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bitpack"
+	"repro/internal/region"
 )
 
 // This file implements the Pixel Memory Management Unit (§4.2.1): the
@@ -41,6 +44,10 @@ type SubRequest struct {
 
 // PMMU translates decoded-space pixel transactions against a window of
 // recent encoded frames. Frame tag 0 is the newest frame.
+//
+// A PMMU caches its recent whole-row translations, which are valid only
+// for the history window it was given: the window, and the frames in it,
+// must not change while the PMMU is in use.
 type PMMU struct {
 	history []*EncodedFrame // newest first; the Metadata Scratchpad contents
 	base    uint64          // decoded framebuffer base address (Out-of-Frame handler)
@@ -50,7 +57,25 @@ type PMMU struct {
 	cursors        []rCursor    // one per history frame
 	subs           []SubRequest // translateRow's result buffer
 
+	// The last rowCacheDepth whole-row translations (see replayRow); slot
+	// next is overwritten next, and cached slots hold a translation.
+	rows         [rowCacheDepth]translatedRow
+	cached, next int
+
 	stats PMMUStats
+}
+
+// rowCacheDepth is how many whole-row translations a PMMU keeps. Rows
+// under a strided label repeat at the label's stride, so region.MaxStride
+// rows cover every lattice.
+const rowCacheDepth = region.MaxStride
+
+// translatedRow is one cached whole-row translation.
+type translatedRow struct {
+	y    int
+	subs []SubRequest
+	// subRequests and metaBits are the PMMUStats the translation charged.
+	subRequests, metaBits int
 }
 
 // PMMUStats counts translation work.
@@ -74,15 +99,18 @@ type PMMUStats struct {
 }
 
 // NewPMMU returns a PMMU over the given history window (newest first) with
-// the decoded framebuffer mapped at base.
+// the decoded framebuffer mapped at base. Neither the slice nor the frames
+// it holds may change while the PMMU is in use; translate against a new
+// window with a new PMMU.
 func NewPMMU(history []*EncodedFrame, base uint64) *PMMU {
 	return &PMMU{history: history, base: base}
 }
 
-// reset points the PMMU at a new history window with zeroed counters,
-// keeping its translation buffers.
+// reset points the PMMU at a new history window with zeroed counters and
+// no cached rows, keeping its translation buffers.
 func (p *PMMU) reset(history []*EncodedFrame) {
 	p.history, p.stats = history, PMMUStats{}
+	p.cached, p.next = 0, 0
 }
 
 // Stats returns the accumulated counters.
@@ -168,11 +196,19 @@ type rCursor struct{ at, count int }
 // of the run — is translated pixel by pixel. Every path charges
 // MetadataBitsRead exactly as a per-pixel walk does, so the statistics do
 // not depend on which path a pixel took.
+//
+// A whole row of a frame whose rows start on mask bytes (W a multiple of
+// 4) is first looked up in the row cache, and a row that misses is cached.
 func (p *PMMU) translateRow(y, x0, x1 int) ([]SubRequest, error) {
 	f := p.newest()
 	if y < 0 || y >= f.H || x0 < 0 || x1 > f.W || x0 >= x1 {
 		return nil, fmt.Errorf("core: run [%d,%d) of row %d outside %dx%d frame", x0, x1, y, f.W, f.H)
 	}
+	whole := x0 == 0 && x1 == f.W && f.W&3 == 0
+	if whole && p.replayRow(y) {
+		return p.subs, nil
+	}
+	subs0, bits0 := p.stats.SubRequests, p.stats.MetadataBitsRead
 	p.y, p.rowBase, p.x0 = y, y*f.W, x0
 	p.subs = p.subs[:0]
 	if len(p.cursors) != len(p.history) {
@@ -188,6 +224,9 @@ func (p *PMMU) translateRow(y, x0, x1 int) ([]SubRequest, error) {
 			switch b := maskBytes[i>>2]; b {
 			case 0x00, 0xFF, 0x55: // N N N N, R R R R, St St St St
 				n := 4
+				for word := uint64(b) * 0x0101010101010101; x+n+32 <= x1 && binary.LittleEndian.Uint64(maskBytes[(i+n)>>2:]) == word; {
+					n += 32 // eight bytes a step
+				}
 				for x+n+4 <= x1 && maskBytes[(i+n)>>2] == b {
 					n += 4
 				}
@@ -211,7 +250,70 @@ func (p *PMMU) translateRow(y, x0, x1 int) ([]SubRequest, error) {
 		p.translatePixel(x)
 		x++
 	}
+	if whole {
+		return p.cacheRow(y, p.stats.SubRequests-subs0, p.stats.MetadataBitsRead-bits0), nil
+	}
 	return p.subs, nil
+}
+
+// replayRow translates whole row y from the row cache into p.subs, if a
+// cached row's mask bytes equal row y's in every history frame, and reports
+// whether it did. A row's translation reads nothing but its own mask bytes
+// in each history frame and each frame's offset for the row, so such a row
+// translates exactly like the cached one once each fetch's EncIndex is
+// shifted by its source frame's offset difference between the two rows;
+// the stats it charges are the cached row's. The frames must have
+// whole-byte rows.
+func (p *PMMU) replayRow(y int) bool {
+	n := p.newest().W >> 2
+	for i := 1; i <= p.cached; i++ { // newest first
+		r := &p.rows[(p.next-i+rowCacheDepth)%rowCacheDepth]
+		if !p.sameMaskRows(y, r.y, n) {
+			continue
+		}
+		p.subs = append(p.subs[:0], r.subs...)
+		for k := range p.subs {
+			s := &p.subs[k]
+			s.Y = y
+			if s.Source != SourceNone {
+				ro := p.history[s.Source].RowOffsets
+				s.EncIndex += int(ro[y]) - int(ro[r.y])
+			}
+		}
+		p.stats.SubRequests += r.subRequests
+		p.stats.MetadataBitsRead += r.metaBits
+		return true
+	}
+	return false
+}
+
+// sameMaskRows reports whether rows y and y2, n mask bytes each, hold the
+// same bytes in every history frame. Rows with different R counts in the
+// newest frame are told apart from its row offsets alone.
+func (p *PMMU) sameMaskRows(y, y2, n int) bool {
+	if ro := p.newest().RowOffsets; ro[y+1]-ro[y] != ro[y2+1]-ro[y2] {
+		return false
+	}
+	for _, f := range p.history {
+		b := f.Mask.Bytes()
+		if !bytes.Equal(b[y*n:(y+1)*n], b[y2*n:(y2+1)*n]) {
+			return false
+		}
+	}
+	return true
+}
+
+// cacheRow caches row y's translation, just left in p.subs, with the stats
+// it charged, in place of the oldest cached row, and returns it. The
+// translation changes hands rather than being copied: p.subs takes the
+// evicted row's buffer, so it never shares storage with a cached row.
+func (p *PMMU) cacheRow(y, subRequests, metaBits int) []SubRequest {
+	r := &p.rows[p.next]
+	p.next = (p.next + 1) % rowCacheDepth
+	p.cached = min(p.cached+1, rowCacheDepth)
+	r.y, r.subRequests, r.metaBits = y, subRequests, metaBits
+	r.subs, p.subs = p.subs, r.subs[:0]
+	return r.subs
 }
 
 // rBefore returns the number of R codes before column x in row p.y of

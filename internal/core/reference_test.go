@@ -18,9 +18,9 @@ import (
 // differential suites cannot catch a kernel bug, because both sides of
 // those comparisons run the production kernels.
 
-// refEncoder is the per-pixel reference encoder: the RoI Selector is the
-// shared rowSublist (unchanged), the Comparison Engine and Sampler are the
-// per-pixel originals.
+// refEncoder is the per-pixel reference encoder: the RoI Selector, the
+// Comparison Engine and the Sampler are the label-by-label and per-pixel
+// originals.
 type refEncoder struct {
 	w, h     int
 	bpp      int
@@ -53,7 +53,7 @@ func (e *refEncoder) encodeFrame(fr *frame.Frame, frameIndex int) *EncodedFrame 
 		e.stats.RowsProcessed++
 		e.stats.PixelsIn += e.w
 
-		e.sublist = rowSublist(e.labels, y, e.sublist, &e.stats)
+		e.sublist = refRowSublist(e.labels, y, e.sublist, &e.stats)
 
 		maskBase := y * e.w
 		if len(e.sublist) == 0 {
@@ -82,6 +82,22 @@ func (e *refEncoder) encodeFrame(fr *frame.Frame, frameIndex int) *EncodedFrame 
 	}
 	e.stats.FramesEncoded++
 	return cur
+}
+
+// refRowSublist is the RoI Selector examining labels one at a time,
+// charging RoISelectorCompares per label as it goes.
+func refRowSublist(labels region.List, y int, dst []int, stats *EncoderStats) []int {
+	dst = dst[:0]
+	for i, l := range labels {
+		stats.RoISelectorCompares++
+		if l.Y > y {
+			break
+		}
+		if l.RowInYRange(y) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 // refPaintRowCodes is the per-pixel Comparison Engine, charging one

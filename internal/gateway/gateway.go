@@ -508,8 +508,11 @@ func (g *Gateway) handle(conn net.Conn) {
 				return
 			}
 		}
-		if typ == 0 {
-			continue // stream ended cleanly, nothing pending
+		if typ == 0 || wire.IsStreamMessage(typ) {
+			// The stream ended cleanly with nothing pending, or a stream
+			// message outlived its stream: the backend would send no reply
+			// to it, so it is not forwarded.
+			continue
 		}
 		start := time.Now()
 		rtyp, rpayload := s.roundTrip(typ, payload)

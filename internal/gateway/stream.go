@@ -174,9 +174,10 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, cbuf *[]byt
 		}
 	}()
 
-	// Upstream loop: client→backend for CREDIT and UNSUBSCRIBE. Any client
-	// message that arrives after the stream ended server-side is handed
-	// back to the request/reply loop.
+	// Upstream loop: client→backend for CREDIT, UNSUBSCRIBE and
+	// STREAM_LABELS. Any client message that arrives after the stream ended
+	// server-side is handed back to the request/reply loop, which drops
+	// stream messages.
 	for {
 		g.armRead(conn)
 		typ, payload, err := wire.ReadMessageInto(cbr, cbuf, g.cfg.MaxPayload)
@@ -196,11 +197,10 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, cbuf *[]byt
 		}
 		s.mu.Lock()
 		bc := s.bconn
-		// Once the terminal message is relayed, anything but a stream
-		// message is the client's next request; forwarding it into the
-		// finished stream would lose it.
-		next := ended && typ != wire.MsgCredit && typ != wire.MsgUnsubscribe && typ != wire.MsgStreamLabels
-		if bc == nil || next {
+		// Once the terminal message is relayed, the stream is over on the
+		// backend too: forwarding a request into it would lose it, and a
+		// stream message would draw a reply nobody reads.
+		if bc == nil || ended {
 			// The stream ended between the pump's teardown and our check.
 			s.mu.Unlock()
 			<-pumpDone

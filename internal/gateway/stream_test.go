@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"testing"
+	"time"
 
 	"repro/internal/gateway"
 	"repro/internal/wire"
@@ -252,4 +254,52 @@ func TestGatewayStreamBackendKill(t *testing.T) {
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGatewayDropsStreamMessagesOutsideStream: a CREDIT, STREAM_LABELS or
+// UNSUBSCRIBE that reaches the gateway after the stream's UNSUBSCRIBE ack
+// is dropped, not relayed as a request — the backend sends no reply to it —
+// so the next request/reply call reads its own reply.
+func TestGatewayDropsStreamMessagesOutsideStream(t *testing.T) {
+	b := startBackend(t)
+	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send := func(typ byte, payload []byte) {
+		t.Helper()
+		if err := wire.WriteMessage(conn, typ, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(want byte) []byte {
+		t.Helper()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		typ, payload, err := wire.ReadMessage(conn, 0)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if typ != want {
+			re, _ := wire.UnmarshalError(payload)
+			t.Fatalf("got message type %d (%v), want %d", typ, re, want)
+		}
+		return payload
+	}
+	send(wire.MsgHello, wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: rpx.Gray8}))
+	expect(wire.MsgHelloAck)
+	send(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{Credit: 4, Batch: 1}))
+	ack, err := wire.UnmarshalSubscribeAck(expect(wire.MsgSubscribeAck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
+	expect(wire.MsgAck)
+
+	send(wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: ack.SubID, N: 1}))
+	send(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{SubID: ack.SubID, Labels: rpx.RegionList{{W: 4, H: 4, Stride: 1, Skip: 1}}}))
+	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
+	send(wire.MsgStats, nil)
+	expect(wire.MsgStatsAck)
 }

@@ -190,7 +190,7 @@ func TestHotPathAllocs(t *testing.T) {
 	g := r.Gauge("test_hot_depth", "h")
 	h := r.Histogram("test_hot_seconds", "h", L("op", "capture"))
 	tr := NewTracer(64)
-	span := Span{Session: 1, Frame: 2, Op: SpanPack, Start: 100, Dur: 5, Bytes: 64}
+	span := Span{Session: 1, Frame: 2, Op: SpanEncode, Start: 100, Dur: 5, Bytes: 64}
 
 	if n := testing.AllocsPerRun(200, func() { c.Add(3) }); n != 0 {
 		t.Errorf("Counter.Add allocates %v per op", n)

@@ -6,13 +6,15 @@ import (
 	"sync"
 )
 
-// Frame-path span operations, in pipeline order: region-label commit at the
-// frame boundary, encoder packing, decoder history push, and decode.
+// Frame-path span operations, in pipeline order: the driver's commit of
+// pending region-label writes at the frame boundary, the encode
+// (classification and packing, which run interleaved row by row), the
+// decoder history push, and decode.
 const (
-	SpanClassify = "classify"
-	SpanPack     = "pack"
-	SpanPush     = "push"
-	SpanDecode   = "decode"
+	SpanCommit = "commit"
+	SpanEncode = "encode"
+	SpanPush   = "push"
+	SpanDecode = "decode"
 )
 
 // Span is one recorded step of a frame's journey through the pipeline.
@@ -22,14 +24,14 @@ type Span struct {
 	Session uint64 `json:"session"`
 	// Frame is the temporal index of the frame the span belongs to.
 	Frame int `json:"frame"`
-	// Op is the pipeline step (SpanClassify, SpanPack, SpanPush, SpanDecode).
+	// Op is the pipeline step (SpanCommit, SpanEncode, SpanPush, SpanDecode).
 	Op string `json:"op"`
 	// Start is the wall-clock start in Unix nanoseconds.
 	Start int64 `json:"start_unix_ns"`
 	// Dur is the step latency in nanoseconds.
 	Dur int64 `json:"dur_ns"`
 	// Bytes is the payload traffic of the step: encoded bytes written for
-	// pack, encoded bytes fetched for decode, 0 otherwise.
+	// encode, encoded bytes fetched for decode, 0 otherwise.
 	Bytes int `json:"bytes"`
 }
 

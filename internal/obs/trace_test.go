@@ -10,7 +10,7 @@ import (
 func TestTracerRingWraps(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 6; i++ {
-		tr.Record(Span{Frame: i, Op: SpanPack})
+		tr.Record(Span{Frame: i, Op: SpanEncode})
 	}
 	if tr.Total() != 6 {
 		t.Errorf("Total = %d, want 6", tr.Total())
@@ -28,10 +28,10 @@ func TestTracerRingWraps(t *testing.T) {
 
 func TestTracerPartialFill(t *testing.T) {
 	tr := NewTracer(8)
-	tr.Record(Span{Frame: 0, Op: SpanClassify})
-	tr.Record(Span{Frame: 0, Op: SpanPack, Bytes: 128})
+	tr.Record(Span{Frame: 0, Op: SpanCommit})
+	tr.Record(Span{Frame: 0, Op: SpanEncode, Bytes: 128})
 	spans := tr.Snapshot()
-	if len(spans) != 2 || spans[0].Op != SpanClassify || spans[1].Bytes != 128 {
+	if len(spans) != 2 || spans[0].Op != SpanCommit || spans[1].Bytes != 128 {
 		t.Errorf("snapshot = %+v", spans)
 	}
 }

@@ -274,6 +274,9 @@ func (s *TCPServer) handle(conn net.Conn) {
 			}
 			continue
 		}
+		if wire.IsStreamMessage(typ) {
+			continue // its stream already ended; it gets no reply
+		}
 		if done := s.serveMsg(sess, cw, typ, payload, hello, frameBytes); done {
 			return
 		}

@@ -262,3 +262,34 @@ func TestTCPIdleSessionEvicted(t *testing.T) {
 		t.Fatalf("SessionsEvicted = %d, want 1", got)
 	}
 }
+
+// TestTCPDropsStreamMessagesOutsideStream: a CREDIT, STREAM_LABELS or
+// UNSUBSCRIBE that arrives after the stream's UNSUBSCRIBE ack — a Grant or
+// SetLabels racing Stream.Close — is dropped without a reply, so the next
+// request/reply call reads its own reply rather than an ERROR for the stale
+// stream message.
+func TestTCPDropsStreamMessagesOutsideStream(t *testing.T) {
+	_, addr := startTestServer(t, Config{}, TCPConfig{})
+	conn := dialRaw(t, addr)
+	send := func(typ byte, payload []byte) {
+		t.Helper()
+		if err := wire.WriteMessage(conn, typ, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(wire.MsgHello, wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8}))
+	readExpect(t, conn, wire.MsgHelloAck)
+	send(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{Credit: 4, Batch: 1}))
+	ack, err := wire.UnmarshalSubscribeAck(readExpect(t, conn, wire.MsgSubscribeAck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
+	readExpect(t, conn, wire.MsgAck)
+
+	send(wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: ack.SubID, N: 1}))
+	send(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{SubID: ack.SubID, Labels: region.List{{W: 4, H: 4, Stride: 1, Skip: 1}}}))
+	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
+	send(wire.MsgStats, nil)
+	readExpect(t, conn, wire.MsgStatsAck)
+}

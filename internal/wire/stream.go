@@ -27,6 +27,16 @@ const (
 	MaxBatch = 64
 )
 
+// IsStreamMessage reports whether typ is one of the client messages that
+// belong to an open push stream — CREDIT, UNSUBSCRIBE and STREAM_LABELS.
+// None of them draws a reply outside the stream, so a server that receives
+// one after its stream ended (a credit grant or label update racing the
+// stream's close) drops it: answering would hand the client a reply to a
+// call it has not made yet.
+func IsStreamMessage(typ byte) bool {
+	return typ == MsgCredit || typ == MsgUnsubscribe || typ == MsgStreamLabels
+}
+
 // Subscribe opens a push subscription.
 type Subscribe struct {
 	// Target selects the session whose encoded-frame stream to attach to:

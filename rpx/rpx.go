@@ -266,7 +266,9 @@ func (s *System) FrameIndex() int { return s.frameIndex }
 // Capture streams a frame through the encoder into the framebuffer and
 // makes it the decoder's newest frame. Pending SetRegionLabels writes are
 // committed at this frame boundary. When a tracer is attached, the three
-// capture-side frame-path spans (classify, pack, push) are recorded.
+// capture-side frame-path spans are recorded: commit (the label registers'
+// commit), encode (classification and packing, carrying the encoded bytes)
+// and push (the decoder history push).
 func (s *System) Capture(fr *Frame) (CaptureStats, error) {
 	var t0 time.Time
 	if s.tracer != nil {
@@ -275,12 +277,12 @@ func (s *System) Capture(fr *Frame) (CaptureStats, error) {
 	if err := s.rt.FrameBoundary(); err != nil {
 		return CaptureStats{}, err
 	}
-	t0 = s.span(obs.SpanClassify, s.frameIndex, t0, 0)
+	t0 = s.span(obs.SpanCommit, s.frameIndex, t0, 0)
 	ef, err := s.enc.EncodeFrame(fr, s.frameIndex)
 	if err != nil {
 		return CaptureStats{}, err
 	}
-	t0 = s.span(obs.SpanPack, s.frameIndex, t0, ef.TotalBytes())
+	t0 = s.span(obs.SpanEncode, s.frameIndex, t0, ef.TotalBytes())
 	evicted, err := s.dec.PushEvict(ef)
 	if err != nil {
 		return CaptureStats{}, err
@@ -385,7 +387,7 @@ func NewFrameTracer(capacity int) *FrameTracer { return obs.NewTracer(capacity) 
 func NewMetricLabel(key, value string) MetricLabel { return obs.L(key, value) }
 
 // SetTracer attaches a frame-path tracer: Capture and DecodeWindow record
-// classify/pack/push/decode spans tagged with tag (an rpxd session id, or
+// commit/encode/push/decode spans tagged with tag (an rpxd session id, or
 // any caller-chosen identifier). Pass nil to detach. SetTracer follows the
 // System's single-goroutine contract: call it from the operations
 // goroutine, not concurrently with Capture or decode.

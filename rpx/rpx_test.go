@@ -252,3 +252,47 @@ func TestPolicyRegistryThroughFacade(t *testing.T) {
 		t.Error("predictive description missing")
 	}
 }
+
+// TestCaptureTraceSpans: a traced Capture records the commit, encode and
+// push spans of its frame in pipeline order, with the encoded bytes on the
+// encode span only.
+func TestCaptureTraceSpans(t *testing.T) {
+	sys, err := NewSystem(64, 48, Gray8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewFrameTracer(16)
+	sys.SetTracer(tr, 7)
+	if err := sys.SetRegionLabels([]RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 2, Skip: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	world := synth.NewWorld(128, 128, 1)
+	var encoded []int
+	for i := 0; i < 2; i++ {
+		cs, err := sys.Capture(world.Render(synth.Pose{X: 64 + float64(i), Y: 64}, 64, 48))
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded = append(encoded, cs.EncodedBytes)
+	}
+	spans := tr.Snapshot()
+	if len(spans) != 6 {
+		t.Fatalf("recorded %d spans, want 3 per capture: %+v", len(spans), spans)
+	}
+	for i, sp := range spans {
+		frame, op := i/3, []string{"commit", "encode", "push"}[i%3]
+		if sp.Op != op || sp.Frame != frame || sp.Session != 7 {
+			t.Errorf("span %d = %+v, want op %q of frame %d in session 7", i, sp, op, frame)
+		}
+		wantBytes := 0
+		if op == "encode" {
+			wantBytes = encoded[frame]
+		}
+		if sp.Bytes != wantBytes {
+			t.Errorf("span %d (%s) carries %d bytes, want %d", i, op, sp.Bytes, wantBytes)
+		}
+		if i > 0 && sp.Start < spans[i-1].Start {
+			t.Errorf("span %d (%s) starts at %d, before span %d (%s) at %d", i, op, sp.Start, i-1, spans[i-1].Op, spans[i-1].Start)
+		}
+	}
+}
