@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/bitpack"
 	"repro/internal/frame"
@@ -39,7 +40,31 @@ type EncodedFrame struct {
 	RowOffsets []uint32
 	// Mask is the EncMask: one 2-bit code per original-frame pixel.
 	Mask *bitpack.Mask2
+
+	// pins counts readers on other goroutines that still hold the frame
+	// (Pin/Unpin). A plain int32 under sync/atomic rather than an
+	// atomic.Int32, so copying a frame by value stays legal.
+	pins int32
 }
+
+// Pin marks the frame as held by a reader outside the goroutine that owns
+// it, such as a push writer still sending its bytes. While any pin is held,
+// FramePool.Put refuses the frame, so its storage is never recycled under
+// the reader: a frame evicted while pinned is left to the GC instead.
+// Every Pin must be matched by exactly one Unpin, issued after the
+// reader's last access.
+func (ef *EncodedFrame) Pin() { atomic.AddInt32(&ef.pins, 1) }
+
+// Unpin releases one Pin. It is safe to call from any goroutine, and it
+// orders the reader's accesses before any later reuse of the storage.
+func (ef *EncodedFrame) Unpin() {
+	if atomic.AddInt32(&ef.pins, -1) < 0 {
+		panic("core: EncodedFrame unpinned more often than pinned")
+	}
+}
+
+// Pinned reports whether any Pin is still held.
+func (ef *EncodedFrame) Pinned() bool { return atomic.LoadInt32(&ef.pins) > 0 }
 
 // NumEncodedPixels returns the number of packed pixels.
 func (ef *EncodedFrame) NumEncodedPixels() int { return len(ef.Pix) / ef.BytesPerPixel }
@@ -164,18 +189,34 @@ func (ef *EncodedFrame) EncodedSize() int {
 // and returns the extended slice. It performs no allocation when dst has
 // EncodedSize() spare capacity.
 func (ef *EncodedFrame) AppendTo(dst []byte) []byte {
+	dst = ef.AppendHeader(dst)
+	dst = append(dst, ef.Pix...)
+	dst = ef.AppendRowOffsets(dst)
+	return append(dst, ef.Mask.Bytes()...)
+}
+
+// AppendHeader appends the 28-byte RPXE container header: magic, version,
+// W, H, bpp, frame index and payload length. The container is this header,
+// then Pix, then the row-offset table (AppendRowOffsets), then
+// Mask.Bytes(); a writer that sends those four parts in order, without
+// concatenating them, puts exactly AppendTo's bytes on the wire.
+func (ef *EncodedFrame) AppendHeader(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, encodedMagic)
 	dst = binary.LittleEndian.AppendUint32(dst, encodedVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(ef.W))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(ef.H))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(ef.BytesPerPixel))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(ef.FrameIndex))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ef.Pix)))
-	dst = append(dst, ef.Pix...)
+	return binary.LittleEndian.AppendUint32(dst, uint32(len(ef.Pix)))
+}
+
+// AppendRowOffsets appends the row-offset table as the container stores
+// it: one little-endian uint32 per entry.
+func (ef *EncodedFrame) AppendRowOffsets(dst []byte) []byte {
 	for _, v := range ef.RowOffsets {
 		dst = binary.LittleEndian.AppendUint32(dst, v)
 	}
-	return append(dst, ef.Mask.Bytes()...)
+	return dst
 }
 
 // WriteTo serializes the encoded frame in a compact binary container so CLI
@@ -183,36 +224,19 @@ func (ef *EncodedFrame) AppendTo(dst []byte) []byte {
 // frame index, payload length, payload, row offsets, mask bytes.
 func (ef *EncodedFrame) WriteTo(w io.Writer) (int64, error) {
 	var n int64
-	hdr := make([]byte, 0, 32)
-	hdr = binary.LittleEndian.AppendUint32(hdr, encodedMagic)
-	hdr = binary.LittleEndian.AppendUint32(hdr, encodedVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ef.W))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ef.H))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ef.BytesPerPixel))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ef.FrameIndex))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(ef.Pix)))
-	k, err := w.Write(hdr)
-	n += int64(k)
-	if err != nil {
-		return n, err
+	for _, part := range [][]byte{
+		ef.AppendHeader(make([]byte, 0, encodedHeaderSize)),
+		ef.Pix,
+		ef.AppendRowOffsets(make([]byte, 0, 4*len(ef.RowOffsets))),
+		ef.Mask.Bytes(),
+	} {
+		k, err := w.Write(part)
+		n += int64(k)
+		if err != nil {
+			return n, err
+		}
 	}
-	k, err = w.Write(ef.Pix)
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	offs := make([]byte, 4*len(ef.RowOffsets))
-	for i, v := range ef.RowOffsets {
-		binary.LittleEndian.PutUint32(offs[4*i:], v)
-	}
-	k, err = w.Write(offs)
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	k, err = w.Write(ef.Mask.Bytes())
-	n += int64(k)
-	return n, err
+	return n, nil
 }
 
 // MaxFrameDim bounds the width and height a deserialized encoded frame may

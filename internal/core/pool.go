@@ -12,7 +12,12 @@ const framePoolCap = 16
 // allocations.
 //
 // Ownership contract: a frame handed to Put must no longer be referenced by
-// anyone — the next Get returns the same storage cleared for reuse. The
+// anyone except readers holding a Pin — the next Get returns the same
+// storage cleared for reuse. A pinned frame is the one exception Put
+// checks for itself: it is left to the GC rather than recycled, so a
+// reader on another goroutine (a lagging push writer) keeps intact bytes
+// however long it holds the frame, and steady state, where pins are
+// released before the frame is handed back, recycles as before. The
 // pool is NOT safe for concurrent use; like the encoders it serves, it
 // belongs to a single goroutine (in the service, the session worker). The
 // zero value is ready to use, and a nil *FramePool is valid everywhere one
@@ -52,9 +57,10 @@ func (p *FramePool) Get(w, h, bpp int) *EncodedFrame {
 }
 
 // Put hands a frame's storage back for reuse. ef must not be used (or
-// reachable by any caller) afterwards. Nil frames and nil pools are no-ops.
+// reachable by any caller other than its pin holders) afterwards. Nil
+// frames, nil pools and pinned frames are no-ops.
 func (p *FramePool) Put(ef *EncodedFrame) {
-	if p == nil || ef == nil || ef.Mask == nil {
+	if p == nil || ef == nil || ef.Mask == nil || ef.Pinned() {
 		return
 	}
 	if len(p.free) >= framePoolCap {

@@ -5,8 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -73,9 +71,8 @@ type WatcherConfig struct {
 // Watcher polls every backend's /healthz (falling back to a TCP dial probe
 // of the wire address when no admin endpoint is configured) and classifies
 // each as healthy, draining, or dead. The JSON healthz body carries the
-// backend's open-session count, which doubles as the migration weight; for
-// backends that answer plain-text healthz, the watcher scrapes
-// rpxd_sessions_open from /metrics instead.
+// backend's open-session count, which doubles as the migration weight; a
+// body that is not JSON health is a failed probe.
 type Watcher struct {
 	backends []Backend
 	cfg      WatcherConfig
@@ -244,14 +241,12 @@ func (w *Watcher) probeOne(b Backend) Status {
 	if rerr != nil {
 		return Status{State: StateDead, Sessions: -1, Err: rerr}
 	}
+	// Every backend that speaks the one wire protocol version answers in
+	// JSON health; any other body counts as a probe failure.
 	switch resp.StatusCode {
 	case http.StatusOK:
 		if hs, err := server.ParseHealth(body); err == nil {
 			return Status{State: StateHealthy, Sessions: hs.Sessions}
-		}
-		// Pre-JSON backends answer plain "ok"; weight comes from /metrics.
-		if strings.Contains(string(body), server.HealthOK) {
-			return Status{State: StateHealthy, Sessions: w.scrapeSessions(b)}
 		}
 		return Status{State: StateDead, Sessions: -1,
 			Err: fmt.Errorf("gateway: %s healthz answered 200 with unrecognized body %q", b.Admin, body)}
@@ -261,49 +256,10 @@ func (w *Watcher) probeOne(b Backend) Status {
 		if hs, err := server.ParseHealth(body); err == nil && hs.State == server.HealthDraining {
 			return Status{State: StateDraining, Sessions: hs.Sessions}
 		}
-		if strings.Contains(string(body), server.HealthDraining) {
-			return Status{State: StateDraining, Sessions: -1}
-		}
 		return Status{State: StateDead, Sessions: -1,
 			Err: fmt.Errorf("gateway: %s healthz answered 503 with unrecognized body %q", b.Admin, body)}
 	default:
 		return Status{State: StateDead, Sessions: -1,
 			Err: fmt.Errorf("gateway: %s healthz answered %d", b.Admin, resp.StatusCode)}
 	}
-}
-
-// scrapeSessions fetches rpxd_sessions_open from the backend's Prometheus
-// /metrics as the weight fallback for non-JSON healthz bodies (-1 when
-// unavailable).
-func (w *Watcher) scrapeSessions(b Backend) int {
-	resp, err := w.client.Get("http://" + b.Admin + "/metrics")
-	if err != nil {
-		return -1
-	}
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if rerr != nil || resp.StatusCode != http.StatusOK {
-		return -1
-	}
-	return parsePromGauge(string(body), "rpxd_sessions_open")
-}
-
-// parsePromGauge pulls one unlabelled gauge value out of a Prometheus text
-// exposition (-1 when absent or malformed).
-func parsePromGauge(body, name string) int {
-	for _, line := range strings.Split(body, "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if !strings.HasPrefix(rest, " ") {
-			continue // a labelled series or a longer name
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		if err != nil {
-			return -1
-		}
-		return int(v)
-	}
-	return -1
 }

@@ -12,13 +12,15 @@ import (
 )
 
 // scriptedHealth is a fake backend admin endpoint whose /healthz answer the
-// test flips at will: a JSON health body, a plain-text legacy body, or a
-// hard failure (connection refused is simulated by 500).
+// test flips at will: a JSON health body, a body that is not JSON health,
+// or a hard failure (connection refused is simulated by 500). It also
+// serves /metrics and counts the requests for it.
 type scriptedHealth struct {
-	mu       sync.Mutex
-	code     int
-	body     string
-	sessions int
+	mu          sync.Mutex
+	code        int
+	body        string
+	sessions    int
+	metricsHits int
 }
 
 func (s *scriptedHealth) set(code int, body string) {
@@ -35,6 +37,7 @@ func (s *scriptedHealth) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(s.code)
 		fmt.Fprint(w, s.body)
 	case "/metrics":
+		s.metricsHits++
 		fmt.Fprintf(w, "# HELP rpxd_sessions_open Currently open sessions.\n# TYPE rpxd_sessions_open gauge\nrpxd_sessions_open %d\n", s.sessions)
 	default:
 		http.NotFound(w, r)
@@ -114,24 +117,36 @@ func TestWatcherTransitions(t *testing.T) {
 	}
 }
 
-// TestWatcherPlainTextFallback covers pre-JSON backends: a bare "ok" body is
-// healthy with the session weight scraped from /metrics, and a bare
-// "draining" body cordons.
+// TestWatcherPlainTextFallback pins that there is no plain-text fallback:
+// every backend that speaks the one wire protocol version answers /healthz
+// in JSON, so a 200 or 503 whose body is not JSON health is a failed probe,
+// and the watcher never asks the backend's /metrics for a weight.
 func TestWatcherPlainTextFallback(t *testing.T) {
-	sh := &scriptedHealth{code: 200, body: "ok\n", sessions: 7}
+	sh := &scriptedHealth{sessions: 7}
 	ts := httptest.NewServer(sh)
 	defer ts.Close()
 	b := Backend{Addr: "198.51.100.2:7621", Admin: ts.Listener.Addr().String()}
-	w := NewWatcher([]Backend{b}, WatcherConfig{})
+	w := NewWatcher([]Backend{b}, WatcherConfig{Strikes: 1})
 
-	w.Probe()
-	if st := w.Status(b.Addr); st.State != StateHealthy || st.Sessions != 7 {
-		t.Fatalf("plain-text healthy: %+v, want healthy/7 (scraped)", st)
+	for _, bare := range []struct {
+		code int
+		body string
+	}{{200, "ok\n"}, {503, "draining\n"}} {
+		sh.set(200, `{"state":"ok","sessions":3}`)
+		w.Probe()
+		if st := w.Status(b.Addr); st.State != StateHealthy {
+			t.Fatalf("JSON healthy: %v, want healthy", st.State)
+		}
+		sh.set(bare.code, bare.body)
+		w.Probe()
+		if st := w.Status(b.Addr); st.State != StateDead || st.Err == nil || st.Sessions != -1 {
+			t.Fatalf("%d %q: %+v, want a failed probe (dead after 1 strike, error, sessions -1)", bare.code, bare.body, st)
+		}
 	}
-	sh.set(503, "draining\n")
-	w.Probe()
-	if st := w.Status(b.Addr); st.State != StateDraining {
-		t.Fatalf("plain-text draining: %v, want draining", st.State)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.metricsHits != 0 {
+		t.Fatalf("watcher requested /metrics %d times, want never", sh.metricsHits)
 	}
 }
 
@@ -171,17 +186,6 @@ func TestWatcherStopWithoutStart(t *testing.T) {
 	w2 := NewWatcher([]Backend{}, WatcherConfig{Interval: 10 * time.Millisecond})
 	w2.Start()
 	w2.Stop()
-}
-
-// TestParsePromGauge pins the metrics-scrape fallback parser.
-func TestParsePromGauge(t *testing.T) {
-	body := "# HELP rpxd_sessions_open x\nrpxd_sessions_opened_total 99\nrpxd_sessions_open 4\nrpxd_sessions_open_extra 7\n"
-	if got := parsePromGauge(body, "rpxd_sessions_open"); got != 4 {
-		t.Fatalf("parsePromGauge = %d, want 4", got)
-	}
-	if got := parsePromGauge("nothing here", "rpxd_sessions_open"); got != -1 {
-		t.Fatalf("parsePromGauge on absent series = %d, want -1", got)
-	}
 }
 
 // TestWatcherUsesSharedHealthHandler closes the loop with the real

@@ -331,6 +331,8 @@ type Session struct {
 	subMu  sync.Mutex
 	subs   []*Subscription
 	pubSeq uint64
+	// pubSubs is publish's copy of subs, owned by the worker goroutine.
+	pubSubs []*Subscription
 
 	mu        sync.Mutex
 	closed    bool

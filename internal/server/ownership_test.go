@@ -108,17 +108,20 @@ func TestSessionConcurrentCaptureEncodedStream(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
+		var enc []byte
 		for {
 			items, _, ok := sub.Next()
 			if !ok {
 				return
 			}
 			for _, it := range items {
-				if len(it.enc) == 0 {
+				// Read the whole pinned frame while captures go on.
+				if enc = it.ef.AppendTo(enc[:0]); len(enc) == 0 {
 					t.Error("published frame has empty encoding")
 					return
 				}
 			}
+			release(items)
 			sub.Grant(len(items))
 		}
 	}()

@@ -3,6 +3,7 @@ package server
 import (
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/rpx"
@@ -35,12 +36,22 @@ const (
 	ReasonConnClosed
 )
 
-// pushItem is one published frame: the serialized RPXE container plus the
-// capture statistics, shared read-only across all subscribers.
+// pushItem is one published frame as a subscription queues it: the
+// session's live encoded frame, pinned once for this subscription and
+// shared read-only with every other subscriber, plus its sequence number
+// and capture statistics. Whoever takes an item out of the queue owns that
+// pin and must release it (release) after its last read of the frame.
 type pushItem struct {
 	seq   uint64
 	stats rpx.CaptureStats
-	enc   []byte
+	ef    *core.EncodedFrame
+}
+
+// release drops each item's pin on its frame.
+func release(items []pushItem) {
+	for _, it := range items {
+		it.ef.Unpin()
+	}
 }
 
 // Subscription is one subscriber's view of a session's frame stream.
@@ -98,8 +109,9 @@ func (sub *Subscription) Dropped() uint64 {
 }
 
 // offer hands one published frame to the subscription. It never blocks: a
-// frame either consumes a credit and enters the buffer, or is dropped and
-// counted. Called from the producing session's worker goroutine.
+// frame either consumes a credit, is pinned and enters the buffer, or is
+// dropped and counted. Called from the producing session's worker
+// goroutine, while the frame is still the session's newest.
 func (sub *Subscription) offer(it pushItem) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
@@ -112,6 +124,7 @@ func (sub *Subscription) offer(it pushItem) {
 		return
 	}
 	sub.credit--
+	it.ef.Pin()
 	sub.ch <- it // cannot block: see the ch capacity invariant
 }
 
@@ -172,12 +185,24 @@ func (sub *Subscription) Unsubscribe() { sub.close(ReasonUnsubscribed) }
 // Abort ends the subscription because the subscriber's transport died.
 func (sub *Subscription) Abort() { sub.close(ReasonConnClosed) }
 
+// discard aborts the subscription and releases every frame still buffered:
+// the teardown path of a writer that will send nothing more.
+func (sub *Subscription) discard() {
+	sub.Abort()
+	for items, _, ok := sub.Next(); ok; items, _, ok = sub.Next() {
+		release(items)
+	}
+}
+
 // Next blocks for the next accepted frame, then opportunistically drains up
 // to batch-1 more without blocking — one call builds one FRAME_PUSH. The
 // second return is the cumulative dropped count; ok=false means the
-// subscription ended and the buffer is fully drained. The batch is valid
-// until the next call: its storage is reused, so a steady stream drains
-// without allocating.
+// subscription ended and the buffer is fully drained. The batch slice is
+// valid until the next call: its storage is reused, so a steady stream
+// drains without allocating. Each returned item carries a pin on its frame
+// that the caller must release once it has read the frame for the last
+// time; until then the frame's bytes stay intact, even after the producing
+// session has captured past its history depth.
 func (sub *Subscription) Next() (items []pushItem, dropped uint64, ok bool) {
 	clear(sub.items) // release the previous batch's frames to the collector
 	it, ok := <-sub.ch
@@ -256,34 +281,30 @@ func (s *Session) NextSeq() uint64 {
 
 // publish hands one captured frame to every attached subscription. It runs
 // on the session worker goroutine immediately after a successful capture,
-// so the borrowed frame is exactly the one just captured; the RPXE container is
-// serialized once and the bytes shared read-only across subscribers.
+// so the borrowed frame is exactly the one just captured. Nothing is
+// serialized or copied: each subscription that accepts the frame queues the
+// live frame itself, pinned for that subscription (rpx.System's borrow
+// contract), and its writer sends the frame's own bytes and then unpins.
+// A frame the session's history evicts while still pinned is left to the
+// GC, so a lagging subscriber reads intact bytes; in steady state every pin
+// is released long before eviction and the frame is recycled. The
+// subscriber list is copied into worker-owned storage under the lock, so
+// a steady stream publishes without allocating at any fan-out.
 func (s *Session) publish(cs rpx.CaptureStats) {
 	seq := uint64(cs.FrameIndex)
 	s.subMu.Lock()
 	s.pubSeq = seq + 1
-	if len(s.subs) == 0 {
-		s.subMu.Unlock()
-		return
-	}
-	subs := append([]*Subscription(nil), s.subs...)
+	s.pubSubs = append(s.pubSubs[:0], s.subs...)
 	s.subMu.Unlock()
-
-	// Borrow the live frame (we are on the worker goroutine, so it is
-	// stable) and serialize it once into a right-sized buffer. The buffer
-	// is deliberately a fresh allocation, not pooled: its bytes are shared
-	// read-only across every subscriber's queue with no refcount, so its
-	// lifetime ends whenever the last writer drains it — GC ownership is
-	// the contract. One allocation per published frame, fan-out free.
-	ef := s.sys.BorrowLastEncoded()
-	if ef == nil {
+	if len(s.pubSubs) == 0 {
 		return
 	}
-	it := pushItem{seq: seq, stats: cs, enc: ef.AppendTo(make([]byte, 0, ef.EncodedSize()))}
-	for _, sub := range subs {
+	it := pushItem{seq: seq, stats: cs, ef: s.sys.BorrowLastEncoded()}
+	for _, sub := range s.pubSubs {
 		sub.offer(it)
 	}
-	s.mgr.streamPublished.Add(int64(len(subs)))
+	s.mgr.streamPublished.Add(int64(len(s.pubSubs)))
+	clear(s.pubSubs) // keep no closed subscription reachable
 }
 
 // dropSubscription detaches a closed subscription from the session.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/region"
@@ -45,6 +46,7 @@ func (c *soakConsumer) drainBatch() bool {
 		}
 		c.delivered = append(c.delivered, it.seq)
 	}
+	release(items)
 	// Ledger invariant: every delivered or buffered frame consumed one
 	// granted credit. Buffered may grow concurrently, but can never push
 	// the sum past the cumulative grant.
@@ -208,10 +210,10 @@ func TestStreamStalledSubscriberAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := make([]byte, 256)
+	ef := &core.EncodedFrame{W: 16, H: 16, BytesPerPixel: 1}
 	var seq uint64
 	allocs := testing.AllocsPerRun(1000, func() {
-		sub.offer(pushItem{seq: seq, enc: enc})
+		sub.offer(pushItem{seq: seq, ef: ef})
 		seq++
 	})
 	if allocs != 0 {
@@ -222,5 +224,8 @@ func TestStreamStalledSubscriberAllocs(t *testing.T) {
 	}
 	if sub.Buffered() != 0 {
 		t.Fatalf("zero-credit subscription buffered %d frames", sub.Buffered())
+	}
+	if ef.Pinned() {
+		t.Fatal("a dropped frame was pinned")
 	}
 }

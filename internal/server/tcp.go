@@ -43,6 +43,13 @@ func (cw *connWriter) write(typ byte, payload []byte) error {
 	return cw.mw.WriteMessage(typ, payload, cw.maxPayload)
 }
 
+// writeVec is write for a payload given as parts, sent without copying
+// them (wire.MessageWriter.WriteMessageVec).
+func (cw *connWriter) writeVec(typ byte, parts [][]byte) error {
+	cw.conn.SetWriteDeadline(time.Now().Add(cw.timeout))
+	return cw.mw.WriteMessageVec(typ, parts, cw.maxPayload)
+}
+
 // writeErr sends a typed ERROR, marshaling into the loop-owned scratch.
 func (cw *connWriter) writeErr(code uint16, msg string) error {
 	cw.scratch = wire.AppendError(cw.scratch[:0], code, msg)
@@ -311,7 +318,7 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 		NextSeq: target.NextSeq(),
 	})
 	if err := cw.write(wire.MsgSubscribeAck, cw.scratch); err != nil {
-		sub.Abort()
+		sub.discard()
 		return true
 	}
 
@@ -401,66 +408,41 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 // streamWriter owns the connection's write side for the life of one
 // subscription: it blocks for published frames, batches what is already
 // buffered (splitting on the payload cap), and finishes with the final ACK
-// (clean unsubscribe) or a typed error (producing session closed).
+// (clean unsubscribe) or a typed error (producing session closed). Every
+// frame it dequeues is released once the write that carries it has
+// returned, whether it succeeded or not; after a failed write it discards
+// the rest of the queue.
 func (s *TCPServer) streamWriter(sub *Subscription, conn net.Conn, cw *connWriter) error {
-	// The writer's own marshaling state — it runs concurrently with the
-	// stream read loop, so it must not share cw.scratch. The FramePush
-	// frames slice and the serialized-payload scratch are both reused
-	// across batches: steady-state streaming marshals without allocating.
-	var scratch []byte
-	push := wire.FramePush{SubID: sub.ID()}
+	// The writer's own marshaling state: it runs concurrently with the
+	// stream read loop, so it must not share cw.scratch.
+	var pw pushWriter
 	for {
 		items, dropped, ok := sub.Next()
 		if !ok {
 			break
 		}
-		// Split the batch so no single FRAME_PUSH exceeds the payload cap
-		// (an item bigger than the cap alone fails the write, mirroring
-		// what GET_ENCODED would do for the same frame).
 		for len(items) > 0 {
-			size := wire.PushHeaderOverhead
-			n := 0
-			for _, it := range items {
-				rec := wire.PushRecordOverhead + len(it.enc)
-				if n > 0 && size+rec > s.cfg.MaxPayload {
-					break
-				}
-				size += rec
-				n++
-			}
-			push.Dropped = dropped
-			push.Frames = push.Frames[:0]
-			for _, it := range items[:n] {
-				push.Frames = append(push.Frames, wire.PushFrame{
-					Seq: it.seq,
-					Stats: wire.CaptureAck{
-						FrameIndex:    it.stats.FrameIndex,
-						EncodedPixels: it.stats.EncodedPixels,
-						EncodedBytes:  it.stats.EncodedBytes,
-						PixelFraction: it.stats.PixelFraction,
-					},
-					Enc: it.enc,
-				})
-			}
-			scratch = wire.AppendFramePush(scratch[:0], push)
-			if err := cw.write(wire.MsgFramePush, scratch); err != nil {
-				sub.Abort()
-				for _, _, ok := sub.Next(); ok; _, _, ok = sub.Next() {
-					// Drain so the in-flight gauge returns to zero.
-				}
+			n := wire.PushFit(len(items), func(i int) int { return items[i].ef.EncodedSize() }, s.cfg.MaxPayload)
+			err := cw.writeVec(wire.MsgFramePush, pw.build(sub.ID(), dropped, items[:n]))
+			clear(pw.parts) // hold no frame past its write
+			release(items[:n])
+			if err != nil {
+				release(items[n:])
+				sub.discard()
 				return err
 			}
 			s.mgr.noteFramesPushed(n)
 			items = items[n:]
 		}
 	}
+	scratch := pw.scratch[:0]
 	switch sub.Reason() {
 	case ReasonUnsubscribed:
 		// Echo the subscription id so the client can match the ack.
-		scratch = wire.AppendUnsubscribe(scratch[:0], wire.Unsubscribe{SubID: sub.ID()})
+		scratch = wire.AppendUnsubscribe(scratch, wire.Unsubscribe{SubID: sub.ID()})
 		return cw.write(wire.MsgAck, scratch)
 	case ReasonSessionClosed:
-		scratch = wire.AppendError(scratch[:0], wire.CodeUnavailable,
+		scratch = wire.AppendError(scratch, wire.CodeUnavailable,
 			"server: subscribed session closed")
 		err := cw.write(wire.MsgError, scratch)
 		// Wake the connection's reader: the stream cannot continue, and
@@ -471,6 +453,48 @@ func (s *TCPServer) streamWriter(sub *Subscription, conn net.Conn, cw *connWrite
 		// ReasonConnClosed: the reader is already tearing down.
 		return nil
 	}
+}
+
+// pushWriter assembles FRAME_PUSH payloads for one stream as the parts of
+// a vectored write, reusing its storage from batch to batch. The scratch
+// holds what is not stored in a frame — the push and record headers, each
+// frame's RPXE header and its serialized row-offset table — and parts
+// interleaves slices of it with each frame's own Pix and Mask bytes, in
+// RPXE container order.
+type pushWriter struct {
+	scratch []byte
+	cuts    []int // per frame: scratch offsets where its Pix, then its Mask go
+	parts   [][]byte
+}
+
+// build returns the parts of one FRAME_PUSH payload carrying items. They
+// alias the frames, so the frames must stay pinned until the write that
+// sends the parts returns.
+func (pw *pushWriter) build(subID, dropped uint64, items []pushItem) [][]byte {
+	pw.scratch = wire.AppendFramePushHeader(pw.scratch[:0], subID, dropped, len(items))
+	pw.cuts = pw.cuts[:0]
+	for _, it := range items {
+		ef := it.ef
+		pw.scratch = wire.AppendPushRecordHeader(pw.scratch, it.seq, wire.CaptureAck{
+			FrameIndex:    it.stats.FrameIndex,
+			EncodedPixels: it.stats.EncodedPixels,
+			EncodedBytes:  it.stats.EncodedBytes,
+			PixelFraction: it.stats.PixelFraction,
+		}, ef.EncodedSize())
+		pw.scratch = ef.AppendHeader(pw.scratch)
+		pw.cuts = append(pw.cuts, len(pw.scratch))
+		pw.scratch = ef.AppendRowOffsets(pw.scratch)
+		pw.cuts = append(pw.cuts, len(pw.scratch))
+	}
+	// Slice the scratch only now that it has stopped growing.
+	pw.parts = pw.parts[:0]
+	start := 0
+	for i, it := range items {
+		pix, mask := pw.cuts[2*i], pw.cuts[2*i+1]
+		pw.parts = append(pw.parts, pw.scratch[start:pix], it.ef.Pix, pw.scratch[pix:mask], it.ef.Mask.Bytes())
+		start = mask
+	}
+	return pw.parts
 }
 
 // serveMsg dispatches one request message; it reports true when the

@@ -204,25 +204,53 @@ const framePushHeaderSize = 8 + 8 + 4
 // capture statistics + u32 encoded length.
 const pushRecordHeaderSize = 8 + 20 + 4
 
-// PushHeaderOverhead and PushRecordOverhead expose the FRAME_PUSH framing
-// costs so a sender can split a batch across messages without exceeding
-// the negotiated payload cap.
-const (
-	PushHeaderOverhead = framePushHeaderSize
-	PushRecordOverhead = pushRecordHeaderSize
-)
+// A FRAME_PUSH payload is AppendFramePushHeader's bytes, then for each
+// frame AppendPushRecordHeader's bytes followed by the frame's RPXE
+// container. AppendFramePush concatenates them; a sender that holds the
+// container in pieces (the server's push writer, which never copies a
+// frame) hands the same sequence to MessageWriter.WriteMessageVec instead.
+
+// AppendFramePushHeader appends the header of a FRAME_PUSH payload that
+// carries n frame records.
+func AppendFramePushHeader(dst []byte, subID, dropped uint64, n int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, subID)
+	dst = binary.LittleEndian.AppendUint64(dst, dropped)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// AppendPushRecordHeader appends the header of one FRAME_PUSH record whose
+// RPXE container is encLen bytes long.
+func AppendPushRecordHeader(dst []byte, seq uint64, stats CaptureAck, encLen int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = AppendCaptureAck(dst, stats)
+	return binary.LittleEndian.AppendUint32(dst, uint32(encLen))
+}
+
+// PushFit returns how many of the next n records one FRAME_PUSH carries
+// under maxPayload (0 means DefaultMaxPayload), given each record's
+// container length: the longest run whose payload fits the cap, but at
+// least one record, so a record too large on its own goes out alone and
+// its write fails with ErrTooLarge.
+func PushFit(n int, encLen func(i int) int, maxPayload int) int {
+	if maxPayload <= 0 {
+		maxPayload = DefaultMaxPayload
+	}
+	size := framePushHeaderSize
+	for i := 0; i < n; i++ {
+		size += pushRecordHeaderSize + encLen(i)
+		if i > 0 && size > maxPayload {
+			return i
+		}
+	}
+	return n
+}
 
 // AppendFramePush appends a FRAME_PUSH payload to dst. With a dst of
-// sufficient capacity it performs no allocation, which is what lets the
-// server's push writer reuse one scratch buffer per stream.
+// sufficient capacity it performs no allocation.
 func AppendFramePush(dst []byte, p FramePush) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, p.SubID)
-	dst = binary.LittleEndian.AppendUint64(dst, p.Dropped)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.Frames)))
+	dst = AppendFramePushHeader(dst, p.SubID, p.Dropped, len(p.Frames))
 	for _, f := range p.Frames {
-		dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
-		dst = AppendCaptureAck(dst, f.Stats)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Enc)))
+		dst = AppendPushRecordHeader(dst, f.Seq, f.Stats, len(f.Enc))
 		dst = append(dst, f.Enc...)
 	}
 	return dst

@@ -207,15 +207,15 @@ func WriteMessage(w io.Writer, typ byte, payload []byte, maxPayload int) error {
 // header and payload always reach the wire contiguously, never interleaved
 // with another goroutine's message.
 //
-// Each message is assembled into a reusable two-element vector (header,
-// payload) and handed to the writer in one net.Buffers.WriteTo — a single
-// writev syscall on a *net.TCPConn — so the steady-state write path
-// performs zero allocations.
+// Each message is assembled into a reusable vector (header, then the
+// payload's parts) and handed to the writer in one net.Buffers.WriteTo — a
+// single writev syscall on a *net.TCPConn — so the steady-state write path
+// performs zero allocations and never copies a payload.
 type MessageWriter struct {
 	mu     sync.Mutex
 	w      io.Writer
 	hdr    [headerSize]byte
-	vecbuf [2][]byte
+	vecbuf [][]byte
 	// vec is the reusable net.Buffers handed to WriteTo; it lives in the
 	// struct (not a local) because WriteTo's pointer receiver would
 	// otherwise force a per-message heap escape.
@@ -228,28 +228,41 @@ func NewMessageWriter(w io.Writer) *MessageWriter {
 }
 
 // WriteMessage frames one message, atomically with respect to other
-// WriteMessage calls on the same MessageWriter. The payload is fully
-// consumed before the call returns; the caller may reuse it immediately.
+// writes on the same MessageWriter. The payload is fully consumed before
+// the call returns; the caller may reuse it immediately.
 func (mw *MessageWriter) WriteMessage(typ byte, payload []byte, maxPayload int) error {
+	return mw.WriteMessageVec(typ, [][]byte{payload}, maxPayload)
+}
+
+// WriteMessageVec frames one message whose payload is the concatenation of
+// parts, without copying them: the parts follow the header in the same
+// vectored write. The parts must not change until the call returns, and
+// nothing references them afterwards. Payloads above maxPayload (0 means
+// DefaultMaxPayload) fail with ErrTooLarge before any bytes are written.
+func (mw *MessageWriter) WriteMessageVec(typ byte, parts [][]byte, maxPayload int) error {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	if len(payload) > maxPayload {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), maxPayload)
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > maxPayload {
+		return fmt.Errorf("%w: %d > %d", ErrTooLarge, n, maxPayload)
 	}
 	mw.mu.Lock()
 	defer mw.mu.Unlock()
-	binary.LittleEndian.PutUint32(mw.hdr[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(mw.hdr[:], uint32(n))
 	mw.hdr[4] = typ
-	if len(payload) == 0 {
-		_, err := mw.w.Write(mw.hdr[:])
-		return err
+	mw.vecbuf = append(mw.vecbuf[:0], mw.hdr[:])
+	for _, p := range parts {
+		if len(p) > 0 {
+			mw.vecbuf = append(mw.vecbuf, p)
+		}
 	}
-	mw.vecbuf[0] = mw.hdr[:]
-	mw.vecbuf[1] = payload
-	mw.vec = mw.vecbuf[:]
+	mw.vec = mw.vecbuf
 	_, err := mw.vec.WriteTo(mw.w)
-	mw.vecbuf[1] = nil // do not pin the payload past the write
+	clear(mw.vecbuf) // do not pin the payload past the write
 	mw.vec = nil
 	return err
 }

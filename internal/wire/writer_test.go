@@ -201,6 +201,31 @@ func TestAllocsWirePath(t *testing.T) {
 		t.Fatalf("Append marshalers allocate %v per run into sized scratch, want 0", allocs)
 	}
 
+	// The zero-copy push path: headers appended into scratch, a batch split
+	// by PushFit, and a vectored write of the headers interleaved with the
+	// frames' own bytes.
+	frames := [][]byte{payload[:512], payload[512:600], payload[600:]}
+	parts := make([][]byte, 0, 2*len(frames))
+	if allocs := testing.AllocsPerRun(200, func() {
+		n := PushFit(len(frames), func(i int) int { return len(frames[i]) }, 0)
+		scratch = AppendFramePushHeader(scratch[:0], 3, 1, n)
+		for i := 0; i < n; i++ {
+			scratch = AppendPushRecordHeader(scratch, uint64(i), ack, len(frames[i]))
+		}
+		parts = parts[:0]
+		start := framePushHeaderSize
+		parts = append(parts, scratch[:start])
+		for i := 0; i < n; i++ {
+			parts = append(parts, scratch[start:start+pushRecordHeaderSize], frames[i])
+			start += pushRecordHeaderSize
+		}
+		if err := mw.WriteMessageVec(MsgFramePush, parts, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("vectored FRAME_PUSH write allocates %v per message, want 0", allocs)
+	}
+
 	var framed bytes.Buffer
 	if err := WriteMessage(&framed, MsgCapture, payload, 0); err != nil {
 		t.Fatal(err)

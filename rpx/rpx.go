@@ -289,9 +289,8 @@ func (s *System) Capture(fr *Frame) (CaptureStats, error) {
 	}
 	s.span(obs.SpanPush, s.frameIndex, t0, 0)
 	s.last = ef
-	// The frame the history ring just dropped is unreachable by any caller
-	// (Borrow contract: borrowed pointers expired at this Capture), so its
-	// storage feeds the next encode.
+	// The frame the history ring just dropped feeds the next encode, unless
+	// a borrower still pins it (see BorrowLastEncoded).
 	s.pool.Put(evicted)
 	cs := CaptureStats{
 		FrameIndex:    s.frameIndex,
@@ -456,12 +455,14 @@ func (s *System) LastEncoded() *EncodedFrame {
 // BorrowLastEncoded returns the live most recent encoded frame (nil before
 // any Capture) without copying.
 //
-// Borrow contract: the frame belongs to the System. It is valid only until
-// the next Capture — which recycles its storage into the encoder's frame
-// pool — and the caller must not mutate it or retain the pointer across
-// captures. Callers needing either guarantee use LastEncoded (an owned
-// deep copy) or serialize the frame (EncodedFrame.AppendTo) before the
-// next Capture.
+// Borrow contract: the frame belongs to the System and must never be
+// mutated. Unpinned, it is valid only until the next Capture, which may
+// recycle its storage into the encoder's frame pool. To hold it longer —
+// from any goroutine — Pin it before the next Capture (on the goroutine
+// that owns the System) and Unpin it after the last read: the System
+// never recycles a pinned frame, it leaves one that its history evicts to
+// the GC. Callers that want an owned copy use LastEncoded, or serialize
+// the frame (EncodedFrame.AppendTo) before the next Capture.
 func (s *System) BorrowLastEncoded() *EncodedFrame { return s.last }
 
 // Stats returns the lifetime traffic counters. Safe to call from a

@@ -45,18 +45,19 @@ stage_tier1() {
 # ---------------------------------------------------------------- alloc
 
 # The steady-state zero-allocation contracts of the pooled hot path (mask
-# popcount, pooled encode, wire framing, capture), per-frame decode and
-# stream-replay allocation counts that do not grow with frame height, and
-# the consumer path: a push-stream Recv allocates the same at QVGA as at
-# 1080p, and a warm policy worker parses, pushes and reconstructs frames
-# without allocating. Deliberately WITHOUT -race — the race runtime changes
-# allocation counts, so these testing.AllocsPerRun assertions are only
-# meaningful in a plain build.
+# popcount, pooled encode, wire framing, capture), the producer's push path
+# (publish plus the stream writers, at 1, 2 and 8 subscribers), per-frame
+# decode and stream-replay allocation counts that do not grow with frame
+# height, and the consumer path: a push-stream Recv allocates the same at
+# QVGA as at 1080p, and a warm policy worker parses, pushes and
+# reconstructs frames without allocating. Deliberately WITHOUT -race — the
+# race runtime changes allocation counts, so these testing.AllocsPerRun
+# assertions are only meaningful in a plain build.
 stage_alloc() {
     echo "== alloc gate (AllocsPerRun, no -race)"
     go test -count=1 -run='^TestAllocs' \
         ./internal/bitpack ./internal/core ./internal/wire ./rpx \
-        ./rpx/client ./internal/policyloop
+        ./rpx/client ./internal/policyloop ./internal/server
 }
 
 # ----------------------------------------------------------------- fuzz
