@@ -7,8 +7,7 @@
 //	rpxbench -list
 //
 // Experiments: fig3, table4, fig8, fig9a, fig9b, fig9c, table5, energy,
-// appendix, clsweep, futurework, parallel, gateway, stream, hotpath,
-// policyloop.
+// appendix, clsweep, futurework, parallel, policyloop.
 package main
 
 import (
@@ -25,9 +24,9 @@ import (
 // csvOut, when set, is the directory plottable experiments write CSVs into.
 var csvOut string
 
-// jsonOut, when set, is the directory benchmark experiments write committed
-// BENCH_*.json documents into (e.g. -json . regenerates BENCH_gateway.json
-// at the repo root).
+// jsonOut, when set, is the directory the policyloop experiment writes its
+// committed BENCH_policyloop.json into (-json . regenerates the one at the
+// repo root).
 var jsonOut string
 
 // writeBenchJSON persists one experiment's BENCH_<name>.json via the given
@@ -88,9 +87,6 @@ var registry = []experiment{
 	{"clsweep", "Cycle length vs traffic/accuracy tradeoff (§6.1-6.2)", runCLSweep},
 	{"futurework", "§7 directions: DRAM-less, in-sensor encoder, adaptive cycle", runFutureWork},
 	{"parallel", "Row-band parallel encode/decode scaling vs worker count", runParallel},
-	{"gateway", "rpxgw proxy overhead vs direct rpxd dial at 1/8/64 sessions", runGateway},
-	{"stream", "push delivery vs request/reply pull at 1/8/64 sessions", runStream},
-	{"hotpath", "pooled zero-copy frame path vs copy-heavy baseline at 1/8/64 sessions", runHotpath},
 	{"policyloop", "closed-loop scenario policies: accuracy vs traffic over a CL sweep", runPolicyLoop},
 }
 
@@ -98,7 +94,7 @@ func main() {
 	expFlag := flag.String("exp", "all", "experiment to run (or 'all')")
 	scaleFlag := flag.String("scale", "quick", "quick (seconds) or full (minutes)")
 	csvDir := flag.String("csv", "", "also write CSV files for plottable experiments into this directory")
-	jsonDir := flag.String("json", "", "also write BENCH_*.json files for benchmark experiments into this directory")
+	jsonDir := flag.String("json", "", "also write the policyloop experiment's BENCH_policyloop.json into this directory")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 	csvOut = *csvDir
@@ -274,48 +270,6 @@ func runParallel(s experiments.Scale) (string, error) {
 		return "", err
 	}
 	return experiments.ParallelReport(rows), nil
-}
-
-func runGateway(s experiments.Scale) (string, error) {
-	rows, err := experiments.GatewayOverhead(s)
-	if err != nil {
-		return "", err
-	}
-	if err := writeCSV("gateway", func(f *os.File) error { return experiments.GatewayCSV(f, rows) }); err != nil {
-		return "", err
-	}
-	if err := writeBenchJSON("gateway", func(f *os.File) error { return experiments.GatewayJSON(f, rows) }); err != nil {
-		return "", err
-	}
-	return experiments.GatewayReport(rows), nil
-}
-
-func runStream(s experiments.Scale) (string, error) {
-	rows, err := experiments.StreamDelivery(s)
-	if err != nil {
-		return "", err
-	}
-	if err := writeCSV("stream", func(f *os.File) error { return experiments.StreamCSV(f, rows) }); err != nil {
-		return "", err
-	}
-	if err := writeBenchJSON("stream", func(f *os.File) error { return experiments.StreamJSON(f, rows) }); err != nil {
-		return "", err
-	}
-	return experiments.StreamReport(rows), nil
-}
-
-func runHotpath(s experiments.Scale) (string, error) {
-	rows, err := experiments.Hotpath(s)
-	if err != nil {
-		return "", err
-	}
-	if err := writeCSV("hotpath", func(f *os.File) error { return experiments.HotpathCSV(f, rows) }); err != nil {
-		return "", err
-	}
-	if err := writeBenchJSON("hotpath", func(f *os.File) error { return experiments.HotpathJSON(f, rows) }); err != nil {
-		return "", err
-	}
-	return experiments.HotpathReport(rows), nil
 }
 
 func runPolicyLoop(s experiments.Scale) (string, error) {

@@ -1,114 +1,144 @@
-// Command benchcheck gates hot-path allocation regressions in CI: it
-// compares a freshly measured BENCH_hotpath.json against the committed
-// baseline and fails when allocs/frame grew beyond tolerance.
+// Command benchcheck is CI's bench-check gate. It reads one traced
+// relay-qvga perfbench run, the result line perfbench prints last and the
+// per-frame span dump it writes, and fails unless
 //
-// Only allocation counts are gated — they are deterministic properties of
-// the code, while FPS varies with the host and would flake. The tolerances:
+//  1. the run checked out: correct, no failed frame, at least one frame
+//     measured, and one span per measured frame;
+//  2. every frame's wire bytes are its stored pixels plus exactly
+//     metadataBytes, the container's fixed per-frame metadata; and
+//  3. consumer_allocs_per_frame is at most maxConsumerAllocs.
 //
-//   - pooled path: candidate <= baseline + 1.0 allocs/frame (absolute).
-//     The pooled path's contract is ~0 allocs/frame in steady state, so a
-//     full extra allocation per frame is already a real regression; the
-//     slack absorbs pool warm-up noise at low frame counts.
-//   - baseline (copy-heavy) path: candidate <= baseline * 1.5 + 2.0. It is
-//     the reference arm, not a contract, but a blow-up there usually means
-//     a shared layer started allocating.
-//
-// Rows are matched by session count; candidate rows without a baseline
-// counterpart (or vice versa) are ignored, so a quick-scale candidate
-// (sessions 1, 8) checks cleanly against a full-scale baseline (1, 8, 64).
+// Timings are printed but not gated: one short run on a shared runner
+// cannot resolve them, and the benchmark's paired runs gate them.
 //
 // Usage:
 //
-//	benchcheck -baseline BENCH_hotpath.json -candidate /tmp/BENCH_hotpath.json
+//	benchcheck <result.json> <perfbench-trace-relay-qvga-seed<N>.json>
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"math"
 	"os"
+	"sort"
 )
 
-type hotpathDoc struct {
-	Experiment string `json:"experiment"`
-	Rows       []struct {
-		Sessions       int     `json:"sessions"`
-		BaselineAllocs float64 `json:"baseline_allocs_per_frame"`
-		PooledAllocs   float64 `json:"pooled_allocs_per_frame"`
-	} `json:"rows"`
+const (
+	// frameW and frameH are relay-qvga's geometry; its frames are Gray8,
+	// so each stored pixel is one wire byte.
+	frameW, frameH = 320, 240
+	// metadataBytes is what one RPXE container carries besides its pixels
+	// at that geometry: the 28-byte header, 4·(H+1) bytes of row offsets
+	// and W·H/4 bytes of 2-bit EncMask. It is committed, not computed from
+	// the container code, so that a change to the layout fails the gate
+	// instead of moving the expectation with it. All 2,449,377 frames of
+	// 62 runs at seed 1 (3 s, 10 s and 30 s) read exactly this.
+	metadataBytes = 20192
+	// maxConsumerAllocs bounds the consumer's heap allocations per frame.
+	// At bench-check's settings (seed 1, 30 s) 10 runs of the tree read
+	// 2.97–3.14, and 10 runs with one extra heap allocation per received
+	// frame read 4.02–4.29; the limit sits midway. The runtime counts
+	// allocations a span at a time, so the mean moves from run to run, and
+	// less in longer runs: at 10 s the two sets read 3.03–3.51 and
+	// 3.91–4.62.
+	maxConsumerAllocs = 3.6
+)
+
+// result is perfbench's result line.
+type result struct {
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+		Unit  string  `json:"unit"`
+	} `json:"metrics"`
 }
 
-func load(path string) (hotpathDoc, error) {
-	var doc hotpathDoc
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return doc, err
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return doc, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(doc.Rows) == 0 {
-		return doc, fmt.Errorf("%s: no rows", path)
-	}
-	return doc, nil
+// spanDump is the part of perfbench's span dump the gate reads.
+type spanDump struct {
+	Frames []struct {
+		Frame    int     `json:"frame"`
+		Bytes    int     `json:"wire_bytes"`
+		Fraction float64 `json:"pixel_fraction"`
+	} `json:"frames"`
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_hotpath.json", "committed baseline document")
-	candidatePath := flag.String("candidate", "", "freshly measured document")
-	pooledSlack := flag.Float64("pooled-slack", 1.0, "absolute allocs/frame slack on the pooled path")
-	flag.Parse()
-	if *candidatePath == "" {
-		fmt.Fprintln(os.Stderr, "benchcheck: -candidate is required")
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchcheck <result.json> <span-dump.json>")
 		os.Exit(2)
 	}
-	base, err := load(*baselinePath)
-	if err != nil {
+	var res result
+	var dump spanDump
+	if err := readJSON(os.Args[1], &res); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(2)
 	}
-	cand, err := load(*candidatePath)
-	if err != nil {
+	if err := readJSON(os.Args[2], &dump); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(2)
 	}
-	if base.Experiment != cand.Experiment {
-		fmt.Fprintf(os.Stderr, "benchcheck: experiment mismatch: baseline %q, candidate %q\n",
-			base.Experiment, cand.Experiment)
-		os.Exit(2)
+	names := make([]string, 0, len(res.Metrics))
+	for name := range res.Metrics {
+		names = append(names, name)
 	}
-	baseBySessions := map[int]int{}
-	for i, r := range base.Rows {
-		baseBySessions[r.Sessions] = i
+	sort.Strings(names)
+	for _, name := range names {
+		m := res.Metrics[name]
+		fmt.Printf("benchcheck: %-30s %12.4f %s\n", name, m.Value, m.Unit)
 	}
-	failed := false
-	compared := 0
-	for _, c := range cand.Rows {
-		bi, ok := baseBySessions[c.Sessions]
-		if !ok {
-			continue
+	if failures := check(res, dump); len(failures) > 0 {
+		for _, f := range failures {
+			fmt.Fprintln(os.Stderr, "benchcheck: FAIL", f)
 		}
-		b := base.Rows[bi]
-		compared++
-		if limit := b.PooledAllocs + *pooledSlack; c.PooledAllocs > limit {
-			fmt.Fprintf(os.Stderr, "benchcheck: REGRESSION sessions=%d pooled allocs/frame %.3f > %.3f (baseline %.3f + %.1f slack)\n",
-				c.Sessions, c.PooledAllocs, limit, b.PooledAllocs, *pooledSlack)
-			failed = true
-		}
-		if limit := b.BaselineAllocs*1.5 + 2.0; c.BaselineAllocs > limit {
-			fmt.Fprintf(os.Stderr, "benchcheck: REGRESSION sessions=%d baseline allocs/frame %.3f > %.3f (baseline %.3f * 1.5 + 2)\n",
-				c.Sessions, c.BaselineAllocs, limit, b.BaselineAllocs)
-			failed = true
-		}
-		fmt.Printf("benchcheck: sessions=%d pooled %.3f (baseline %.3f), copy-heavy %.3f (baseline %.3f)\n",
-			c.Sessions, c.PooledAllocs, b.PooledAllocs, c.BaselineAllocs, b.BaselineAllocs)
-	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchcheck: no comparable rows between baseline and candidate")
-		os.Exit(2)
-	}
-	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("benchcheck: OK (%d rows within tolerance)\n", compared)
+	fmt.Printf("benchcheck: OK (%d frames, %d metadata bytes each, %.3f consumer allocs/frame <= %.2f)\n",
+		len(dump.Frames), metadataBytes, res.Metrics["consumer_allocs_per_frame"].Value, maxConsumerAllocs)
+}
+
+func readJSON(path string, v any) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// check returns one message per failed gate; none means the run passes.
+func check(res result, dump spanDump) []string {
+	var failures []string
+	if !res.Correct || res.Failed != 0 || res.Attempted == 0 {
+		failures = append(failures, fmt.Sprintf("run did not check out: correct %v, %d of %d frames failed",
+			res.Correct, res.Failed, res.Attempted))
+	}
+	if len(dump.Frames) != res.Attempted {
+		failures = append(failures, fmt.Sprintf("span dump holds %d frames, the run measured %d",
+			len(dump.Frames), res.Attempted))
+	}
+	wrong, first := 0, ""
+	for _, f := range dump.Frames {
+		stored := int(math.Round(f.Fraction * frameW * frameH))
+		if meta := f.Bytes - stored; meta != metadataBytes {
+			if wrong++; wrong == 1 {
+				first = fmt.Sprintf("frame %d: %d wire bytes for %d stored pixels, %d metadata bytes", f.Frame, f.Bytes, stored, meta)
+			}
+		}
+	}
+	if wrong > 0 {
+		failures = append(failures, fmt.Sprintf("%d of %d frames carry other than %d metadata bytes, first %s",
+			wrong, len(dump.Frames), metadataBytes, first))
+	}
+	allocs, ok := res.Metrics["consumer_allocs_per_frame"]
+	if !ok {
+		failures = append(failures, "result has no consumer_allocs_per_frame (run perfbench with --trace 1)")
+	} else if allocs.Value > maxConsumerAllocs {
+		failures = append(failures, fmt.Sprintf("consumer_allocs_per_frame %.3f > %.2f", allocs.Value, maxConsumerAllocs))
+	}
+	return failures
 }
