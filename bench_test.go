@@ -357,64 +357,6 @@ func BenchmarkSoftwareDecoder1080p(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeParallel measures row-band-sharded encode of a 1080p frame
-// at several worker counts against the same 400-region workload as the
-// sequential encoder bench. On a multi-core host (>= 4 cores) the workers-8
-// case is expected to reach >= 2x the workers-1 throughput; the outputs are
-// byte-identical regardless (see internal/core/differential_test.go).
-func BenchmarkEncodeParallel(b *testing.B) {
-	const w, h = 1920, 1080
-	fr := frame.New(w, h, frame.Gray8)
-	labels := benchLabels(400, w, h)
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", n), func(b *testing.B) {
-			enc := core.NewParallelEncoder(w, h, frame.Gray8, n)
-			if err := enc.SetRegionLabels(labels); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(fr.SizeBytes()))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := enc.EncodeFrame(fr, i); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDecodeParallel measures row-band-sharded full-frame decode at
-// several worker counts on the paper's 1080p/30%-regional reference point.
-func BenchmarkDecodeParallel(b *testing.B) {
-	const w, h = 1920, 1080
-	labels := region.List{{X: 0, Y: 0, W: w, H: h * 30 / 100, Stride: 1, Skip: 1}}
-	enc := core.NewEncoder(w, h, frame.Gray8)
-	if err := enc.SetRegionLabels(labels); err != nil {
-		b.Fatal(err)
-	}
-	ef, err := enc.EncodeFrame(frame.New(w, h, frame.Gray8), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", n), func(b *testing.B) {
-			dec := core.NewDecoder(w, h, frame.Gray8, core.WithParallelism(n))
-			if err := dec.Push(ef); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(w * h))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := dec.DecodeFrame(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkDecodeWindow measures tiled accelerator-style window requests.
 func BenchmarkDecodeWindow(b *testing.B) {
 	const w, h = 1920, 1080

@@ -7,7 +7,7 @@
 //	rpxbench -list
 //
 // Experiments: fig3, table4, fig8, fig9a, fig9b, fig9c, table5, energy,
-// appendix, clsweep, futurework, parallel, policyloop.
+// appendix, clsweep, futurework, policyloop.
 package main
 
 import (
@@ -86,7 +86,6 @@ var registry = []experiment{
 	{"appendix", "Per-frame pixel progression over a cycle (Figs. 10-15)", runAppendix},
 	{"clsweep", "Cycle length vs traffic/accuracy tradeoff (§6.1-6.2)", runCLSweep},
 	{"futurework", "§7 directions: DRAM-less, in-sensor encoder, adaptive cycle", runFutureWork},
-	{"parallel", "Row-band parallel encode/decode scaling vs worker count", runParallel},
 	{"policyloop", "closed-loop scenario policies: accuracy vs traffic over a CL sweep", runPolicyLoop},
 }
 
@@ -259,17 +258,6 @@ func runCLSweep(s experiments.Scale) (string, error) {
 		return "", err
 	}
 	return experiments.CLSweepReport(rows), nil
-}
-
-func runParallel(s experiments.Scale) (string, error) {
-	rows, err := experiments.ParallelScaling(s)
-	if err != nil {
-		return "", err
-	}
-	if err := writeCSV("parallel", func(f *os.File) error { return experiments.ParallelCSV(f, rows) }); err != nil {
-		return "", err
-	}
-	return experiments.ParallelReport(rows), nil
 }
 
 func runPolicyLoop(s experiments.Scale) (string, error) {

@@ -3,23 +3,15 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/bitpack"
 	"repro/internal/frame"
-	"repro/internal/region"
 )
 
 // DefaultHistoryDepth is the number of recent encoded frames whose metadata
 // the decoder's scratchpad holds, matching the paper's "four most recent
 // encoded frames" (§4.2.1).
 const DefaultHistoryDepth = 4
-
-// minBandRows is the shortest row band a parallel decode splits a window
-// into. A strided row copies its pixels from the row above, back to its
-// lattice row up to region.MaxStride-1 rows up, so a band shorter than that
-// could spend more rows priming its line buffer than producing output.
-const minBandRows = region.MaxStride
 
 // DecoderStats counts decode work and traffic for the evaluation harness.
 type DecoderStats struct {
@@ -41,8 +33,8 @@ type DecoderStats struct {
 	// MetadataBitsRead counts EncMask bits the PMMU examined while
 	// translating the delivered rows (see PMMUStats.MetadataBitsRead for the
 	// exact accounting). Warm-up rows decoded only to prime the line buffer
-	// are excluded, so sequential and parallel decodes report identical
-	// values for the same request.
+	// are excluded, so a window is charged for its own rows only, whichever
+	// row it starts at.
 	MetadataBitsRead int
 }
 
@@ -57,11 +49,10 @@ type DecoderStats struct {
 //
 // A Decoder is not safe for concurrent use.
 type Decoder struct {
-	w, h        int
-	format      frame.Format
-	bpp         int
-	depth       int
-	parallelism int
+	w, h   int
+	format frame.Format
+	bpp    int
+	depth  int
 
 	// The history window is a fixed ring: ring holds the scratchpad slots,
 	// head indexes the newest frame, and history is a preallocated
@@ -74,22 +65,11 @@ type Decoder struct {
 	history []*EncodedFrame // newest first; view over ring
 	stats   DecoderStats
 
-	// seq is the sequential decode's translator, sampler and row buffer,
-	// kept from call to call so a warm decode allocates nothing.
-	seq *bandScratch
-}
-
-// bandScratch is one row band's decode state: the PMMU with its reused
-// translation buffers, the FIFO sampler, and the full-width row buffer.
-type bandScratch struct {
+	// The decode loop's translator, sampler and full-width row buffer, kept
+	// from call to call so a warm decode allocates nothing.
 	pmmu PMMU
 	fifo *fifoSampler
 	row  []byte
-}
-
-// newBandScratch returns decode state sized for the decoder's rows.
-func (d *Decoder) newBandScratch() *bandScratch {
-	return &bandScratch{fifo: newFIFOSampler(d.bpp, d.w), row: make([]byte, d.w*d.bpp)}
 }
 
 // DecoderOption configures a Decoder.
@@ -106,31 +86,19 @@ func WithHistoryDepth(depth int) DecoderOption {
 	}
 }
 
-// WithParallelism sets the number of row-band workers a full-frame or
-// windowed decode may fan out to (default 1: fully sequential, the
-// reference path). Parallelism is internal to each decode call; the Decoder
-// itself remains single-caller. Band sub-decodes share the frame history
-// read-only and reconstruct bit-identical pixels to the sequential path.
-func WithParallelism(n int) DecoderOption {
-	return func(d *Decoder) {
-		if n < 1 {
-			panic("core: decode parallelism must be >= 1")
-		}
-		d.parallelism = n
-	}
-}
-
 // NewDecoder returns a decoder for w x h frames of the given format.
 func NewDecoder(w, h int, format frame.Format, opts ...DecoderOption) *Decoder {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("core: invalid decoder dimensions %dx%d", w, h))
 	}
-	d := &Decoder{w: w, h: h, format: format, bpp: formatBPP(format), depth: DefaultHistoryDepth, parallelism: 1}
+	d := &Decoder{w: w, h: h, format: format, bpp: formatBPP(format), depth: DefaultHistoryDepth}
 	for _, opt := range opts {
 		opt(d)
 	}
 	d.ring = make([]*EncodedFrame, d.depth)
 	d.history = make([]*EncodedFrame, 0, d.depth)
+	d.fifo = newFIFOSampler(d.bpp, w)
+	d.row = make([]byte, w*d.bpp)
 	return d
 }
 
@@ -171,9 +139,6 @@ func (d *Decoder) HistoryLen() int { return len(d.history) }
 // HistoryDepth returns the configured scratchpad depth.
 func (d *Decoder) HistoryDepth() int { return d.depth }
 
-// Parallelism returns the configured row-band worker count.
-func (d *Decoder) Parallelism() int { return d.parallelism }
-
 // Stats returns the accumulated decode counters.
 func (d *Decoder) Stats() DecoderStats { return d.stats }
 
@@ -188,8 +153,7 @@ func (d *Decoder) DecodeFrame() (*frame.Frame, error) {
 
 // DecodeFrameInto is DecodeFrame into a caller's frame: out must have the
 // decoder's geometry and format, and every pixel of it is overwritten.
-// Without WithParallelism, a decode into a reused frame allocates nothing
-// once the decoder is warm.
+// A decode into a reused frame allocates nothing once the decoder is warm.
 func (d *Decoder) DecodeFrameInto(out *frame.Frame) error {
 	if out.W != d.w || out.H != d.h || out.Format != d.format || len(out.Pix) != d.w*d.h*d.bpp {
 		return fmt.Errorf("core: output frame %dx%d %v (%d bytes) does not match decoder %dx%d %v",
@@ -217,12 +181,6 @@ var errNoHistory = errors.New("core: decode before any encoded frame was pushed"
 // line buffer (see lineChainStart) are decoded first and discarded, so
 // vertically strided pixels reconstruct from their source row; warm-up
 // rows are excluded from Stats.
-// When the decoder was configured WithParallelism(n > 1), the window is
-// split into independent row-band sub-decodes that share the frame history
-// read-only; each band primes its own line buffer the same way, so the
-// stitched result is byte-identical to the sequential path and the
-// accumulated statistics are too (each output row is charged exactly once;
-// warm-up rows are always discarded).
 func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
 	if len(d.history) == 0 {
 		return nil, errNoHistory
@@ -238,76 +196,34 @@ func (d *Decoder) DecodeWindow(x0, y0, w, h int) (*frame.Frame, error) {
 }
 
 // decodeWindow reconstructs the out.W x out.H window anchored at (x0, y0)
-// into out, which the caller has checked against the frame.
+// into out, which the caller has checked against the frame. The rows from
+// lineChainStart(y0) up to y0 are decoded first, only to prime the line
+// buffer, and are neither copied out nor charged to Stats.
 func (d *Decoder) decodeWindow(out *frame.Frame, x0, y0 int) error {
-	w, h := out.W, out.H
-	nb := min(d.parallelism, max(1, h/minBandRows))
-	if nb <= 1 {
-		if d.seq == nil {
-			d.seq = d.newBandScratch()
-		}
-		return d.decodeBand(d.seq, out, x0, y0, w, 0, h, &d.stats)
-	}
-
-	rows := (h + nb - 1) / nb
-	type band struct {
-		r0, r1 int
-		stats  DecoderStats
-		err    error
-	}
-	bands := make([]band, 0, nb)
-	for r := 0; r < h; r += rows {
-		bands = append(bands, band{r0: r, r1: min(r+rows, h)})
-	}
-	var wg sync.WaitGroup
-	for i := range bands {
-		wg.Add(1)
-		go func(b *band) {
-			defer wg.Done()
-			// Bands write disjoint row ranges of out and read the shared
-			// history; each gets a private sampler, PMMU, and stats.
-			b.err = d.decodeBand(d.newBandScratch(), out, x0, y0, w, b.r0, b.r1, &b.stats)
-		}(&bands[i])
-	}
-	wg.Wait()
-	for i := range bands {
-		if bands[i].err != nil {
-			return bands[i].err
-		}
-		d.stats.add(bands[i].stats)
-	}
-	return nil
-}
-
-// decodeBand reconstructs output rows [r0, r1) of the window anchored at
-// (x0, y0): the sequential decode loop over one row band, after discarded
-// warm-up rows from lineChainStart so vertically strided pixels on its
-// first rows reconstruct from their source row.
-func (d *Decoder) decodeBand(sc *bandScratch, out *frame.Frame, x0, y0, w, r0, r1 int, stats *DecoderStats) error {
-	sc.pmmu.reset(d.history)
-	pmmu, fifo, rowBuf := &sc.pmmu, sc.fifo, sc.row
+	pmmu, fifo, rowBuf := &d.pmmu, d.fifo, d.row
+	pmmu.reset(d.history)
 	fifo.reset()
 
-	start, err := lineChainStart(pmmu, y0+r0, d.w)
+	start, err := lineChainStart(pmmu, y0, d.w)
 	if err != nil {
 		return err
 	}
 	var discard DecoderStats
 	prevMetaBits := pmmu.Stats().MetadataBitsRead // the search's reads are not charged
-	for row := start - y0; row < r1; row++ {
+	for row := start - y0; row < out.H; row++ {
 		y := y0 + row
 		subs, err := pmmu.translateRow(y, 0, d.w)
 		if err != nil {
 			return err
 		}
-		st := stats
-		if row < r0 {
+		st := &d.stats
+		if row < 0 {
 			st = &discard
 		}
 		st.SubRequests += len(subs)
-		// Attribute this row's metadata reads (a delta against the shared
-		// PMMU's running counter) to the same bucket as its pixels, so
-		// warm-up rows never inflate the delivered-row accounting.
+		// Attribute this row's metadata reads (a delta against the PMMU's
+		// running counter) to the same bucket as its pixels, so warm-up
+		// rows never inflate the delivered-row accounting.
 		metaBits := pmmu.Stats().MetadataBitsRead
 		st.MetadataBitsRead += metaBits - prevMetaBits
 		prevMetaBits = metaBits
@@ -316,8 +232,8 @@ func (d *Decoder) decodeBand(sc *bandScratch, out *frame.Frame, x0, y0, w, r0, r
 			return err
 		}
 		fifo.commitRow(rowBuf)
-		if row >= r0 {
-			copy(out.Pix[row*out.Stride():(row+1)*out.Stride()], rowBuf[x0*d.bpp:(x0+w)*d.bpp])
+		if row >= 0 {
+			copy(out.Pix[row*out.Stride():(row+1)*out.Stride()], rowBuf[x0*d.bpp:(x0+out.W)*d.bpp])
 		}
 	}
 	return nil
@@ -358,18 +274,6 @@ func readsLineBuffer(subs []SubRequest) bool {
 		}
 	}
 	return false
-}
-
-// add accumulates o into s.
-func (s *DecoderStats) add(o DecoderStats) {
-	s.PixelsRequested += o.PixelsRequested
-	s.DirectR += o.DirectR
-	s.HeldSt += o.HeldSt
-	s.FetchedSk += o.FetchedSk
-	s.Black += o.Black
-	s.EncodedBytesRead += o.EncodedBytesRead
-	s.SubRequests += o.SubRequests
-	s.MetadataBitsRead += o.MetadataBitsRead
 }
 
 // fifoSampler is the FIFO Sampling Unit (§4.2.2): it consumes sub-request

@@ -573,15 +573,15 @@ func TestDecodeWindowConsistencyProperty(t *testing.T) {
 	}
 }
 
-// TestDecodeStrideCapWindowsAndBands is the regression test for strides of
-// 10 and more, whose windows and row bands reconstructed their first
-// strided rows from an unprimed line buffer while the decoder warmed up a
-// fixed eight rows. Strides above region.MaxStride are rejected; at every
-// stride up to the cap, windows and bands equal the full-frame decode (see
-// assertWindowsAndBands) on a captured frame and on the skipped frame
-// after it, which resolves against the first.
-func TestDecodeStrideCapWindowsAndBands(t *testing.T) {
-	const w, h = 13, 8 * 12 // tall enough for 12 row bands
+// TestDecodeStrideCapWindows is the regression test for strides of 10 and
+// more, whose windows reconstructed their first strided rows from an
+// unprimed line buffer while the decoder warmed up a fixed eight rows.
+// Strides above region.MaxStride are rejected; at every stride up to the
+// cap, windows equal the full-frame decode (see assertWindows) on a
+// captured frame and on the skipped frame after it, which resolves against
+// the first.
+func TestDecodeStrideCapWindows(t *testing.T) {
+	const w, h = 13, 8 * 12
 	for stride := 1; stride <= 16; stride++ {
 		// Two overlapping regions with lattices at different row phases;
 		// skip 2 makes frame 1 all Sk over them.
@@ -595,18 +595,17 @@ func TestDecodeStrideCapWindowsAndBands(t *testing.T) {
 			if err == nil {
 				t.Fatalf("stride %d accepted by Encoder", stride)
 			}
-			if err := NewParallelEncoder(w, h, frame.Gray8, 2).SetRegionLabels(labels); err == nil {
-				t.Fatalf("stride %d accepted by ParallelEncoder", stride)
-			}
 			continue
 		}
 		if err != nil {
 			t.Fatalf("stride %d: %v", stride, err)
 		}
-		decs := parallelDecoders(w, h)
+		dec := NewDecoder(w, h, frame.Gray8)
 		for fi := 0; fi < 2; fi++ {
-			pushAll(t, decs, mustEncode(t, enc, testFrame(w, h, frame.Gray8, int64(80+fi)), fi))
-			assertWindowsAndBands(t, fmt.Sprintf("stride %d frame %d", stride, fi), decs)
+			if err := dec.Push(mustEncode(t, enc, testFrame(w, h, frame.Gray8, int64(80+fi)), fi)); err != nil {
+				t.Fatal(err)
+			}
+			assertWindows(t, fmt.Sprintf("stride %d frame %d", stride, fi), dec)
 		}
 	}
 }
@@ -617,12 +616,12 @@ func TestDecodeStrideCapWindowsAndBands(t *testing.T) {
 // skips a region whose left edge is column 3. Decoding frame 1, each
 // pixel of column 3 resolves to St in frame 0 with no fetch before it in
 // its row, so it copies the pixel above — a chain from row 63 up to the
-// captured row 1 that a band or window starting below row 9 used to cut
-// off and fill with black.
+// captured row 1 that a window starting below row 9 used to cut off and
+// fill with black.
 func TestDecodeLineChainAcrossLabelChange(t *testing.T) {
 	const w, h = 16, 64
 	enc := NewEncoder(w, h, frame.Gray8)
-	decs := parallelDecoders(w, h)
+	dec := NewDecoder(w, h, frame.Gray8)
 	for fi, labels := range []region.List{
 		{{X: 0, Y: 0, W: w, H: h, Stride: 2, Skip: 1}},
 		{{X: 0, Y: 0, W: w, H: 2, Stride: 1, Skip: 1}, {X: 3, Y: 2, W: w - 3, H: h - 2, Stride: 1, Skip: 2}},
@@ -630,56 +629,37 @@ func TestDecodeLineChainAcrossLabelChange(t *testing.T) {
 		if err := enc.SetRegionLabels(labels); err != nil {
 			t.Fatal(err)
 		}
-		pushAll(t, decs, mustEncode(t, enc, testFrame(w, h, frame.Gray8, int64(90+fi)), fi))
-	}
-	assertWindowsAndBands(t, "frame 1", decs)
-}
-
-// parallelDecoders returns decoders at parallelism 1 to 12.
-func parallelDecoders(w, h int) []*Decoder {
-	decs := make([]*Decoder, 12)
-	for p := range decs {
-		decs[p] = NewDecoder(w, h, frame.Gray8, WithParallelism(p+1))
-	}
-	return decs
-}
-
-func pushAll(t *testing.T, decs []*Decoder, ef *EncodedFrame) {
-	t.Helper()
-	for _, d := range decs {
-		if err := d.Push(ef); err != nil {
+		if err := dec.Push(mustEncode(t, enc, testFrame(w, h, frame.Gray8, int64(90+fi)), fi)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	assertWindows(t, "frame 1", dec)
 }
 
-// assertWindowsAndBands checks that a full-height window starting at every
-// row, decoded by each of decs, equals the crop of decs[0]'s sequential
-// full-frame decode.
-func assertWindowsAndBands(t *testing.T, tag string, decs []*Decoder) {
+// assertWindows checks that a full-height window starting at every row
+// equals the crop of dec's full-frame decode.
+func assertWindows(t *testing.T, tag string, dec *Decoder) {
 	t.Helper()
-	want, err := decs[0].DecodeFrame()
+	want, err := dec.DecodeFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
 	w, h := want.W, want.H
-	for _, d := range decs {
-		for y0 := 0; y0 < h; y0++ {
-			got, err := d.DecodeWindow(0, y0, w, h-y0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want.Crop(0, y0, w, h-y0)) {
-				t.Fatalf("%s, parallelism %d: window from row %d differs from the full decode", tag, d.Parallelism(), y0)
-			}
+	for y0 := 0; y0 < h; y0++ {
+		got, err := dec.DecodeWindow(0, y0, w, h-y0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want.Crop(0, y0, w, h-y0)) {
+			t.Fatalf("%s: window from row %d differs from the full decode", tag, y0)
 		}
 	}
 }
 
 // TestAllocsDecodeFrame pins the decoder's steady-state allocations: a
-// full-frame decode allocates its output frame and a fixed set of per-call
-// scratch (translator, sampler, row buffer), never anything per row, so
-// the count is the same at 1080 rows as at 270. The workload is a 16-pixel
+// full-frame decode allocates its output frame (the translator, sampler and
+// row buffer are the decoder's own) and never anything per row, so the
+// count is the same at 1080 rows as at 270. The workload is a 16-pixel
 // tile grid of skipped and strided tiles over a warmed 4-frame history,
 // repeating every four tile rows so both heights hold the same row shapes.
 func TestAllocsDecodeFrame(t *testing.T) {
@@ -722,8 +702,8 @@ func TestAllocsDecodeFrame(t *testing.T) {
 }
 
 // TestDecodeFrameIntoMatchesDecodeFrame: a decode into a reused, dirty
-// output frame equals a fresh DecodeFrame at any parallelism, frame after
-// frame, and a frame of the wrong geometry or format is refused.
+// output frame equals a fresh DecodeFrame, frame after frame, and a frame
+// of the wrong geometry or format is refused.
 func TestDecodeFrameIntoMatchesDecodeFrame(t *testing.T) {
 	const w, h = 40, 36
 	enc := NewEncoder(w, h, frame.RGB24)
@@ -733,34 +713,32 @@ func TestDecodeFrameIntoMatchesDecodeFrame(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 3} {
-		dec := NewDecoder(w, h, frame.RGB24, WithParallelism(par))
-		out := frame.New(w, h, frame.RGB24)
-		if err := dec.DecodeFrameInto(out); err == nil {
-			t.Fatal("decode before any push succeeded")
+	dec := NewDecoder(w, h, frame.RGB24)
+	out := frame.New(w, h, frame.RGB24)
+	if err := dec.DecodeFrameInto(out); err == nil {
+		t.Fatal("decode before any push succeeded")
+	}
+	for i := 0; i < 8; i++ {
+		if err := dec.Push(mustEncode(t, enc, testFrame(w, h, frame.RGB24, int64(i)), i)); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 8; i++ {
-			if err := dec.Push(mustEncode(t, enc, testFrame(w, h, frame.RGB24, int64(i)), i)); err != nil {
-				t.Fatal(err)
-			}
-			want, err := dec.DecodeFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range out.Pix {
-				out.Pix[j] = 0xA5
-			}
-			if err := dec.DecodeFrameInto(out); err != nil {
-				t.Fatal(err)
-			}
-			if !out.Equal(want) {
-				t.Fatalf("parallelism %d frame %d: DecodeFrameInto differs from DecodeFrame", par, i)
-			}
+		want, err := dec.DecodeFrame()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, bad := range []*frame.Frame{frame.New(w, h-1, frame.RGB24), frame.New(w, h, frame.Gray8)} {
-			if err := dec.DecodeFrameInto(bad); err == nil {
-				t.Errorf("parallelism %d: decode into a %dx%d %v frame succeeded", par, bad.W, bad.H, bad.Format)
-			}
+		for j := range out.Pix {
+			out.Pix[j] = 0xA5
+		}
+		if err := dec.DecodeFrameInto(out); err != nil {
+			t.Fatal(err)
+		}
+		if !out.Equal(want) {
+			t.Fatalf("frame %d: DecodeFrameInto differs from DecodeFrame", i)
+		}
+	}
+	for _, bad := range []*frame.Frame{frame.New(w, h-1, frame.RGB24), frame.New(w, h, frame.Gray8)} {
+		if err := dec.DecodeFrameInto(bad); err == nil {
+			t.Errorf("decode into a %dx%d %v frame succeeded", bad.W, bad.H, bad.Format)
 		}
 	}
 }

@@ -161,9 +161,8 @@ func (e *Encoder) EndFrame() *EncodedFrame {
 // rowSublist is the RoI Selector (§4.1) in function form: it fills dst with
 // the indices of labels whose y-range covers row y. The list must be
 // y-sorted, so scanning stops at the first label starting below the row. It
-// is shared, through rowEncoder, by the sequential Encoder, the row-band
-// workers of ParallelEncoder and CountCodes; any change here changes all
-// three.
+// is shared, through rowEncoder, by the Encoder and CountCodes; any change
+// here changes both.
 func rowSublist(labels region.List, y int, dst []int, stats *EncoderStats) []int {
 	dst = dst[:0]
 	i := 0
@@ -283,15 +282,14 @@ func appendRRuns(runs []int, codes []bitpack.Code) []int {
 const rowMemoDepth = region.MaxStride
 
 // rowEncoder is the encoder's per-row pipeline — RoI Selector, Comparison
-// Engine and Sampler — shared by the sequential Encoder, each band worker of
-// ParallelEncoder and CountCodes. It remembers the last rowMemoDepth rows
-// it classified since forget. Within one frame, a row's codes are fixed by
-// its sublist and, for each label in it, whether the label skips the frame,
-// strides the row out (an active strided label off its vertical lattice)
-// or samples its lattice columns; labels are rectangles, so most rows
-// repeat one of the rows above. Such a row takes the remembered row's codes
-// and replays its R runs against the new line, with no painting, packing
-// or run scan.
+// Engine and Sampler — shared by the Encoder and CountCodes. It remembers
+// the last rowMemoDepth rows it classified since forget. Within one frame,
+// a row's codes are fixed by its sublist and, for each label in it, whether
+// the label skips the frame, strides the row out (an active strided label
+// off its vertical lattice) or samples its lattice columns; labels are
+// rectangles, so most rows repeat one of the rows above. Such a row takes
+// the remembered row's codes and replays its R runs against the new line,
+// with no painting, packing or run scan.
 type rowEncoder struct {
 	w       int
 	sublist []int // RoI Selector output (indices into labels)

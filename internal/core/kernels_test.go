@@ -139,6 +139,13 @@ func genKernelCase(data []byte) kernelCase {
 	return c
 }
 
+// genFrame fills a frame with seeded noise.
+func genFrame(rng *rand.Rand, w, h int, f frame.Format) *frame.Frame {
+	fr := frame.New(w, h, f)
+	rng.Read(fr.Pix)
+	return fr
+}
+
 // genKernelLabels draws a label list (possibly empty) over a w x h frame.
 // With twins non-nil, it also decides which strided labels get a twin.
 func genKernelLabels(s *byteSource, twins *rand.Rand, w, h int) region.List {
@@ -228,20 +235,16 @@ func copyRows(rng *rand.Rand, ef *EncodedFrame, copies []int) {
 func serialize(ef *EncodedFrame) []byte { return ef.AppendTo(nil) }
 
 // checkKernels runs one case through the production kernels and the
-// oracle and fails on the first difference: containers and EncoderStats of
-// the sequential and parallel encoders, CountCodes against the encoded
-// mask's code histogram, decoded full frames and windows at
-// decode parallelism 1-3 with their DecoderStats, and the sub-requests and
-// PMMUStats of every row translated whole and as a sub-run.
+// oracle and fails on the first difference: the encoder's containers and
+// EncoderStats, CountCodes against the encoded mask's code histogram,
+// decoded full frames and windows with their DecoderStats, and the
+// sub-requests and PMMUStats of every row translated whole and as a
+// sub-run.
 func checkKernels(t *testing.T, c kernelCase) {
 	t.Helper()
 	ref := newRefEncoder(c.w, c.h, c.format)
-	seq := NewEncoder(c.w, c.h, c.format)
-	pars := []*ParallelEncoder{NewParallelEncoder(c.w, c.h, c.format, 2), NewParallelEncoder(c.w, c.h, c.format, 3)}
-	var decs []*Decoder
-	for p := 1; p <= 3; p++ {
-		decs = append(decs, NewDecoder(c.w, c.h, c.format, WithHistoryDepth(c.depth), WithParallelism(p)))
-	}
+	enc := NewEncoder(c.w, c.h, c.format)
+	dec := NewDecoder(c.w, c.h, c.format, WithHistoryDepth(c.depth))
 	var refHist []*EncodedFrame // newest first
 	var refStats DecoderStats
 	rng := rand.New(rand.NewSource(c.seed))
@@ -258,40 +261,23 @@ func checkKernels(t *testing.T, c kernelCase) {
 				if err := ref.setRegionLabels(kf.labels); err != nil {
 					t.Fatalf("%s: %v", tag("labels"), err)
 				}
-				if err := seq.SetRegionLabels(kf.labels); err != nil {
+				if err := enc.SetRegionLabels(kf.labels); err != nil {
 					t.Fatalf("%s: %v", tag("labels"), err)
-				}
-				for _, p := range pars {
-					if err := p.SetRegionLabels(kf.labels); err != nil {
-						t.Fatalf("%s: %v", tag("labels"), err)
-					}
 				}
 			}
 			want = ref.encodeFrame(kf.pix, fi)
 			var err error
-			if got, err = seq.EncodeFrame(kf.pix, fi); err != nil {
+			if got, err = enc.EncodeFrame(kf.pix, fi); err != nil {
 				t.Fatalf("%s: %v", tag("encode"), err)
 			}
 			if !bytes.Equal(serialize(want), serialize(got)) {
-				t.Fatalf("%s: sequential container differs from the reference", tag("encode"))
+				t.Fatalf("%s: container differs from the reference", tag("encode"))
 			}
-			if seq.Stats() != ref.stats {
-				t.Fatalf("%s: EncoderStats %+v, reference %+v", tag("encode"), seq.Stats(), ref.stats)
+			if enc.Stats() != ref.stats {
+				t.Fatalf("%s: EncoderStats %+v, reference %+v", tag("encode"), enc.Stats(), ref.stats)
 			}
-			if counts, hist := CountCodes(c.w, c.h, fi, seq.Labels()), want.Mask.Histogram(); counts != hist {
+			if counts, hist := CountCodes(c.w, c.h, fi, enc.Labels()), want.Mask.Histogram(); counts != hist {
 				t.Fatalf("%s: CountCodes %v, encoded mask holds %v", tag("encode"), counts, hist)
-			}
-			for _, p := range pars {
-				pf, err := p.EncodeFrame(kf.pix, fi)
-				if err != nil {
-					t.Fatalf("%s: %v", tag("parallel encode"), err)
-				}
-				if !bytes.Equal(serialize(want), serialize(pf)) {
-					t.Fatalf("%s: parallel(n=%d) container differs from the reference", tag("encode"), p.Parallelism())
-				}
-				if p.Stats() != ref.stats {
-					t.Fatalf("%s: parallel(n=%d) EncoderStats %+v, reference %+v", tag("encode"), p.Parallelism(), p.Stats(), ref.stats)
-				}
 			}
 		}
 
@@ -299,15 +285,13 @@ func checkKernels(t *testing.T, c kernelCase) {
 		if len(refHist) > c.depth {
 			refHist = refHist[:c.depth]
 		}
-		for _, d := range decs {
-			if err := d.Push(got); err != nil {
-				t.Fatalf("%s: %v", tag("push"), err)
-			}
+		if err := dec.Push(got); err != nil {
+			t.Fatalf("%s: %v", tag("push"), err)
 		}
 
 		// PMMU: every row whole, then a random sub-run, through one
 		// translator each so the reused per-row state is exercised.
-		pm, rp := NewPMMU(decs[0].history, 0), &refPMMU{history: refHist}
+		pm, rp := NewPMMU(dec.history, 0), &refPMMU{history: refHist}
 		var kept [][2][]SubRequest // TranslateRow's result and the reference's
 		for y := 0; y < c.h; y++ {
 			x0 := rng.Intn(c.w)
@@ -338,21 +322,19 @@ func checkKernels(t *testing.T, c kernelCase) {
 			}
 		}
 
-		// Decoder: the full frame and the case's windows at every
-		// parallelism, against the oracle's sequential decode.
+		// Decoder: the full frame and the case's windows, against the
+		// oracle's decode.
 		for _, win := range append([][4]int{{0, 0, c.w, c.h}}, c.windows...) {
 			wantFr, wantErr := refDecodeWindow(refHist, c.format, win[0], win[1], win[2], win[3], &refStats)
-			for _, d := range decs {
-				gotFr, err := d.DecodeWindow(win[0], win[1], win[2], win[3])
-				if (err != nil) != (wantErr != nil) {
-					t.Fatalf("%s: window %v at parallelism %d: error %v, reference %v", tag("decode"), win, d.Parallelism(), err, wantErr)
-				}
-				if err == nil && !bytes.Equal(gotFr.Pix, wantFr.Pix) {
-					t.Fatalf("%s: window %v at parallelism %d differs from the reference", tag("decode"), win, d.Parallelism())
-				}
-				if d.Stats() != refStats {
-					t.Fatalf("%s: window %v at parallelism %d: DecoderStats\n got %+v\nwant %+v", tag("decode"), win, d.Parallelism(), d.Stats(), refStats)
-				}
+			gotFr, err := dec.DecodeWindow(win[0], win[1], win[2], win[3])
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s: window %v: error %v, reference %v", tag("decode"), win, err, wantErr)
+			}
+			if err == nil && !bytes.Equal(gotFr.Pix, wantFr.Pix) {
+				t.Fatalf("%s: window %v differs from the reference", tag("decode"), win)
+			}
+			if dec.Stats() != refStats {
+				t.Fatalf("%s: window %v: DecoderStats\n got %+v\nwant %+v", tag("decode"), win, dec.Stats(), refStats)
 			}
 		}
 	}

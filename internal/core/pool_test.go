@@ -159,7 +159,7 @@ func TestAppendToMatchesWriteTo(t *testing.T) {
 	}
 }
 
-// TestAllocsEncodePooledSteadyState pins the pooled sequential
+// TestAllocsEncodePooledSteadyState pins the pooled
 // encode→history→recycle cycle — the per-capture hot path — at zero
 // steady-state allocations.
 func TestAllocsEncodePooledSteadyState(t *testing.T) {

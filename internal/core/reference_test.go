@@ -14,9 +14,9 @@ import (
 // encoder and PMMU did before those fast paths existed (the code is that
 // implementation, lifted out of its methods). kernels_test.go compares the
 // two on randomized and fuzzed workloads: containers, decoded pixels and
-// every statistics counter must match. The parallel-vs-sequential
-// differential suites cannot catch a kernel bug, because both sides of
-// those comparisons run the production kernels.
+// every statistics counter must match. A suite that compares two uses of
+// the production kernels, such as a window against the crop of a full
+// decode, cannot catch a kernel bug, because both sides run those kernels.
 
 // refEncoder is the per-pixel reference encoder: the RoI Selector, the
 // Comparison Engine and the Sampler are the label-by-label and per-pixel
@@ -245,8 +245,7 @@ func (p *refPMMU) translateRow(y, x0, x1 int) ([]SubRequest, error) {
 	return subs, nil
 }
 
-// refDecodeWindow is the sequential window decode over the reference
-// translator. It warms its line buffer up from the frame top, so a window
+// refDecodeWindow is the window decode over the reference translator. It warms its line buffer up from the frame top, so a window
 // equals the crop of the full-frame decode by construction.
 func refDecodeWindow(history []*EncodedFrame, format frame.Format, x0, y0, w, h int, stats *DecoderStats) (*frame.Frame, error) {
 	f := history[0]

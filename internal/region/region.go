@@ -35,8 +35,8 @@ type Label struct {
 
 // MaxStride is the largest spatial stride a label may have. A vertically
 // strided row reconstructs from its lattice row up to Stride-1 rows above
-// it, and a windowed or row-band decode first replays the rows its first
-// row depends on that way; the cap keeps that warm-up short. The paper's
+// it, and a windowed decode first replays the rows its first row depends on
+// that way; the cap keeps that warm-up short. The paper's
 // workloads use strides up to 4 (Table 4).
 const MaxStride = 8
 

@@ -88,7 +88,7 @@ type Config struct {
 	// and PMMU traffic counters). Registration happens once in NewManager.
 	Metrics *obs.Registry
 	// Trace, when non-nil, records every session's frame-path spans
-	// (classify → pack → push → decode) tagged with the session id.
+	// (commit → encode → push → decode) tagged with the session id.
 	Trace *obs.Tracer
 }
 
@@ -298,9 +298,6 @@ type SessionConfig struct {
 	QueueDepth int
 	// Block selects blocking backpressure instead of ErrBacklog.
 	Block bool
-	// Parallelism is the number of row-band encode/decode workers the
-	// session's pipeline uses (0 or 1 = sequential reference path).
-	Parallelism int
 }
 
 // Session is one client's rhythmic-pixel pipeline: an rpx.System owned by a
@@ -396,9 +393,6 @@ func (m *Manager) Open(cfg SessionConfig) (*Session, error) {
 	if cfg.HistoryDepth > 0 {
 		opts = append(opts, rpx.WithHistoryDepth(cfg.HistoryDepth))
 	}
-	if cfg.Parallelism > 1 {
-		opts = append(opts, rpx.WithParallelism(cfg.Parallelism))
-	}
 	sys, err := rpx.NewSystem(cfg.W, cfg.H, cfg.Format, opts...)
 
 	m.mu.Lock()
@@ -465,9 +459,9 @@ func (s *Session) execute(req *request) result {
 		}
 		// FrameIndex is the index the next Capture will use, and pending
 		// labels commit at that capture's frame boundary — so this is the
-		// deterministic first sequence number the new workload governs,
-		// regardless of pipeline parallelism. Reading it here on the
-		// worker is race-free: no capture can interleave.
+		// deterministic first sequence number the new workload governs.
+		// Reading it here on the worker is race-free: no capture can
+		// interleave.
 		return result{seq: uint64(s.sys.FrameIndex())}
 	case OpCapture:
 		cs, err := s.sys.Capture(req.frame)

@@ -38,14 +38,13 @@ func startDiffServer(t *testing.T, mcfg server.Config, tcfg server.TCPConfig) st
 // request/reply path: for randomized geometries and workloads, every
 // FRAME_PUSH record a subscriber receives must equal — payload, row
 // offsets, encoding mask, the whole serialized EncodedFrame — what a
-// parallel reference session sees via Capture + LastEncoded when fed the
+// reference session alongside it sees via Capture + LastEncoded when fed the
 // exact same frames, and carry the same CaptureStats. Each case is driven
 // by its seed alone, so any failure reproduces from the logged seed.
 
 // diffCase runs one randomized producer/subscriber/reference trio against
-// the server at addr. The producer and reference sessions encode at the
-// given pipeline parallelism. Returned errors carry the seed.
-func diffCase(addr string, seed int64, parallelism int) error {
+// the server at addr. Returned errors carry the seed.
+func diffCase(addr string, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	fail := func(format string, args ...interface{}) error {
 		return fmt.Errorf("seed %d: %s", seed, fmt.Sprintf(format, args...))
@@ -75,7 +74,7 @@ func diffCase(addr string, seed int64, parallelism int) error {
 	}
 	rpx.RegionList(labels).SortByY()
 
-	cfg := client.Config{W: w, H: h, Format: format, Block: true, Parallelism: parallelism}
+	cfg := client.Config{W: w, H: h, Format: format, Block: true}
 	producer, err := client.Dial(addr, cfg)
 	if err != nil {
 		return fail("dial producer: %v", err)
@@ -160,26 +159,25 @@ func diffCase(addr string, seed int64, parallelism int) error {
 	return nil
 }
 
-// TestStreamDifferential runs the randomized differential suite at
-// pipeline parallelism 1, 2, and 8 — 20 cases per cell, 60 total.
-// Parallelism is both the sessions' encode/decode worker count and the
-// number of concurrently running cases.
+// TestStreamDifferential runs the randomized differential suite with 1, 2
+// and 8 cases running at once against one server — 20 cases per cell, 60
+// total.
 func TestStreamDifferential(t *testing.T) {
 	addr := startDiffServer(t, server.Config{}, server.TCPConfig{})
 	const casesPer = 20
-	for _, par := range []int{1, 2, 8} {
-		par := par
-		t.Run(fmt.Sprintf("parallel%d", par), func(t *testing.T) {
-			sem := make(chan struct{}, par)
+	for _, n := range []int{1, 2, 8} {
+		n := n
+		t.Run(fmt.Sprintf("parallel%d", n), func(t *testing.T) {
+			sem := make(chan struct{}, n)
 			var wg sync.WaitGroup
 			for c := 0; c < casesPer; c++ {
-				seed := int64(100_000*par + c)
+				seed := int64(100_000*n + c)
 				wg.Add(1)
 				sem <- struct{}{}
 				go func() {
 					defer wg.Done()
 					defer func() { <-sem }()
-					if err := diffCase(addr, seed, par); err != nil {
+					if err := diffCase(addr, seed); err != nil {
 						t.Error(err)
 					}
 				}()

@@ -239,7 +239,6 @@ func (s *TCPServer) handle(conn net.Conn) {
 		HistoryDepth: hello.HistoryDepth,
 		QueueDepth:   hello.QueueDepth,
 		Block:        hello.Block,
-		Parallelism:  hello.Parallelism,
 	})
 	if err != nil {
 		code := wire.CodeBadRequest

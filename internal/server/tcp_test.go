@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -84,15 +85,22 @@ func TestTCPRejectsNonHelloFirst(t *testing.T) {
 	readError(t, conn, wire.CodeProto)
 }
 
+// TestTCPRejectsBadHello: a HELLO of any other protocol version draws a
+// CodeProto ERROR, in today's layout or in a retired revision's own (v6
+// carried a trailing u32 parallelism field).
 func TestTCPRejectsBadHello(t *testing.T) {
 	_, addr := startTestServer(t, Config{}, TCPConfig{})
-	conn := dialRaw(t, addr)
-	payload := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8})
-	payload[4] = 99 // corrupt the protocol version
-	if err := wire.WriteMessage(conn, wire.MsgHello, payload, 0); err != nil {
-		t.Fatal(err)
+	corrupt := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8})
+	corrupt[4] = 99 // corrupt the protocol version
+	v6 := binary.LittleEndian.AppendUint32(wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8}), 2)
+	binary.LittleEndian.PutUint32(v6[4:], 6)
+	for _, payload := range [][]byte{corrupt, v6} {
+		conn := dialRaw(t, addr)
+		if err := wire.WriteMessage(conn, wire.MsgHello, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		readError(t, conn, wire.CodeProto)
 	}
-	readError(t, conn, wire.CodeProto)
 }
 
 func TestTCPEnforcesPayloadCap(t *testing.T) {
@@ -148,8 +156,8 @@ func TestTCPCaptureSizeMismatch(t *testing.T) {
 
 // TestTCPSetLabelsRejectsStrideAboveCap pins the stride cap on the wire: a
 // SET_LABELS whose stride exceeds region.MaxStride gets a BadRequest ERROR
-// (windowed and parallel decodes are only exact up to the cap), and the
-// session keeps serving.
+// (a window's warm-up, the encoder's row memo and the PMMU's row cache are
+// all bounded by the cap), and the session keeps serving.
 func TestTCPSetLabelsRejectsStrideAboveCap(t *testing.T) {
 	_, addr := startTestServer(t, Config{}, TCPConfig{})
 	conn := dialRaw(t, addr)

@@ -18,7 +18,7 @@ import (
 // LABELS_APPLIED carrying the first frame sequence number that will observe
 // the new workload. That boundary is deterministic: every pushed frame with
 // Seq >= AppliedSeq was captured under the new labels, every earlier frame
-// under the old ones, regardless of pipeline parallelism.
+// under the old ones.
 
 // StreamLabels is the client-to-server feedback message: a region-label
 // workload for the session the subscription targets.

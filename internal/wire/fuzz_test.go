@@ -22,11 +22,15 @@ func FuzzReadMessage(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	f.Add(seed(MsgHello, MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4, Parallelism: 2})))
+	f.Add(seed(MsgHello, MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4})))
 	f.Add(seed(MsgHelloAck, MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload})))
-	// A HELLO from a retired revision in its own layout (v5 with the
-	// packed-mask codec byte): one mutation away from the version check.
-	v5 := append(MarshalHello(Hello{W: 64, H: 48}), 1)
+	// HELLOs from retired revisions in their own layouts, one mutation away
+	// from the version check: v6 appended a u32 parallelism field to
+	// today's fields, and v5 a packed-mask codec byte after that field.
+	v6 := binary.LittleEndian.AppendUint32(MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4}), 2)
+	binary.LittleEndian.PutUint32(v6[4:], 6)
+	f.Add(seed(MsgHello, v6))
+	v5 := append(binary.LittleEndian.AppendUint32(MarshalHello(Hello{W: 64, H: 48}), 0), 1)
 	binary.LittleEndian.PutUint32(v5[4:], 5)
 	f.Add(seed(MsgHello, v5))
 	f.Add(seed(MsgSubscribe, MarshalSubscribe(Subscribe{Target: 3, Credit: 8, Batch: 4})))

@@ -40,7 +40,7 @@ const ProtoMagic = 0x52505844 // "RPXD"
 // streaming push mode, and in-stream label feedback — and every encoded
 // frame on the wire (ENCODED, FRAME_PUSH) is the raw RPXE v1 container
 // that .rpxs files use.
-const ProtoVersion = 6
+const ProtoVersion = 7
 
 // DefaultMaxPayload caps a single message payload (32 MiB): comfortably
 // above a 1080p RGB frame plus metadata, far below an OOM.
@@ -348,18 +348,10 @@ type Hello struct {
 	// Block selects backpressure behaviour when the queue is full: block
 	// (true) or fail fast with a BACKLOG error (false).
 	Block bool
-	// Parallelism is the number of row-band encode/decode workers the
-	// session's pipeline fans out to (0 = server default, i.e. 1: the
-	// sequential reference path).
-	Parallelism int
 }
 
-// MaxParallelism caps the HELLO Parallelism field so a hostile handshake
-// cannot request an absurd per-session worker count. Matches rpx's cap.
-const MaxParallelism = 256
-
 // helloSize is the HELLO payload length: magic, version, then the fields.
-const helloSize = 4 + 4 + 4 + 4 + 1 + 4 + 4 + 1 + 4
+const helloSize = 4 + 4 + 4 + 4 + 1 + 4 + 4 + 1
 
 // AppendHello appends a HELLO payload to dst, prefixed with magic and
 // ProtoVersion.
@@ -372,11 +364,9 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.HistoryDepth))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.QueueDepth))
 	if h.Block {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
+		return append(dst, 1)
 	}
-	return binary.LittleEndian.AppendUint32(dst, uint32(h.Parallelism))
+	return append(dst, 0)
 }
 
 // MarshalHello encodes a HELLO payload into a fresh buffer.
@@ -405,7 +395,6 @@ func UnmarshalHello(b []byte) (Hello, error) {
 		HistoryDepth: int(binary.LittleEndian.Uint32(b[17:])),
 		QueueDepth:   int(binary.LittleEndian.Uint32(b[21:])),
 		Block:        b[25] != 0,
-		Parallelism:  int(binary.LittleEndian.Uint32(b[26:])),
 	}
 	switch h.Format {
 	case frame.Gray8, frame.RGB24, frame.YUV444:
@@ -414,9 +403,6 @@ func UnmarshalHello(b []byte) (Hello, error) {
 	}
 	if h.W <= 0 || h.H <= 0 || h.W > 1<<15 || h.H > 1<<15 {
 		return Hello{}, fmt.Errorf("wire: unreasonable session geometry %dx%d", h.W, h.H)
-	}
-	if h.Parallelism < 0 || h.Parallelism > MaxParallelism {
-		return Hello{}, fmt.Errorf("wire: parallelism %d outside [0,%d]", h.Parallelism, MaxParallelism)
 	}
 	return h, nil
 }

@@ -52,7 +52,7 @@ func TestMessageSizeLimits(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{W: 640, H: 480, Format: frame.RGB24, HistoryDepth: 6, QueueDepth: 3, Block: true, Parallelism: 4}
+	h := Hello{W: 640, H: 480, Format: frame.RGB24, HistoryDepth: 6, QueueDepth: 3, Block: true}
 	got, err := UnmarshalHello(MarshalHello(h))
 	if err != nil {
 		t.Fatalf("UnmarshalHello: %v", err)
@@ -64,20 +64,26 @@ func TestHelloRoundTrip(t *testing.T) {
 
 // TestHelloVersionNegotiation pins the single-revision contract: only a
 // ProtoVersion HELLO is accepted, and every other version — including the
-// retired revisions 2-5 in their own byte layouts — fails with the typed
+// retired revisions 2-6 in their own byte layouts — fails with the typed
 // *VersionError rather than a stringly error.
 func TestHelloVersionNegotiation(t *testing.T) {
 	cur := MarshalHello(Hello{W: 64, H: 48, Format: frame.Gray8})
+	if len(cur) != 26 {
+		t.Fatalf("HELLO is %d bytes, want 26", len(cur))
+	}
 	if _, err := UnmarshalHello(cur); err != nil {
 		t.Fatalf("v%d HELLO rejected: %v", ProtoVersion, err)
 	}
 	// helloAt rebuilds the HELLO at version v in that revision's layout:
-	// v2 and v3 share today's fields, v4 and v5 appended a codec byte
-	// (1 = packed mask).
-	helloAt := func(v uint32, codec ...byte) []byte {
+	// v1 had today's fields; v2 to v6 appended a u32 parallelism field
+	// (here 2), and v4 and v5 a codec byte after it (1 = packed mask).
+	helloAt := func(v uint32) []byte {
 		b := append([]byte(nil), cur...)
 		binary.LittleEndian.PutUint32(b[4:], v)
-		return append(b, codec...)
+		return b
+	}
+	withPar := func(v uint32, codec ...byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(helloAt(v), 2), codec...)
 	}
 	for _, tc := range []struct {
 		name  string
@@ -85,12 +91,13 @@ func TestHelloVersionNegotiation(t *testing.T) {
 		got   uint32
 	}{
 		{"v1", helloAt(1), 1},
-		{"v2", helloAt(2), 2},
-		{"v3", helloAt(3), 3},
-		{"v4 raw", helloAt(4, 0), 4},
-		{"v4 packed", helloAt(4, 1), 4},
-		{"v5 raw", helloAt(5, 0), 5},
-		{"v5 packed", helloAt(5, 1), 5},
+		{"v2", withPar(2), 2},
+		{"v3", withPar(3), 3},
+		{"v4 raw", withPar(4, 0), 4},
+		{"v4 packed", withPar(4, 1), 4},
+		{"v5 raw", withPar(5, 0), 5},
+		{"v5 packed", withPar(5, 1), 5},
+		{"v6", withPar(6), 6},
 		{"next", helloAt(ProtoVersion + 1), ProtoVersion + 1},
 		{"max", helloAt(0xffffffff), 0xffffffff},
 	} {

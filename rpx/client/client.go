@@ -81,10 +81,6 @@ type Config struct {
 	// Block selects blocking backpressure; when false a saturated session
 	// fails fast and Capture returns a BACKLOG error (see IsBacklog).
 	Block bool
-	// Parallelism is the number of row-band encode/decode workers the
-	// server gives this session's pipeline (0 = server default: 1, the
-	// sequential reference path). Any value yields byte-identical results.
-	Parallelism int
 	// DialTimeout bounds connection establishment (default 10s).
 	DialTimeout time.Duration
 	// RequestTimeout bounds each request round trip (default 30s).
@@ -162,7 +158,6 @@ func (s *Session) connectLocked() error {
 		HistoryDepth: s.cfg.HistoryDepth,
 		QueueDepth:   s.cfg.QueueDepth,
 		Block:        s.cfg.Block,
-		Parallelism:  s.cfg.Parallelism,
 	}
 	ack, _, err := replay.Handshake(conn, br, wire.MarshalHello(hello), s.maxPayload, s.timeout)
 	if err != nil {

@@ -194,117 +194,6 @@ func TestEndToEndConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestEndToEndParallelSessions opens concurrent sessions that differ only
-// in their negotiated row-band parallelism (HELLO Parallelism field) and
-// feeds them identical frame sequences: every degree must produce exactly
-// the same capture stats, decoded frames, windows, and packed encoded
-// representation as an in-process sequential rpx.System.
-func TestEndToEndParallelSessions(t *testing.T) {
-	addr := startServer(t, server.Config{}, server.TCPConfig{})
-	const w, h, frames = 96, 72, 12
-	labels := []rpx.RegionLabel{
-		{X: 8, Y: 8, W: 64, H: 40, Stride: 2, Skip: 2},
-		{X: 0, Y: 52, W: w, H: 20, Stride: 1, Skip: 1},
-		{X: 70, Y: 0, W: 26, H: 48, Stride: 3, Skip: 3},
-	}
-
-	ref, err := rpx.NewSystem(w, h, rpx.Gray8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.SetRegionLabels(labels); err != nil {
-		t.Fatal(err)
-	}
-	type step struct {
-		stats   rpx.CaptureStats
-		decoded *rpx.Frame
-		window  *rpx.Frame
-	}
-	want := make([]step, frames)
-	fr := rpx.NewFrame(w, h, rpx.Gray8)
-	for i := 0; i < frames; i++ {
-		fillFrame(fr, 0, i)
-		st, err := ref.Capture(fr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := ref.Decoded()
-		if err != nil {
-			t.Fatal(err)
-		}
-		win, err := ref.DecodeWindow(8, 8, 64, 48)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = step{stats: st, decoded: dec, window: win}
-	}
-	wantEnc := ref.LastEncoded()
-
-	var wg sync.WaitGroup
-	for _, par := range []int{1, 2, 4, 8} {
-		wg.Add(1)
-		go func(par int) {
-			defer wg.Done()
-			fail := func(format string, args ...any) {
-				t.Errorf("parallelism %d: %s", par, fmt.Sprintf(format, args...))
-			}
-			sess, err := client.Dial(addr, client.Config{
-				W: w, H: h, Format: rpx.Gray8, Block: true, Parallelism: par,
-			})
-			if err != nil {
-				fail("dial: %v", err)
-				return
-			}
-			defer sess.Close()
-			if err := sess.SetRegionLabels(labels); err != nil {
-				fail("set labels: %v", err)
-				return
-			}
-			fr := rpx.NewFrame(w, h, rpx.Gray8)
-			for i := 0; i < frames; i++ {
-				fillFrame(fr, 0, i)
-				st, err := sess.Capture(fr)
-				if err != nil {
-					fail("capture %d: %v", i, err)
-					return
-				}
-				if st != want[i].stats {
-					fail("capture stats %d = %+v, want %+v", i, st, want[i].stats)
-					return
-				}
-				dec, err := sess.Decoded()
-				if err != nil {
-					fail("decode %d: %v", i, err)
-					return
-				}
-				if !dec.Equal(want[i].decoded) {
-					fail("decoded frame %d differs from sequential reference", i)
-					return
-				}
-				win, err := sess.DecodeWindow(8, 8, 64, 48)
-				if err != nil {
-					fail("window %d: %v", i, err)
-					return
-				}
-				if !win.Equal(want[i].window) {
-					fail("window %d differs from sequential reference", i)
-					return
-				}
-			}
-			ef, err := sess.LastEncoded()
-			if err != nil {
-				fail("last encoded: %v", err)
-				return
-			}
-			if ef.FrameIndex != wantEnc.FrameIndex || ef.TotalBytes() != wantEnc.TotalBytes() ||
-				!ef.Mask.Equal(wantEnc.Mask) {
-				fail("encoded representation differs from sequential reference")
-			}
-		}(par)
-	}
-	wg.Wait()
-}
-
 func historyOpts(depth int) []rpx.Option {
 	if depth <= 0 {
 		return nil

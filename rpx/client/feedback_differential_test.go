@@ -15,12 +15,30 @@ import (
 // mid-stream label updates. A label workload pushed over an open
 // subscription takes effect on the deterministic boundary the server
 // reports, and the streamed output is byte-identical to an in-process
-// rpx.System (sequential reference path) that switches workloads at exactly
-// that boundary — at server-side parallelism 1, 2 and 8. Whatever the
-// parallelism, every pushed record equals the reference's LastEncoded
-// serialization, and the frames on each side of the boundary reconstruct
-// to the same bytes the reference produces.
+// rpx.System that switches workloads at exactly that boundary: every pushed
+// record equals the reference's LastEncoded serialization, and the frames
+// on each side of the boundary reconstruct to the same bytes the reference
+// produces. Cell pN runs N producer/subscriber pairs at once against one
+// server, each on its own scene, so a label update that reached another
+// session's stream would break that session's replay.
 func TestStreamLabelBoundaryDifferential(t *testing.T) {
+	for _, pairs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("p%d", pairs), func(t *testing.T) {
+			addr := startServer(t, server.Config{}, server.TCPConfig{})
+			for pair := 0; pair < pairs; pair++ {
+				t.Run(fmt.Sprint(pair), func(t *testing.T) {
+					t.Parallel()
+					runLabelBoundaryDifferential(t, addr, 7+pair)
+				})
+			}
+		})
+	}
+}
+
+// runLabelBoundaryDifferential streams one producer's scene (fillFrame's
+// session argument) through a subscriber that swaps the label workload
+// mid-stream, and replays it on an in-process reference.
+func runLabelBoundaryDifferential(t *testing.T, addr string, scene int) {
 	const w, h = 64, 48
 	labelsA := []rpx.RegionLabel{rpx.FullFrame(w, h)}
 	// The replacement workload mixes sampling parameters so both the spatial
@@ -29,19 +47,7 @@ func TestStreamLabelBoundaryDifferential(t *testing.T) {
 		{X: 0, Y: 0, W: 32, H: 24, Stride: 1, Skip: 1},
 		{X: 32, Y: 24, W: 32, H: 24, Stride: 2, Skip: 2, Phase: 1},
 	}
-	for _, parallelism := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("p%d", parallelism), func(t *testing.T) {
-			runLabelBoundaryDifferential(t, w, h, parallelism, labelsA, labelsB)
-		})
-	}
-}
-
-func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, labelsA, labelsB []rpx.RegionLabel) {
-	addr := startServer(t, server.Config{}, server.TCPConfig{})
-	producer, err := client.Dial(addr, client.Config{
-		W: w, H: h, Format: rpx.Gray8, Block: true,
-		Parallelism: parallelism,
-	})
+	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +67,14 @@ func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, labelsA, 
 	var acks []client.LabelsApplied
 	st.OnLabelsApplied(func(la client.LabelsApplied) { acks = append(acks, la) })
 
-	// Inputs are a deterministic function of the frame index alone, so every
-	// matrix cell streams the same scene.
+	// Inputs are a deterministic function of the scene and frame index, so
+	// the reference below replays them exactly.
 	next := 0
 	capture := func(n int) {
 		t.Helper()
 		fr := rpx.NewFrame(w, h, rpx.Gray8)
 		for i := 0; i < n; i++ {
-			fillFrame(fr, 7, next)
+			fillFrame(fr, scene, next)
 			next++
 			if _, err := producer.Capture(fr); err != nil {
 				t.Fatal(err)
@@ -111,10 +117,9 @@ func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, labelsA, 
 		t.Fatalf("boundary %d beyond the %d captured frames", boundary, next)
 	}
 
-	// Reference: always the sequential in-process pipeline (parallelism 1),
-	// fed the same inputs, switching workloads exactly at the reported
-	// boundary. Byte-identity against it proves both the boundary exactness
-	// and the parallelism independence of everything after it.
+	// Reference: the in-process pipeline, fed the same inputs, switching
+	// workloads exactly at the reported boundary. Byte-identity against it
+	// proves the boundary exact.
 	ref, err := rpx.NewSystem(w, h, rpx.Gray8)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +138,7 @@ func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, labelsA, 
 				t.Fatal(err)
 			}
 		}
-		fillFrame(fr, 7, i)
+		fillFrame(fr, scene, i)
 		refStats, err := ref.Capture(fr)
 		if err != nil {
 			t.Fatal(err)
@@ -160,8 +165,7 @@ func runLabelBoundaryDifferential(t *testing.T, w, h, parallelism int, labelsA, 
 			t.Fatal(err)
 		}
 		if !got.Equal(refDec) {
-			t.Fatalf("frame %d decodes differently from the sequential reference (boundary %d, parallelism %d)",
-				i, boundary, parallelism)
+			t.Fatalf("frame %d decodes differently from the reference (boundary %d)", i, boundary)
 		}
 	}
 }

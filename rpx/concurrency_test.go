@@ -1,7 +1,6 @@
 package rpx
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 )
@@ -70,103 +69,5 @@ func TestStatsConcurrentWithCapture(t *testing.T) {
 	}
 	if sys.DecoderStats().PixelsRequested == 0 {
 		t.Fatal("DecoderStats snapshot never updated")
-	}
-}
-
-// TestParallelSystemConcurrent runs a WithParallelism(4) system — row-band
-// worker goroutines live inside Capture, Decoded, and DecodeWindow — while
-// monitoring goroutines poll every stats surface. Under -race this verifies
-// the band workers' shared-mask writes and stats stitching are race free.
-// A sequential reference system consumes the same frames so the parallel
-// path's output is also checked byte for byte while racing the pollers.
-func TestParallelSystemConcurrent(t *testing.T) {
-	const w, h, frames = 96, 64, 48
-	labels := []RegionLabel{
-		{X: 8, Y: 8, W: 48, H: 32, Stride: 2, Skip: 2},
-		{X: 0, Y: 40, W: w, H: 24, Stride: 1, Skip: 1},
-		{X: 60, Y: 0, W: 30, H: 60, Stride: 3, Skip: 3},
-	}
-	par, err := NewSystem(w, h, Gray8, WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := par.Parallelism(); got != 4 {
-		t.Fatalf("Parallelism() = %d, want 4", got)
-	}
-	ref, err := NewSystem(w, h, Gray8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*System{par, ref} {
-		if err := s.SetRegionLabels(labels); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_ = par.Stats()
-				_ = par.EncoderStats()
-				_ = par.DecoderStats()
-			}
-		}()
-	}
-
-	fr := NewFrame(w, h, Gray8)
-	for i := 0; i < frames; i++ {
-		for j := range fr.Pix {
-			fr.Pix[j] = byte(3*i + j)
-		}
-		ps, err := par.Capture(fr)
-		if err != nil {
-			t.Fatalf("parallel capture %d: %v", i, err)
-		}
-		rs, err := ref.Capture(fr)
-		if err != nil {
-			t.Fatalf("reference capture %d: %v", i, err)
-		}
-		if ps != rs {
-			t.Fatalf("capture %d stats diverge: parallel %+v reference %+v", i, ps, rs)
-		}
-		pd, err := par.Decoded()
-		if err != nil {
-			t.Fatalf("parallel decode %d: %v", i, err)
-		}
-		rd, err := ref.Decoded()
-		if err != nil {
-			t.Fatalf("reference decode %d: %v", i, err)
-		}
-		if !bytes.Equal(pd.Pix, rd.Pix) {
-			t.Fatalf("frame %d: parallel decode differs from sequential", i)
-		}
-		if i%4 == 0 {
-			pw, err := par.DecodeWindow(8, 8, 48, 40)
-			if err != nil {
-				t.Fatalf("parallel window %d: %v", i, err)
-			}
-			rw, err := ref.DecodeWindow(8, 8, 48, 40)
-			if err != nil {
-				t.Fatalf("reference window %d: %v", i, err)
-			}
-			if !bytes.Equal(pw.Pix, rw.Pix) {
-				t.Fatalf("frame %d: parallel window differs from sequential", i)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	if got, want := par.EncoderStats(), ref.EncoderStats(); got != want {
-		t.Fatalf("encoder stats diverge:\nparallel   %+v\nsequential %+v", got, want)
 	}
 }

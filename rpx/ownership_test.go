@@ -98,68 +98,82 @@ func TestBorrowLastEncodedSemantics(t *testing.T) {
 // TestMutateAfterReturnDifferential is the ownership property pass: returned
 // buffers are the caller's to trash. Mutating everything LastEncoded and
 // DecodeWindow hand back between captures must leave the reference pipeline
-// (same inputs, untouched outputs) byte-identical, at parallelism 1/2/8.
+// (same inputs, untouched outputs) byte-identical. Cell parN runs N
+// subject/reference pairs at once on distinct scenes, so storage shared
+// between Systems shows up as a divergence (or, under -race, a data race).
 func TestMutateAfterReturnDifferential(t *testing.T) {
-	const w, h, frames = 64, 48, 10
 	for _, par := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			subject, err := NewSystem(w, h, Gray8, WithParallelism(par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			reference, err := NewSystem(w, h, Gray8, WithParallelism(par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sys := range []*System{subject, reference} {
-				if err := sys.SetRegionLabels(ownershipLabels()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < frames; i++ {
-				if _, err := subject.Capture(ownershipFrame(w, h, i)); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := reference.Capture(ownershipFrame(w, h, i)); err != nil {
-					t.Fatal(err)
-				}
-
-				got := subject.LastEncoded()
-				want := reference.LastEncoded()
-				if !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
-					t.Fatalf("frame %d: subject diverged from reference", i)
-				}
-
-				gotFr, err := subject.DecodeWindow(4, 4, 40, 32)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantFr, err := reference.DecodeWindow(4, 4, 40, 32)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(gotFr.Pix, wantFr.Pix) {
-					t.Fatalf("frame %d: decoded window diverged", i)
-				}
-
-				// Trash every returned buffer; the next iteration proves the
-				// pipeline did not share storage with us.
-				for p := range got.Pix {
-					got.Pix[p] ^= 0xFF
-				}
-				for p := range got.RowOffsets {
-					got.RowOffsets[p] += 7
-				}
-				got.Mask.Fill(0, got.Mask.Len(), 3)
-				for p := range gotFr.Pix {
-					gotFr.Pix[p] ^= 0xFF
-				}
+			for pair := 0; pair < par; pair++ {
+				t.Run(fmt.Sprint(pair), func(t *testing.T) {
+					t.Parallel()
+					mutateAfterReturn(t, 100*pair)
+				})
 			}
 		})
 	}
 }
 
-// TestAllocsCaptureSteadyState pins the sequential capture hot path —
+// mutateAfterReturn runs one subject/reference pair over ten frames of the
+// scene that starts at ownershipFrame seed scene, trashing every buffer the
+// subject hands back.
+func mutateAfterReturn(t *testing.T, scene int) {
+	const w, h, frames = 64, 48, 10
+	subject, err := NewSystem(w, h, Gray8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference, err := NewSystem(w, h, Gray8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []*System{subject, reference} {
+		if err := sys.SetRegionLabels(ownershipLabels()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < frames; i++ {
+		if _, err := subject.Capture(ownershipFrame(w, h, scene+i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reference.Capture(ownershipFrame(w, h, scene+i)); err != nil {
+			t.Fatal(err)
+		}
+
+		got := subject.LastEncoded()
+		want := reference.LastEncoded()
+		if !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
+			t.Fatalf("frame %d: subject diverged from reference", i)
+		}
+
+		gotFr, err := subject.DecodeWindow(4, 4, 40, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFr, err := reference.DecodeWindow(4, 4, 40, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotFr.Pix, wantFr.Pix) {
+			t.Fatalf("frame %d: decoded window diverged", i)
+		}
+
+		// Trash every returned buffer; the next iteration proves the
+		// pipeline did not share storage with us.
+		for p := range got.Pix {
+			got.Pix[p] ^= 0xFF
+		}
+		for p := range got.RowOffsets {
+			got.RowOffsets[p] += 7
+		}
+		got.Mask.Fill(0, got.Mask.Len(), 3)
+		for p := range gotFr.Pix {
+			gotFr.Pix[p] ^= 0xFF
+		}
+	}
+}
+
+// TestAllocsCaptureSteadyState pins the capture hot path —
 // encode into a recycled frame, history push, eviction back to the pool —
 // at zero steady-state allocations.
 func TestAllocsCaptureSteadyState(t *testing.T) {

@@ -126,23 +126,11 @@ func (s SystemStats) ReductionVsFrameBased(bytesPerPixel int) float64 {
 // exception: they return snapshots taken under an internal mutex and are
 // safe to call concurrently from a monitoring goroutine while captures are
 // in flight.
-// frameEncoder is the encoder surface a System drives: implemented by the
-// sequential core.Encoder (the reference implementation) and by
-// core.ParallelEncoder (row-band sharded, byte-identical output).
-type frameEncoder interface {
-	driver.LabelSink
-	Labels() region.List
-	Stats() core.EncoderStats
-	EncodeFrame(fr *frame.Frame, frameIndex int) (*core.EncodedFrame, error)
-	SetFramePool(*core.FramePool)
-}
-
 type System struct {
-	w, h        int
-	format      Format
-	parallelism int
+	w, h   int
+	format Format
 
-	enc frameEncoder
+	enc *core.Encoder
 	dec *core.Decoder
 	rt  *driver.Runtime
 
@@ -154,7 +142,7 @@ type System struct {
 	// operations goroutine, like the encoder it serves.
 	pool *core.FramePool
 
-	// tracer, when non-nil, receives frame-path spans (classify → pack →
+	// tracer, when non-nil, receives frame-path spans (commit → encode →
 	// push → decode) tagged with tracerTag. Mutated only through SetTracer
 	// under the single-goroutine contract.
 	tracer    *obs.Tracer
@@ -175,7 +163,6 @@ type options struct {
 	historyDepth     int
 	registerCapacity int
 	firstFrameIndex  int
-	parallelism      int
 }
 
 // WithHistoryDepth sets how many encoded frames the decoder can resolve
@@ -190,25 +177,12 @@ func WithRegisterCapacity(n int) Option { return func(o *options) { o.registerCa
 // (default 0); region skip phases are evaluated against this index.
 func WithFirstFrameIndex(i int) Option { return func(o *options) { o.firstFrameIndex = i } }
 
-// WithParallelism sets how many row-band workers Capture and decode
-// operations fan out to (default 1: the sequential reference path). Any
-// n produces byte-identical encoded frames and decoded pixels; n > 1
-// trades goroutines for wall-clock on multi-core hosts. Parallelism is
-// internal to each operation — the System's concurrency contract is
-// unchanged. Values are capped at MaxParallelism.
-func WithParallelism(n int) Option { return func(o *options) { o.parallelism = n } }
-
-// MaxParallelism bounds WithParallelism: beyond the widest plausible host
-// there is only scheduler overhead, and the cap keeps a hostile rpxd HELLO
-// from requesting millions of goroutines per session.
-const MaxParallelism = 256
-
 // NewSystem creates a rhythmic pixel pipeline for w x h frames.
 func NewSystem(w, h int, format Format, opts ...Option) (*System, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("rpx: invalid dimensions %dx%d", w, h)
 	}
-	o := options{historyDepth: core.DefaultHistoryDepth, registerCapacity: driver.DefaultMaxRegions, parallelism: 1}
+	o := options{historyDepth: core.DefaultHistoryDepth, registerCapacity: driver.DefaultMaxRegions}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -218,32 +192,17 @@ func NewSystem(w, h int, format Format, opts ...Option) (*System, error) {
 	if o.registerCapacity < 1 {
 		return nil, fmt.Errorf("rpx: register capacity %d < 1", o.registerCapacity)
 	}
-	if o.parallelism < 1 {
-		return nil, fmt.Errorf("rpx: parallelism %d < 1", o.parallelism)
-	}
-	if o.parallelism > MaxParallelism {
-		return nil, fmt.Errorf("rpx: parallelism %d exceeds cap %d", o.parallelism, MaxParallelism)
-	}
-	var enc frameEncoder
-	if o.parallelism > 1 {
-		enc = core.NewParallelEncoder(w, h, format, o.parallelism)
-	} else {
-		enc = core.NewEncoder(w, h, format)
-	}
+	enc := core.NewEncoder(w, h, format)
 	pool := &core.FramePool{}
 	enc.SetFramePool(pool)
-	dec := core.NewDecoder(w, h, format,
-		core.WithHistoryDepth(o.historyDepth), core.WithParallelism(o.parallelism))
+	dec := core.NewDecoder(w, h, format, core.WithHistoryDepth(o.historyDepth))
 	rt := driver.NewRuntime(w, h, driver.NewRegisterFile(o.registerCapacity), enc)
 	return &System{
-		w: w, h: h, format: format, parallelism: o.parallelism,
+		w: w, h: h, format: format,
 		enc: enc, dec: dec, rt: rt, pool: pool,
 		frameIndex: o.firstFrameIndex,
 	}, nil
 }
-
-// Parallelism returns the configured row-band worker count (1 = sequential).
-func (s *System) Parallelism() int { return s.parallelism }
 
 // Dimensions returns the pipeline frame size.
 func (s *System) Dimensions() (w, h int) { return s.w, s.h }

@@ -7,7 +7,8 @@
 #   scripts/ci.sh alloc fuzz       # a subset, in the order given
 #
 # Stages:
-#   tier1        gofmt -l + go vet + go build + go test -race ./...
+#   tier1        gofmt -l + go vet (the root module and perfbench/) +
+#                go build + go test -race ./...
 #   alloc        steady-state zero-allocation gates (AllocsPerRun, no -race)
 #   fuzz         short fuzz budget per untrusted decode surface, plus the
 #                EncMask kernels against their per-pixel reference
@@ -36,6 +37,12 @@ stage_tier1() {
 
     echo "== go vet ./..."
     go vet ./...
+
+    # perfbench/ is its own module, so the root vet skips it; vetting it
+    # here catches a break in the rpx and rpx/client API it compiles
+    # against before bench-check does.
+    echo "== (cd perfbench && go vet ./...)"
+    (cd perfbench && go vet ./...)
 
     echo "== go build ./..."
     go build ./...
