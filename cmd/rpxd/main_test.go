@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -149,15 +150,16 @@ func TestAdminEndpoints(t *testing.T) {
 	// /metrics: global counters, op latency histograms, per-session series
 	// (scraped while sessions are still open).
 	_, metrics := adminGet(t, base+"/metrics")
+	id0 := strconv.FormatUint(sessions[0].ID(), 10)
 	for _, want := range []string{
 		"rpxd_frames_captured_total 6",
 		"rpxd_sessions_opened_total 2",
 		"rpxd_sessions_open 2",
 		"rpxd_op_latency_seconds_bucket",
 		`rpxd_op_latency_seconds_count{op="capture"}`,
-		`rpxd_session_frames_captured_total{session="1"} 3`,
-		`rpxd_session_frames_captured_total{session="2"} 3`,
-		`rpxd_session_op_latency_seconds_count{op="capture",session="1"}`,
+		`rpxd_session_frames_captured_total{session="` + id0 + `"} 3`,
+		`rpxd_session_frames_captured_total{session="` + strconv.FormatUint(sessions[1].ID(), 10) + `"} 3`,
+		`rpxd_session_op_latency_seconds_count{op="capture",session="` + id0 + `"}`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -1,12 +1,13 @@
-// Command rpxgw is a consistent-hash session gateway in front of an rpxd
-// fleet. Clients speak the ordinary rpxd wire protocol to the gateway; each
-// connection is pinned to one backend at HELLO time by hashing a
-// per-session key onto a ring of virtual nodes, and from then on requests
-// and replies are relayed in lockstep without decoding frame payloads.
+// Command rpxgw is a session gateway in front of an rpxd fleet. Clients
+// speak the ordinary rpxd wire protocol to the gateway; each connection is
+// pinned at HELLO time to the routable backend holding the fewest of the
+// gateway's sessions (ties go in -backends order), and from then on
+// requests and replies are relayed in lockstep without decoding frame
+// payloads.
 //
 // A health watcher polls every backend's /healthz (or TCP-dials backends
-// with no admin address): draining and dead backends leave the ring and
-// their live sessions are migrated onto the least-loaded survivors by
+// with no admin address): draining and dead backends take no new sessions,
+// and their live sessions are migrated onto the survivors by the same rule,
 // replaying the client's original HELLO and last SET_LABELS — the same
 // replay sequence the rpx client's reconnect path uses. Idempotent requests
 // caught mid-failure are retried on the replacement invisibly; CAPTURE gets
@@ -17,8 +18,8 @@
 //	rpxgw -addr :7631 -backends 10.0.0.1:7621@10.0.0.1:9621,10.0.0.2:7621
 //
 // Each -backends entry is "addr[@admin]"; the admin address enables
-// healthz-based cordoning and load-weighted migration, without it the
-// watcher falls back to TCP dial probes.
+// healthz-based cordoning of draining backends, without it the watcher
+// falls back to TCP dial probes.
 //
 // With -admin the gateway serves its own observability endpoint: /metrics
 // (rpxgw_* series, Prometheus text), /healthz (200 while serving, 503 once
@@ -63,7 +64,6 @@ func realMain() int {
 		addr           = flag.String("addr", ":7631", "listen address")
 		backendsFlag   = flag.String("backends", "", "comma-separated backend list, each \"addr[@admin]\" (required)")
 		adminAddr      = flag.String("admin", "", "admin listen address for /metrics, /healthz, /debug/vars, /debug/pprof (empty = disabled)")
-		vnodes         = flag.Int("vnodes", gateway.DefaultVNodes, "virtual nodes per backend on the hash ring")
 		maxPayload     = flag.Int("max-payload", 0, "per-message payload cap in bytes (0 = 32 MiB)")
 		dialTimeout    = flag.Duration("dial-timeout", gateway.DefaultDialTimeout, "backend dial deadline")
 		readTimeout    = flag.Duration("read-timeout", 2*time.Minute, "per-read client connection deadline")
@@ -96,7 +96,6 @@ func realMain() int {
 
 	if err := run(ctx, *addr, adminLn, gateway.Config{
 		Backends:       backends,
-		VNodes:         *vnodes,
 		MaxPayload:     *maxPayload,
 		DialTimeout:    *dialTimeout,
 		ReadTimeout:    *readTimeout,
@@ -158,8 +157,7 @@ func serveAndDrain(ctx context.Context, ln, adminLn net.Listener, gcfg gateway.C
 		fmt.Fprintf(logw, "rpxgw: admin listening on %s\n", adminLn.Addr())
 	}
 
-	fmt.Fprintf(logw, "rpxgw: listening on %s (%d backends, %d vnodes)\n",
-		ln.Addr(), len(gcfg.Backends), gcfg.VNodes)
+	fmt.Fprintf(logw, "rpxgw: listening on %s (%d backends)\n", ln.Addr(), len(gcfg.Backends))
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- g.Serve(ln) }()

@@ -349,7 +349,11 @@ func TestLiveGatewayMatrix(t *testing.T) {
 		})
 	}
 
-	var wg sync.WaitGroup
+	// Frames start once every session has dialed, so the kill lands on
+	// open sessions, not on handshakes that would fail over without a
+	// reroute (scripts/ci.sh checks that the kill rerouted sessions).
+	var wg, dialed sync.WaitGroup
+	dialed.Add(sessions)
 	for si := 0; si < sessions; si++ {
 		wg.Add(1)
 		go func(si int) {
@@ -362,11 +366,13 @@ func TestLiveGatewayMatrix(t *testing.T) {
 				RequestTimeout: 5 * time.Second,
 				Reconnect:      true, MaxRetries: 6, Backoff: 5 * time.Millisecond,
 			})
+			dialed.Done()
 			if err != nil {
 				fail("dial: %v", err)
 				return
 			}
 			defer sess.Close()
+			dialed.Wait()
 			if err := sess.SetRegionLabels([]rpx.RegionLabel{rpx.FullFrame(w, h)}); err != nil {
 				fail("set labels: %v", err)
 				return

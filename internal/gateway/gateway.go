@@ -1,23 +1,23 @@
-// Package gateway implements rpxgw's session proxy: a consistent-hash
-// router that sits in front of a fleet of rpxd backends and speaks the rpxd
-// wire protocol on both sides.
+// Package gateway implements rpxgw's session proxy, which sits in front of a
+// fleet of rpxd backends and speaks the rpxd wire protocol on both sides.
 //
-// Each client connection is pinned to one backend at HELLO time by hashing
-// a per-connection session key onto the ring; from then on the gateway
-// relays messages in lockstep (read request, forward, read reply, forward)
-// without decoding frame payloads. The strict one-reply-per-request shape
-// of the protocol is what makes migration safe: between round trips a
-// session has no in-flight state on the wire, so the gateway can tear the
-// backend connection down and rebuild it elsewhere — replaying the client's
-// original HELLO and last SET_LABELS bytes via the same replay package the
-// rpx client's reconnect path uses — at any message boundary.
+// Each client connection is pinned to one backend at HELLO time: the
+// routable backend holding the fewest of this gateway's sessions, ties going
+// in -backends order. From then on the gateway relays messages in lockstep
+// (read request, forward, read reply, forward) without decoding frame
+// payloads. The strict one-reply-per-request shape of the protocol is what
+// makes migration safe: between round trips a session has no in-flight
+// state on the wire, so the gateway can tear the backend connection down
+// and rebuild it elsewhere — replaying the client's original HELLO and last
+// SET_LABELS bytes via the same replay package the rpx client's reconnect
+// path uses — at any message boundary.
 //
 // A health watcher polls every backend's /healthz. Draining or dead
-// backends leave the ring (new sessions avoid them) and their live sessions
-// are evacuated onto the least-loaded survivors. A backend that dies
-// mid-request costs the client at most one typed error (CAPTURE, which is
-// not safely retryable, returns CodeUnavailable); idempotent requests are
-// retried once on the replacement and the client never notices.
+// backends take no new sessions, and their live sessions are evacuated onto
+// the survivors by the same placement rule. A backend that dies mid-request
+// costs the client at most one typed error (CAPTURE, which is not safely
+// retryable, returns CodeUnavailable); idempotent requests are retried once
+// on the replacement and the client never notices.
 package gateway
 
 import (
@@ -27,13 +27,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/rpx/client/replay"
 )
@@ -74,10 +73,9 @@ func ParseBackends(s string) ([]Backend, error) {
 
 // Config tunes the gateway.
 type Config struct {
-	// Backends is the rpxd fleet (required, non-empty).
+	// Backends is the rpxd fleet (required, non-empty). Its order breaks
+	// placement ties.
 	Backends []Backend
-	// VNodes is the ring's virtual-node count per backend (0 = DefaultVNodes).
-	VNodes int
 	// MaxPayload caps relayed message payloads (0 = wire.DefaultMaxPayload).
 	MaxPayload int
 	// DialTimeout bounds one backend dial (default 5s).
@@ -105,23 +103,19 @@ const (
 // Shutdown.
 //
 // Lock order: a proxySession's mu may be held while acquiring g.mu (load
-// accounting happens inside backend swaps), so nothing may acquire a
-// session's mu while holding g.mu — evacuation and shutdown snapshot the
-// session set under g.mu, release it, and only then touch sessions.
+// accounting happens inside backend swaps), and g.mu while acquiring the
+// watcher's, so nothing may acquire a session's mu while holding g.mu —
+// evacuation snapshots the session set under g.mu, releases it, and only
+// then touches sessions.
 type Gateway struct {
+	server.ConnServer
 	cfg     Config
-	ring    *Ring
 	watcher *Watcher
 
 	mu         sync.Mutex
-	ln         net.Listener
-	draining   bool
-	conns      map[net.Conn]struct{}
 	sessions   map[*proxySession]struct{}
 	localLoad  map[string]int    // gateway-local sessions pinned per backend
 	remotePins map[uint64]string // backend-assigned session id -> backend addr
-	nextKey    uint64
-	wg         sync.WaitGroup
 
 	sessionsOpen  obs.Gauge
 	sessionsTotal obs.Counter
@@ -147,13 +141,13 @@ var proxyOps = [...]struct {
 	{wire.MsgSubscribe, "subscribe"},
 }
 
-func opIndex(typ byte) int {
+// observe records the latency of one proxied op of type typ.
+func (g *Gateway) observe(typ byte, start time.Time) {
 	for i, op := range proxyOps {
 		if op.typ == typ {
-			return i
+			g.opHist[i].Observe(time.Since(start))
 		}
 	}
-	return -1
 }
 
 // idempotent reports whether a request can be retried on a replacement
@@ -169,9 +163,9 @@ func idempotent(typ byte) bool {
 	return false
 }
 
-// New builds a gateway over cfg.Backends. Every backend starts on the ring
+// New builds a gateway over cfg.Backends. Every backend starts routable
 // (StateUnknown routes optimistically — a dead one just fails over at dial
-// time until the first probe round evicts it).
+// time until the first probe round marks it).
 func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("gateway: no backends configured")
@@ -192,15 +186,12 @@ func New(cfg Config) (*Gateway, error) {
 		cfg.BackendTimeout = DefaultBackendTimeout
 	}
 	g := &Gateway{
-		cfg:       cfg,
-		ring:      NewRing(cfg.VNodes),
-		conns:     make(map[net.Conn]struct{}),
-		sessions:  make(map[*proxySession]struct{}),
-		localLoad: make(map[string]int),
+		cfg:        cfg,
+		sessions:   make(map[*proxySession]struct{}),
+		localLoad:  make(map[string]int),
+		remotePins: make(map[uint64]string),
 	}
-	for _, b := range cfg.Backends {
-		g.ring.Add(b.Addr)
-	}
+	g.ReadTimeout = cfg.ReadTimeout
 	hcfg := cfg.Health
 	hcfg.OnChange = g.onHealthChange
 	g.watcher = NewWatcher(cfg.Backends, hcfg)
@@ -222,15 +213,12 @@ func (g *Gateway) SessionsOpen() int {
 	return len(g.sessions)
 }
 
-// onHealthChange is the watcher callback: ring membership tracks health,
-// and leaving the ring triggers evacuation of the sessions pinned there.
+// onHealthChange is the watcher callback: a backend that stops being
+// routable has its sessions evacuated. pick reads the watcher's states
+// directly, so nothing else tracks them.
 func (g *Gateway) onHealthChange(addr string, from, to State) {
 	g.healthFlips.Inc()
-	switch to {
-	case StateHealthy:
-		g.ring.Add(addr)
-	case StateDraining, StateDead:
-		g.ring.Remove(addr)
+	if !to.routable() {
 		go g.evacuate(addr)
 	}
 }
@@ -259,134 +247,54 @@ func (g *Gateway) snapshotSessions() []*proxySession {
 	return out
 }
 
-// noteLoad adjusts the gateway-local pin count of one backend.
-func (g *Gateway) noteLoad(addr string, delta int) {
+// pick chooses the backend to place a session on: among the backends skip
+// does not exclude and the watcher has not marked draining or dead, the one
+// holding the fewest of this gateway's sessions, ties going in -backends
+// order. It counts the session there at once, before the handshake, so
+// that concurrent placements spread instead of all reading the same loads;
+// adoptBackendLocked uncounts it if the backend refuses. It returns "" when
+// no backend qualifies.
+func (g *Gateway) pick(skip func(addr string) bool) string {
 	g.mu.Lock()
-	g.localLoad[addr] += delta
+	defer g.mu.Unlock()
+	best := ""
+	for _, b := range g.cfg.Backends {
+		if skip(b.Addr) || !g.watcher.Status(b.Addr).State.routable() {
+			continue
+		}
+		if best == "" || g.localLoad[b.Addr] < g.localLoad[best] {
+			best = b.Addr
+		}
+	}
+	if best != "" {
+		g.localLoad[best]++
+	}
+	return best
+}
+
+// unload takes one session off a backend's gateway-local count.
+func (g *Gateway) unload(addr string) {
+	g.mu.Lock()
+	g.localLoad[addr]--
 	if g.localLoad[addr] <= 0 {
 		delete(g.localLoad, addr)
 	}
 	g.mu.Unlock()
 }
 
-// migrationTargets returns candidate backends for (re)placing a session:
-// the ring-walk failover order from the session's key, minus the excluded
-// and unhealthy members, stably sorted least-loaded first. Load is the
-// backend's own healthz-reported session count when the watcher has one
-// (the whole-fleet truth), else this gateway's local pin count.
-func (g *Gateway) migrationTargets(key, exclude string) []string {
-	seq := g.ring.Sequence(key)
-	cands := make([]string, 0, len(seq))
-	for _, addr := range seq {
-		if addr == exclude {
-			continue
-		}
-		if st := g.watcher.Status(addr); st.State == StateDraining || st.State == StateDead {
-			continue
-		}
-		cands = append(cands, addr)
-	}
-	weight := func(addr string) int {
-		if st := g.watcher.Status(addr); st.Sessions >= 0 {
-			return st.Sessions
-		}
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return g.localLoad[addr]
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return weight(cands[i]) < weight(cands[j]) })
-	return cands
-}
-
-// Serve accepts client connections until the listener closes via Shutdown.
-// It starts the health watcher and returns nil on graceful shutdown.
+// Serve starts the health watcher and accepts client connections until
+// Shutdown. It returns nil on graceful shutdown.
 func (g *Gateway) Serve(ln net.Listener) error {
-	g.mu.Lock()
-	if g.draining {
-		g.mu.Unlock()
-		return errors.New("gateway: already shut down")
-	}
-	g.ln = ln
-	g.mu.Unlock()
 	g.watcher.Start()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			g.mu.Lock()
-			draining := g.draining
-			g.mu.Unlock()
-			if draining || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		g.mu.Lock()
-		if g.draining {
-			g.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		g.conns[conn] = struct{}{}
-		g.wg.Add(1)
-		g.mu.Unlock()
-		go func() {
-			defer g.wg.Done()
-			g.handle(conn)
-			g.mu.Lock()
-			delete(g.conns, conn)
-			g.mu.Unlock()
-		}()
-	}
+	return g.ConnServer.Serve(ln, g.handle)
 }
 
-// Shutdown stops accepting, wakes blocked client reads, waits for handlers
-// to finish or ctx to expire (then force-closes), and stops the watcher.
+// Shutdown drains the client connections (server.ConnServer.Shutdown), then
+// stops the health watcher.
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.mu.Lock()
-	g.draining = true
-	ln := g.ln
-	for conn := range g.conns {
-		conn.SetReadDeadline(time.Now())
-	}
-	g.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		g.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = errors.New("gateway: drain deadline exceeded")
-		g.mu.Lock()
-		for conn := range g.conns {
-			conn.Close()
-		}
-		g.mu.Unlock()
-		<-done
-	}
+	err := g.ConnServer.Shutdown(ctx)
 	g.watcher.Stop()
 	return err
-}
-
-// armRead sets the deadline for a handler's next client read. Shutdown
-// wakes blocked reads by expiring their deadlines; a handler that re-arms
-// after that wake-up gets an expired deadline too, instead of blocking for
-// a full ReadTimeout and stalling the drain.
-func (g *Gateway) armRead(conn net.Conn) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	deadline := time.Now().Add(g.cfg.ReadTimeout)
-	if g.draining {
-		deadline = time.Now()
-	}
-	conn.SetReadDeadline(deadline)
 }
 
 // proxySession is one client connection pinned to one backend. hello and
@@ -394,9 +302,7 @@ func (g *Gateway) armRead(conn net.Conn) {
 // verbatim on migration so the replacement backend sees exactly the
 // original workload.
 type proxySession struct {
-	gw     *Gateway
-	key    string
-	client net.Conn
+	gw *Gateway
 
 	mu          sync.Mutex
 	backendAddr string
@@ -430,7 +336,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		return writeClient(wire.MsgError, wire.MarshalError(code, msg))
 	}
 
-	g.armRead(conn)
+	g.ArmRead(conn)
 	typ, payload, err := wire.ReadMessageInto(cbr, &cbuf, g.cfg.MaxPayload)
 	if err != nil {
 		return
@@ -446,11 +352,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		return
 	}
 
-	g.mu.Lock()
-	g.nextKey++
-	key := conn.RemoteAddr().String() + "#" + strconv.FormatUint(g.nextKey, 10)
-	g.mu.Unlock()
-	s := &proxySession{gw: g, key: key, client: conn, hello: bytes.Clone(payload)}
+	s := &proxySession{gw: g, hello: bytes.Clone(payload)}
 
 	ack, reject, err := s.open()
 	if reject != nil {
@@ -486,7 +388,7 @@ func (g *Gateway) handle(conn net.Conn) {
 	}
 
 	for {
-		g.armRead(conn)
+		g.ArmRead(conn)
 		typ, payload, err := wire.ReadMessageInto(cbr, &cbuf, g.cfg.MaxPayload)
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {
@@ -498,12 +400,8 @@ func (g *Gateway) handle(conn net.Conn) {
 		// stream ends; it may return a request that arrived after a
 		// server-side stream end (possibly another SUBSCRIBE).
 		for typ == wire.MsgSubscribe {
-			start := time.Now()
 			var ok bool
 			typ, payload, ok = s.relayStream(conn, cbr, &cbuf, writeClient, payload)
-			if i := opIndex(wire.MsgSubscribe); i >= 0 {
-				g.opHist[i].Observe(time.Since(start))
-			}
 			if !ok {
 				return
 			}
@@ -516,9 +414,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		}
 		start := time.Now()
 		rtyp, rpayload := s.roundTrip(typ, payload)
-		if i := opIndex(typ); i >= 0 {
-			g.opHist[i].Observe(time.Since(start))
-		}
+		g.observe(typ, start)
 		if typ == wire.MsgClose {
 			release()
 			writeClient(rtyp, rpayload)
@@ -530,40 +426,42 @@ func (g *Gateway) handle(conn net.Conn) {
 	}
 }
 
-// open pins the session to its first backend: the ring-walk order from the
-// session key, skipping members the watcher has cordoned. A deterministic
-// protocol rejection (any RemoteError but CodeSessionLimit) is returned as
-// reject for verbatim relay; transport failures and full backends fail over
-// to the next candidate. On success the raw HELLO_ACK payload is returned
-// for relay.
+// open pins the session to its first backend, trying backends in pick's
+// order. A deterministic protocol rejection (any RemoteError but
+// CodeSessionLimit) is returned as reject for verbatim relay; transport
+// failures and full backends fail over to the next pick. On success the raw
+// HELLO_ACK payload is returned for relay.
 func (s *proxySession) open() (ack []byte, reject *wire.RemoteError, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var lastErr error
-	for _, addr := range s.gw.ring.Sequence(s.key) {
-		if st := s.gw.watcher.Status(addr); st.State == StateDraining || st.State == StateDead {
-			continue
-		}
-		ackPayload, oerr := s.adoptBackendLocked(addr)
+	tried := make(map[string]bool)
+	skip := func(addr string) bool { return tried[addr] }
+	err = errors.New("no routable backend")
+	for addr := s.gw.pick(skip); addr != ""; addr = s.gw.pick(skip) {
+		tried[addr] = true
+		ack, oerr := s.adoptBackendLocked(addr)
 		if oerr == nil {
-			return ackPayload, nil, nil
+			return ack, nil, nil
 		}
 		var re *wire.RemoteError
 		if errors.As(oerr, &re) && re.Code != wire.CodeSessionLimit {
 			return nil, re, nil
 		}
-		lastErr = oerr
+		err = oerr
 	}
-	if lastErr == nil {
-		lastErr = errors.New("no routable backend")
-	}
-	return nil, nil, lastErr
+	return nil, nil, err
 }
 
-// adoptBackendLocked dials addr, replays the session's HELLO (and last
-// SET_LABELS, if any), and on success pins the session there, returning the
-// raw HELLO_ACK payload.
-func (s *proxySession) adoptBackendLocked(addr string) ([]byte, error) {
+// adoptBackendLocked dials addr, which pick has counted the session on,
+// replays the session's HELLO (and last SET_LABELS, if any), and on success
+// pins the session there, returning the raw HELLO_ACK payload. On failure
+// it uncounts the session.
+func (s *proxySession) adoptBackendLocked(addr string) (ackPayload []byte, err error) {
+	defer func() {
+		if err != nil {
+			s.gw.unload(addr)
+		}
+	}()
 	conn, err := net.DialTimeout("tcp", addr, s.gw.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
@@ -575,7 +473,7 @@ func (s *proxySession) adoptBackendLocked(addr string) ([]byte, error) {
 		return nil, err
 	}
 	if s.labels != nil {
-		if err := replay.InstallLabels(conn, br, s.labels, s.gw.cfg.MaxPayload, s.gw.cfg.BackendTimeout); err != nil {
+		if err = replay.InstallLabels(conn, br, s.labels, s.gw.cfg.MaxPayload, s.gw.cfg.BackendTimeout); err != nil {
 			conn.Close()
 			return nil, err
 		}
@@ -585,7 +483,6 @@ func (s *proxySession) adoptBackendLocked(addr string) ([]byte, error) {
 	// targets can be routed to the producer's backend.
 	s.remoteID = ack.SessionID
 	s.gw.setRemotePin(ack.SessionID, addr)
-	s.gw.noteLoad(addr, +1)
 	return ackPayload, nil
 }
 
@@ -596,32 +493,31 @@ func (s *proxySession) closeBackendLocked() {
 	}
 	s.bconn, s.bbr = nil, nil
 	if s.backendAddr != "" {
-		s.gw.dropRemotePin(s.remoteID, s.backendAddr)
+		s.gw.dropRemotePin(s.remoteID)
 		s.remoteID = 0
-		s.gw.noteLoad(s.backendAddr, -1)
+		s.gw.unload(s.backendAddr)
 		s.backendAddr = ""
 	}
 }
 
-// migrateLocked moves the session onto the least-loaded healthy survivor
-// (excluding the backend it just left), replaying HELLO and labels. On
-// failure the session is left backend-less; callers decide whether that is
-// an error reply (round trip) or deferred (evacuation).
+// migrateLocked moves the session onto a backend other than exclude (the
+// one it just left, or ""), trying backends in pick's order and replaying
+// HELLO and labels. On failure the session is left backend-less; callers
+// decide whether that is an error reply (round trip) or deferred
+// (evacuation).
 func (s *proxySession) migrateLocked(exclude string) error {
 	s.closeBackendLocked()
-	var lastErr error
-	for _, addr := range s.gw.migrationTargets(s.key, exclude) {
-		if _, err := s.adoptBackendLocked(addr); err != nil {
-			lastErr = err
-			continue
+	tried := map[string]bool{exclude: true}
+	skip := func(addr string) bool { return tried[addr] }
+	err := errors.New("no healthy backend")
+	for addr := s.gw.pick(skip); addr != ""; addr = s.gw.pick(skip) {
+		tried[addr] = true
+		if _, err = s.adoptBackendLocked(addr); err == nil {
+			s.gw.rerouted.Inc()
+			return nil
 		}
-		s.gw.rerouted.Inc()
-		return nil
 	}
-	if lastErr == nil {
-		lastErr = errors.New("no healthy backend")
-	}
-	return lastErr
+	return err
 }
 
 // forwardLocked relays one request to the pinned backend and reads the one
@@ -728,7 +624,7 @@ func (g *Gateway) registerMetrics(reg *obs.Registry) {
 			st := g.watcher.Status(b.Addr)
 			label := obs.L("backend", b.Addr)
 			up := 0.0
-			if st.State == StateHealthy || st.State == StateUnknown {
+			if st.State.routable() {
 				up = 1.0
 			}
 			emit(obs.Sample{Name: "rpxgw_backend_up",

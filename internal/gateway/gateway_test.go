@@ -271,7 +271,7 @@ func TestGatewayRelaysRejection(t *testing.T) {
 
 // TestGatewaySessionLimitFailover: a full backend (MaxSessions 1) answers
 // CodeSessionLimit, which is not deterministic across the fleet — the
-// gateway fails over to the next ring candidate instead of relaying it.
+// gateway fails over to the next backend instead of relaying it.
 func TestGatewaySessionLimitFailover(t *testing.T) {
 	full := server.NewManager(server.Config{MaxSessions: 1})
 	fullSrv := server.NewTCPServer(full, server.TCPConfig{})
@@ -303,6 +303,53 @@ func TestGatewaySessionLimitFailover(t *testing.T) {
 	}
 	if bs := snap.Backends[ln.Addr().String()]; bs.LocalSessions > 1 {
 		t.Fatalf("full backend holds %d sessions, cap is 1", bs.LocalSessions)
+	}
+}
+
+// TestGatewayPlacement pins the placement rule for new and migrated
+// sessions alike: the routable backend holding the fewest of the gateway's
+// sessions. Concurrent dials spread evenly because each is counted when
+// its backend is picked, and draining a backend splits its sessions
+// between the survivors.
+func TestGatewayPlacement(t *testing.T) {
+	backends := []*testBackend{startBackendWithAdmin(t), startBackendWithAdmin(t), startBackendWithAdmin(t)}
+	var cfgBackends []gateway.Backend
+	for _, b := range backends {
+		cfgBackends = append(cfgBackends, gateway.Backend{Addr: b.addr, Admin: b.admin})
+	}
+	gaddr, g := startGateway(t, cfgBackends, nil)
+	g.Watcher().Probe()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess, err := client.Dial(gaddr, client.Config{W: 16, H: 12, Format: rpx.Gray8})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			t.Cleanup(func() { sess.Close() })
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if got := fmt.Sprint(sessionsAcross(backends)); got != "[2 2 2]" {
+		t.Fatalf("6 concurrent dials over 3 backends landed %s, want [2 2 2]", got)
+	}
+
+	backends[0].health.SetDraining()
+	g.Watcher().Probe()
+	deadline := time.Now().Add(5 * time.Second)
+	for fmt.Sprint(sessionsAcross(backends)) != "[0 3 3]" || g.Snapshot().Rerouted != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after draining backend 0: sessions %v, rerouted %d; want [0 3 3] after 2 migrations",
+				sessionsAcross(backends), g.Snapshot().Rerouted)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -444,7 +491,12 @@ func TestGatewayKillBackendMidMatrix(t *testing.T) {
 		})
 	}
 
-	var wg sync.WaitGroup
+	// Frames start once every session has dialed, so all of them are open
+	// when the kill lands. The gateway counts a session on its backend from
+	// the moment it picks it, so a victim chosen while dials were still in
+	// flight could hold only handshakes, which fail over without a reroute.
+	var wg, dialed sync.WaitGroup
+	dialed.Add(sessions)
 	for si := 0; si < sessions; si++ {
 		wg.Add(1)
 		go func(si int) {
@@ -457,11 +509,13 @@ func TestGatewayKillBackendMidMatrix(t *testing.T) {
 				RequestTimeout: 5 * time.Second,
 				Reconnect:      true, MaxRetries: 6, Backoff: 2 * time.Millisecond,
 			})
+			dialed.Done()
 			if err != nil {
 				fail("dial: %v", err)
 				return
 			}
 			defer sess.Close()
+			dialed.Wait()
 			if err := sess.SetRegionLabels([]rpx.RegionLabel{rpx.FullFrame(w, h)}); err != nil {
 				fail("set labels: %v", err)
 				return

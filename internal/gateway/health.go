@@ -24,10 +24,14 @@ const (
 	// no new sessions, and existing ones are migrated off in an orderly way
 	// before the backend finishes shutting down.
 	StateDraining
-	// StateDead backends failed Strikes consecutive probes: evicted from the
-	// ring; their sessions recover onto survivors.
+	// StateDead backends failed Strikes consecutive probes: they take no
+	// sessions, and theirs recover onto survivors.
 	StateDead
 )
+
+// routable reports whether a backend in this state takes new and migrated
+// sessions.
+func (s State) routable() bool { return s == StateHealthy || s == StateUnknown }
 
 // String returns the state's metrics/log name.
 func (s State) String() string {
@@ -46,8 +50,8 @@ func (s State) String() string {
 type Status struct {
 	State State
 	// Sessions is the backend's own open-session count as reported by its
-	// /healthz body (or its rpxd_sessions_open metric), -1 when unknown.
-	// It is the load weight session migration uses to pick a survivor.
+	// /healthz body, -1 when unknown. It is reported in the gateway's
+	// final-stats snapshot; placement does not read it.
 	Sessions int
 	// Err is the most recent probe error (nil while the backend answers).
 	Err error
@@ -63,21 +67,26 @@ type WatcherConfig struct {
 	// (default 2 — one failure can be a blip; a draining answer is
 	// authoritative immediately).
 	Strikes int
-	// OnChange, when non-nil, fires (outside the watcher lock) on every
-	// state transition.
+	// OnChange, when non-nil, fires on every state transition, in the
+	// order rounds ran. It runs outside the status lock but inside the
+	// round, so it must not call Probe.
 	OnChange func(addr string, from, to State)
 }
 
 // Watcher polls every backend's /healthz (falling back to a TCP dial probe
 // of the wire address when no admin endpoint is configured) and classifies
-// each as healthy, draining, or dead. The JSON healthz body carries the
-// backend's open-session count, which doubles as the migration weight; a
-// body that is not JSON health is a failed probe.
+// each as healthy, draining, or dead. The JSON healthz body also carries the
+// backend's open-session count; a body that is not JSON health is a failed
+// probe.
 type Watcher struct {
 	backends []Backend
 	cfg      WatcherConfig
 	client   *http.Client
 
+	// round is held for a whole probe round, so rounds apply their results
+	// (and fire OnChange) one after another: a slow answer from an earlier
+	// round cannot overwrite a later round's.
+	round  sync.Mutex
 	mu     sync.Mutex
 	status map[string]*probeState
 
@@ -171,8 +180,11 @@ func (w *Watcher) Status(addr string) Status {
 
 // Probe runs one synchronous probe round over all backends, firing
 // OnChange for every transition. The run loop calls it on each tick; tests
-// and operators can call it directly for a deterministic refresh.
+// and operators can call it directly for a deterministic refresh. A round
+// waits for any round already running to finish.
 func (w *Watcher) Probe() {
+	w.round.Lock()
+	defer w.round.Unlock()
 	type flip struct {
 		addr     string
 		from, to State

@@ -117,6 +117,49 @@ func TestWatcherTransitions(t *testing.T) {
 	}
 }
 
+// TestWatcherAppliesRoundsInOrder: a probe round that answers late cannot
+// overwrite a later round's result. The startup round's "ok" is held back
+// while the test's own round reads "draining"; rounds run one at a time, so
+// the held answer is applied first and "draining" stands.
+func TestWatcherAppliesRoundsInOrder(t *testing.T) {
+	firstArrived := make(chan struct{})
+	release := make(chan struct{})
+	var mu sync.Mutex
+	requests := 0
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		requests++
+		first := requests == 1
+		mu.Unlock()
+		if !first {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprint(w, `{"state":"draining","sessions":0}`)
+			return
+		}
+		close(firstArrived)
+		// Held until the later round has applied, when rounds overlap; when
+		// they cannot, the later round waits for this one, so give up after
+		// a while.
+		select {
+		case <-release:
+		case <-time.After(200 * time.Millisecond):
+		}
+		fmt.Fprint(w, `{"state":"ok","sessions":0}`)
+	}))
+	defer ts.Close()
+
+	b := Backend{Addr: "198.51.100.4:7621", Admin: ts.Listener.Addr().String()}
+	w := NewWatcher([]Backend{b}, WatcherConfig{Interval: time.Hour, Timeout: 5 * time.Second})
+	w.Start()
+	<-firstArrived
+	w.Probe()
+	close(release)
+	w.Stop() // returns once the startup round has applied its result
+	if st := w.Status(b.Addr); st.State != StateDraining {
+		t.Fatalf("state after a late healthy answer = %v, want draining", st.State)
+	}
+}
+
 // TestWatcherPlainTextFallback pins that there is no plain-text fallback:
 // every backend that speaks the one wire protocol version answers /healthz
 // in JSON, so a 200 or 503 whose body is not JSON health is a failed probe,

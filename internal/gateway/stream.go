@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -22,13 +23,12 @@ import (
 // written out before the next read overwrites it.
 //
 // Cross-backend fan-out: SUBSCRIBE targets name server-assigned session
-// ids, which only mean something on the backend that assigned them. The
-// gateway remembers which backend each proxied session's remote id lives on
-// and migrates the subscriber onto the producer's backend (replaying HELLO
-// and labels, the normal migration path) before forwarding the subscribe.
-// Ids are per-backend counters, so two backends can assign the same id;
-// the newest pin wins the lookup — a known limitation of id-based
-// targeting across a fleet.
+// ids, and a subscription is served by the backend that holds the target.
+// rpxd draws its ids at random, so an id names one session across the
+// fleet. The gateway remembers which backend each proxied session's remote
+// id lives on and migrates the subscriber onto the producer's backend
+// (replaying HELLO and labels, the normal migration path) before
+// forwarding the subscribe.
 //
 // Streams do not migrate: if the backend dies mid-stream the gateway ends
 // the stream with a typed UNAVAILABLE error — never a torn or reordered
@@ -37,27 +37,15 @@ import (
 
 // setRemotePin records which backend assigned a remote session id.
 func (g *Gateway) setRemotePin(id uint64, addr string) {
-	if id == 0 {
-		return
-	}
 	g.mu.Lock()
-	if g.remotePins == nil {
-		g.remotePins = make(map[uint64]string)
-	}
 	g.remotePins[id] = addr
 	g.mu.Unlock()
 }
 
-// dropRemotePin forgets a remote session id pin, unless a newer session on
-// another backend has already overwritten it.
-func (g *Gateway) dropRemotePin(id uint64, addr string) {
-	if id == 0 {
-		return
-	}
+// dropRemotePin forgets a remote session id pin.
+func (g *Gateway) dropRemotePin(id uint64) {
 	g.mu.Lock()
-	if g.remotePins[id] == addr {
-		delete(g.remotePins, id)
-	}
+	delete(g.remotePins, id)
 	g.mu.Unlock()
 }
 
@@ -75,11 +63,19 @@ func (g *Gateway) remotePinBackend(id uint64) (string, bool) {
 // otherwise pendingTyp/pendingPayload, when non-zero, carry a request that
 // arrived after the stream ended server-side and must be served normally.
 // Client messages are read into cbuf, the connection's read buffer, which
-// also holds payload and the pending payload.
+// also holds payload and the pending payload. The subscribe op latency
+// covers the SUBSCRIBE's round trip only: from here to relaying its one
+// reply, an ack or an error.
 func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, cbuf *[]byte, writeClient func(typ byte, payload []byte) error, payload []byte) (pendingTyp byte, pendingPayload []byte, ok bool) {
 	g := s.gw
+	start := time.Now()
+	reply := func(typ byte, payload []byte) error {
+		err := writeClient(typ, payload)
+		g.observe(wire.MsgSubscribe, start)
+		return err
+	}
 	writeErr := func(code uint16, msg string) bool {
-		return writeClient(wire.MsgError, wire.MarshalError(code, msg)) == nil
+		return reply(wire.MsgError, wire.MarshalError(code, msg)) == nil
 	}
 
 	req, err := wire.UnmarshalSubscribe(payload)
@@ -97,11 +93,16 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, cbuf *[]byt
 	}
 	// Cross-backend target: follow the producer. The subscriber's own
 	// remote session is rebuilt on the producer's backend (HELLO and labels
-	// replayed), exactly like a health-driven migration.
+	// replayed), exactly like a health-driven migration, and placed there
+	// by pick with every other backend excluded.
 	if req.Target != 0 && req.Target != s.remoteID {
 		if addr, found := g.remotePinBackend(req.Target); found && addr != s.backendAddr {
-			s.closeBackendLocked()
-			if _, aerr := s.adoptBackendLocked(addr); aerr != nil {
+			aerr := errors.New("that backend is draining or dead")
+			if g.pick(func(a string) bool { return a != addr }) == addr {
+				s.closeBackendLocked()
+				_, aerr = s.adoptBackendLocked(addr)
+			}
+			if aerr != nil {
 				s.mu.Unlock()
 				return 0, nil, writeErr(wire.CodeUnavailable, fmt.Sprintf(
 					"target session %d is on %s, migration failed: %v", req.Target, addr, aerr))
@@ -125,7 +126,7 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, cbuf *[]byt
 	bconn, bbr := s.bconn, s.bbr
 	s.mu.Unlock()
 
-	if writeClient(rtyp, rpayload) != nil {
+	if reply(rtyp, rpayload) != nil {
 		return 0, nil, false
 	}
 	if rtyp != wire.MsgSubscribeAck {
@@ -138,6 +139,9 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, cbuf *[]byt
 	// (final ACK or ERROR) or a transport failure on either side. It owns
 	// the client's write side until pumpDone closes. ended, guarded by
 	// s.mu, is set before a relayed terminal message reaches the client.
+	// Both pumps touch only the stream's own bconn: an evacuation may have
+	// moved the session to a replacement connection, which is not theirs
+	// to close or write to.
 	pumpDone := make(chan struct{})
 	ended := false
 	go func() {
@@ -147,11 +151,14 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, cbuf *[]byt
 			bconn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
 			typ, payload, err := wire.ReadMessageInto(bbr, &buf, g.cfg.MaxPayload)
 			if err != nil {
-				// Backend died mid-stream (possibly mid-batch): the client
-				// gets the typed error, never a torn FRAME_PUSH — this
-				// pump only ever forwards whole messages.
+				// Backend died mid-stream (possibly mid-batch), or an
+				// evacuation closed it: the client gets the typed error,
+				// never a torn FRAME_PUSH — this pump only ever forwards
+				// whole messages.
 				s.mu.Lock()
-				s.closeBackendLocked()
+				if s.bconn == bconn {
+					s.closeBackendLocked()
+				}
 				s.mu.Unlock()
 				writeClient(wire.MsgError, wire.MarshalError(wire.CodeUnavailable,
 					fmt.Sprintf("backend failed mid-stream: %v", err)))
@@ -179,11 +186,13 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, cbuf *[]byt
 	// server-side is handed back to the request/reply loop, which drops
 	// stream messages.
 	for {
-		g.armRead(conn)
+		g.ArmRead(conn)
 		typ, payload, err := wire.ReadMessageInto(cbr, cbuf, g.cfg.MaxPayload)
 		if err != nil {
 			s.mu.Lock()
-			s.closeBackendLocked()
+			if s.bconn == bconn {
+				s.closeBackendLocked()
+			}
 			s.mu.Unlock()
 			<-pumpDone
 			return 0, nil, false
@@ -196,18 +205,18 @@ func (s *proxySession) relayStream(conn net.Conn, cbr *bufio.Reader, cbuf *[]byt
 		default:
 		}
 		s.mu.Lock()
-		bc := s.bconn
 		// Once the terminal message is relayed, the stream is over on the
 		// backend too: forwarding a request into it would lose it, and a
-		// stream message would draw a reply nobody reads.
-		if bc == nil || ended {
+		// stream message would draw a reply nobody reads. A session that
+		// left bconn is over with this stream the same way.
+		if s.bconn != bconn || ended {
 			// The stream ended between the pump's teardown and our check.
 			s.mu.Unlock()
 			<-pumpDone
 			return typ, payload, true
 		}
-		bc.SetWriteDeadline(time.Now().Add(g.cfg.BackendTimeout))
-		werr := wire.WriteMessage(bc, typ, payload, g.cfg.MaxPayload)
+		bconn.SetWriteDeadline(time.Now().Add(g.cfg.BackendTimeout))
+		werr := wire.WriteMessage(bconn, typ, payload, g.cfg.MaxPayload)
 		s.mu.Unlock()
 		if werr != nil {
 			// The pump sees the same failure and reports it downstream.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/rpx"
 	"repro/rpx/client"
@@ -85,22 +86,7 @@ func TestGatewayStreamRelay(t *testing.T) {
 	}
 }
 
-// padSessionIDs burns n session ids on a backend by dialing it directly.
-// Session ids are per-backend counters, so without this a producer on one
-// backend and a subscriber on the other can both be "session 1" and the
-// gateway cannot tell them apart (the documented id-collision limitation).
-func padSessionIDs(t *testing.T, addr string, n int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		s, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-	}
-}
-
-// backendOf returns which test backend holds n open sessions.
+// sessionsAcross returns each test backend's open-session count.
 func sessionsAcross(backends []*testBackend) []int {
 	out := make([]int, len(backends))
 	for i, b := range backends {
@@ -112,7 +98,8 @@ func sessionsAcross(backends []*testBackend) []int {
 // TestGatewayStreamCrossBackendTarget: when the SUBSCRIBE target lives on a
 // different backend than the subscriber, the gateway migrates the
 // subscriber onto the producer's backend (replaying its handshake) and the
-// stream flows.
+// stream flows. Each backend assigns one session here, so the target
+// resolves only because rpxd's ids are unique across the fleet.
 func TestGatewayStreamCrossBackendTarget(t *testing.T) {
 	backends := []*testBackend{startBackend(t), startBackend(t)}
 	addr, _ := startGateway(t, []gateway.Backend{{Addr: backends[0].addr}, {Addr: backends[1].addr}}, nil)
@@ -130,21 +117,10 @@ func TestGatewayStreamCrossBackendTarget(t *testing.T) {
 	if prodBackend < 0 {
 		t.Fatal("cannot locate the producer's backend")
 	}
-	padSessionIDs(t, backends[1-prodBackend].addr, 4)
-
-	// Dial subscribers until one lands on the other backend (consistent
-	// hashing keys on the connection, so a handful of dials suffices).
-	var subscriber *client.Session
-	for attempt := 0; attempt < 32 && subscriber == nil; attempt++ {
-		s := dialVia(t, addr, 8, 8)
-		if backends[1-prodBackend].mgr.SessionsOpen() > 0 {
-			subscriber = s
-		} else {
-			s.Close()
-		}
-	}
-	if subscriber == nil {
-		t.Fatal("no subscriber landed on the other backend")
+	// Placement puts the second session on the less-loaded backend.
+	subscriber := dialVia(t, addr, 8, 8)
+	if n := backends[1-prodBackend].mgr.SessionsOpen(); n != 1 {
+		t.Fatalf("subscriber placed beside the producer (other backend holds %d sessions)", n)
 	}
 
 	st, err := subscriber.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 16})
@@ -195,12 +171,14 @@ func TestGatewayStreamBackendKill(t *testing.T) {
 	if prodBackend < 0 {
 		t.Fatal("cannot locate the producer's backend")
 	}
-	padSessionIDs(t, backends[1-prodBackend].addr, 4)
 
 	subscriber := dialVia(t, addr, 8, 8)
 	st, err := subscriber.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 32})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := backends[prodBackend].mgr.SessionsOpen(); n < 2 {
+		t.Fatalf("producer backend has %d sessions, want the migrated subscriber too", n)
 	}
 	fr := rpx.NewFrame(32, 32, rpx.Gray8)
 	for i := 0; i < 4; i++ {
@@ -254,6 +232,89 @@ func TestGatewayStreamBackendKill(t *testing.T) {
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGatewayStreamEvacuation: evacuating a subscriber's backend mid-stream
+// ends the stream with a typed UNAVAILABLE error, and the stream leaves the
+// session's replacement backend connection alone, so its next request is
+// served there after one migration, not two.
+func TestGatewayStreamEvacuation(t *testing.T) {
+	a, b := startBackendWithAdmin(t), startBackendWithAdmin(t)
+	addr, g := startGateway(t, []gateway.Backend{{Addr: a.addr, Admin: a.admin}, {Addr: b.addr, Admin: b.admin}}, nil)
+	g.Watcher().Probe()
+
+	// The producer dials A directly, so the gateway relays the subscribe
+	// to wherever the subscriber is: on A, where placement puts the
+	// gateway's first session.
+	producer, err := client.Dial(a.addr, client.Config{W: 32, H: 32, Format: rpx.Gray8, Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer producer.Close()
+	if err := producer.SetRegionLabels([]rpx.RegionLabel{rpx.FullFrame(32, 32)}); err != nil {
+		t.Fatal(err)
+	}
+	subscriber := dialVia(t, addr, 8, 8)
+	if n := a.mgr.SessionsOpen(); n != 2 {
+		t.Fatalf("backend A holds %d sessions, want the producer and the subscriber", n)
+	}
+	st, err := subscriber.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := rpx.NewFrame(32, 32, rpx.Gray8)
+	fillFrame(fr, 5, 0)
+	if _, err := producer.Capture(fr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); err != nil {
+		t.Fatalf("Recv before drain: %v", err)
+	}
+
+	a.health.SetDraining()
+	g.Watcher().Probe()
+	_, err = st.Recv()
+	var re *wire.RemoteError
+	if !errors.As(err, &re) || re.Code != wire.CodeUnavailable {
+		t.Fatalf("Recv after drain = %v, want UNAVAILABLE", err)
+	}
+	if _, err := subscriber.ServerStats(); err != nil {
+		t.Fatalf("request after the evacuated stream: %v", err)
+	}
+	if snap := g.Snapshot(); snap.Rerouted != 1 {
+		t.Fatalf("sessions rerouted = %d, want 1 (the stream closed its replacement connection?)", snap.Rerouted)
+	}
+	if n := b.mgr.SessionsOpen(); n != 1 {
+		t.Fatalf("backend B holds %d sessions, want the evacuated subscriber", n)
+	}
+}
+
+// TestGatewaySubscribeLatency: rpxgw_proxy_op_latency_seconds{op="subscribe"}
+// times the SUBSCRIBE round trip, not the stream it opens.
+func TestGatewaySubscribeLatency(t *testing.T) {
+	b := startBackend(t)
+	reg := obs.NewRegistry()
+	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, func(cfg *gateway.Config) { cfg.Metrics = reg })
+	sess := dialVia(t, addr, 8, 8)
+	st, err := sess.Subscribe(client.SubscribeOptions{Credit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const held = 200 * time.Millisecond
+	time.Sleep(held)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, smp := range reg.Gather() {
+		if smp.Name != "rpxgw_proxy_op_latency_seconds" || len(smp.Labels) != 1 || smp.Labels[0] != obs.L("op", "subscribe") {
+			continue
+		}
+		if smp.Hist.Count != 1 || time.Duration(smp.Hist.SumNanos) >= held {
+			t.Fatalf("subscribe latency: %d observations summing to %v, want 1 under %v", smp.Hist.Count, time.Duration(smp.Hist.SumNanos), held)
+		}
+		return
+	}
+	t.Fatal("no subscribe latency histogram registered")
 }
 
 // TestGatewayDropsStreamMessagesOutsideStream: a CREDIT, STREAM_LABELS or

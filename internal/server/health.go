@@ -26,7 +26,8 @@ type HealthStatus struct {
 	// State is HealthOK or HealthDraining.
 	State string `json:"state"`
 	// Sessions is the process's open-session count at the time of the
-	// probe — the load weight a gateway uses to place migrated sessions.
+	// probe. rpxgw reports it in its final-stats snapshot; it does not
+	// place sessions by it.
 	Sessions int `json:"sessions"`
 }
 

@@ -13,6 +13,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"strconv"
 	"sync"
@@ -105,7 +106,6 @@ type Manager struct {
 	mu       sync.Mutex
 	sessions map[uint64]*Session
 	reserved int // admitted opens still constructing their pipeline
-	nextID   uint64
 	closed   bool
 
 	sweepQuit chan struct{}
@@ -404,9 +404,15 @@ func (m *Manager) Open(cfg SessionConfig) (*Session, error) {
 		m.mu.Unlock()
 		return nil, err
 	}
-	m.nextID++
+	// A random id rather than a counter, so that two rpxd processes
+	// practically never assign the same one and a SUBSCRIBE target relayed
+	// by rpxgw names one session in the whole fleet. 0 means "no target".
+	id := rand.Uint64()
+	for id == 0 || m.sessions[id] != nil {
+		id = rand.Uint64()
+	}
 	s := &Session{
-		id:   m.nextID,
+		id:   id,
 		cfg:  cfg,
 		mgr:  m,
 		sys:  sys,

@@ -283,11 +283,15 @@ func TestSnapshotQueues(t *testing.T) {
 	if snap.SessionsOpen != 2 || len(snap.Queues) != 2 {
 		t.Fatalf("snapshot sessions = %d queues = %d, want 2/2", snap.SessionsOpen, len(snap.Queues))
 	}
-	if snap.Queues[0].SessionID != s1.ID() || snap.Queues[1].SessionID != s2.ID() {
+	if snap.Queues[0].SessionID >= snap.Queues[1].SessionID {
 		t.Fatalf("queues not sorted by id: %+v", snap.Queues)
 	}
-	if snap.Queues[0].Capacity != 4 || snap.Queues[1].Capacity != 9 {
-		t.Fatalf("queue capacities = %d/%d, want 4/9", snap.Queues[0].Capacity, snap.Queues[1].Capacity)
+	capacity := map[uint64]int{}
+	for _, q := range snap.Queues {
+		capacity[q.SessionID] = q.Capacity
+	}
+	if capacity[s1.ID()] != 4 || capacity[s2.ID()] != 9 {
+		t.Fatalf("queue capacities by id = %v, want %d:4 %d:9", capacity, s1.ID(), s2.ID())
 	}
 }
 

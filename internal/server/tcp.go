@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/frame"
@@ -77,14 +76,9 @@ const (
 // TCPServer speaks the wire protocol on a listener, one session per
 // connection, translating messages into Manager calls.
 type TCPServer struct {
+	ConnServer
 	mgr *Manager
 	cfg TCPConfig
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
-	wg       sync.WaitGroup
 }
 
 // NewTCPServer wraps a manager with the network front end.
@@ -98,7 +92,9 @@ func NewTCPServer(mgr *Manager, cfg TCPConfig) *TCPServer {
 	if cfg.MaxPayload <= 0 {
 		cfg.MaxPayload = wire.DefaultMaxPayload
 	}
-	return &TCPServer{mgr: mgr, cfg: cfg, conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{mgr: mgr, cfg: cfg}
+	s.ReadTimeout = cfg.ReadTimeout
+	return s
 }
 
 // Manager returns the session manager behind the server.
@@ -106,94 +102,16 @@ func (s *TCPServer) Manager() *Manager { return s.mgr }
 
 // Serve accepts connections until the listener is closed (via Shutdown).
 // It returns nil on graceful shutdown.
-func (s *TCPServer) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return ErrManagerClosed
-	}
-	s.ln = ln
-	s.mu.Unlock()
+func (s *TCPServer) Serve(ln net.Listener) error { return s.ConnServer.Serve(ln, s.handle) }
 
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Shutdown stops accepting, interrupts blocked reads, drains per-session
-// queues, and waits for handlers to finish or ctx to expire. The manager is
-// closed either way, so queued work is flushed before the process exits.
+// Shutdown drains the connections (ConnServer.Shutdown), whose handlers
+// close their sessions and so drain the per-session queues, then closes the
+// manager, so queued work is flushed before the process exits even when ctx
+// expires.
 func (s *TCPServer) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	ln := s.ln
-	for conn := range s.conns {
-		// Wake handlers blocked in ReadMessage; they observe draining and
-		// close their session gracefully (serving already-queued requests).
-		conn.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-		s.mu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.mu.Unlock()
-	}
+	err := s.ConnServer.Shutdown(ctx)
 	s.mgr.Close()
 	return err
-}
-
-// armRead sets the deadline for a handler's next client read. Shutdown
-// wakes blocked reads by expiring their deadlines; a handler that re-arms
-// after that wake-up gets an expired deadline too, instead of blocking for
-// a full ReadTimeout and stalling the drain.
-func (s *TCPServer) armRead(conn net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	deadline := time.Now().Add(s.cfg.ReadTimeout)
-	if s.draining {
-		deadline = time.Now()
-	}
-	conn.SetReadDeadline(deadline)
 }
 
 // handle runs one connection's session loop.
@@ -210,7 +128,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 	var rbuf []byte
 
 	// The first message must be a valid HELLO.
-	s.armRead(conn)
+	s.ArmRead(conn)
 	typ, payload, err := wire.ReadMessageInto(br, &rbuf, s.cfg.MaxPayload)
 	if err != nil {
 		return
@@ -262,7 +180,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 
 	frameBytes := hello.W * hello.H * hello.Format.BytesPerPixel()
 	for {
-		s.armRead(conn)
+		s.ArmRead(conn)
 		typ, payload, err := wire.ReadMessageInto(br, &rbuf, s.cfg.MaxPayload)
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {
@@ -333,7 +251,7 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 
 	var fbScratch []byte
 	for {
-		s.armRead(conn)
+		s.ArmRead(conn)
 		typ, payload, err := wire.ReadMessageInto(br, rbuf, s.cfg.MaxPayload)
 		if err != nil {
 			// Disconnect, timeout, shutdown wake-up, or the writer ended

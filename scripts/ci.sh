@@ -146,7 +146,9 @@ stage_smoke() {
     # gateway while SIGKILLing one backend mid-matrix. The test's
     # candidate-set oracle asserts recovery: every op returns correct
     # bytes or a typed error, and sessions resume on the survivor via
-    # HELLO + labels replay. Seed pinned so failures reproduce.
+    # HELLO + labels replay; the stage checks the gateway's reroute
+    # counter to prove the kill moved sessions at all. Seed pinned so
+    # failures reproduce.
     echo "== gateway smoke (seed ${FAULTNET_SEED})"
     GW_DIR="$(mktemp -d)"
     go build -o "$GW_DIR/rpxd" ./cmd/rpxd
@@ -198,7 +200,9 @@ stage_smoke() {
     # Streaming smoke first (while both backends are still alive): a push
     # subscription relayed through the real rpxgw must deliver every frame
     # in order, and after UNSUBSCRIBE the same connection must answer
-    # requests again.
+    # requests again. rpxgw places the producer and the subscriber on
+    # different backends, so every run also follows the target across
+    # backends.
     echo "== streaming smoke"
     RPXGW_ADDR="$GW_ADDR" \
         go test -race -count=1 -run='^TestLiveGatewayStream$' ./cmd/rpxgw
@@ -212,10 +216,21 @@ stage_smoke() {
     RPXPOLICY_ADDR="$GW_ADDR" RPXPOLICY_BIN="$GW_DIR/rpxpolicy" \
         go test -race -count=1 -run='^TestLivePolicyLoop$' ./cmd/rpxpolicy
     echo "policy-loop smoke: OK (rpxpolicy steered a session through $GW_ADDR)"
+    # rpxgw places the matrix's 4 sessions 2/2, so the kill of B2 must
+    # reroute some: a kill that moved nothing would test nothing.
+    GW_ADMIN="$(sed -n 's/^rpxgw: admin listening on //p' "$GW_DIR/gw.log")"
+    rerouted() { curl -fsS "http://$GW_ADMIN/metrics" | sed -n 's/^rpxgw_sessions_rerouted_total //p'; }
+    REROUTED_BEFORE="$(rerouted)"
     RPXGW_ADDR="$GW_ADDR" RPXGW_KILL_PID="$B2_PID" FAULTNET_SEED="$FAULTNET_SEED" \
         go test -race -count=1 -run='^TestLiveGatewayMatrix$' ./cmd/rpxgw
+    REROUTED_AFTER="$(rerouted)"
+    if [ -z "$REROUTED_BEFORE" ] || [ -z "$REROUTED_AFTER" ] || \
+        [ "$REROUTED_AFTER" -le "$REROUTED_BEFORE" ]; then
+        echo "ci: backend kill rerouted no session (rpxgw_sessions_rerouted_total '$REROUTED_BEFORE' -> '$REROUTED_AFTER')" >&2
+        exit 1
+    fi
+    echo "gateway smoke: backend kill rerouted $((REROUTED_AFTER - REROUTED_BEFORE)) sessions"
     # The gateway must still be serving after losing a backend.
-    GW_ADMIN="$(sed -n 's/^rpxgw: admin listening on //p' "$GW_DIR/gw.log")"
     GW_HEALTH="$(curl -fsS "http://$GW_ADMIN/healthz")"
     case "$GW_HEALTH" in
         *ok*) ;;
