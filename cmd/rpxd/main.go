@@ -1,15 +1,14 @@
 // Command rpxd serves rhythmic-pixel capture/decode sessions over TCP.
 //
 // Each client connection negotiates one session (geometry, pixel format,
-// decoder history depth, queue depth, backpressure mode) via the rpxd wire
-// protocol and then streams frames in and reconstructed pixels out. Every
-// session runs its own encoder/decoder pipeline on a dedicated worker
-// goroutine behind a bounded request queue, so N clients capture and decode
-// concurrently with independent rhythms.
+// decoder history depth) via the rpxd wire protocol and then streams frames
+// in and reconstructed pixels out. Every session runs its own
+// encoder/decoder pipeline behind its own lock, so N clients capture and
+// decode concurrently with independent rhythms.
 //
 // Usage:
 //
-//	rpxd -addr :7621 -max-sessions 64 -queue-depth 16 -idle-ttl 5m
+//	rpxd -addr :7621 -max-sessions 64 -idle-ttl 5m
 //
 // Sessions idle longer than -idle-ttl are evicted (their connections
 // closed, their slots freed) so abandoned clients cannot pin -max-sessions;
@@ -28,9 +27,9 @@
 // frame-path spans), and /debug/pprof/*. The admin endpoint stays up
 // through the drain so the last scrape sees final counter values.
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, queued
-// requests drain, and the final statistics snapshot is written to stderr as
-// JSON.
+// SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, requests
+// in progress finish, and the final statistics snapshot is written to
+// stderr as JSON.
 package main
 
 import (
@@ -52,7 +51,7 @@ import (
 )
 
 // testDrainHold, when non-nil (tests only), is waited on after /healthz
-// flips to draining and before session queues drain, so tests can observe
+// flips to draining and before the connections drain, so tests can observe
 // the 503 window deterministically.
 var testDrainHold <-chan struct{}
 
@@ -66,7 +65,6 @@ func realMain() int {
 		adminAddr    = flag.String("admin", "", "admin listen address for /metrics, /healthz, /debug/vars, /debug/trace, /debug/pprof (empty = disabled)")
 		traceSpans   = flag.Int("trace-spans", obs.DefaultTraceSpans, "frame-path tracer ring capacity in spans")
 		maxSessions  = flag.Int("max-sessions", server.DefaultMaxSessions, "maximum concurrent sessions")
-		queueDepth   = flag.Int("queue-depth", server.DefaultQueueDepth, "default per-session request queue bound")
 		readTimeout  = flag.Duration("read-timeout", server.DefaultReadTimeout, "per-read connection deadline")
 		writeTimeout = flag.Duration("write-timeout", server.DefaultWriteTimeout, "per-write connection deadline")
 		maxPayload   = flag.Int("max-payload", 0, "per-message payload cap in bytes (0 = 32 MiB)")
@@ -91,7 +89,6 @@ func realMain() int {
 
 	if err := run(ctx, *addr, adminLn, *traceSpans, server.Config{
 		MaxSessions:   *maxSessions,
-		QueueDepth:    *queueDepth,
 		IdleTTL:       *idleTTL,
 		SweepInterval: *idleSweep,
 	}, server.TCPConfig{
@@ -120,8 +117,9 @@ func run(ctx context.Context, addr string, adminLn net.Listener, traceSpans int,
 
 // serveAndDrain runs the server on an existing listener until ctx is
 // cancelled, then performs the graceful shutdown sequence: flip /healthz to
-// draining, close the listener, drain session queues, flush the final stats
-// snapshot, and only then stop the admin endpoint.
+// draining, close the listener, drain the connections and close their
+// sessions, flush the final stats snapshot, and only then stop the admin
+// endpoint.
 func serveAndDrain(ctx context.Context, ln, adminLn net.Listener, traceSpans int, mcfg server.Config, tcfg server.TCPConfig, drainTime time.Duration, logw io.Writer) error {
 	var (
 		hstate   *server.Health
@@ -147,8 +145,7 @@ func serveAndDrain(ctx context.Context, ln, adminLn net.Listener, traceSpans int
 	}
 
 	srv := server.NewTCPServer(mgr, tcfg)
-	fmt.Fprintf(logw, "rpxd: listening on %s (max sessions %d, queue depth %d)\n",
-		ln.Addr(), mcfg.MaxSessions, mcfg.QueueDepth)
+	fmt.Fprintf(logw, "rpxd: listening on %s (max sessions %d)\n", ln.Addr(), mcfg.MaxSessions)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()

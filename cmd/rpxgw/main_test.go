@@ -266,7 +266,7 @@ func TestLiveGatewayStream(t *testing.T) {
 	}
 
 	const w, h, frames = 32, 24, 16
-	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestLiveGatewayMatrix(t *testing.T) {
 				t.Errorf("session %d: %s", si, fmt.Sprintf(format, args...))
 			}
 			sess, err := client.Dial(addr, client.Config{
-				W: w, H: h, Format: rpx.Gray8, Block: true,
+				W: w, H: h, Format: rpx.Gray8,
 				RequestTimeout: 5 * time.Second,
 				Reconnect:      true, MaxRetries: 6, Backoff: 5 * time.Millisecond,
 			})

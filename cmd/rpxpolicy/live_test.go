@@ -41,7 +41,7 @@ func TestLivePolicyLoop(t *testing.T) {
 	}
 
 	const w, h = 64, 48
-	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func TestRunClosesLoop(t *testing.T) {
 		srv.Shutdown(ctx)
 	}()
 
-	producer, err := client.Dial(ln.Addr().String(), client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(ln.Addr().String(), client.Config{W: w, H: h, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}

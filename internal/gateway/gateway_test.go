@@ -505,7 +505,7 @@ func TestGatewayKillBackendMidMatrix(t *testing.T) {
 				t.Errorf("session %d: %s", si, fmt.Sprintf(format, args...))
 			}
 			sess, err := client.Dial(gaddr, client.Config{
-				W: w, H: h, Format: rpx.Gray8, Block: true,
+				W: w, H: h, Format: rpx.Gray8,
 				RequestTimeout: 5 * time.Second,
 				Reconnect:      true, MaxRetries: 6, Backoff: 2 * time.Millisecond,
 			})
@@ -611,7 +611,7 @@ func TestGatewayFaultMatrix(t *testing.T) {
 						t.Errorf("seed %d session %d: %s", seed, si, fmt.Sprintf(format, args...))
 					}
 					sess, err := client.Dial(gaddr, client.Config{
-						W: w, H: h, Format: rpx.Gray8, Block: true,
+						W: w, H: h, Format: rpx.Gray8,
 						RequestTimeout: 5 * time.Second,
 						Reconnect:      true, MaxRetries: 6, Backoff: 2 * time.Millisecond,
 					})

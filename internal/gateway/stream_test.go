@@ -18,7 +18,7 @@ import (
 // dialVia opens a client session through the gateway.
 func dialVia(t *testing.T, addr string, w, h int) *client.Session {
 	t.Helper()
-	sess, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
+	sess, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestGatewayStreamEvacuation(t *testing.T) {
 	// The producer dials A directly, so the gateway relays the subscribe
 	// to wherever the subscriber is: on A, where placement puts the
 	// gateway's first session.
-	producer, err := client.Dial(a.addr, client.Config{W: 32, H: 32, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(a.addr, client.Config{W: 32, H: 32, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,8 +99,8 @@ type Stats struct {
 	// Cycles is the number of completed observe+push cycles.
 	Cycles uint64
 	// LabelsPushed counts SetLabels writes; LabelsRejected counts the
-	// subset the server refused (bad geometry, backlog) — rejections leave
-	// the previous workload in force.
+	// subset the server refused (bad geometry, or the session closed) —
+	// rejections leave the previous workload in force.
 	LabelsPushed   uint64
 	LabelsRejected uint64
 	// Reconnects counts successful re-attachments after transport errors.

@@ -50,7 +50,7 @@ func renderBox(fr *rpx.Frame, index int) {
 func TestLoopClosesOverLiveServer(t *testing.T) {
 	const w, h = 64, 48
 	addr := startServer(t)
-	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestLoopClosesOverLiveServer(t *testing.T) {
 func TestLoopReconnects(t *testing.T) {
 	const w, h = 32, 32
 	addr := startServer(t)
-	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true, Reconnect: true})
+	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Reconnect: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,93 +83,48 @@ func TestSessionMatchesInProcessSystem(t *testing.T) {
 	}
 }
 
-func TestBacklogFailFast(t *testing.T) {
+// TestSessionSerializesOps: captures from many goroutines on one session
+// all succeed — nothing queues or refuses them — and the session lock runs
+// them one at a time, so each takes the next frame index exactly once.
+func TestSessionSerializesOps(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var gateOnce sync.Once
-	m.testOpGate = func(Op) { gateOnce.Do(func() { close(entered); <-release }) }
-
-	sess, err := m.Open(SessionConfig{W: 16, H: 16, Format: frame.Gray8, QueueDepth: 1})
+	sess, err := m.Open(SessionConfig{W: 16, H: 16, Format: frame.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fr := testFrame(16, 16, frame.Gray8, 0)
 
-	// First capture occupies the worker (held at the gate); second fills
-	// the 1-deep queue; third must fail fast with ErrBacklog.
-	errs := make(chan error, 2)
-	go func() {
-		_, err := sess.Capture(fr)
-		errs <- err
-	}()
-	<-entered // the worker now holds request 1, the queue is empty
-	go func() {
-		_, err := sess.Capture(fr)
-		errs <- err
-	}()
-	// Wait until the queue is verifiably full.
-	deadline := time.After(5 * time.Second)
-	for sess.QueueDepth() != 1 {
-		select {
-		case <-deadline:
-			t.Fatal("queue never filled")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	if _, err := sess.Capture(fr); !errors.Is(err, ErrBacklog) {
-		t.Fatalf("capture on full queue = %v, want ErrBacklog", err)
-	}
-	if got := m.Snapshot().BacklogRejects; got != 1 {
-		t.Fatalf("BacklogRejects = %d, want 1", got)
-	}
-
-	close(release) // release the worker; the queued captures must drain
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("queued capture failed: %v", err)
-		}
-	}
-}
-
-func TestBacklogBlocking(t *testing.T) {
-	m := NewManager(Config{})
-	defer m.Close()
-
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	m.testOpGate = func(Op) { gateOnce.Do(func() { <-gate }) }
-
-	sess, err := m.Open(SessionConfig{W: 16, H: 16, Format: frame.Gray8, QueueDepth: 1, Block: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr := testFrame(16, 16, frame.Gray8, 0)
-
-	const waiters = 3
-	errs := make(chan error, waiters)
-	for i := 0; i < waiters; i++ {
+	const goroutines, captures = 8, 20
+	indices := make(chan int, goroutines*captures)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
 		go func() {
-			_, err := sess.Capture(fr)
-			errs <- err
+			defer wg.Done()
+			for i := 0; i < captures; i++ {
+				cs, err := sess.Capture(fr)
+				if err != nil {
+					t.Errorf("capture: %v", err)
+					return
+				}
+				indices <- cs.FrameIndex
+			}
 		}()
 	}
-	select {
-	case err := <-errs:
-		t.Fatalf("blocking capture returned early: %v", err)
-	case <-time.After(50 * time.Millisecond):
-		// Good: everyone is blocked, nobody got ErrBacklog.
-	}
-	close(gate)
-	for i := 0; i < waiters; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("blocked capture failed: %v", err)
+	wg.Wait()
+	close(indices)
+	seen := make([]int, goroutines*captures)
+	for idx := range indices {
+		if idx < 0 || idx >= len(seen) {
+			t.Fatalf("frame index %d outside 0..%d", idx, len(seen)-1)
 		}
+		seen[idx]++
 	}
-	if got := m.Snapshot().BacklogRejects; got != 0 {
-		t.Fatalf("BacklogRejects = %d, want 0 in blocking mode", got)
+	for idx, n := range seen {
+		if n != 1 {
+			t.Errorf("frame index %d taken %d times, want once", idx, n)
+		}
 	}
 }
 
@@ -271,27 +226,6 @@ func TestConcurrentSessionsIndependent(t *testing.T) {
 	}
 	if cap.MeanNanos() <= 0 || cap.QuantileMicros(0.99) <= 0 {
 		t.Fatalf("degenerate latency summary: %+v", cap)
-	}
-}
-
-func TestSnapshotQueues(t *testing.T) {
-	m := NewManager(Config{QueueDepth: 4})
-	defer m.Close()
-	s1, _ := m.Open(SessionConfig{W: 8, H: 8, Format: frame.Gray8})
-	s2, _ := m.Open(SessionConfig{W: 16, H: 16, Format: frame.Gray8, QueueDepth: 9})
-	snap := m.Snapshot()
-	if snap.SessionsOpen != 2 || len(snap.Queues) != 2 {
-		t.Fatalf("snapshot sessions = %d queues = %d, want 2/2", snap.SessionsOpen, len(snap.Queues))
-	}
-	if snap.Queues[0].SessionID >= snap.Queues[1].SessionID {
-		t.Fatalf("queues not sorted by id: %+v", snap.Queues)
-	}
-	capacity := map[uint64]int{}
-	for _, q := range snap.Queues {
-		capacity[q.SessionID] = q.Capacity
-	}
-	if capacity[s1.ID()] != 4 || capacity[s2.ID()] != 9 {
-		t.Fatalf("queue capacities by id = %v, want %d:4 %d:9", capacity, s1.ID(), s2.ID())
 	}
 }
 

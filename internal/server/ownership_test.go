@@ -11,7 +11,7 @@ import (
 
 // TestSessionLastEncodedAliasingRegression mirrors the rpx-level aliasing
 // regression through the manager: a frame returned by Session.LastEncoded is
-// the caller's — later captures by the session worker must never rewrite it.
+// the caller's — later captures by the session must never rewrite it.
 func TestSessionLastEncodedAliasingRegression(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
@@ -58,11 +58,11 @@ func TestSessionLastEncodedAliasingRegression(t *testing.T) {
 // TestSessionConcurrentCaptureEncodedStream drives one session from three
 // sides at once — a producer capturing frames, a reader pulling serialized
 // frames via LastEncodedTo, and a push subscriber draining its buffer — to
-// let the race detector check the borrow-on-worker serialization paths.
+// let the race detector check the borrow-under-lock serialization paths.
 func TestSessionConcurrentCaptureEncodedStream(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
-	sess, err := m.Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8, Block: true})
+	sess, err := m.Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSessionConcurrentCaptureEncodedStream(t *testing.T) {
 	if _, err := sess.Capture(testFrame(64, 48, frame.Gray8, 0)); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := sess.Subscribe(64, 4)
+	sub, _, err := sess.Subscribe(64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

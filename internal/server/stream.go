@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -12,13 +13,13 @@ import (
 // Streaming push subscriptions.
 //
 // A Subscription attaches to one session's encoded-frame stream and buffers
-// frames the session's worker publishes until a transport writer drains
-// them. Flow control is a credit ledger: the subscription holds at most as
-// many undelivered frames as the client has granted credit for, so a
-// stalled subscriber bounds server memory by construction and can never
-// block the capture path or other sessions — frames produced with no credit
-// available are dropped for that subscriber and counted, never queued
-// unboundedly and never blocking the publishing worker.
+// the frames the session's captures publish until a transport writer
+// drains them. Flow control is a credit ledger: the subscription holds at
+// most as many undelivered frames as the client has granted credit for, so
+// a stalled subscriber bounds server memory by construction and can never
+// block the capture path or other sessions — frames produced with no
+// credit available are dropped for that subscriber and counted, never
+// queued unboundedly and never blocking the publishing capture.
 
 // CloseReason says why a subscription ended; the transport writer picks its
 // final message from it.
@@ -63,7 +64,7 @@ type Subscription struct {
 	// ch buffers accepted-but-undelivered frames. Its capacity is the
 	// credit window cap, and offer only sends after consuming a credit, so
 	// len(ch)+credit <= wire.MaxCreditWindow always holds and a send can
-	// never block the publishing worker.
+	// never block the publishing capture.
 	ch chan pushItem
 
 	mu      sync.Mutex
@@ -110,8 +111,8 @@ func (sub *Subscription) Dropped() uint64 {
 
 // offer hands one published frame to the subscription. It never blocks: a
 // frame either consumes a credit, is pinned and enters the buffer, or is
-// dropped and counted. Called from the producing session's worker
-// goroutine, while the frame is still the session's newest.
+// dropped and counted. Called by the producing session's capture, under
+// its session lock, while the frame is still the session's newest.
 func (sub *Subscription) offer(it pushItem) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
@@ -228,8 +229,11 @@ func (sub *Subscription) Next() (items []pushItem, dropped uint64, ok bool) {
 
 // Subscribe attaches a push subscription to this session's frame stream.
 // credit is the initial window, batch the frames-per-push bound (both
-// validated by the wire layer; batch 0 means 1).
-func (s *Session) Subscribe(credit, batch int) (*Subscription, error) {
+// validated by the wire layer; batch 0 means 1). It also returns the
+// sequence number of the first frame the subscription will receive: the
+// attach and that read share one hold of the session lock, so no capture
+// can publish between them.
+func (s *Session) Subscribe(credit, batch int) (*Subscription, uint64, error) {
 	if batch <= 0 {
 		batch = 1
 	}
@@ -242,13 +246,6 @@ func (s *Session) Subscribe(credit, batch int) (*Subscription, error) {
 	if credit > wire.MaxCreditWindow {
 		credit = wire.MaxCreditWindow
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrSessionClosed
-	}
-	s.mu.Unlock()
-
 	sub := &Subscription{
 		sess:    s,
 		batch:   batch,
@@ -256,78 +253,43 @@ func (s *Session) Subscribe(credit, batch int) (*Subscription, error) {
 		credit:  credit,
 		granted: uint64(credit),
 	}
-	sub.id = s.mgr.addSubscription(sub)
-
-	s.subMu.Lock()
-	s.subs = append(s.subs, sub)
-	s.subMu.Unlock()
-	return sub, nil
-}
-
-// NextSeq returns the sequence number of the next frame a new subscription
-// would observe (the session's published-frame high-water mark).
-func (s *Session) NextSeq() uint64 {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if s.pubSeq > 0 {
-		return s.pubSeq
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, 0, ErrSessionClosed
 	}
-	// No capture has been published yet; the next frame carries the
-	// pipeline's next frame index. FrameIndex is monitoring-safe only
-	// between requests, so fall back to 0 for a virgin session: frame
-	// indices start at the configured first index which defaults to 0.
-	return 0
+	sub.id = s.mgr.addSubscription(sub)
+	s.subs = append(s.subs, sub)
+	return sub, uint64(s.sys.FrameIndex()), nil
 }
 
-// publish hands one captured frame to every attached subscription. It runs
-// on the session worker goroutine immediately after a successful capture,
-// so the borrowed frame is exactly the one just captured. Nothing is
-// serialized or copied: each subscription that accepts the frame queues the
-// live frame itself, pinned for that subscription (rpx.System's borrow
-// contract), and its writer sends the frame's own bytes and then unpins.
-// A frame the session's history evicts while still pinned is left to the
-// GC, so a lagging subscriber reads intact bytes; in steady state every pin
-// is released long before eviction and the frame is recycled. The
-// subscriber list is copied into worker-owned storage under the lock, so
-// a steady stream publishes without allocating at any fan-out.
+// publish hands one captured frame to every attached subscription. Capture
+// calls it under the session lock right after a successful capture, so the
+// borrowed frame is exactly the one just captured and the subscriber list
+// cannot change under it. Nothing is serialized or copied: each
+// subscription that accepts the frame queues the live frame itself, pinned
+// for that subscription (rpx.System's borrow contract), and its writer
+// sends the frame's own bytes and then unpins. A frame the session's
+// history evicts while still pinned is left to the GC, so a lagging
+// subscriber reads intact bytes; in steady state every pin is released
+// long before eviction and the frame is recycled.
 func (s *Session) publish(cs rpx.CaptureStats) {
-	seq := uint64(cs.FrameIndex)
-	s.subMu.Lock()
-	s.pubSeq = seq + 1
-	s.pubSubs = append(s.pubSubs[:0], s.subs...)
-	s.subMu.Unlock()
-	if len(s.pubSubs) == 0 {
+	if len(s.subs) == 0 {
 		return
 	}
-	it := pushItem{seq: seq, stats: cs, ef: s.sys.BorrowLastEncoded()}
-	for _, sub := range s.pubSubs {
+	it := pushItem{seq: uint64(cs.FrameIndex), stats: cs, ef: s.sys.BorrowLastEncoded()}
+	for _, sub := range s.subs {
 		sub.offer(it)
 	}
-	s.mgr.streamPublished.Add(int64(len(s.pubSubs)))
-	clear(s.pubSubs) // keep no closed subscription reachable
+	s.mgr.streamPublished.Add(int64(len(s.subs)))
 }
 
 // dropSubscription detaches a closed subscription from the session.
 func (s *Session) dropSubscription(sub *Subscription) {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	for i, x := range s.subs {
-		if x == sub {
-			s.subs = append(s.subs[:i], s.subs[i+1:]...)
-			return
-		}
-	}
-}
-
-// closeSubscriptions ends every attached subscription because the session
-// is going away; their writers drain buffered frames and then report the
-// session closure to their clients.
-func (s *Session) closeSubscriptions() {
-	s.subMu.Lock()
-	subs := append([]*Subscription(nil), s.subs...)
-	s.subMu.Unlock()
-	for _, sub := range subs {
-		sub.close(ReasonSessionClosed)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i := slices.Index(s.subs, sub); i >= 0 {
+		s.subs = slices.Delete(s.subs, i, i+1)
 	}
 }
 

@@ -74,7 +74,7 @@ func diffCase(addr string, seed int64) error {
 	}
 	rpx.RegionList(labels).SortByY()
 
-	cfg := client.Config{W: w, H: h, Format: format, Block: true}
+	cfg := client.Config{W: w, H: h, Format: format}
 	producer, err := client.Dial(addr, cfg)
 	if err != nil {
 		return fail("dial producer: %v", err)

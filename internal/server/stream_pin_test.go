@@ -74,7 +74,7 @@ func TestStreamLaggingSubscriberReadsIntactFrames(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
 	srv := NewTCPServer(m, TCPConfig{})
-	prod, err := m.Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8, HistoryDepth: depth, Block: true})
+	prod, err := m.Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8, HistoryDepth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStreamWriteTimeoutReleasesPins(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
 	srv := NewTCPServer(m, TCPConfig{WriteTimeout: 100 * time.Millisecond})
-	prod, err := m.Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8, HistoryDepth: depth, Block: true})
+	prod, err := m.Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8, HistoryDepth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +185,10 @@ func TestStreamWriteTimeoutReleasesPins(t *testing.T) {
 		t.Fatalf("%d frames pushed to a subscriber that never read", got)
 	}
 
-	// The worker is idle, so the test may drive the pipeline directly (the
-	// session's request path allocates per call). Evicting the stalled
-	// stream's frames must recycle each one.
+	// Evicting the stalled stream's frames must recycle each one.
 	fr := testFrame(64, 48, frame.Gray8, 99)
 	if allocs := testing.AllocsPerRun(depth, func() {
-		if _, err := prod.sys.Capture(fr); err != nil {
+		if _, err := prod.Capture(fr); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -198,9 +196,10 @@ func TestStreamWriteTimeoutReleasesPins(t *testing.T) {
 	}
 }
 
-// TestAllocsPublishPush gates the producer's push path — publish plus the
-// stream writers, on loopback TCP — at zero allocations per published
-// frame, at 1, 2 and 8 subscribers.
+// TestAllocsPublishPush gates the producer's push path — Session.Capture,
+// which publishes under the session lock, plus the stream writers, on
+// loopback TCP — at zero allocations per published frame, at 1, 2 and 8
+// subscribers.
 func TestAllocsPublishPush(t *testing.T) {
 	for _, n := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("subscribers%d", n), func(t *testing.T) {
@@ -237,16 +236,13 @@ func TestAllocsPublishPush(t *testing.T) {
 				}()
 			}
 
-			// What the session worker does after each capture, run here on
-			// the test goroutine while the worker is idle; every subscriber
-			// has read the frame before the next one is captured.
+			// Every subscriber has read the frame before the next one is
+			// captured.
 			fr := testFrame(160, 120, frame.Gray8, 5)
 			push := func() {
-				cs, err := prod.sys.Capture(fr)
-				if err != nil {
+				if _, err := prod.Capture(fr); err != nil {
 					t.Fatal(err)
 				}
-				prod.publish(cs)
 				for i := 0; i < n; i++ {
 					<-got
 				}

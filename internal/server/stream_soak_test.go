@@ -65,7 +65,7 @@ func TestStreamCreditSoak(t *testing.T) {
 	reg := obs.NewRegistry()
 	m.registerMetrics(reg)
 
-	sess, err := m.Open(SessionConfig{W: 32, H: 32, Format: frame.Gray8, Block: true})
+	sess, err := m.Open(SessionConfig{W: 32, H: 32, Format: frame.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestStreamCreditSoak(t *testing.T) {
 	}
 
 	subscribe := func(credit, batch int) *Subscription {
-		sub, err := sess.Subscribe(credit, batch)
+		sub, _, err := sess.Subscribe(credit, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestStreamStalledSubscriberAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := sess.Subscribe(0, 1) // zero credit: every offer drops
+	sub, _, err := sess.Subscribe(0, 1) // zero credit: every offer drops
 	if err != nil {
 		t.Fatal(err)
 	}

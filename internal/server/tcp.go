@@ -105,9 +105,9 @@ func (s *TCPServer) Manager() *Manager { return s.mgr }
 func (s *TCPServer) Serve(ln net.Listener) error { return s.ConnServer.Serve(ln, s.handle) }
 
 // Shutdown drains the connections (ConnServer.Shutdown), whose handlers
-// close their sessions and so drain the per-session queues, then closes the
-// manager, so queued work is flushed before the process exits even when ctx
-// expires.
+// finish their current request and close their sessions, then closes the
+// manager, so every session is closed before the process exits even when
+// ctx expires.
 func (s *TCPServer) Shutdown(ctx context.Context) error {
 	err := s.ConnServer.Shutdown(ctx)
 	s.mgr.Close()
@@ -155,8 +155,6 @@ func (s *TCPServer) handle(conn net.Conn) {
 	sess, err := s.mgr.Open(SessionConfig{
 		W: hello.W, H: hello.H, Format: hello.Format,
 		HistoryDepth: hello.HistoryDepth,
-		QueueDepth:   hello.QueueDepth,
-		Block:        hello.Block,
 	})
 	if err != nil {
 		code := wire.CodeBadRequest
@@ -186,8 +184,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 			if errors.Is(err, wire.ErrTooLarge) {
 				cw.writeErr(wire.CodeTooLarge, err.Error())
 			}
-			// Disconnect, timeout, or shutdown wake-up: close the session
-			// (its queued requests are drained by Close).
+			// Disconnect, timeout, or shutdown wake-up: close the session.
 			return
 		}
 		if typ == wire.MsgSubscribe {
@@ -226,13 +223,13 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 		}
 		target = t
 	}
-	sub, err := target.Subscribe(int(req.Credit), int(req.Batch))
+	sub, next, err := target.Subscribe(int(req.Credit), int(req.Batch))
 	if err != nil {
 		return cw.writeErr(wire.CodeSessionLimit, err.Error()) != nil
 	}
 	cw.scratch = wire.AppendSubscribeAck(cw.scratch[:0], wire.SubscribeAck{
 		SubID:   sub.ID(),
-		NextSeq: target.NextSeq(),
+		NextSeq: next,
 	})
 	if err := cw.write(wire.MsgSubscribeAck, cw.scratch); err != nil {
 		sub.discard()
@@ -287,19 +284,17 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 				<-writerDone
 				return true
 			}
-			// Apply through the target session's worker queue: the update is
+			// Apply under the target session's lock: the update is
 			// serialized with in-flight captures, so the boundary is exact. A
-			// rejected workload (bad geometry, backlog) reports its code in
-			// the reply and leaves the stream — and the previous labels —
-			// intact; only transport failures end the subscription.
+			// rejected workload (bad geometry) reports its code in the reply
+			// and leaves the stream — and the previous labels — intact; only
+			// transport failures end the subscription.
 			ack := wire.LabelsApplied{SubID: sub.ID()}
 			seq, err := target.SetRegionLabelsAt(sl.Labels)
 			switch {
 			case err == nil:
 				ack.AppliedSeq = seq
 				s.mgr.streamLabels.Add(1)
-			case errors.Is(err, ErrBacklog):
-				ack.Code, ack.Msg = wire.CodeBacklog, err.Error()
 			case errors.Is(err, ErrSessionClosed), errors.Is(err, ErrManagerClosed):
 				ack.Code, ack.Msg = wire.CodeUnavailable, err.Error()
 			default:
@@ -419,10 +414,7 @@ func (pw *pushWriter) build(subID, dropped uint64, items []pushItem) [][]byte {
 func (s *TCPServer) serveMsg(sess *Session, cw *connWriter, typ byte, payload []byte, hello wire.Hello, frameBytes int) bool {
 	fail := func(err error) bool {
 		code := wire.CodeInternal
-		switch {
-		case errors.Is(err, ErrBacklog):
-			code = wire.CodeBacklog
-		case errors.Is(err, ErrSessionClosed), errors.Is(err, ErrManagerClosed):
+		if errors.Is(err, ErrSessionClosed) || errors.Is(err, ErrManagerClosed) {
 			code = wire.CodeSessionLimit
 		}
 		return cw.writeErr(code, err.Error()) != nil
@@ -434,7 +426,7 @@ func (s *TCPServer) serveMsg(sess *Session, cw *connWriter, typ byte, payload []
 			return cw.writeErr(wire.CodeProto, err.Error()) != nil
 		}
 		if err := sess.SetRegionLabels(labels); err != nil {
-			if errors.Is(err, ErrBacklog) || errors.Is(err, ErrSessionClosed) {
+			if errors.Is(err, ErrSessionClosed) {
 				return fail(err)
 			}
 			return cw.writeErr(wire.CodeBadRequest, err.Error()) != nil
@@ -478,7 +470,7 @@ func (s *TCPServer) serveMsg(sess *Session, cw *connWriter, typ byte, payload []
 		}
 		fr, err := sess.DecodeWindow(win.X, win.Y, win.W, win.H)
 		if err != nil {
-			if errors.Is(err, ErrBacklog) || errors.Is(err, ErrSessionClosed) {
+			if errors.Is(err, ErrSessionClosed) {
 				return fail(err)
 			}
 			return cw.writeErr(wire.CodeBadRequest, err.Error()) != nil
@@ -487,7 +479,7 @@ func (s *TCPServer) serveMsg(sess *Session, cw *connWriter, typ byte, payload []
 		return cw.write(wire.MsgFrame, cw.scratch) != nil
 
 	case wire.MsgGetEncoded:
-		// The RPXE container is serialized on the session worker directly
+		// The RPXE container is serialized under the session lock directly
 		// into this connection's scratch — no intermediate EncodedFrame copy
 		// and no per-request buffer.
 		enc, err := sess.LastEncodedTo(cw.scratch[:0])

@@ -86,15 +86,15 @@ func TestTCPRejectsNonHelloFirst(t *testing.T) {
 }
 
 // TestTCPRejectsBadHello: a HELLO of any other protocol version draws a
-// CodeProto ERROR, in today's layout or in a retired revision's own (v6
-// carried a trailing u32 parallelism field).
+// CodeProto ERROR, in today's layout or in a retired revision's own (v7
+// carried a trailing u32 queue depth and u8 block flag).
 func TestTCPRejectsBadHello(t *testing.T) {
 	_, addr := startTestServer(t, Config{}, TCPConfig{})
 	corrupt := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8})
 	corrupt[4] = 99 // corrupt the protocol version
-	v6 := binary.LittleEndian.AppendUint32(wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8}), 2)
-	binary.LittleEndian.PutUint32(v6[4:], 6)
-	for _, payload := range [][]byte{corrupt, v6} {
+	v7 := append(binary.LittleEndian.AppendUint32(wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8}), 16), 1)
+	binary.LittleEndian.PutUint32(v7[4:], 7)
+	for _, payload := range [][]byte{corrupt, v7} {
 		conn := dialRaw(t, addr)
 		if err := wire.WriteMessage(conn, wire.MsgHello, payload, 0); err != nil {
 			t.Fatal(err)

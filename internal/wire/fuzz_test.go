@@ -25,12 +25,16 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(seed(MsgHello, MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4})))
 	f.Add(seed(MsgHelloAck, MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload})))
 	// HELLOs from retired revisions in their own layouts, one mutation away
-	// from the version check: v6 appended a u32 parallelism field to
-	// today's fields, and v5 a packed-mask codec byte after that field.
-	v6 := binary.LittleEndian.AppendUint32(MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4}), 2)
+	// from the version check: v7 appended a u32 queue depth and a u8 block
+	// flag to today's fields (26 bytes), v6 a u32 parallelism field after
+	// those (30), and v5 a packed-mask codec byte after that field (31).
+	v7 := append(binary.LittleEndian.AppendUint32(MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4}), 16), 1)
+	binary.LittleEndian.PutUint32(v7[4:], 7)
+	f.Add(seed(MsgHello, v7))
+	v6 := binary.LittleEndian.AppendUint32(bytes.Clone(v7), 2)
 	binary.LittleEndian.PutUint32(v6[4:], 6)
 	f.Add(seed(MsgHello, v6))
-	v5 := append(binary.LittleEndian.AppendUint32(MarshalHello(Hello{W: 64, H: 48}), 0), 1)
+	v5 := append(binary.LittleEndian.AppendUint32(bytes.Clone(v7), 0), 1)
 	binary.LittleEndian.PutUint32(v5[4:], 5)
 	f.Add(seed(MsgHello, v5))
 	f.Add(seed(MsgSubscribe, MarshalSubscribe(Subscribe{Target: 3, Credit: 8, Batch: 4})))

@@ -40,7 +40,7 @@ const ProtoMagic = 0x52505844 // "RPXD"
 // streaming push mode, and in-stream label feedback — and every encoded
 // frame on the wire (ENCODED, FRAME_PUSH) is the raw RPXE v1 container
 // that .rpxs files use.
-const ProtoVersion = 7
+const ProtoVersion = 8
 
 // DefaultMaxPayload caps a single message payload (32 MiB): comfortably
 // above a 1080p RGB frame plus metadata, far below an OOM.
@@ -122,8 +122,10 @@ const (
 	CodeProto uint16 = 1
 	// CodeBadRequest is a structurally valid but unsatisfiable request.
 	CodeBadRequest uint16 = 2
-	// CodeBacklog means the session's request queue is full.
-	CodeBacklog uint16 = 3
+
+	// Code 3 is reserved: up to protocol 7 it was BACKLOG, the reply of a
+	// full session request queue, so it is not reused for anything else.
+
 	// CodeSessionLimit means the server is at its session cap.
 	CodeSessionLimit uint16 = 4
 	// CodeTooLarge means a message exceeded the payload cap.
@@ -343,15 +345,10 @@ type Hello struct {
 	Format frame.Format
 	// HistoryDepth is the decoder scratchpad depth (0 = server default).
 	HistoryDepth int
-	// QueueDepth bounds the session's request queue (0 = server default).
-	QueueDepth int
-	// Block selects backpressure behaviour when the queue is full: block
-	// (true) or fail fast with a BACKLOG error (false).
-	Block bool
 }
 
 // helloSize is the HELLO payload length: magic, version, then the fields.
-const helloSize = 4 + 4 + 4 + 4 + 1 + 4 + 4 + 1
+const helloSize = 4 + 4 + 4 + 4 + 1 + 4
 
 // AppendHello appends a HELLO payload to dst, prefixed with magic and
 // ProtoVersion.
@@ -361,12 +358,7 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.W))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.H))
 	dst = append(dst, byte(h.Format))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.HistoryDepth))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.QueueDepth))
-	if h.Block {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
+	return binary.LittleEndian.AppendUint32(dst, uint32(h.HistoryDepth))
 }
 
 // MarshalHello encodes a HELLO payload into a fresh buffer.
@@ -393,8 +385,6 @@ func UnmarshalHello(b []byte) (Hello, error) {
 		H:            int(binary.LittleEndian.Uint32(b[12:])),
 		Format:       frame.Format(b[16]),
 		HistoryDepth: int(binary.LittleEndian.Uint32(b[17:])),
-		QueueDepth:   int(binary.LittleEndian.Uint32(b[21:])),
-		Block:        b[25] != 0,
 	}
 	switch h.Format {
 	case frame.Gray8, frame.RGB24, frame.YUV444:

@@ -52,7 +52,7 @@ func TestMessageSizeLimits(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{W: 640, H: 480, Format: frame.RGB24, HistoryDepth: 6, QueueDepth: 3, Block: true}
+	h := Hello{W: 640, H: 480, Format: frame.RGB24, HistoryDepth: 6}
 	got, err := UnmarshalHello(MarshalHello(h))
 	if err != nil {
 		t.Fatalf("UnmarshalHello: %v", err)
@@ -64,33 +64,38 @@ func TestHelloRoundTrip(t *testing.T) {
 
 // TestHelloVersionNegotiation pins the single-revision contract: only a
 // ProtoVersion HELLO is accepted, and every other version — including the
-// retired revisions 2-6 in their own byte layouts — fails with the typed
+// retired revisions 1-7 in their own byte layouts — fails with the typed
 // *VersionError rather than a stringly error.
 func TestHelloVersionNegotiation(t *testing.T) {
 	cur := MarshalHello(Hello{W: 64, H: 48, Format: frame.Gray8})
-	if len(cur) != 26 {
-		t.Fatalf("HELLO is %d bytes, want 26", len(cur))
+	if len(cur) != 21 {
+		t.Fatalf("HELLO is %d bytes, want 21", len(cur))
 	}
 	if _, err := UnmarshalHello(cur); err != nil {
 		t.Fatalf("v%d HELLO rejected: %v", ProtoVersion, err)
 	}
-	// helloAt rebuilds the HELLO at version v in that revision's layout:
-	// v1 had today's fields; v2 to v6 appended a u32 parallelism field
-	// (here 2), and v4 and v5 a codec byte after it (1 = packed mask).
+	// helloAt rebuilds the HELLO at version v in today's layout; v7At in
+	// the 26-byte layout of v7 and v1, which appended a u32 queue depth
+	// (here 16) and a u8 block flag to today's fields. v2 to v6 appended a
+	// u32 parallelism field (here 2) to that, and v4 and v5 a codec byte
+	// after it (1 = packed mask).
 	helloAt := func(v uint32) []byte {
 		b := append([]byte(nil), cur...)
 		binary.LittleEndian.PutUint32(b[4:], v)
 		return b
 	}
+	v7At := func(v uint32) []byte {
+		return append(binary.LittleEndian.AppendUint32(helloAt(v), 16), 1)
+	}
 	withPar := func(v uint32, codec ...byte) []byte {
-		return append(binary.LittleEndian.AppendUint32(helloAt(v), 2), codec...)
+		return append(binary.LittleEndian.AppendUint32(v7At(v), 2), codec...)
 	}
 	for _, tc := range []struct {
 		name  string
 		hello []byte
 		got   uint32
 	}{
-		{"v1", helloAt(1), 1},
+		{"v1", v7At(1), 1},
 		{"v2", withPar(2), 2},
 		{"v3", withPar(3), 3},
 		{"v4 raw", withPar(4, 0), 4},
@@ -98,6 +103,7 @@ func TestHelloVersionNegotiation(t *testing.T) {
 		{"v5 raw", withPar(5, 0), 5},
 		{"v5 packed", withPar(5, 1), 5},
 		{"v6", withPar(6), 6},
+		{"v7", v7At(7), 7},
 		{"next", helloAt(ProtoVersion + 1), ProtoVersion + 1},
 		{"max", helloAt(0xffffffff), 0xffffffff},
 	} {
@@ -257,14 +263,14 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestErrorRoundTrip(t *testing.T) {
-	re, err := UnmarshalError(MarshalError(CodeBacklog, "queue full"))
+	re, err := UnmarshalError(MarshalError(CodeUnavailable, "session closed"))
 	if err != nil {
 		t.Fatalf("UnmarshalError: %v", err)
 	}
-	if re.Code != CodeBacklog || re.Message != "queue full" {
+	if re.Code != CodeUnavailable || re.Message != "session closed" {
 		t.Fatalf("remote error = %+v", re)
 	}
-	if !strings.Contains(re.Error(), "queue full") {
+	if !strings.Contains(re.Error(), "session closed") {
 		t.Fatalf("Error() = %q", re.Error())
 	}
 	if _, err := UnmarshalError([]byte{1}); err == nil {

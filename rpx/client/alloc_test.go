@@ -19,7 +19,7 @@ func TestAllocsStreamRecv(t *testing.T) {
 	const warm, runs = 3, 8
 	allocs := func(w, h int) float64 {
 		addr := startServer(t, server.Config{}, server.TCPConfig{})
-		producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
+		producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8})
 		if err != nil {
 			t.Fatal(err)
 		}

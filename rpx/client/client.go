@@ -1,8 +1,8 @@
 // Package client is the Go client for rpxd, the rhythmic-pixel
 // capture/decode service. One Dial is one session: the connection handshake
-// negotiates frame geometry, pixel format, decoder history depth, and
-// backpressure mode, and the returned Session then mirrors the rpx.System
-// surface — SetRegionLabels, Capture, Decoded, DecodeWindow — over the wire.
+// negotiates frame geometry, pixel format and decoder history depth, and
+// the returned Session then mirrors the rpx.System surface —
+// SetRegionLabels, Capture, Decoded, DecodeWindow — over the wire.
 //
 //	sess, err := client.Dial("localhost:7621", client.Config{W: 640, H: 480, Format: rpx.Gray8})
 //	...
@@ -76,10 +76,12 @@ type Config struct {
 	Format rpx.Format
 	// HistoryDepth is the decoder scratchpad depth (0 = server default).
 	HistoryDepth int
-	// QueueDepth bounds the server-side request queue (0 = server default).
-	QueueDepth int
-	// Block selects blocking backpressure; when false a saturated session
-	// fails fast and Capture returns a BACKLOG error (see IsBacklog).
+	// Block is ignored. The server runs a session's requests one at a time
+	// under a lock and never turns one away, so there is no backpressure
+	// mode to choose.
+	//
+	// Deprecated: leave it unset; it remains only so that code setting it
+	// still compiles.
 	Block bool
 	// DialTimeout bounds connection establishment (default 10s).
 	DialTimeout time.Duration
@@ -156,8 +158,6 @@ func (s *Session) connectLocked() error {
 	hello := wire.Hello{
 		W: s.cfg.W, H: s.cfg.H, Format: s.cfg.Format,
 		HistoryDepth: s.cfg.HistoryDepth,
-		QueueDepth:   s.cfg.QueueDepth,
-		Block:        s.cfg.Block,
 	}
 	ack, _, err := replay.Handshake(conn, br, wire.MarshalHello(hello), s.maxPayload, s.timeout)
 	if err != nil {
@@ -379,13 +379,6 @@ func (s *Session) Close() error {
 	s.conn.SetReadDeadline(time.Now().Add(s.timeout))
 	wire.ReadMessage(s.br, s.maxPayload) // best-effort ACK
 	return s.conn.Close()
-}
-
-// IsBacklog reports whether err is the server's fail-fast backpressure
-// signal (the session's request queue was full).
-func IsBacklog(err error) bool {
-	var re *wire.RemoteError
-	return errors.As(err, &re) && re.Code == wire.CodeBacklog
 }
 
 // IsGeometryRejected reports whether err is the server's handshake-time

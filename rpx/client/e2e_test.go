@@ -78,7 +78,7 @@ func TestEndToEndConcurrentSessions(t *testing.T) {
 			}
 
 			sess, err := client.Dial(addr, client.Config{
-				W: g.w, H: g.h, Format: g.format, HistoryDepth: g.history, Block: true,
+				W: g.w, H: g.h, Format: g.format, HistoryDepth: g.history,
 			})
 			if err != nil {
 				fail("dial: %v", err)
@@ -211,7 +211,7 @@ func BenchmarkSessionsFPS(b *testing.B) {
 
 			clients := make([]*client.Session, sessions)
 			for i := range clients {
-				sess, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
+				sess, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8})
 				if err != nil {
 					b.Fatal(err)
 				}

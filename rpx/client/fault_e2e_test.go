@@ -321,7 +321,7 @@ func TestFaultMatrix(t *testing.T) {
 						t.Errorf("seed %d session %d: %s", seed, si, fmt.Sprintf(format, args...))
 					}
 					sess, err := client.Dial(addr, client.Config{
-						W: w, H: h, Format: rpx.Gray8, Block: true,
+						W: w, H: h, Format: rpx.Gray8,
 						RequestTimeout: 250 * time.Millisecond,
 						Reconnect:      true, MaxRetries: 6, Backoff: 2 * time.Millisecond,
 					})

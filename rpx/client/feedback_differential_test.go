@@ -47,7 +47,7 @@ func runLabelBoundaryDifferential(t *testing.T, addr string, scene int) {
 		{X: 0, Y: 0, W: 32, H: 24, Stride: 1, Skip: 1},
 		{X: 32, Y: 24, W: 32, H: 24, Stride: 2, Skip: 2, Phase: 1},
 	}
-	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}

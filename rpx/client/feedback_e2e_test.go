@@ -15,7 +15,7 @@ import (
 func TestStreamSetLabelsBoundary(t *testing.T) {
 	const w, h = 64, 48
 	addr := startServer(t, server.Config{}, server.TCPConfig{})
-	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestStreamSetLabelsBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Captures submitted only after the ack is on the wire would be trivially
-	// ordered; submitting them immediately exercises the worker-queue
+	// ordered; submitting them immediately exercises the session lock's
 	// serialization instead. The boundary must still be exact.
 	const after = 3
 	capture(after)
@@ -86,7 +86,7 @@ func TestStreamSetLabelsBoundary(t *testing.T) {
 		t.Fatalf("labels rejected: %v", acks[0].Err)
 	}
 	boundary := acks[0].AppliedSeq
-	// SetLabels raced the captures through the producer's queue, so the
+	// SetLabels raced the captures for the producer's session lock, so the
 	// boundary may land anywhere up to the frames captured so far; wherever
 	// it landed, it must split the pixel-fraction regimes exactly.
 	if boundary > uint64(total) {

@@ -111,7 +111,7 @@ func TestReconnectReplayByteIdentical(t *testing.T) {
 	rs := startRecordingServer(t)
 	cfg := client.Config{
 		W: 48, H: 36, Format: rpx.Gray8,
-		HistoryDepth: 5, QueueDepth: 7, Block: true,
+		HistoryDepth:   5,
 		RequestTimeout: 2 * time.Second,
 		Reconnect:      true, MaxRetries: 4, Backoff: time.Millisecond,
 	}
@@ -150,8 +150,7 @@ func TestReconnectReplayByteIdentical(t *testing.T) {
 	}
 	if want := wire.MarshalHello(wire.Hello{
 		W: cfg.W, H: cfg.H, Format: cfg.Format,
-		HistoryDepth: cfg.HistoryDepth, QueueDepth: cfg.QueueDepth,
-		Block: cfg.Block,
+		HistoryDepth: cfg.HistoryDepth,
 	}); !bytes.Equal(second[0].payload, want) {
 		t.Errorf("replayed HELLO differs from canonical marshalling:\n  canon:  %x\n  replay: %x", want, second[0].payload)
 	}

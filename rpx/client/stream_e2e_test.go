@@ -19,7 +19,7 @@ import (
 // frame in order, byte-identical to the producer's LastEncoded view.
 func TestStreamPushBasic(t *testing.T) {
 	addr := startServer(t, server.Config{}, server.TCPConfig{})
-	producer, err := client.Dial(addr, client.Config{W: 64, H: 48, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(addr, client.Config{W: 64, H: 48, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestStreamPushBasic(t *testing.T) {
 // or blocking the producer.
 func TestStreamCreditStarvation(t *testing.T) {
 	addr := startServer(t, server.Config{}, server.TCPConfig{})
-	producer, err := client.Dial(addr, client.Config{W: 32, H: 32, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(addr, client.Config{W: 32, H: 32, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestStreamCreditStarvation(t *testing.T) {
 // the typed UNAVAILABLE error, not a torn stream.
 func TestStreamFanOutAndSessionClose(t *testing.T) {
 	addr := startServer(t, server.Config{}, server.TCPConfig{})
-	producer, err := client.Dial(addr, client.Config{W: 48, H: 32, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(addr, client.Config{W: 48, H: 32, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestStreamFanOutAndSessionClose(t *testing.T) {
 // stream's end state is reported.
 func TestStreamGrantRacesEnd(t *testing.T) {
 	addr := startServer(t, server.Config{}, server.TCPConfig{})
-	producer, err := client.Dial(addr, client.Config{W: 16, H: 16, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(addr, client.Config{W: 16, H: 16, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}

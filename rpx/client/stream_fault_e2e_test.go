@@ -37,7 +37,7 @@ func newStreamFaultFixture(t *testing.T, pcfg faultnet.ProxyConfig, w, h int) *s
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	producer, err := client.Dial(backend, client.Config{W: w, H: h, Format: rpx.Gray8, Block: true})
+	producer, err := client.Dial(backend, client.Config{W: w, H: h, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,8 @@ stage_tier1() {
 
 # The steady-state zero-allocation contracts of the pooled hot path (mask
 # popcount, pooled encode, wire framing, capture), the producer's push path
-# (publish plus the stream writers, at 1, 2 and 8 subscribers), per-frame
+# (an rpxd Session.Capture, which publishes under the session lock, plus
+# the stream writers, at 1, 2 and 8 subscribers), per-frame
 # decode and stream-replay allocation counts that do not grow with frame
 # height, and the consumer path: a push-stream Recv allocates the same at
 # QVGA as at 1080p, and a warm policy worker parses, pushes and
