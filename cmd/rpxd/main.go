@@ -8,11 +8,11 @@
 //
 // Usage:
 //
-//	rpxd -addr :7621 -max-sessions 64 -idle-ttl 5m
+//	rpxd -addr :7621 -max-sessions 64 -read-timeout 2m
 //
-// Sessions idle longer than -idle-ttl are evicted (their connections
-// closed, their slots freed) so abandoned clients cannot pin -max-sessions;
-// 0 disables eviction and leaves only the per-read -read-timeout guard.
+// A client that sends nothing for -read-timeout loses its connection and
+// its session slot, so abandoned clients cannot pin -max-sessions; every
+// message re-arms the deadline, so a subscriber granting credit stays.
 //
 // A connection may also SUBSCRIBE to another session's frame stream: it
 // switches into push mode and receives FRAME_PUSH batches under a credit
@@ -69,8 +69,6 @@ func realMain() int {
 		writeTimeout = flag.Duration("write-timeout", server.DefaultWriteTimeout, "per-write connection deadline")
 		maxPayload   = flag.Int("max-payload", 0, "per-message payload cap in bytes (0 = 32 MiB)")
 		drainTime    = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain budget")
-		idleTTL      = flag.Duration("idle-ttl", 0, "evict sessions idle longer than this (0 = never)")
-		idleSweep    = flag.Duration("idle-sweep", 0, "idle janitor scan interval (0 = idle-ttl/4)")
 	)
 	flag.Parse()
 
@@ -88,9 +86,7 @@ func realMain() int {
 	}
 
 	if err := run(ctx, *addr, adminLn, *traceSpans, server.Config{
-		MaxSessions:   *maxSessions,
-		IdleTTL:       *idleTTL,
-		SweepInterval: *idleSweep,
+		MaxSessions: *maxSessions,
 	}, server.TCPConfig{
 		ReadTimeout:  *readTimeout,
 		WriteTimeout: *writeTimeout,

@@ -308,7 +308,7 @@ func TestLiveGatewayStream(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("clean unsubscribe: %v", err)
 	}
-	if _, err := subscriber.ServerStats(); err != nil {
+	if _, err := subscriber.Capture(rpx.NewFrame(8, 8, rpx.Gray8)); err != nil {
 		t.Fatalf("request/reply after unsubscribe: %v", err)
 	}
 	t.Logf("live streaming smoke: %d frames pushed through %s", frames, addr)

@@ -134,9 +134,6 @@ var proxyOps = [...]struct {
 	{wire.MsgSetLabels, "set_labels"},
 	{wire.MsgCapture, "capture"},
 	{wire.MsgDecode, "decode"},
-	{wire.MsgDecodeWindow, "decode_window"},
-	{wire.MsgGetEncoded, "get_encoded"},
-	{wire.MsgStats, "stats"},
 	{wire.MsgClose, "close"},
 	{wire.MsgSubscribe, "subscribe"},
 }
@@ -157,7 +154,7 @@ func (g *Gateway) observe(typ byte, start time.Time) {
 // answered locally on failure instead of retried.
 func idempotent(typ byte) bool {
 	switch typ {
-	case wire.MsgSetLabels, wire.MsgDecode, wire.MsgDecodeWindow, wire.MsgGetEncoded, wire.MsgStats:
+	case wire.MsgSetLabels, wire.MsgDecode:
 		return true
 	}
 	return false

@@ -156,8 +156,8 @@ func TestParseBackends(t *testing.T) {
 
 // TestGatewayProxySingleBackend is the transparency check: every client op
 // through the gateway must behave byte-identically to a direct rpxd
-// session — same capture stats, same decoded pixels, same windows, same
-// encoded container — because the gateway relays without re-encoding.
+// session — same capture stats, same decoded pixels — because the gateway
+// relays without re-encoding.
 func TestGatewayProxySingleBackend(t *testing.T) {
 	b := startBackend(t)
 	gaddr, g := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
@@ -207,23 +207,6 @@ func TestGatewayProxySingleBackend(t *testing.T) {
 	}
 	if !dGot.Equal(dWant) {
 		t.Fatal("decoded frame through gateway differs from direct pipeline")
-	}
-	wGot, err := sess.DecodeWindow(8, 8, 16, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wWant, err := ref.DecodeWindow(8, 8, 16, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wGot.Equal(wWant) {
-		t.Fatal("window decode through gateway differs from direct pipeline")
-	}
-	if _, err := sess.LastEncoded(); err != nil {
-		t.Fatalf("get encoded through gateway: %v", err)
-	}
-	if _, err := sess.ServerStats(); err != nil {
-		t.Fatalf("server stats through gateway: %v", err)
 	}
 
 	snap := g.Snapshot()

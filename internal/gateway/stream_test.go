@@ -34,7 +34,8 @@ func TestGatewayStreamRelay(t *testing.T) {
 	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
 
 	producer := dialVia(t, addr, 64, 48)
-	if err := producer.SetRegionLabels([]rpx.RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 1, Skip: 1}}); err != nil {
+	labels := []rpx.RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 1, Skip: 1}}
+	if err := producer.SetRegionLabels(labels); err != nil {
 		t.Fatal(err)
 	}
 	subscriber := dialVia(t, addr, 8, 8)
@@ -42,16 +43,29 @@ func TestGatewayStreamRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The relayed bytes must match an in-process pipeline fed the same
+	// labels and frames.
+	ref, err := rpx.NewSystem(64, 48, rpx.Gray8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SetRegionLabels(labels); err != nil {
+		t.Fatal(err)
+	}
 
 	const frames = 10
 	fr := rpx.NewFrame(64, 48, rpx.Gray8)
+	want := make([][]byte, frames)
 	for i := 0; i < frames; i++ {
 		fillFrame(fr, 1, i)
 		if _, err := producer.Capture(fr); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := ref.Capture(fr); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ref.LastEncoded().AppendTo(nil)
 	}
-	var lastRaw []byte
 	for i := 0; i < frames; i++ {
 		f, err := st.Recv()
 		if err != nil {
@@ -60,19 +74,9 @@ func TestGatewayStreamRelay(t *testing.T) {
 		if f.Seq != uint64(i) {
 			t.Fatalf("frame %d seq = %d — gap or reorder through the relay", i, f.Seq)
 		}
-		lastRaw = f.Raw
-	}
-	// The relayed bytes match the request/reply view of the same frame.
-	want, err := producer.LastEncoded()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := want.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lastRaw, buf.Bytes()) {
-		t.Fatal("relayed frame bytes differ from LastEncoded")
+		if !bytes.Equal(f.Raw, want[i]) {
+			t.Fatalf("relayed frame %d bytes differ from the in-process pipeline", i)
+		}
 	}
 
 	if err := st.Close(); err != nil {
@@ -81,7 +85,7 @@ func TestGatewayStreamRelay(t *testing.T) {
 	if _, err := st.Recv(); err != io.EOF {
 		t.Fatalf("Recv after close = %v, want io.EOF", err)
 	}
-	if _, err := subscriber.ServerStats(); err != nil {
+	if _, err := subscriber.Capture(rpx.NewFrame(8, 8, rpx.Gray8)); err != nil {
 		t.Fatalf("request/reply after unsubscribe: %v", err)
 	}
 }
@@ -278,7 +282,7 @@ func TestGatewayStreamEvacuation(t *testing.T) {
 	if !errors.As(err, &re) || re.Code != wire.CodeUnavailable {
 		t.Fatalf("Recv after drain = %v, want UNAVAILABLE", err)
 	}
-	if _, err := subscriber.ServerStats(); err != nil {
+	if _, err := subscriber.Capture(rpx.NewFrame(8, 8, rpx.Gray8)); err != nil {
 		t.Fatalf("request after the evacuated stream: %v", err)
 	}
 	if snap := g.Snapshot(); snap.Rerouted != 1 {
@@ -320,22 +324,68 @@ func TestGatewaySubscribeLatency(t *testing.T) {
 // TestGatewayDropsStreamMessagesOutsideStream: a CREDIT, STREAM_LABELS or
 // UNSUBSCRIBE that reaches the gateway after the stream's UNSUBSCRIBE ack
 // is dropped, not relayed as a request — the backend sends no reply to it —
-// so the next request/reply call reads its own reply.
+// so the next request/reply call reads its own reply: a CAPTURE_ACK, which
+// no stale stream message can draw.
 func TestGatewayDropsStreamMessagesOutsideStream(t *testing.T) {
 	b := startBackend(t)
 	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
+	send, expect := rawSession(t, addr)
+	send(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{Credit: 4, Batch: 1}))
+	ack, err := wire.UnmarshalSubscribeAck(expect(wire.MsgSubscribeAck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
+	expect(wire.MsgAck)
+
+	send(wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: ack.SubID, N: 1}))
+	send(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{SubID: ack.SubID, Labels: rpx.RegionList{{W: 4, H: 4, Stride: 1, Skip: 1}}}))
+	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
+	send(wire.MsgCapture, make([]byte, 16*16))
+	expect(wire.MsgCaptureAck)
+}
+
+// TestGatewayRetiredTypesGetProtoError: the gateway relays the request
+// types protocol 9 retired (8 DECODE_WINDOW, 10 STATS, 12 GET_ENCODED) like
+// any other, so each draws the backend's PROTO error, and the connection
+// keeps serving.
+func TestGatewayRetiredTypesGetProtoError(t *testing.T) {
+	b := startBackend(t)
+	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
+	send, expect := rawSession(t, addr)
+	for _, req := range []struct {
+		typ     byte
+		payload []byte
+	}{{8, make([]byte, 16)}, {10, nil}, {12, nil}} {
+		send(req.typ, req.payload)
+		re, err := wire.UnmarshalError(expect(wire.MsgError))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.Code != wire.CodeProto {
+			t.Fatalf("type %d: error %v, want code %d (PROTO)", req.typ, re, wire.CodeProto)
+		}
+	}
+	send(wire.MsgCapture, make([]byte, 16*16))
+	expect(wire.MsgCaptureAck)
+}
+
+// rawSession opens a 16x16 Gray8 session at addr over a raw connection and
+// returns its message send and expect-reply helpers.
+func rawSession(t *testing.T, addr string) (send func(typ byte, payload []byte), expect func(want byte) []byte) {
+	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	send := func(typ byte, payload []byte) {
+	t.Cleanup(func() { conn.Close() })
+	send = func(typ byte, payload []byte) {
 		t.Helper()
 		if err := wire.WriteMessage(conn, typ, payload, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	expect := func(want byte) []byte {
+	expect = func(want byte) []byte {
 		t.Helper()
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		typ, payload, err := wire.ReadMessage(conn, 0)
@@ -350,17 +400,5 @@ func TestGatewayDropsStreamMessagesOutsideStream(t *testing.T) {
 	}
 	send(wire.MsgHello, wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: rpx.Gray8}))
 	expect(wire.MsgHelloAck)
-	send(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{Credit: 4, Batch: 1}))
-	ack, err := wire.UnmarshalSubscribeAck(expect(wire.MsgSubscribeAck))
-	if err != nil {
-		t.Fatal(err)
-	}
-	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
-	expect(wire.MsgAck)
-
-	send(wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: ack.SubID, N: 1}))
-	send(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{SubID: ack.SubID, Labels: rpx.RegionList{{W: 4, H: 4, Stride: 1, Skip: 1}}}))
-	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
-	send(wire.MsgStats, nil)
-	expect(wire.MsgStatsAck)
+	return send, expect
 }

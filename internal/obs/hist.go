@@ -44,7 +44,7 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, JSON-friendly
-// for the rpxd STATS wire reply and the /debug/vars exposition.
+// for rpxd's exit snapshot and the /debug/vars exposition.
 type HistogramSnapshot struct {
 	// Count is the number of observations.
 	Count uint64 `json:"count"`

@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -204,17 +203,16 @@ func (l *Loop) logf(format string, args ...any) {
 }
 
 // Run drives the loop until ctx is cancelled (returns nil: graceful drain),
-// the producing session ends (returns nil: the stream's natural end), or an
-// unrecoverable error occurs. With Reconnect set, transport errors re-dial
-// and re-subscribe under exponential backoff instead of returning.
+// the producing session ends (returns a "stream ended by server" error
+// wrapping the server's *wire.RemoteError), or an unrecoverable error
+// occurs. With Reconnect set, transport errors — a dropped connection
+// included — re-dial and re-subscribe under exponential backoff instead of
+// returning.
 func (l *Loop) Run(ctx context.Context) error {
 	attempts := 0
 	for {
 		attached, err := l.runOnce(ctx)
 		if ctx.Err() != nil {
-			return nil
-		}
-		if err == nil {
 			return nil
 		}
 		// A terminal server error means the producer is gone for good
@@ -244,8 +242,10 @@ func (l *Loop) Run(ctx context.Context) error {
 }
 
 // runOnce dials, subscribes, and runs the decode/observe/push loop until the
-// stream ends or errors. attached reports whether the subscription was
-// established (used to reset the retry budget).
+// stream fails, and returns why: a stream has no clean end here, because
+// the loop never unsubscribes and a closed producer ends it with an ERROR.
+// attached reports whether the subscription was established (used to reset
+// the retry budget).
 func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 	// The loop's own session is a minimal placeholder — only the
 	// subscription (and its label-feedback channel) matters.
@@ -314,9 +314,6 @@ func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 	for {
 		f, err := st.Recv()
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return true, nil
-			}
 			return true, fmt.Errorf("policyloop: stream receive: %w", err)
 		}
 		l.frames.Add(1)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/server"
@@ -203,6 +204,74 @@ func TestLoopReconnects(t *testing.T) {
 	}
 	if loop.Stats().Reconnects == 0 {
 		t.Fatalf("loop recovered without counting a reconnect: %+v", loop.Stats())
+	}
+	cancel()
+	if err := <-runErr; err != nil {
+		t.Fatalf("Run after cancel = %v, want nil", err)
+	}
+}
+
+// TestLoopReattachesAfterDroppedConnection: a connection cut between the
+// worker and the server reads as io.EOF in Recv, like the end of a stream.
+// The worker has no clean stream end, so with Reconnect set it must
+// re-attach through the cut and keep cycling, not return.
+func TestLoopReattachesAfterDroppedConnection(t *testing.T) {
+	const w, h = 32, 32
+	addr := startServer(t)
+	proxy, err := faultnet.NewProxy(addr, faultnet.ProxyConfig{Rules: []faultnet.Rule{
+		{Dir: faultnet.ServerToClient, Nth: 20, Drop: true, Once: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer producer.Close()
+
+	loop, err := New(Config{
+		Addr:   proxy.Addr(),
+		Target: producer.ID(),
+		Policy: "event-change",
+		W:      w, H: h, Format: rpx.Gray8,
+		CycleLength: 2,
+		Reconnect:   true,
+		MaxRetries:  20,
+		Backoff:     10 * time.Millisecond,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- loop.Run(ctx) }()
+
+	// Capture until the loop has re-attached after the cut and then
+	// completed a cycle on the new attachment.
+	fr := rpx.NewFrame(w, h, rpx.Gray8)
+	var reattached *Stats
+	deadline := time.Now().Add(20 * time.Second)
+	for i := 0; reattached == nil || loop.Stats().Cycles <= reattached.Cycles; i++ {
+		select {
+		case err := <-runErr:
+			t.Fatalf("Run returned %v with the producer still capturing (stats %+v)", err, loop.Stats())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("loop did not cycle on after the cut: %+v", loop.Stats())
+		}
+		renderBox(fr, i)
+		if _, err := producer.Capture(fr); err != nil {
+			t.Fatal(err)
+		}
+		if st := loop.Stats(); reattached == nil && st.Reconnects >= 1 {
+			reattached = &st
+		}
+		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	if err := <-runErr; err != nil {

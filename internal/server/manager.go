@@ -6,7 +6,7 @@
 // session's operations run one at a time, and a capture publishes its frame
 // to push subscribers before it lets go. Nothing queues an operation or
 // turns it away. All cross-session statistics are atomic snapshots, so the
-// stats endpoint can run hot without taking a session lock.
+// admin endpoint can scrape them hot without taking a session lock.
 package server
 
 import (
@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/region"
@@ -43,8 +42,6 @@ const (
 	OpSetLabels Op = iota
 	OpCapture
 	OpDecode
-	OpDecodeWindow
-	OpLastEncoded
 	numOps
 )
 
@@ -57,10 +54,6 @@ func (o Op) String() string {
 		return "capture"
 	case OpDecode:
 		return "decode"
-	case OpDecodeWindow:
-		return "decode_window"
-	case OpLastEncoded:
-		return "last_encoded"
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -69,12 +62,6 @@ func (o Op) String() string {
 type Config struct {
 	// MaxSessions caps concurrently open sessions (default 64).
 	MaxSessions int
-	// IdleTTL evicts sessions that have served no request for this long, so
-	// abandoned connections cannot pin MaxSessions (0 = never evict).
-	IdleTTL time.Duration
-	// SweepInterval is how often the idle janitor scans (default IdleTTL/4,
-	// floored at 100ms). Only meaningful when IdleTTL > 0.
-	SweepInterval time.Duration
 	// Metrics, when non-nil, is the observability registry the manager
 	// publishes into: aggregate counters, per-op latency histograms, and a
 	// per-live-session collector (frames, core encoder/decoder and PMMU
@@ -97,9 +84,6 @@ type Manager struct {
 	reserved int // admitted opens still constructing their pipeline
 	closed   bool
 
-	sweepQuit chan struct{}
-	sweepDone chan struct{}
-
 	// Push-subscription registry, its own lock so subscription churn
 	// never contends with Open/Close.
 	subMu         sync.Mutex
@@ -108,7 +92,6 @@ type Manager struct {
 
 	// Aggregate counters, atomic so Snapshot never takes a session lock.
 	sessionsOpened   atomic.Int64
-	sessionsEvicted  atomic.Int64
 	framesCaptured   atomic.Int64
 	encodedBytes     atomic.Int64
 	decodedFrames    atomic.Int64
@@ -126,20 +109,9 @@ func NewManager(cfg Config) *Manager {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
-	if cfg.IdleTTL > 0 && cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = cfg.IdleTTL / 4
-		if cfg.SweepInterval < 100*time.Millisecond {
-			cfg.SweepInterval = 100 * time.Millisecond
-		}
-	}
 	m := &Manager{cfg: cfg, sessions: make(map[uint64]*Session)}
 	if cfg.Metrics != nil {
 		m.registerMetrics(cfg.Metrics)
-	}
-	if cfg.IdleTTL > 0 {
-		m.sweepQuit = make(chan struct{})
-		m.sweepDone = make(chan struct{})
-		go m.sweepIdle()
 	}
 	return m
 }
@@ -148,17 +120,15 @@ func NewManager(cfg Config) *Manager {
 // atomic counters it already keeps (read at scrape time, no double
 // bookkeeping), the per-op latency histograms, and a collector that emits
 // one series set per live session — series appear when a session opens and
-// vanish when it closes or is evicted.
+// vanish when it closes.
 func (m *Manager) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("rpxd_sessions_opened_total", "Sessions opened over the process lifetime.",
 		func() uint64 { return uint64(m.sessionsOpened.Load()) })
-	reg.CounterFunc("rpxd_sessions_evicted_total", "Sessions evicted by the idle janitor.",
-		func() uint64 { return uint64(m.sessionsEvicted.Load()) })
 	reg.CounterFunc("rpxd_frames_captured_total", "Frames captured across all sessions.",
 		func() uint64 { return uint64(m.framesCaptured.Load()) })
 	reg.CounterFunc("rpxd_encoded_bytes_total", "Encoded payload plus metadata bytes written across all sessions.",
 		func() uint64 { return uint64(m.encodedBytes.Load()) })
-	reg.CounterFunc("rpxd_decoded_frames_total", "Full-frame and windowed decodes served across all sessions.",
+	reg.CounterFunc("rpxd_decoded_frames_total", "Decodes served across all sessions.",
 		func() uint64 { return uint64(m.decodedFrames.Load()) })
 	reg.GaugeFunc("rpxd_sessions_open", "Currently open sessions.",
 		func() float64 { return float64(m.SessionsOpen()) })
@@ -225,33 +195,6 @@ func (m *Manager) openSessions() []*Session {
 	return open
 }
 
-// sweepIdle is the idle-session janitor: it periodically evicts sessions
-// whose last request is older than IdleTTL.
-func (m *Manager) sweepIdle() {
-	defer close(m.sweepDone)
-	tick := time.NewTicker(m.cfg.SweepInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.sweepQuit:
-			return
-		case <-tick.C:
-		}
-		cutoff := time.Now().Add(-m.cfg.IdleTTL).UnixNano()
-		m.mu.Lock()
-		var idle []*Session
-		for _, s := range m.sessions {
-			if s.lastUsed.Load() < cutoff {
-				idle = append(idle, s)
-			}
-		}
-		m.mu.Unlock()
-		for _, s := range idle {
-			s.evict()
-		}
-	}
-}
-
 // SessionConfig describes one session's negotiated pipeline.
 type SessionConfig struct {
 	// W, H and Format fix the session's frame geometry.
@@ -267,13 +210,8 @@ type SessionConfig struct {
 // time, in the order they take the lock.
 type Session struct {
 	id  uint64
-	cfg SessionConfig
 	mgr *Manager
 	sys *rpx.System
-
-	// lastUsed is the UnixNano of the newest operation's start, read by the
-	// manager's idle janitor without taking the session lock.
-	lastUsed atomic.Int64
 
 	// opHist is this session's own per-op latency view, observed alongside
 	// the manager aggregate and exposed by the metrics collector as
@@ -281,13 +219,11 @@ type Session struct {
 	opHist [numOps]Histogram
 
 	// mu is the session lock. It is held through every operation on sys
-	// (a capture holds it through publish), and it guards closed, the push
-	// subscribers attached to the session's frame stream, and the evict
-	// hook.
-	mu        sync.Mutex
-	closed    bool
-	subs      []*Subscription
-	evictHook func()
+	// (a capture holds it through publish), and it guards closed and the
+	// push subscribers attached to the session's frame stream.
+	mu     sync.Mutex
+	closed bool
+	subs   []*Subscription
 }
 
 // Open creates a session. Admission is checked before the pipeline is
@@ -338,8 +274,7 @@ func (m *Manager) Open(cfg SessionConfig) (*Session, error) {
 		// this respects the rpx.System single-goroutine contract.
 		sys.SetTracer(m.cfg.Trace, id)
 	}
-	s := &Session{id: id, cfg: cfg, mgr: m, sys: sys}
-	s.lastUsed.Store(time.Now().UnixNano())
+	s := &Session{id: id, mgr: m, sys: sys}
 	m.sessions[id] = s
 	m.sessionsOpened.Add(1)
 	return s, nil
@@ -351,7 +286,6 @@ func (m *Manager) Open(cfg SessionConfig) (*Session, error) {
 // then calls unlock.
 func (s *Session) lock() (time.Time, error) {
 	start := time.Now()
-	s.lastUsed.Store(start.UnixNano())
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -371,9 +305,6 @@ func (s *Session) unlock(op Op, start time.Time) {
 
 // ID returns the manager-assigned session id.
 func (s *Session) ID() uint64 { return s.id }
-
-// Config returns the negotiated session configuration.
-func (s *Session) Config() SessionConfig { return s.cfg }
 
 // SetRegionLabels installs the capture workload for the next frame.
 func (s *Session) SetRegionLabels(labels region.List) error {
@@ -423,101 +354,21 @@ func (s *Session) Capture(fr *frame.Frame) (rpx.CaptureStats, error) {
 
 // Decoded reconstructs the newest frame.
 func (s *Session) Decoded() (*frame.Frame, error) {
-	return s.decode(OpDecode, 0, 0, s.cfg.W, s.cfg.H)
-}
-
-// DecodeWindow reconstructs a sub-rectangle of the newest frame.
-func (s *Session) DecodeWindow(x, y, w, h int) (*frame.Frame, error) {
-	return s.decode(OpDecodeWindow, x, y, w, h)
-}
-
-// decode reconstructs a window of the newest frame, timed as op.
-func (s *Session) decode(op Op, x, y, w, h int) (*frame.Frame, error) {
 	start, err := s.lock()
 	if err != nil {
 		return nil, err
 	}
-	defer s.unlock(op, start)
-	fr, err := s.sys.DecodeWindow(x, y, w, h)
+	defer s.unlock(OpDecode, start)
+	fr, err := s.sys.Decoded()
 	if err == nil {
 		s.mgr.decodedFrames.Add(1)
 	}
 	return fr, err
 }
 
-// errNoFrame is the LastEncoded failure before the first capture.
-var errNoFrame = errors.New("server: no frame captured yet")
-
-// LastEncoded returns the newest encoded frame. The caller owns the result:
-// it is a deep copy made under the session lock, and later captures never
-// touch it.
-func (s *Session) LastEncoded() (*core.EncodedFrame, error) {
-	start, err := s.lock()
-	if err != nil {
-		return nil, err
-	}
-	defer s.unlock(OpLastEncoded, start)
-	ef := s.sys.BorrowLastEncoded()
-	if ef == nil {
-		return nil, errNoFrame
-	}
-	return ef.Clone(), nil
-}
-
-// LastEncodedTo serializes the newest encoded frame as an RPXE container
-// into dst (reusing its capacity, like append) and returns the result. The
-// serialization happens under the session lock while the frame is stable,
-// so no intermediate *EncodedFrame copy is made — this is the transport's
-// zero-copy GET_ENCODED path.
-func (s *Session) LastEncodedTo(dst []byte) ([]byte, error) {
-	start, err := s.lock()
-	if err != nil {
-		return nil, err
-	}
-	defer s.unlock(OpLastEncoded, start)
-	ef := s.sys.BorrowLastEncoded()
-	if ef == nil {
-		return nil, errNoFrame
-	}
-	return ef.AppendTo(dst[:0]), nil
-}
-
 // SystemStats snapshots the underlying pipeline's traffic counters without
 // taking the session lock (safe per rpx.System's concurrency contract).
 func (s *Session) SystemStats() rpx.SystemStats { return s.sys.Stats() }
-
-// OnEvict registers a hook the idle janitor runs when it evicts this
-// session — transports use it to close the connection so a handler blocked
-// in a read wakes up and tears down. Calling it after eviction began is a
-// no-op.
-func (s *Session) OnEvict(hook func()) {
-	s.mu.Lock()
-	s.evictHook = hook
-	s.mu.Unlock()
-}
-
-// IdleFor reports how long ago the session last served a request.
-func (s *Session) IdleFor() time.Duration {
-	return time.Duration(time.Now().UnixNano() - s.lastUsed.Load())
-}
-
-// evict closes an idle session on the janitor's behalf: it fires the
-// transport hook first (waking any blocked reader) and then runs the normal
-// close path.
-func (s *Session) evict() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	hook := s.evictHook
-	s.mu.Unlock()
-	s.mgr.sessionsEvicted.Add(1)
-	if hook != nil {
-		hook()
-	}
-	s.Close()
-}
 
 // Close ends the session. It takes the session lock, so an operation in
 // progress finishes first, and every later operation fails with
@@ -557,10 +408,6 @@ func (m *Manager) Close() error {
 		open = append(open, s)
 	}
 	m.mu.Unlock()
-	if m.sweepQuit != nil {
-		close(m.sweepQuit)
-		<-m.sweepDone
-	}
 	for _, s := range open {
 		s.Close()
 	}
@@ -574,36 +421,34 @@ func (m *Manager) SessionsOpen() int {
 	return len(m.sessions)
 }
 
-// Snapshot is a point-in-time view of the whole manager, the payload of the
-// STATS wire message (JSON-encoded).
+// Snapshot is a point-in-time view of the whole manager; rpxd writes it as
+// JSON to its log at exit.
 type Snapshot struct {
-	SessionsOpen    int                          `json:"sessions_open"`
-	SessionsOpened  int64                        `json:"sessions_opened"`
-	SessionsEvicted int64                        `json:"sessions_evicted"`
-	FramesCaptured  int64                        `json:"frames_captured"`
-	EncodedBytes    int64                        `json:"encoded_bytes"`
-	DecodedFrames   int64                        `json:"decoded_frames"`
-	StreamSubsOpen  int                          `json:"stream_subs_open"`
-	StreamPushed    int64                        `json:"stream_frames_pushed"`
-	StreamDropped   int64                        `json:"stream_frames_dropped"`
-	StreamInflight  int                          `json:"stream_inflight"`
-	OpLatency       map[string]HistogramSnapshot `json:"op_latency,omitempty"`
+	SessionsOpen   int                          `json:"sessions_open"`
+	SessionsOpened int64                        `json:"sessions_opened"`
+	FramesCaptured int64                        `json:"frames_captured"`
+	EncodedBytes   int64                        `json:"encoded_bytes"`
+	DecodedFrames  int64                        `json:"decoded_frames"`
+	StreamSubsOpen int                          `json:"stream_subs_open"`
+	StreamPushed   int64                        `json:"stream_frames_pushed"`
+	StreamDropped  int64                        `json:"stream_frames_dropped"`
+	StreamInflight int                          `json:"stream_inflight"`
+	OpLatency      map[string]HistogramSnapshot `json:"op_latency,omitempty"`
 }
 
 // Snapshot collects the manager-wide statistics from atomic counters and
 // histograms; it takes the manager lock only to count the open sessions.
 func (m *Manager) Snapshot() Snapshot {
 	snap := Snapshot{
-		SessionsOpen:    m.SessionsOpen(),
-		SessionsOpened:  m.sessionsOpened.Load(),
-		SessionsEvicted: m.sessionsEvicted.Load(),
-		FramesCaptured:  m.framesCaptured.Load(),
-		EncodedBytes:    m.encodedBytes.Load(),
-		DecodedFrames:   m.decodedFrames.Load(),
-		StreamSubsOpen:  m.SubscriptionsOpen(),
-		StreamPushed:    m.streamPushed.Load(),
-		StreamDropped:   m.streamDropped.Load(),
-		StreamInflight:  m.StreamInflight(),
+		SessionsOpen:   m.SessionsOpen(),
+		SessionsOpened: m.sessionsOpened.Load(),
+		FramesCaptured: m.framesCaptured.Load(),
+		EncodedBytes:   m.encodedBytes.Load(),
+		DecodedFrames:  m.decodedFrames.Load(),
+		StreamSubsOpen: m.SubscriptionsOpen(),
+		StreamPushed:   m.streamPushed.Load(),
+		StreamDropped:  m.streamDropped.Load(),
+		StreamInflight: m.StreamInflight(),
 	}
 	snap.OpLatency = make(map[string]HistogramSnapshot, int(numOps))
 	for op := Op(0); op < numOps; op++ {

@@ -63,24 +63,6 @@ func TestSessionMatchesInProcessSystem(t *testing.T) {
 			t.Fatalf("decoded frame %d differs from in-process system", i)
 		}
 	}
-	wGot, err := sess.DecodeWindow(8, 8, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wWant, err := ref.DecodeWindow(8, 8, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wGot.Equal(wWant) {
-		t.Fatal("decode window differs from in-process system")
-	}
-	ef, err := sess.LastEncoded()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ef.FrameIndex != ref.LastEncoded().FrameIndex {
-		t.Fatalf("LastEncoded index = %d, want %d", ef.FrameIndex, ref.LastEncoded().FrameIndex)
-	}
 }
 
 // TestSessionSerializesOps: captures from many goroutines on one session
@@ -319,52 +301,4 @@ func TestSnapshotConcurrentWithOpenClose(t *testing.T) {
 	}
 	close(stop)
 	<-snapDone
-}
-
-// TestIdleTTLEviction proves the janitor: an abandoned session is evicted
-// after IdleTTL and frees its MaxSessions slot, while a session that keeps
-// serving requests survives sweep after sweep.
-func TestIdleTTLEviction(t *testing.T) {
-	m := NewManager(Config{MaxSessions: 2, IdleTTL: 150 * time.Millisecond, SweepInterval: 25 * time.Millisecond})
-	defer m.Close()
-	idle, err := m.Open(SessionConfig{W: 8, H: 8, Format: frame.Gray8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	busy, err := m.Open(SessionConfig{W: 8, H: 8, Format: frame.Gray8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evicted := false
-	hookFired := make(chan struct{})
-	idle.OnEvict(func() { close(hookFired) })
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if err := busy.SetRegionLabels(nil); err != nil {
-			t.Fatalf("busy session died: %v", err)
-		}
-		if m.SessionsOpen() == 1 {
-			evicted = true
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if !evicted {
-		t.Fatal("idle session was not evicted within 5s")
-	}
-	select {
-	case <-hookFired:
-	case <-time.After(time.Second):
-		t.Fatal("evict hook never fired")
-	}
-	if _, err := idle.Capture(testFrame(8, 8, frame.Gray8, 0)); !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("capture on evicted session = %v, want ErrSessionClosed", err)
-	}
-	if got := m.Snapshot().SessionsEvicted; got != 1 {
-		t.Fatalf("SessionsEvicted = %d, want 1", got)
-	}
-	// The freed slot is reusable.
-	if _, err := m.Open(SessionConfig{W: 8, H: 8, Format: frame.Gray8}); err != nil {
-		t.Fatalf("open after eviction: %v", err)
-	}
 }

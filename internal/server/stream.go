@@ -31,7 +31,7 @@ const (
 	ReasonNone CloseReason = iota
 	// ReasonUnsubscribed: the client asked; drain, then a final ACK.
 	ReasonUnsubscribed
-	// ReasonSessionClosed: the producing session closed or was evicted.
+	// ReasonSessionClosed: the producing session closed.
 	ReasonSessionClosed
 	// ReasonConnClosed: the subscriber's own transport died.
 	ReasonConnClosed

@@ -35,15 +35,15 @@ func startDiffServer(t *testing.T, mcfg server.Config, tcfg server.TCPConfig) st
 }
 
 // The differential harness proves the push path byte-identical to the
-// request/reply path: for randomized geometries and workloads, every
+// in-process library: for randomized geometries and workloads, every
 // FRAME_PUSH record a subscriber receives must equal — payload, row
-// offsets, encoding mask, the whole serialized EncodedFrame — what a
-// reference session alongside it sees via Capture + LastEncoded when fed the
-// exact same frames, and carry the same CaptureStats. Each case is driven
-// by its seed alone, so any failure reproduces from the logged seed.
+// offsets, encoding mask, the whole serialized EncodedFrame — what an
+// in-process rpx.System sees via Capture + LastEncoded when fed the exact
+// same labels and frames, and carry the same CaptureStats. Each case is
+// driven by its seed alone, so any failure reproduces from the logged seed.
 
-// diffCase runs one randomized producer/subscriber/reference trio against
-// the server at addr. Returned errors carry the seed.
+// diffCase runs one randomized producer/subscriber pair against the server
+// at addr, beside an in-process reference. Returned errors carry the seed.
 func diffCase(addr string, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	fail := func(format string, args ...interface{}) error {
@@ -80,15 +80,15 @@ func diffCase(addr string, seed int64) error {
 		return fail("dial producer: %v", err)
 	}
 	defer producer.Close()
-	reference, err := client.Dial(addr, cfg)
-	if err != nil {
-		return fail("dial reference: %v", err)
+	if err := producer.SetRegionLabels(labels); err != nil {
+		return fail("set labels %+v: %v", labels, err)
 	}
-	defer reference.Close()
-	for _, s := range []*client.Session{producer, reference} {
-		if err := s.SetRegionLabels(labels); err != nil {
-			return fail("set labels %+v: %v", labels, err)
-		}
+	reference, err := rpx.NewSystem(w, h, format)
+	if err != nil {
+		return fail("reference system: %v", err)
+	}
+	if err := reference.SetRegionLabels(labels); err != nil {
+		return fail("reference labels %+v: %v", labels, err)
 	}
 	subSess, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
 	if err != nil {
@@ -104,7 +104,8 @@ func diffCase(addr string, seed int64) error {
 		return fail("subscribe: %v", err)
 	}
 
-	// Feed both sessions identical frames; record the reference view.
+	// Feed the producer and the reference identical frames; record the
+	// reference view.
 	fr := rpx.NewFrame(w, h, format)
 	wantStats := make([]rpx.CaptureStats, frames)
 	wantRaw := make([][]byte, frames)
@@ -122,12 +123,8 @@ func diffCase(addr string, seed int64) error {
 			return fail("capture %d stats diverge: push-side %+v, reference %+v", i, pcs, rcs)
 		}
 		wantStats[i] = rcs
-		ef, err := reference.LastEncoded()
-		if err != nil {
-			return fail("reference LastEncoded %d: %v", i, err)
-		}
 		var buf bytes.Buffer
-		if _, err := ef.WriteTo(&buf); err != nil {
+		if _, err := reference.LastEncoded().WriteTo(&buf); err != nil {
 			return fail("serialize reference frame %d: %v", i, err)
 		}
 		wantRaw[i] = buf.Bytes()

@@ -11,6 +11,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/region"
 	"repro/internal/wire"
+	"repro/rpx"
 )
 
 // The push path queues a session's live encoded frames, pinned, and the
@@ -64,8 +65,8 @@ func pipeSubscriber(t *testing.T, srv *TCPServer, target uint64, credit, batch u
 // times its history depth in frames, with changing pixels and labels, so
 // every queued frame — the one being written included — is evicted from
 // the history while pinned. Once the reader resumes, every record must
-// equal the frame's LastEncoded serialization taken right after its
-// capture. Recycling a pinned frame, or unpinning before the write
+// equal the serialization of an in-process rpx.System fed the same labels
+// and frames. Recycling a pinned frame, or unpinning before the write
 // returns, hands the frame's storage to a later capture and fails this
 // test on every run.
 func TestStreamLaggingSubscriberReadsIntactFrames(t *testing.T) {
@@ -79,23 +80,30 @@ func TestStreamLaggingSubscriberReadsIntactFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli, _ := pipeSubscriber(t, srv, prod.ID(), frames, 4)
+	ref, err := rpx.NewSystem(64, 48, rpx.Gray8, rpx.WithHistoryDepth(depth))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	want := make([][]byte, frames)
 	stats := make([]wire.CaptureAck, frames)
 	capture := func(i int) {
 		t.Helper()
+		fr := testFrame(64, 48, frame.Gray8, 11*i+3)
 		if err := prod.SetRegionLabels(pinLabels(i)); err != nil {
 			t.Fatal(err)
 		}
-		cs, err := prod.Capture(testFrame(64, 48, frame.Gray8, 11*i+3))
+		if err := ref.SetRegionLabels(pinLabels(i)); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := prod.Capture(fr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ef, err := prod.LastEncoded()
-		if err != nil {
+		if _, err := ref.Capture(fr); err != nil {
 			t.Fatal(err)
 		}
-		want[i] = ef.AppendTo(nil)
+		want[i] = ref.LastEncoded().AppendTo(nil)
 		stats[i] = wire.CaptureAck{FrameIndex: cs.FrameIndex, EncodedPixels: cs.EncodedPixels,
 			EncodedBytes: cs.EncodedBytes, PixelFraction: cs.PixelFraction}
 	}

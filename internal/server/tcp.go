@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -57,8 +56,11 @@ func (cw *connWriter) writeErr(code uint16, msg string) error {
 
 // TCPConfig tunes the network front end.
 type TCPConfig struct {
-	// ReadTimeout bounds each blocking message read — an idle or stalled
-	// client is disconnected after this long (default 2 minutes).
+	// ReadTimeout bounds each blocking message read, and is rpxd's one
+	// idle guard: a client that sends nothing for this long is disconnected
+	// and its session slot freed (default 2 minutes). Every message re-arms
+	// it, CREDIT included, so a subscriber that keeps consuming its stream
+	// stays attached.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each reply write (default 30 seconds).
 	WriteTimeout time.Duration
@@ -165,9 +167,6 @@ func (s *TCPServer) handle(conn net.Conn) {
 		return
 	}
 	defer sess.Close()
-	// When the idle janitor evicts this session, close the connection so a
-	// handler blocked in ReadMessage wakes and tears down promptly.
-	sess.OnEvict(func() { conn.Close() })
 	cw.scratch = wire.AppendHelloAck(cw.scratch[:0], wire.HelloAck{
 		SessionID:  sess.ID(),
 		MaxPayload: s.cfg.MaxPayload,
@@ -462,39 +461,6 @@ func (s *TCPServer) serveMsg(sess *Session, cw *connWriter, typ byte, payload []
 		}
 		cw.scratch = wire.AppendFrame(cw.scratch[:0], fr)
 		return cw.write(wire.MsgFrame, cw.scratch) != nil
-
-	case wire.MsgDecodeWindow:
-		win, err := wire.UnmarshalWindow(payload)
-		if err != nil {
-			return cw.writeErr(wire.CodeProto, err.Error()) != nil
-		}
-		fr, err := sess.DecodeWindow(win.X, win.Y, win.W, win.H)
-		if err != nil {
-			if errors.Is(err, ErrSessionClosed) {
-				return fail(err)
-			}
-			return cw.writeErr(wire.CodeBadRequest, err.Error()) != nil
-		}
-		cw.scratch = wire.AppendFrame(cw.scratch[:0], fr)
-		return cw.write(wire.MsgFrame, cw.scratch) != nil
-
-	case wire.MsgGetEncoded:
-		// The RPXE container is serialized under the session lock directly
-		// into this connection's scratch — no intermediate EncodedFrame copy
-		// and no per-request buffer.
-		enc, err := sess.LastEncodedTo(cw.scratch[:0])
-		if err != nil {
-			return fail(err)
-		}
-		cw.scratch = enc
-		return cw.write(wire.MsgEncoded, cw.scratch) != nil
-
-	case wire.MsgStats:
-		b, err := json.Marshal(s.mgr.Snapshot())
-		if err != nil {
-			return fail(err)
-		}
-		return cw.write(wire.MsgStatsAck, b) != nil
 
 	case wire.MsgClose:
 		cw.write(wire.MsgAck, nil)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -241,33 +242,146 @@ func TestTCPRejectsOversizeGeometry(t *testing.T) {
 	readExpect(t, conn3, wire.MsgHelloAck)
 }
 
-// TestTCPIdleSessionEvicted drives the idle TTL end to end: a connection
-// that negotiates a session and then goes silent is evicted — its session
-// slot freed and its connection closed — well before the read timeout.
-func TestTCPIdleSessionEvicted(t *testing.T) {
-	srv, addr := startTestServer(t,
-		Config{IdleTTL: 150 * time.Millisecond, SweepInterval: 25 * time.Millisecond},
-		TCPConfig{ReadTimeout: time.Hour})
+// TestTCPRetiredTypesGetProtoError: the request types protocol 9 retired
+// (8 DECODE_WINDOW, 10 STATS, 12 GET_ENCODED) each draw a PROTO error like
+// any unknown type, and the connection keeps serving.
+func TestTCPRetiredTypesGetProtoError(t *testing.T) {
+	_, addr := startTestServer(t, Config{}, TCPConfig{})
 	conn := dialRaw(t, addr)
 	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8}), 0); err != nil {
 		t.Fatal(err)
 	}
 	readExpect(t, conn, wire.MsgHelloAck)
-
-	// The eviction must close our connection: the blocking read returns.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := wire.ReadMessage(conn, 0); err == nil {
-		t.Fatal("evicted connection still delivered a message")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Manager().SessionsOpen() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("SessionsOpen = %d after eviction, want 0", srv.Manager().SessionsOpen())
+	for _, req := range []struct {
+		typ     byte
+		payload []byte
+	}{{8, make([]byte, 16)}, {10, nil}, {12, nil}} {
+		if err := wire.WriteMessage(conn, req.typ, req.payload, 0); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		readError(t, conn, wire.CodeProto)
 	}
-	if got := srv.Manager().Snapshot().SessionsEvicted; got != 1 {
-		t.Fatalf("SessionsEvicted = %d, want 1", got)
+	if err := wire.WriteMessage(conn, wire.MsgCapture, make([]byte, 16*16), 0); err != nil {
+		t.Fatal(err)
+	}
+	readExpect(t, conn, wire.MsgCaptureAck)
+}
+
+// TestTCPReadDeadlineIsTheIdleGuard: the per-read deadline is rpxd's one
+// idle guard. A session that sends nothing after its HELLO loses its
+// connection and frees its MaxSessions slot, while a subscriber that keeps
+// granting credit — its own session serves no operation all the while —
+// stays attached for ten read timeouts.
+func TestTCPReadDeadlineIsTheIdleGuard(t *testing.T) {
+	const readTimeout = 150 * time.Millisecond
+	srv, addr := startTestServer(t, Config{MaxSessions: 3}, TCPConfig{ReadTimeout: readTimeout})
+	prod, err := srv.Manager().Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := wire.MarshalHello(wire.Hello{W: 8, H: 8, Format: frame.Gray8})
+	open := func() net.Conn {
+		t.Helper()
+		conn := dialRaw(t, addr)
+		if err := wire.WriteMessage(conn, wire.MsgHello, hello, 0); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	sub := open()
+	readExpect(t, sub, wire.MsgHelloAck)
+	if err := wire.WriteMessage(sub, wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{Target: prod.ID(), Credit: 32, Batch: 1}), 0); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := wire.UnmarshalSubscribeAck(readExpect(t, sub, wire.MsgSubscribeAck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent := open()
+	readExpect(t, silent, wire.MsgHelloAck)
+
+	// The producer is in-process, so only the two connections' deadlines
+	// are in play.
+	stop := make(chan struct{})
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		fr := testFrame(64, 48, frame.Gray8, 0)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := prod.Capture(fr); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-produced
+	}()
+
+	// The subscriber grants credit for every 8 frames it reads, for ten read
+	// timeouts, then unsubscribes: the ACK shows it was still attached.
+	subErr := make(chan error, 1)
+	go func() {
+		subErr <- func() error {
+			var buf []byte
+			frames, owed := 0, 0
+			for end := time.Now().Add(10 * readTimeout); time.Now().Before(end); {
+				sub.SetReadDeadline(time.Now().Add(5 * time.Second))
+				typ, payload, err := wire.ReadMessageInto(sub, &buf, 0)
+				if err != nil {
+					return fmt.Errorf("subscriber cut after %d frames: %w", frames, err)
+				}
+				p, err := wire.UnmarshalFramePush(payload)
+				if typ != wire.MsgFramePush || err != nil {
+					return fmt.Errorf("subscriber got message type %d (%v), want FRAME_PUSH", typ, err)
+				}
+				frames += len(p.Frames)
+				if owed += len(p.Frames); owed >= 8 {
+					if err := wire.WriteMessage(sub, wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: ack.SubID, N: uint32(owed)}), 0); err != nil {
+						return err
+					}
+					owed = 0
+				}
+			}
+			if err := wire.WriteMessage(sub, wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}), 0); err != nil {
+				return err
+			}
+			for {
+				typ, _, err := wire.ReadMessageInto(sub, &buf, 0)
+				if err != nil {
+					return fmt.Errorf("subscriber cut before its UNSUBSCRIBE ack: %w", err)
+				}
+				if typ == wire.MsgAck {
+					return nil
+				}
+			}
+		}()
+	}()
+
+	// The silent session's connection is closed under it, and its slot is
+	// free again: a fresh session fits under MaxSessions, and the one after
+	// it does not.
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if typ, _, err := wire.ReadMessage(silent, 0); err == nil {
+		t.Fatalf("silent connection got message type %d, want it closed", typ)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Manager().SessionsOpen() != 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("SessionsOpen = %d after the silent connection closed, want 2", srv.Manager().SessionsOpen())
+		}
+	}
+	readExpect(t, open(), wire.MsgHelloAck)
+	readError(t, open(), wire.CodeSessionLimit)
+
+	if err := <-subErr; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -275,7 +389,7 @@ func TestTCPIdleSessionEvicted(t *testing.T) {
 // UNSUBSCRIBE that arrives after the stream's UNSUBSCRIBE ack — a Grant or
 // SetLabels racing Stream.Close — is dropped without a reply, so the next
 // request/reply call reads its own reply rather than an ERROR for the stale
-// stream message.
+// stream message: a CAPTURE_ACK, which no stale stream message can draw.
 func TestTCPDropsStreamMessagesOutsideStream(t *testing.T) {
 	_, addr := startTestServer(t, Config{}, TCPConfig{})
 	conn := dialRaw(t, addr)
@@ -298,6 +412,6 @@ func TestTCPDropsStreamMessagesOutsideStream(t *testing.T) {
 	send(wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: ack.SubID, N: 1}))
 	send(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{SubID: ack.SubID, Labels: region.List{{W: 4, H: 4, Stride: 1, Skip: 1}}}))
 	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
-	send(wire.MsgStats, nil)
-	readExpect(t, conn, wire.MsgStatsAck)
+	send(wire.MsgCapture, make([]byte, 16*16))
+	readExpect(t, conn, wire.MsgCaptureAck)
 }

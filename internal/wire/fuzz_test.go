@@ -25,9 +25,13 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(seed(MsgHello, MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4})))
 	f.Add(seed(MsgHelloAck, MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload})))
 	// HELLOs from retired revisions in their own layouts, one mutation away
-	// from the version check: v7 appended a u32 queue depth and a u8 block
-	// flag to today's fields (26 bytes), v6 a u32 parallelism field after
-	// those (30), and v5 a packed-mask codec byte after that field (31).
+	// from the version check: v8 used today's 21 bytes, v7 appended a u32
+	// queue depth and a u8 block flag to those fields (26 bytes), v6 a u32
+	// parallelism field after those (30), and v5 a packed-mask codec byte
+	// after that field (31).
+	v8 := MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4})
+	binary.LittleEndian.PutUint32(v8[4:], 8)
+	f.Add(seed(MsgHello, v8))
 	v7 := append(binary.LittleEndian.AppendUint32(MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4}), 16), 1)
 	binary.LittleEndian.PutUint32(v7[4:], 7)
 	f.Add(seed(MsgHello, v7))
@@ -40,7 +44,6 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(seed(MsgSubscribe, MarshalSubscribe(Subscribe{Target: 3, Credit: 8, Batch: 4})))
 	f.Add(seed(MsgFramePush, MarshalFramePush(FramePush{SubID: 1, Frames: []PushFrame{{Seq: 2, Enc: []byte{1, 2, 3}}}})))
 	f.Add(seed(MsgCaptureAck, MarshalCaptureAck(CaptureAck{FrameIndex: 3, EncodedPixels: 10, EncodedBytes: 10, PixelFraction: 0.5})))
-	f.Add(seed(MsgDecodeWindow, MarshalWindow(Window{X: 1, Y: 2, W: 3, H: 4})))
 	f.Add(seed(MsgStreamLabels, MarshalStreamLabels(StreamLabels{SubID: 5, Labels: region.List{{X: 1, Y: 1, W: 8, H: 8, Stride: 1}}})))
 	f.Add(seed(MsgLabelsApplied, MarshalLabelsApplied(LabelsApplied{SubID: 5, AppliedSeq: 11})))
 	f.Add(seed(MsgError, MarshalError(CodeBadRequest, "nope")))
@@ -71,8 +74,6 @@ func FuzzReadMessage(f *testing.F) {
 				UnmarshalLabels(payload)
 			case MsgCaptureAck:
 				UnmarshalCaptureAck(payload)
-			case MsgDecodeWindow:
-				UnmarshalWindow(payload)
 			case MsgFrame:
 				UnmarshalFrame(payload)
 			case MsgError:

@@ -183,8 +183,8 @@ type PushFrame struct {
 	// CAPTURE_ACK for the same frame reported.
 	Stats CaptureAck
 	// Enc is the encoded frame in the RPXE container framing
-	// (core.EncodedFrame.WriteTo) — byte-identical to a GET_ENCODED
-	// reply for the same frame.
+	// (core.EncodedFrame.WriteTo) — byte-identical to an rpx.System's
+	// LastEncoded().WriteTo for the same frame.
 	Enc []byte
 }
 

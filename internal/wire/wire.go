@@ -38,9 +38,9 @@ const ProtoMagic = 0x52505844 // "RPXD"
 // fails with a typed *VersionError, so framing changes fail loudly. Every
 // message type below is legal in this revision — request/reply, the
 // streaming push mode, and in-stream label feedback — and every encoded
-// frame on the wire (ENCODED, FRAME_PUSH) is the raw RPXE v1 container
-// that .rpxs files use.
-const ProtoVersion = 8
+// frame on the wire (FRAME_PUSH) is the raw RPXE v1 container that .rpxs
+// files use.
+const ProtoVersion = 9
 
 // DefaultMaxPayload caps a single message payload (32 MiB): comfortably
 // above a 1080p RGB frame plus metadata, far below an OOM.
@@ -65,18 +65,14 @@ const (
 	MsgCaptureAck byte = 6
 	// MsgDecode requests the full reconstructed newest frame.
 	MsgDecode byte = 7
-	// MsgDecodeWindow requests a sub-rectangle of the newest frame.
-	MsgDecodeWindow byte = 8
 	// MsgFrame returns reconstructed pixels.
 	MsgFrame byte = 9
-	// MsgStats requests a server statistics snapshot.
-	MsgStats byte = 10
-	// MsgStatsAck returns the snapshot as JSON.
-	MsgStatsAck byte = 11
-	// MsgGetEncoded requests the newest encoded frame.
-	MsgGetEncoded byte = 12
-	// MsgEncoded returns an encoded frame in the RPXE container framing.
-	MsgEncoded byte = 13
+
+	// Types 8 and 10-13 are reserved: up to protocol 8 they were
+	// DECODE_WINDOW, STATS, STATS_ACK, GET_ENCODED and ENCODED, so they are
+	// not reused for anything else. A server answers them as it answers any
+	// unknown type, with a PROTO error.
+
 	// MsgClose ends the session gracefully.
 	MsgClose byte = 14
 	// MsgError is the failure reply: code + human-readable message.
@@ -512,35 +508,6 @@ func UnmarshalCaptureAck(b []byte) (CaptureAck, error) {
 		EncodedPixels: int(binary.LittleEndian.Uint32(b[4:])),
 		EncodedBytes:  int(binary.LittleEndian.Uint32(b[8:])),
 		PixelFraction: math.Float64frombits(binary.LittleEndian.Uint64(b[12:])),
-	}, nil
-}
-
-// Window is a DECODE_WINDOW request rectangle.
-type Window struct {
-	X, Y, W, H int
-}
-
-// AppendWindow appends a decode-window request to dst.
-func AppendWindow(dst []byte, w Window) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(w.X)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(w.Y)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(w.W)))
-	return binary.LittleEndian.AppendUint32(dst, uint32(int32(w.H)))
-}
-
-// MarshalWindow encodes a decode-window request into a fresh buffer.
-func MarshalWindow(w Window) []byte { return AppendWindow(nil, w) }
-
-// UnmarshalWindow decodes a decode-window request.
-func UnmarshalWindow(b []byte) (Window, error) {
-	if len(b) != 16 {
-		return Window{}, fmt.Errorf("wire: DECODE_WINDOW payload is %d bytes, want 16", len(b))
-	}
-	return Window{
-		X: int(int32(binary.LittleEndian.Uint32(b))),
-		Y: int(int32(binary.LittleEndian.Uint32(b[4:]))),
-		W: int(int32(binary.LittleEndian.Uint32(b[8:]))),
-		H: int(int32(binary.LittleEndian.Uint32(b[12:]))),
 	}, nil
 }
 

@@ -64,7 +64,7 @@ func TestHelloRoundTrip(t *testing.T) {
 
 // TestHelloVersionNegotiation pins the single-revision contract: only a
 // ProtoVersion HELLO is accepted, and every other version — including the
-// retired revisions 1-7 in their own byte layouts — fails with the typed
+// retired revisions 1-8 in their own byte layouts — fails with the typed
 // *VersionError rather than a stringly error.
 func TestHelloVersionNegotiation(t *testing.T) {
 	cur := MarshalHello(Hello{W: 64, H: 48, Format: frame.Gray8})
@@ -74,7 +74,8 @@ func TestHelloVersionNegotiation(t *testing.T) {
 	if _, err := UnmarshalHello(cur); err != nil {
 		t.Fatalf("v%d HELLO rejected: %v", ProtoVersion, err)
 	}
-	// helloAt rebuilds the HELLO at version v in today's layout; v7At in
+	// helloAt rebuilds the HELLO at version v in today's layout, which v8
+	// shared (v8 still had DECODE_WINDOW, STATS and GET_ENCODED); v7At in
 	// the 26-byte layout of v7 and v1, which appended a u32 queue depth
 	// (here 16) and a u8 block flag to today's fields. v2 to v6 appended a
 	// u32 parallelism field (here 2) to that, and v4 and v5 a codec byte
@@ -104,6 +105,7 @@ func TestHelloVersionNegotiation(t *testing.T) {
 		{"v5 packed", withPar(5, 1), 5},
 		{"v6", withPar(6), 6},
 		{"v7", v7At(7), 7},
+		{"v8", helloAt(8), 8},
 		{"next", helloAt(ProtoVersion + 1), ProtoVersion + 1},
 		{"max", helloAt(0xffffffff), 0xffffffff},
 	} {
@@ -232,14 +234,6 @@ func TestCaptureAckRoundTrip(t *testing.T) {
 	got, err := UnmarshalCaptureAck(MarshalCaptureAck(a))
 	if err != nil || got != a {
 		t.Fatalf("capture ack round trip = %+v %v, want %+v", got, err, a)
-	}
-}
-
-func TestWindowRoundTrip(t *testing.T) {
-	w := Window{X: 3, Y: 7, W: 64, H: 32}
-	got, err := UnmarshalWindow(MarshalWindow(w))
-	if err != nil || got != w {
-		t.Fatalf("window round trip = %+v %v, want %+v", got, err, w)
 	}
 }
 

@@ -2,7 +2,7 @@
 // capture/decode service. One Dial is one session: the connection handshake
 // negotiates frame geometry, pixel format and decoder history depth, and
 // the returned Session then mirrors the rpx.System surface —
-// SetRegionLabels, Capture, Decoded, DecodeWindow — over the wire.
+// SetRegionLabels, Capture, Decoded — over the wire.
 //
 //	sess, err := client.Dial("localhost:7621", client.Config{W: 640, H: 480, Format: rpx.Gray8})
 //	...
@@ -26,13 +26,13 @@
 // With Config.Reconnect set, a poisoned session heals itself instead: the
 // next call re-dials with exponential backoff plus jitter, replays the
 // handshake and the last installed region labels, and retries the
-// operation when it is idempotent (SetRegionLabels, Decoded, DecodeWindow,
-// LastEncoded, ServerStats). Capture is not idempotent — the server may or
-// may not have encoded the in-flight frame — so a Capture that hits a
-// transport error always surfaces it; the session still recovers for
-// subsequent calls. Note that the server builds a fresh pipeline for the
-// new connection: frame history does not survive a reconnect, so a Decode
-// before the first post-reconnect Capture fails with a remote error.
+// operation when it is idempotent (SetRegionLabels, Decoded). Capture is
+// not idempotent — the server may or may not have encoded the in-flight
+// frame — so a Capture that hits a transport error always surfaces it; the
+// session still recovers for subsequent calls. Note that the server builds
+// a fresh pipeline for the new connection: frame history does not survive
+// a reconnect, so a Decode before the first post-reconnect Capture fails
+// with a remote error.
 //
 // # Streaming
 //
@@ -45,8 +45,6 @@ package client
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -54,8 +52,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/rpx"
 	"repro/rpx/client/replay"
@@ -322,38 +318,6 @@ func (s *Session) Decoded() (*rpx.Frame, error) {
 		return nil, err
 	}
 	return wire.UnmarshalFrame(payload)
-}
-
-// DecodeWindow reconstructs a sub-rectangle of the newest frame.
-func (s *Session) DecodeWindow(x, y, w, h int) (*rpx.Frame, error) {
-	payload, err := s.call(wire.MsgDecodeWindow, wire.MarshalWindow(wire.Window{X: x, Y: y, W: w, H: h}), wire.MsgFrame, true)
-	if err != nil {
-		return nil, err
-	}
-	return wire.UnmarshalFrame(payload)
-}
-
-// LastEncoded fetches the newest encoded frame in its RPXE container — the
-// same container .rpxs streams use.
-func (s *Session) LastEncoded() (*rpx.EncodedFrame, error) {
-	payload, err := s.call(wire.MsgGetEncoded, nil, wire.MsgEncoded, true)
-	if err != nil {
-		return nil, err
-	}
-	return core.ReadEncodedFrame(bytes.NewReader(payload))
-}
-
-// ServerStats fetches a snapshot of the whole server's statistics.
-func (s *Session) ServerStats() (server.Snapshot, error) {
-	payload, err := s.call(wire.MsgStats, nil, wire.MsgStatsAck, true)
-	if err != nil {
-		return server.Snapshot{}, err
-	}
-	var snap server.Snapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return server.Snapshot{}, fmt.Errorf("client: decode stats: %w", err)
-	}
-	return snap, nil
 }
 
 // Close ends the session and closes the connection. A poisoned session is

@@ -74,9 +74,9 @@ func (ls *legacySession) roundTrip(typ byte, payload []byte, timeout time.Durati
 }
 
 // delayedReplyRules delays the 5th server→client message — the FRAME reply
-// to the first DecodeWindow in the scripted scenario below (1 HELLO_ACK,
-// 2 ACK labels, 3 CAPTURE_ACK, 4 FRAME decode, 5 FRAME window) — far past
-// the client's RequestTimeout.
+// to the second Decode in the scripted scenario below (1 HELLO_ACK, 2 ACK
+// labels, 3 CAPTURE_ACK, 4 FRAME decode, 5 FRAME decode) — far past the
+// client's RequestTimeout.
 func delayedReplyRules(delay time.Duration) faultnet.ProxyConfig {
 	return faultnet.ProxyConfig{Rules: []faultnet.Rule{
 		{Dir: faultnet.ServerToClient, Nth: 5, Delay: delay, Once: true},
@@ -86,8 +86,8 @@ func delayedReplyRules(delay time.Duration) faultnet.ProxyConfig {
 // TestDesyncLegacyClientReturnsMismatchedReply documents the headline bug:
 // with the old round-trip semantics, a reply delayed past the request
 // timeout stays in the socket, and the *next* call reads it as its own
-// answer — here, a DecodeWindow for an 8x8 rectangle happily returns a
-// 16x12 frame that belongs to the previous request.
+// answer — here, a CAPTURE happily returns the FRAME that belongs to the
+// previous request.
 func TestDesyncLegacyClientReturnsMismatchedReply(t *testing.T) {
 	_, addr := startProxiedServer(t, server.Config{}, server.TCPConfig{}, delayedReplyRules(400*time.Millisecond))
 	const w, h = 32, 24
@@ -105,28 +105,27 @@ func TestDesyncLegacyClientReturnsMismatchedReply(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 
-	// Request a 16x12 window; its reply is delayed past the timeout.
-	win1 := wire.MarshalWindow(wire.Window{X: 0, Y: 0, W: 16, H: 12})
-	if _, err := ls.roundTrip(wire.MsgDecodeWindow, win1, 100*time.Millisecond); err == nil {
+	// Decode again; this reply is delayed past the timeout.
+	if _, err := ls.roundTrip(wire.MsgDecode, nil, 100*time.Millisecond); err == nil {
 		t.Fatal("delayed reply arrived in time; fault injection did not fire")
 	}
 
-	// Legacy behaviour: request a *different* 8x8 window and read the stale
-	// 16x12 reply as if it answered this call.
-	win2 := wire.MarshalWindow(wire.Window{X: 8, Y: 8, W: 8, H: 8})
-	payload, err := ls.roundTrip(wire.MsgDecodeWindow, win2, 5*time.Second)
+	// Legacy behaviour: capture the next frame and read the stale FRAME
+	// reply as if it answered this call.
+	fillFrame(fr, 1, 1)
+	payload, err := ls.roundTrip(wire.MsgCapture, fr.Pix, 5*time.Second)
 	if err != nil {
-		t.Fatalf("legacy second window: %v", err)
+		t.Fatalf("legacy capture: %v", err)
+	}
+	if _, err := wire.UnmarshalCaptureAck(payload); err == nil {
+		t.Fatal("legacy client got its capture ack — the desync this fix addresses did not reproduce")
 	}
 	got, err := wire.UnmarshalFrame(payload)
 	if err != nil {
-		t.Fatalf("legacy second window payload: %v", err)
+		t.Fatalf("legacy capture reply is neither a CAPTURE_ACK nor the stale FRAME: %v", err)
 	}
-	if got.W == 8 && got.H == 8 {
-		t.Fatal("legacy client got the correct window — the desync this fix addresses did not reproduce")
-	}
-	if got.W != 16 || got.H != 12 {
-		t.Fatalf("legacy client got %dx%d, expected the stale 16x12 reply", got.W, got.H)
+	if got.W != w || got.H != h {
+		t.Fatalf("legacy client got a %dx%d frame, expected the stale %dx%d decode", got.W, got.H, w, h)
 	}
 }
 
@@ -155,7 +154,7 @@ func TestBrokenSessionAfterTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = sess.DecodeWindow(0, 0, 16, 12)
+	_, err = sess.Decoded()
 	if err == nil {
 		t.Fatal("delayed reply arrived in time; fault injection did not fire")
 	}
@@ -167,8 +166,8 @@ func TestBrokenSessionAfterTimeout(t *testing.T) {
 		t.Fatal("session not poisoned after timeout")
 	}
 
-	// The call that used to read the stale 16x12 reply now refuses.
-	if _, err := sess.DecodeWindow(8, 8, 8, 8); !errors.Is(err, client.ErrBrokenSession) {
+	// The call that used to read the stale reply now refuses.
+	if _, err := sess.Decoded(); !errors.Is(err, client.ErrBrokenSession) {
 		t.Fatalf("post-timeout call = %v, want ErrBrokenSession", err)
 	}
 	if _, err := sess.Capture(fr); !errors.Is(err, client.ErrBrokenSession) {
@@ -212,13 +211,13 @@ func TestReconnectRecoversWithLabelsReplayed(t *testing.T) {
 	// The delayed reply poisons the stream; the idempotent call is retried
 	// on a fresh connection, where the new pipeline has no frame yet — a
 	// typed remote error, never a stale or mismatched reply.
-	_, err = sess.DecodeWindow(0, 0, 16, 12)
+	_, err = sess.Decoded()
 	if err == nil {
 		t.Fatal("delayed reply arrived in time; fault injection did not fire")
 	}
 	var re *wire.RemoteError
 	if !errors.As(err, &re) {
-		t.Fatalf("retried window = %v, want a remote error from the fresh session", err)
+		t.Fatalf("retried decode = %v, want a remote error from the fresh session", err)
 	}
 	if sess.Reconnects() != 1 {
 		t.Fatalf("Reconnects = %d, want 1", sess.Reconnects())

@@ -126,7 +126,7 @@ func TestStreamSetLabelsBoundary(t *testing.T) {
 		t.Fatalf("stream close: %v", err)
 	}
 	// The session is back in request/reply mode.
-	if _, err := sub.ServerStats(); err != nil {
+	if _, err := sub.Capture(rpx.NewFrame(8, 8, rpx.Gray8)); err != nil {
 		t.Fatalf("request/reply after unsubscribe: %v", err)
 	}
 }

@@ -58,7 +58,7 @@ func (rs *recordingServer) acceptLoop() {
 }
 
 // handle serves one scripted connection: HELLO and SET_LABELS are acked,
-// and STATS is the pivot — the first connection is cut without a reply
+// and DECODE is the pivot — the first connection is cut without a reply
 // (poisoning the client), later connections answer it, so the client's
 // reconnect replays HELLO + labels in between.
 func (rs *recordingServer) handle(conn net.Conn, idx int) {
@@ -79,11 +79,11 @@ func (rs *recordingServer) handle(conn net.Conn, idx int) {
 			}), wire.DefaultMaxPayload)
 		case wire.MsgSetLabels:
 			wire.WriteMessage(conn, wire.MsgAck, nil, wire.DefaultMaxPayload)
-		case wire.MsgStats:
+		case wire.MsgDecode:
 			if idx == 0 {
 				return // cut without replying: the client poisons and reconnects
 			}
-			wire.WriteMessage(conn, wire.MsgStatsAck, []byte("{}"), wire.DefaultMaxPayload)
+			wire.WriteMessage(conn, wire.MsgFrame, wire.MarshalFrame(rpx.NewFrame(1, 1, rpx.Gray8)), wire.DefaultMaxPayload)
 		case wire.MsgClose:
 			wire.WriteMessage(conn, wire.MsgAck, nil, wire.DefaultMaxPayload)
 			return
@@ -129,10 +129,10 @@ func TestReconnectReplayByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The first STATS cuts connection 0; the retry reconnects (replaying
+	// The first DECODE cuts connection 0; the retry reconnects (replaying
 	// HELLO + labels on connection 1) and succeeds.
-	if _, err := sess.ServerStats(); err != nil {
-		t.Fatalf("stats after scripted cut: %v", err)
+	if _, err := sess.Decoded(); err != nil {
+		t.Fatalf("decode after scripted cut: %v", err)
 	}
 	if sess.Reconnects() != 1 {
 		t.Fatalf("Reconnects = %d, want 1", sess.Reconnects())

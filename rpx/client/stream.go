@@ -62,9 +62,9 @@ type StreamFrame struct {
 	// the push that carried this frame.
 	Dropped uint64
 	// Raw is the encoded frame in the RPXE container framing —
-	// byte-identical to LastEncoded's wire payload for the same frame. It
-	// points into the stream's receive buffer and is valid until the next
-	// Recv or Close on the stream: copy it to keep it longer.
+	// byte-identical to an rpx.System's LastEncoded().WriteTo for the same
+	// frame. It points into the stream's receive buffer and is valid until
+	// the next Recv or Close on the stream: copy it to keep it longer.
 	Raw []byte
 }
 

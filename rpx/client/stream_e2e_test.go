@@ -16,7 +16,8 @@ import (
 
 // TestStreamPushBasic: a producer session captures frames request/reply
 // while a second connection subscribes to its stream and receives every
-// frame in order, byte-identical to the producer's LastEncoded view.
+// frame in order, byte-identical to an in-process rpx.System fed the same
+// labels and frames.
 func TestStreamPushBasic(t *testing.T) {
 	addr := startServer(t, server.Config{}, server.TCPConfig{})
 	producer, err := client.Dial(addr, client.Config{W: 64, H: 48, Format: rpx.Gray8})
@@ -42,12 +43,21 @@ func TestStreamPushBasic(t *testing.T) {
 		t.Fatalf("Decoded during stream = %v, want ErrStreaming", err)
 	}
 
-	if err := producer.SetRegionLabels([]rpx.RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 1, Skip: 1}}); err != nil {
+	labels := []rpx.RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 1, Skip: 1}}
+	if err := producer.SetRegionLabels(labels); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := rpx.NewSystem(64, 48, rpx.Gray8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SetRegionLabels(labels); err != nil {
 		t.Fatal(err)
 	}
 	const frames = 20
 	fr := rpx.NewFrame(64, 48, rpx.Gray8)
 	stats := make([]rpx.CaptureStats, frames)
+	want := make([][]byte, frames)
 	for i := 0; i < frames; i++ {
 		fillFrame(fr, 1, i)
 		cs, err := producer.Capture(fr)
@@ -55,13 +65,12 @@ func TestStreamPushBasic(t *testing.T) {
 			t.Fatal(err)
 		}
 		stats[i] = cs
-	}
-	want, err := producer.LastEncoded()
-	if err != nil {
-		t.Fatal(err)
+		if _, err := ref.Capture(fr); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ref.LastEncoded().AppendTo(nil)
 	}
 
-	var lastRaw []byte
 	for i := 0; i < frames; i++ {
 		f, err := st.Recv()
 		if err != nil {
@@ -79,14 +88,9 @@ func TestStreamPushBasic(t *testing.T) {
 		if _, err := f.Decode(); err != nil {
 			t.Fatalf("frame %d does not decode: %v", i, err)
 		}
-		lastRaw = f.Raw
-	}
-	var buf bytes.Buffer
-	if _, err := want.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lastRaw, buf.Bytes()) {
-		t.Fatal("pushed frame bytes differ from the request/reply LastEncoded view")
+		if !bytes.Equal(f.Raw, want[i]) {
+			t.Fatalf("pushed frame %d bytes differ from the in-process pipeline", i)
+		}
 	}
 
 	// Clean unsubscribe: the stream ends with io.EOF and the session
@@ -97,7 +101,7 @@ func TestStreamPushBasic(t *testing.T) {
 	if _, err := st.Recv(); err != io.EOF {
 		t.Fatalf("Recv after close = %v, want io.EOF", err)
 	}
-	if _, err := sub.ServerStats(); err != nil {
+	if _, err := sub.Capture(rpx.NewFrame(8, 8, rpx.Gray8)); err != nil {
 		t.Fatalf("request/reply after unsubscribe: %v", err)
 	}
 }
@@ -335,7 +339,7 @@ func TestStreamSubscribeErrors(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ServerStats(); err != nil {
+	if _, err := sess.Capture(rpx.NewFrame(16, 16, rpx.Gray8)); err != nil {
 		t.Fatalf("request/reply after unsubscribe: %v", err)
 	}
 }

@@ -14,18 +14,20 @@ import (
 
 // Streaming under transport faults. The oracle everywhere: a subscriber
 // observes a prefix of the frame sequence — contiguous seqs from its start
-// point, every payload byte-identical to the request/reply view — and then
+// point, every payload byte-identical to an in-process rpx.System fed the
+// same labels and frames — and then
 // either the stream is complete or a typed/transport error ends it. Never a
 // torn FRAME_PUSH, never a gap, never a duplicate.
 
 // streamFaultFixture boots a backend, a fault proxy in front of it for the
 // subscriber, a producer dialed DIRECTLY to the backend (so scripted rule
-// ordinals only ever count the subscriber's connection), and the expected
-// per-seq bytes for `frames` captures.
+// ordinals only ever count the subscriber's connection), the in-process
+// reference, and the expected per-seq bytes for `frames` captures.
 type streamFaultFixture struct {
 	backendAddr string
 	proxy       *faultnet.Proxy
 	producer    *client.Session
+	ref         *rpx.System
 	want        [][]byte
 }
 
@@ -42,10 +44,18 @@ func newStreamFaultFixture(t *testing.T, pcfg faultnet.ProxyConfig, w, h int) *s
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { producer.Close() })
-	if err := producer.SetRegionLabels([]rpx.RegionLabel{rpx.FullFrame(w, h)}); err != nil {
+	ref, err := rpx.NewSystem(w, h, rpx.Gray8)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &streamFaultFixture{backendAddr: backend, proxy: p, producer: producer}
+	labels := []rpx.RegionLabel{rpx.FullFrame(w, h)}
+	if err := producer.SetRegionLabels(labels); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SetRegionLabels(labels); err != nil {
+		t.Fatal(err)
+	}
+	return &streamFaultFixture{backendAddr: backend, proxy: p, producer: producer, ref: ref}
 }
 
 // capture runs n producer captures and records the reference bytes for each.
@@ -57,15 +67,10 @@ func (fx *streamFaultFixture) capture(t *testing.T, w, h, n int) {
 		if _, err := fx.producer.Capture(fr); err != nil {
 			t.Fatal(err)
 		}
-		ef, err := fx.producer.LastEncoded()
-		if err != nil {
+		if _, err := fx.ref.Capture(fr); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := ef.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		fx.want = append(fx.want, buf.Bytes())
+		fx.want = append(fx.want, fx.ref.LastEncoded().AppendTo(nil))
 	}
 }
 
@@ -86,7 +91,7 @@ func drainUntilFault(t *testing.T, st *client.Stream, want [][]byte) (int, error
 			t.Fatalf("frame %d reports drops with ample credit", got)
 		}
 		if !bytes.Equal(f.Raw, want[got]) {
-			t.Fatalf("frame %d bytes diverge from the request/reply reference — torn or corrupted push", got)
+			t.Fatalf("frame %d bytes diverge from the in-process reference — torn or corrupted push", got)
 		}
 		got++
 	}
@@ -142,7 +147,7 @@ func TestStreamFaultScriptedCuts(t *testing.T) {
 			if !sub.Broken() {
 				t.Fatal("session not poisoned after a torn push")
 			}
-			if _, err := sub.ServerStats(); err == nil {
+			if _, err := sub.Capture(rpx.NewFrame(8, 8, rpx.Gray8)); err == nil {
 				t.Fatal("poisoned session still answered a request")
 			}
 		})

@@ -101,8 +101,8 @@ stage_smoke() {
         ./rpx/client
 
     # Admin endpoint smoke: boot the real daemon binary with -admin on an
-    # ephemeral port, then curl /healthz and /metrics. Fails on a non-200
-    # reply or an empty/placeholder metrics payload.
+    # ephemeral port, then curl /healthz, /metrics and /debug/vars. Fails
+    # on a non-200 reply or an empty/placeholder metrics payload.
     echo "== admin endpoint smoke"
     RPXD_BIN="$(mktemp -d)/rpxd"
     RPXD_LOG="$(mktemp)"
@@ -135,6 +135,12 @@ stage_smoke() {
     case "$METRICS" in
         *rpxd_sessions_open*) ;;
         *) echo "ci: /metrics missing rpxd_ series:" >&2; echo "$METRICS" >&2; exit 1 ;;
+    esac
+    # /debug/vars is the one JSON read of the daemon's counters.
+    VARS="$(curl -fsS "http://$ADMIN_ADDR/debug/vars")"
+    case "$VARS" in
+        *rpxd_frames_captured_total*) ;;
+        *) echo "ci: /debug/vars missing rpxd_frames_captured_total:" >&2; echo "$VARS" >&2; exit 1 ;;
     esac
     kill -TERM "$RPXD_PID"
     wait "$RPXD_PID"
