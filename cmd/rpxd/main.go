@@ -1,10 +1,10 @@
 // Command rpxd serves rhythmic-pixel capture/decode sessions over TCP.
 //
-// Each client connection negotiates one session (geometry, pixel format,
-// decoder history depth) via the rpxd wire protocol and then streams frames
-// in and reconstructed pixels out. Every session runs its own
-// encoder/decoder pipeline behind its own lock, so N clients capture and
-// decode concurrently with independent rhythms.
+// Each client connection negotiates one session (geometry and pixel
+// format) via the rpxd wire protocol and then streams frames in and
+// reconstructed pixels out. Every session runs its own encoder/decoder
+// pipeline behind its own lock, so N clients capture and decode
+// concurrently with independent rhythms.
 //
 // Usage:
 //

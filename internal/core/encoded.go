@@ -12,6 +12,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -87,17 +88,22 @@ func (ef *EncodedFrame) CompressionRatio() float64 {
 	return orig / float64(ef.TotalBytes())
 }
 
+// ErrNotStored is PixelAt's answer for a pixel the frame does not store:
+// one whose code is not R.
+var ErrNotStored = errors.New("core: pixel not stored in this frame")
+
 // PixelAt returns the packed bytes of the CodeR pixel at original-frame
-// coordinates (x, y). It reports an error when the pixel is not CodeR.
-// This is the PMMU address translation in function form: encoded index =
-// RowOffsets[y] + (number of R codes before x in row y).
+// coordinates (x, y). A pixel whose code is not R is a miss, reported as
+// ErrNotStored without allocating; coordinates outside the frame are an
+// error. This is the PMMU address translation in function form: encoded
+// index = RowOffsets[y] + (number of R codes before x in row y).
 func (ef *EncodedFrame) PixelAt(x, y int) ([]byte, error) {
 	if x < 0 || x >= ef.W || y < 0 || y >= ef.H {
 		return nil, fmt.Errorf("core: pixel (%d,%d) outside %dx%d frame", x, y, ef.W, ef.H)
 	}
 	base := y * ef.W
 	if ef.Mask.Get(base+x) != bitpack.CodeR {
-		return nil, fmt.Errorf("core: pixel (%d,%d) is %v, not R", x, y, ef.Mask.Get(base+x))
+		return nil, ErrNotStored
 	}
 	idx := int(ef.RowOffsets[y]) + ef.Mask.CountRRange(base, base+x)
 	off := idx * ef.BytesPerPixel

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -167,6 +168,32 @@ func TestEncodeRGB(t *testing.T) {
 	}
 	if !bytes.Equal(px, fr.Pixel(2, 2)) {
 		t.Fatal("RGB pixel bytes mismatch")
+	}
+}
+
+// TestAllocsPixelAtMiss: a pixel the frame does not store is a miss that
+// errors.Is reports as ErrNotStored, at zero allocations, while a stored
+// pixel still reads back and an out-of-frame one is a different error.
+func TestAllocsPixelAtMiss(t *testing.T) {
+	fr := testFrame(16, 16, frame.Gray8, 9)
+	e := NewEncoder(16, 16, frame.Gray8)
+	if err := e.SetRegionLabels(region.List{{X: 4, Y: 4, W: 8, H: 8, Stride: 2, Skip: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ef := mustEncode(t, e, fr, 0)
+	for _, p := range [][2]int{{0, 0}, {5, 4}, {15, 15}} { // N, St, N
+		if _, err := ef.PixelAt(p[0], p[1]); !errors.Is(err, ErrNotStored) {
+			t.Fatalf("PixelAt(%d,%d) = %v, want ErrNotStored", p[0], p[1], err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ef.PixelAt(5, 4) }); allocs != 0 {
+		t.Fatalf("a PixelAt miss allocates %v objects, want 0", allocs)
+	}
+	if px, err := ef.PixelAt(4, 4); err != nil || px[0] != fr.Gray(4, 4) {
+		t.Fatalf("PixelAt(4,4) = %v, %v, want %d", px, err, fr.Gray(4, 4))
+	}
+	if _, err := ef.PixelAt(16, 0); err == nil || errors.Is(err, ErrNotStored) {
+		t.Fatalf("PixelAt(16,0) = %v, want an out-of-range error", err)
 	}
 }
 

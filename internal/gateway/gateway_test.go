@@ -2,6 +2,7 @@ package gateway_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -249,6 +250,52 @@ func TestGatewayRelaysRejection(t *testing.T) {
 	}
 	if !client.IsGeometryRejected(err) {
 		t.Fatalf("dial error = %v, want the backend's geometry rejection relayed", err)
+	}
+}
+
+// TestGatewayRejectsRetiredHello: rpxgw validates a HELLO before it dials
+// any backend. A v9 HELLO appended a u32 decoder history depth; at depth
+// 1<<30 it ended a v9 backend out of memory, and the gateway, taking that
+// for a transport failure, replayed it to the next backend. Now it draws
+// CodeProto at the gateway, no backend opens a session, and the fleet
+// keeps serving.
+func TestGatewayRejectsRetiredHello(t *testing.T) {
+	backends := []*testBackend{startBackend(t), startBackend(t)}
+	gaddr, _ := startGateway(t, []gateway.Backend{{Addr: backends[0].addr}, {Addr: backends[1].addr}}, nil)
+	v9 := binary.LittleEndian.AppendUint32(wire.MarshalHello(wire.Hello{W: 8, H: 8, Format: rpx.Gray8}), 1<<30)
+	binary.LittleEndian.PutUint32(v9[4:], 9)
+	conn, err := net.DialTimeout("tcp", gaddr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteMessage(conn, wire.MsgHello, v9, 0); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, payload, err := wire.ReadMessage(conn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, _ := wire.UnmarshalError(payload)
+	if typ != wire.MsgError || re == nil || re.Code != wire.CodeProto {
+		t.Fatalf("v9 HELLO through the gateway got type %d (%v), want a PROTO error", typ, re)
+	}
+	for i, b := range backends {
+		if n := b.mgr.Snapshot().SessionsOpened; n != 0 {
+			t.Fatalf("backend %d opened %d sessions for a rejected HELLO", i, n)
+		}
+	}
+	sess, err := client.Dial(gaddr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
+	if err != nil {
+		t.Fatalf("dial after the rejected HELLO: %v", err)
+	}
+	defer sess.Close()
+	if err := sess.SetRegionLabels([]rpx.RegionLabel{rpx.FullFrame(8, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Capture(rpx.NewFrame(8, 8, rpx.Gray8)); err != nil {
+		t.Fatalf("capture after the rejected HELLO: %v", err)
 	}
 }
 

@@ -195,13 +195,11 @@ func (m *Manager) openSessions() []*Session {
 	return open
 }
 
-// SessionConfig describes one session's negotiated pipeline.
+// SessionConfig describes one session's negotiated pipeline: its frame
+// geometry. Every other pipeline parameter is rpx.NewSystem's default.
 type SessionConfig struct {
-	// W, H and Format fix the session's frame geometry.
 	W, H   int
 	Format frame.Format
-	// HistoryDepth is the decoder scratchpad depth (0 = rpx default).
-	HistoryDepth int
 }
 
 // Session is one client's rhythmic-pixel pipeline: an rpx.System behind
@@ -246,11 +244,7 @@ func (m *Manager) Open(cfg SessionConfig) (*Session, error) {
 	m.reserved++
 	m.mu.Unlock()
 
-	var opts []rpx.Option
-	if cfg.HistoryDepth > 0 {
-		opts = append(opts, rpx.WithHistoryDepth(cfg.HistoryDepth))
-	}
-	sys, err := rpx.NewSystem(cfg.W, cfg.H, cfg.Format, opts...)
+	sys, err := rpx.NewSystem(cfg.W, cfg.H, cfg.Format)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -247,7 +247,7 @@ func TestOpenRejectionIsCheap(t *testing.T) {
 	if _, err := m.Open(SessionConfig{W: 8, H: 8, Format: frame.Gray8}); err != nil {
 		t.Fatal(err)
 	}
-	big := SessionConfig{W: 2048, H: 2048, Format: frame.RGB24, HistoryDepth: 8}
+	big := SessionConfig{W: 2048, H: 2048, Format: frame.RGB24}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := m.Open(big); !errors.Is(err, ErrSessionLimit) {
 			t.Fatalf("open above limit = %v, want ErrSessionLimit", err)

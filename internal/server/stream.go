@@ -61,13 +61,15 @@ type Subscription struct {
 	sess  *Session
 	batch int
 
-	// ch buffers accepted-but-undelivered frames. Its capacity is the
-	// credit window cap, and offer only sends after consuming a credit, so
-	// len(ch)+credit <= wire.MaxCreditWindow always holds and a send can
-	// never block the publishing capture.
-	ch chan pushItem
-
-	mu      sync.Mutex
+	mu sync.Mutex
+	// queued signals Next that a frame was queued or the subscription
+	// closed.
+	queued sync.Cond
+	// queue holds accepted-but-undelivered frames, oldest first. offer only
+	// queues a frame after consuming a credit and Grant clamps the window,
+	// so len(queue)+credit <= wire.MaxCreditWindow always holds; its
+	// storage grows with the window in use, not sized for the cap.
+	queue   []pushItem
 	credit  int
 	granted uint64 // lifetime credits accepted (initial + grants, post-clamp)
 	dropped uint64 // frames missed while out of credit
@@ -86,7 +88,11 @@ func (sub *Subscription) Batch() int { return sub.batch }
 
 // Buffered returns the accepted-but-undelivered frame count (the in-flight
 // gauge reads this; tests assert it never exceeds granted credit).
-func (sub *Subscription) Buffered() int { return len(sub.ch) }
+func (sub *Subscription) Buffered() int {
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	return len(sub.queue)
+}
 
 // Credit returns the currently available (unconsumed) credit.
 func (sub *Subscription) Credit() int {
@@ -126,7 +132,8 @@ func (sub *Subscription) offer(it pushItem) {
 	}
 	sub.credit--
 	it.ef.Pin()
-	sub.ch <- it // cannot block: see the ch capacity invariant
+	sub.queue = append(sub.queue, it)
+	sub.queued.Signal()
 }
 
 // Grant adds n credits, clamping the outstanding window (available credit
@@ -142,9 +149,7 @@ func (sub *Subscription) Grant(n int) {
 		return
 	}
 	sub.credit += n
-	// len(ch) may shrink concurrently as the writer drains; reading it once
-	// here only ever under-grants, never breaks the window invariant.
-	if max := wire.MaxCreditWindow - len(sub.ch); sub.credit > max {
+	if max := wire.MaxCreditWindow - len(sub.queue); sub.credit > max {
 		n -= sub.credit - max
 		sub.credit = max
 	}
@@ -153,9 +158,9 @@ func (sub *Subscription) Grant(n int) {
 	}
 }
 
-// close ends the subscription: offers stop, the buffer is sealed so a
-// reader draining ch observes end-of-stream after the already-accepted
-// frames. Idempotent; the first reason wins.
+// close ends the subscription: offers stop, and Next observes
+// end-of-stream once it has returned the already-accepted frames.
+// Idempotent; the first reason wins.
 func (sub *Subscription) close(reason CloseReason) {
 	sub.mu.Lock()
 	if sub.reason != ReasonNone {
@@ -163,9 +168,7 @@ func (sub *Subscription) close(reason CloseReason) {
 		return
 	}
 	sub.reason = reason
-	// Safe: every send into ch happens in offer while holding sub.mu and
-	// checking reason, so no send can race this close.
-	close(sub.ch)
+	sub.queued.Signal()
 	sub.mu.Unlock()
 
 	sub.sess.dropSubscription(sub)
@@ -206,25 +209,22 @@ func (sub *Subscription) discard() {
 // session has captured past its history depth.
 func (sub *Subscription) Next() (items []pushItem, dropped uint64, ok bool) {
 	clear(sub.items) // release the previous batch's frames to the collector
-	it, ok := <-sub.ch
-	if !ok {
-		return nil, sub.Dropped(), false
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	for len(sub.queue) == 0 && sub.reason == ReasonNone {
+		sub.queued.Wait()
 	}
-	sub.items = append(sub.items[:0], it)
-	for len(sub.items) < sub.batch {
-		select {
-		case it, more := <-sub.ch:
-			if !more {
-				// Closed mid-drain: deliver what we have; the next call
-				// observes end-of-stream.
-				return sub.items, sub.Dropped(), true
-			}
-			sub.items = append(sub.items, it)
-		default:
-			return sub.items, sub.Dropped(), true
-		}
+	if len(sub.queue) == 0 {
+		return nil, sub.dropped, false
 	}
-	return sub.items, sub.Dropped(), true
+	// Take the batch and move the rest to the front: the queue is a
+	// batch or less deep while the writer keeps up.
+	k := min(len(sub.queue), sub.batch)
+	sub.items = append(sub.items[:0], sub.queue[:k]...)
+	n := copy(sub.queue, sub.queue[k:])
+	clear(sub.queue[n:])
+	sub.queue = sub.queue[:n]
+	return sub.items, sub.dropped, true
 }
 
 // Subscribe attaches a push subscription to this session's frame stream.
@@ -249,10 +249,10 @@ func (s *Session) Subscribe(credit, batch int) (*Subscription, uint64, error) {
 	sub := &Subscription{
 		sess:    s,
 		batch:   batch,
-		ch:      make(chan pushItem, wire.MaxCreditWindow),
 		credit:  credit,
 		granted: uint64(credit),
 	}
+	sub.queued.L = &sub.mu
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/region"
 	"repro/internal/wire"
@@ -70,17 +71,16 @@ func pipeSubscriber(t *testing.T, srv *TCPServer, target uint64, credit, batch u
 // returns, hands the frame's storage to a later capture and fails this
 // test on every run.
 func TestStreamLaggingSubscriberReadsIntactFrames(t *testing.T) {
-	const depth = 2
-	const frames = 1 + 3*depth
+	const frames = 1 + 3*core.DefaultHistoryDepth
 	m := NewManager(Config{})
 	defer m.Close()
 	srv := NewTCPServer(m, TCPConfig{})
-	prod, err := m.Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8, HistoryDepth: depth})
+	prod, err := m.Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli, _ := pipeSubscriber(t, srv, prod.ID(), frames, 4)
-	ref, err := rpx.NewSystem(64, 48, rpx.Gray8, rpx.WithHistoryDepth(depth))
+	ref, err := rpx.NewSystem(64, 48, rpx.Gray8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestStreamLaggingSubscriberReadsIntactFrames(t *testing.T) {
 // which it is only if every frame the dead stream held was unpinned and so
 // recycled on eviction.
 func TestStreamWriteTimeoutReleasesPins(t *testing.T) {
-	const depth = 2
+	const depth = core.DefaultHistoryDepth
 	m := NewManager(Config{})
 	defer m.Close()
 	srv := NewTCPServer(m, TCPConfig{WriteTimeout: 100 * time.Millisecond})
-	prod, err := m.Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8, HistoryDepth: depth})
+	prod, err := m.Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -227,5 +228,36 @@ func TestStreamStalledSubscriberAllocs(t *testing.T) {
 	}
 	if ef.Pinned() {
 		t.Fatal("a dropped frame was pinned")
+	}
+}
+
+// TestAllocsSubscribeUnsubscribe pins a subscription's memory to the
+// window it uses: attaching at credit 1 and detaching again allocates well
+// under 4 KiB. A buffer sized for the largest window up front, 4,096
+// queued frames, cost about 197 KB per SUBSCRIBE.
+func TestAllocsSubscribeUnsubscribe(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+	sess, err := m.Open(SessionConfig{W: 8, H: 8, Format: frame.Gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		sub, _, err := sess.Subscribe(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub.Unsubscribe()
+	}
+	cycle() // grow the session's and the manager's subscriber lists once
+	const rounds = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= 4<<10 {
+		t.Fatalf("Subscribe(1, 1) plus Unsubscribe allocates %d bytes, want under 4 KiB", per)
 	}
 }

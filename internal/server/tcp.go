@@ -154,10 +154,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 			hello.W, hello.H, hello.Format, need, s.cfg.MaxPayload))
 		return
 	}
-	sess, err := s.mgr.Open(SessionConfig{
-		W: hello.W, H: hello.H, Format: hello.Format,
-		HistoryDepth: hello.HistoryDepth,
-	})
+	sess, err := s.mgr.Open(SessionConfig{W: hello.W, H: hello.H, Format: hello.Format})
 	if err != nil {
 		code := wire.CodeBadRequest
 		if errors.Is(err, ErrSessionLimit) || errors.Is(err, ErrManagerClosed) {

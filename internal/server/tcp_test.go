@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -87,21 +88,36 @@ func TestTCPRejectsNonHelloFirst(t *testing.T) {
 }
 
 // TestTCPRejectsBadHello: a HELLO of any other protocol version draws a
-// CodeProto ERROR, in today's layout or in a retired revision's own (v7
-// carried a trailing u32 queue depth and u8 block flag).
+// CodeProto ERROR, in today's layout or in a retired revision's own, and
+// opens no session. v9 appended a u32 decoder history depth to today's
+// fields, which sized the session's history ring: at depth 1<<30 the open
+// ended a v9 server with an out-of-memory error. v7 appended a u32 queue
+// depth and a u8 block flag to those. The server keeps serving: a valid
+// HELLO opens a session afterwards.
 func TestTCPRejectsBadHello(t *testing.T) {
-	_, addr := startTestServer(t, Config{}, TCPConfig{})
-	corrupt := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8})
+	srv, addr := startTestServer(t, Config{}, TCPConfig{})
+	hello := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8})
+	corrupt := bytes.Clone(hello)
 	corrupt[4] = 99 // corrupt the protocol version
-	v7 := append(binary.LittleEndian.AppendUint32(wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8}), 16), 1)
+	v9 := binary.LittleEndian.AppendUint32(bytes.Clone(hello), 1<<30)
+	binary.LittleEndian.PutUint32(v9[4:], 9)
+	v7 := append(binary.LittleEndian.AppendUint32(bytes.Clone(v9), 16), 1)
 	binary.LittleEndian.PutUint32(v7[4:], 7)
-	for _, payload := range [][]byte{corrupt, v7} {
+	for _, payload := range [][]byte{corrupt, v9, v7} {
 		conn := dialRaw(t, addr)
 		if err := wire.WriteMessage(conn, wire.MsgHello, payload, 0); err != nil {
 			t.Fatal(err)
 		}
 		readError(t, conn, wire.CodeProto)
 	}
+	if n := srv.Manager().Snapshot().SessionsOpened; n != 0 {
+		t.Fatalf("rejected HELLOs opened %d sessions", n)
+	}
+	conn := dialRaw(t, addr)
+	if err := wire.WriteMessage(conn, wire.MsgHello, hello, 0); err != nil {
+		t.Fatal(err)
+	}
+	readExpect(t, conn, wire.MsgHelloAck)
 }
 
 func TestTCPEnforcesPayloadCap(t *testing.T) {

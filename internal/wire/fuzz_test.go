@@ -22,17 +22,20 @@ func FuzzReadMessage(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	f.Add(seed(MsgHello, MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4})))
+	f.Add(seed(MsgHello, MarshalHello(Hello{W: 64, H: 48})))
 	f.Add(seed(MsgHelloAck, MarshalHelloAck(HelloAck{SessionID: 7, MaxPayload: DefaultMaxPayload})))
 	// HELLOs from retired revisions in their own layouts, one mutation away
-	// from the version check: v8 used today's 21 bytes, v7 appended a u32
-	// queue depth and a u8 block flag to those fields (26 bytes), v6 a u32
-	// parallelism field after those (30), and v5 a packed-mask codec byte
-	// after that field (31).
-	v8 := MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4})
+	// from the version check: v9 and v8 appended a u32 decoder history
+	// depth to today's 17 bytes (21), v7 a u32 queue depth and a u8 block
+	// flag after that (26), v6 a u32 parallelism field after those (30),
+	// and v5 a packed-mask codec byte after that field (31).
+	v9 := binary.LittleEndian.AppendUint32(MarshalHello(Hello{W: 64, H: 48}), 1<<30)
+	binary.LittleEndian.PutUint32(v9[4:], 9)
+	f.Add(seed(MsgHello, v9))
+	v8 := binary.LittleEndian.AppendUint32(MarshalHello(Hello{W: 64, H: 48}), 4)
 	binary.LittleEndian.PutUint32(v8[4:], 8)
 	f.Add(seed(MsgHello, v8))
-	v7 := append(binary.LittleEndian.AppendUint32(MarshalHello(Hello{W: 64, H: 48, HistoryDepth: 4}), 16), 1)
+	v7 := append(binary.LittleEndian.AppendUint32(bytes.Clone(v8), 16), 1)
 	binary.LittleEndian.PutUint32(v7[4:], 7)
 	f.Add(seed(MsgHello, v7))
 	v6 := binary.LittleEndian.AppendUint32(bytes.Clone(v7), 2)

@@ -40,7 +40,7 @@ const ProtoMagic = 0x52505844 // "RPXD"
 // streaming push mode, and in-stream label feedback — and every encoded
 // frame on the wire (FRAME_PUSH) is the raw RPXE v1 container that .rpxs
 // files use.
-const ProtoVersion = 9
+const ProtoVersion = 10
 
 // DefaultMaxPayload caps a single message payload (32 MiB): comfortably
 // above a 1080p RGB frame plus metadata, far below an OOM.
@@ -333,18 +333,19 @@ func ReadMessageInto(r io.Reader, buf *[]byte, maxPayload int) (typ byte, payloa
 }
 
 // Hello is the session-opening handshake payload. On the wire it is
-// prefixed with ProtoMagic and ProtoVersion.
+// prefixed with ProtoMagic and ProtoVersion. A session is its geometry:
+// everything else about its pipeline, the decoder's history depth
+// included, is fixed server-side, so a HELLO can size nothing but the
+// frames it describes.
 type Hello struct {
 	// W, H are the session frame dimensions.
 	W, H int
 	// Format is the pixel format (Gray8, RGB24, YUV444).
 	Format frame.Format
-	// HistoryDepth is the decoder scratchpad depth (0 = server default).
-	HistoryDepth int
 }
 
 // helloSize is the HELLO payload length: magic, version, then the fields.
-const helloSize = 4 + 4 + 4 + 4 + 1 + 4
+const helloSize = 4 + 4 + 4 + 4 + 1
 
 // AppendHello appends a HELLO payload to dst, prefixed with magic and
 // ProtoVersion.
@@ -353,8 +354,7 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, ProtoVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.W))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.H))
-	dst = append(dst, byte(h.Format))
-	return binary.LittleEndian.AppendUint32(dst, uint32(h.HistoryDepth))
+	return append(dst, byte(h.Format))
 }
 
 // MarshalHello encodes a HELLO payload into a fresh buffer.
@@ -377,10 +377,9 @@ func UnmarshalHello(b []byte) (Hello, error) {
 		return Hello{}, fmt.Errorf("wire: HELLO payload is %d bytes, want %d", len(b), helloSize)
 	}
 	h := Hello{
-		W:            int(binary.LittleEndian.Uint32(b[8:])),
-		H:            int(binary.LittleEndian.Uint32(b[12:])),
-		Format:       frame.Format(b[16]),
-		HistoryDepth: int(binary.LittleEndian.Uint32(b[17:])),
+		W:      int(binary.LittleEndian.Uint32(b[8:])),
+		H:      int(binary.LittleEndian.Uint32(b[12:])),
+		Format: frame.Format(b[16]),
 	}
 	switch h.Format {
 	case frame.Gray8, frame.RGB24, frame.YUV444:

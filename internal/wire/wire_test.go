@@ -52,7 +52,7 @@ func TestMessageSizeLimits(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	h := Hello{W: 640, H: 480, Format: frame.RGB24, HistoryDepth: 6}
+	h := Hello{W: 640, H: 480, Format: frame.RGB24}
 	got, err := UnmarshalHello(MarshalHello(h))
 	if err != nil {
 		t.Fatalf("UnmarshalHello: %v", err)
@@ -64,29 +64,37 @@ func TestHelloRoundTrip(t *testing.T) {
 
 // TestHelloVersionNegotiation pins the single-revision contract: only a
 // ProtoVersion HELLO is accepted, and every other version — including the
-// retired revisions 1-8 in their own byte layouts — fails with the typed
+// retired revisions 1-9 in their own byte layouts — fails with the typed
 // *VersionError rather than a stringly error.
 func TestHelloVersionNegotiation(t *testing.T) {
 	cur := MarshalHello(Hello{W: 64, H: 48, Format: frame.Gray8})
-	if len(cur) != 21 {
-		t.Fatalf("HELLO is %d bytes, want 21", len(cur))
+	if len(cur) != 17 {
+		t.Fatalf("HELLO is %d bytes, want 17", len(cur))
 	}
 	if _, err := UnmarshalHello(cur); err != nil {
 		t.Fatalf("v%d HELLO rejected: %v", ProtoVersion, err)
 	}
-	// helloAt rebuilds the HELLO at version v in today's layout, which v8
-	// shared (v8 still had DECODE_WINDOW, STATS and GET_ENCODED); v7At in
-	// the 26-byte layout of v7 and v1, which appended a u32 queue depth
-	// (here 16) and a u8 block flag to today's fields. v2 to v6 appended a
-	// u32 parallelism field (here 2) to that, and v4 and v5 a codec byte
-	// after it (1 = packed mask).
+	// Today's fields with a trailing u32 are the right version at the
+	// wrong length: HELLO is matched exactly.
+	if _, err := UnmarshalHello(binary.LittleEndian.AppendUint32(bytes.Clone(cur), 4)); err == nil {
+		t.Fatal("21-byte HELLO at the current version accepted")
+	}
+	// helloAt rebuilds the HELLO at version v in today's layout; v9At in
+	// the 21-byte layout of v9 and v8, which appended a u32 decoder history
+	// depth to today's fields; v7At in the 26-byte layout of v7 and v1,
+	// which appended a u32 queue depth (here 16) and a u8 block flag to
+	// those. v2 to v6 appended a u32 parallelism field (here 2) to that,
+	// and v4 and v5 a codec byte after it (1 = packed mask).
 	helloAt := func(v uint32) []byte {
 		b := append([]byte(nil), cur...)
 		binary.LittleEndian.PutUint32(b[4:], v)
 		return b
 	}
+	v9At := func(v, depth uint32) []byte {
+		return binary.LittleEndian.AppendUint32(helloAt(v), depth)
+	}
 	v7At := func(v uint32) []byte {
-		return append(binary.LittleEndian.AppendUint32(helloAt(v), 16), 1)
+		return append(binary.LittleEndian.AppendUint32(v9At(v, 4), 16), 1)
 	}
 	withPar := func(v uint32, codec ...byte) []byte {
 		return append(binary.LittleEndian.AppendUint32(v7At(v), 2), codec...)
@@ -105,7 +113,9 @@ func TestHelloVersionNegotiation(t *testing.T) {
 		{"v5 packed", withPar(5, 1), 5},
 		{"v6", withPar(6), 6},
 		{"v7", v7At(7), 7},
-		{"v8", helloAt(8), 8},
+		{"v8", v9At(8, 4), 8},
+		// The depth that ended a v9 server with an out-of-memory error.
+		{"v9 depth 1<<30", v9At(9, 1<<30), 9},
 		{"next", helloAt(ProtoVersion + 1), ProtoVersion + 1},
 		{"max", helloAt(0xffffffff), 0xffffffff},
 	} {

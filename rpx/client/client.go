@@ -1,8 +1,8 @@
 // Package client is the Go client for rpxd, the rhythmic-pixel
 // capture/decode service. One Dial is one session: the connection handshake
-// negotiates frame geometry, pixel format and decoder history depth, and
-// the returned Session then mirrors the rpx.System surface —
-// SetRegionLabels, Capture, Decoded — over the wire.
+// negotiates frame geometry and pixel format, and the returned Session then
+// mirrors the rpx.System surface — SetRegionLabels, Capture, Decoded — over
+// the wire.
 //
 //	sess, err := client.Dial("localhost:7621", client.Config{W: 640, H: 480, Format: rpx.Gray8})
 //	...
@@ -63,15 +63,13 @@ import (
 // read what could be a stale reply.
 var ErrBrokenSession = errors.New("client: session broken by transport error")
 
-// Config parameterizes Dial. W, H, and Format are required; the rest
-// default server-side.
+// Config parameterizes Dial. W, H, and Format are required, and are all
+// the server learns of the session; the rest tune this client.
 type Config struct {
 	// W, H are the session frame dimensions.
 	W, H int
 	// Format is the session pixel format (rpx.Gray8, rpx.RGB24, rpx.YUV444).
 	Format rpx.Format
-	// HistoryDepth is the decoder scratchpad depth (0 = server default).
-	HistoryDepth int
 	// Block is ignored. The server runs a session's requests one at a time
 	// under a lock and never turns one away, so there is no backpressure
 	// mode to choose.
@@ -151,10 +149,7 @@ func (s *Session) connectLocked() error {
 		return fmt.Errorf("client: dial %s: %w", s.addr, err)
 	}
 	br := bufio.NewReader(conn)
-	hello := wire.Hello{
-		W: s.cfg.W, H: s.cfg.H, Format: s.cfg.Format,
-		HistoryDepth: s.cfg.HistoryDepth,
-	}
+	hello := wire.Hello{W: s.cfg.W, H: s.cfg.H, Format: s.cfg.Format}
 	ack, _, err := replay.Handshake(conn, br, wire.MarshalHello(hello), s.maxPayload, s.timeout)
 	if err != nil {
 		conn.Close()

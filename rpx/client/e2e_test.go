@@ -38,22 +38,21 @@ func serveManager(tb testing.TB, mgr *server.Manager, tcfg server.TCPConfig) str
 
 // sessionGeometry is one concurrent client's distinct configuration.
 type sessionGeometry struct {
-	w, h    int
-	format  rpx.Format
-	history int
-	labels  []rpx.RegionLabel
+	w, h   int
+	format rpx.Format
+	labels []rpx.RegionLabel
 }
 
 func e2eGeometries() []sessionGeometry {
 	return []sessionGeometry{
-		{64, 48, rpx.Gray8, 0, []rpx.RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 1, Skip: 1}}},
-		{80, 60, rpx.Gray8, 6, []rpx.RegionLabel{{X: 0, Y: 0, W: 80, H: 60, Stride: 2, Skip: 1}}},
-		{32, 32, rpx.RGB24, 0, []rpx.RegionLabel{rpx.FullFrame(32, 32)}},
-		{96, 32, rpx.Gray8, 4, []rpx.RegionLabel{{X: 16, Y: 4, W: 64, H: 24, Stride: 1, Skip: 2}}},
-		{48, 48, rpx.YUV444, 0, []rpx.RegionLabel{{X: 4, Y: 4, W: 40, H: 40, Stride: 2, Skip: 2}}},
-		{128, 24, rpx.Gray8, 0, []rpx.RegionLabel{{X: 0, Y: 0, W: 64, H: 24, Stride: 1, Skip: 1}, {X: 64, Y: 0, W: 64, H: 24, Stride: 4, Skip: 3}}},
-		{56, 72, rpx.Gray8, 8, []rpx.RegionLabel{{X: 8, Y: 16, W: 40, H: 40, Stride: 2, Skip: 1}}},
-		{40, 40, rpx.RGB24, 0, []rpx.RegionLabel{{X: 0, Y: 0, W: 40, H: 20, Stride: 1, Skip: 1}}},
+		{64, 48, rpx.Gray8, []rpx.RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 1, Skip: 1}}},
+		{80, 60, rpx.Gray8, []rpx.RegionLabel{{X: 0, Y: 0, W: 80, H: 60, Stride: 2, Skip: 1}}},
+		{32, 32, rpx.RGB24, []rpx.RegionLabel{rpx.FullFrame(32, 32)}},
+		{96, 32, rpx.Gray8, []rpx.RegionLabel{{X: 16, Y: 4, W: 64, H: 24, Stride: 1, Skip: 2}}},
+		{48, 48, rpx.YUV444, []rpx.RegionLabel{{X: 4, Y: 4, W: 40, H: 40, Stride: 2, Skip: 2}}},
+		{128, 24, rpx.Gray8, []rpx.RegionLabel{{X: 0, Y: 0, W: 64, H: 24, Stride: 1, Skip: 1}, {X: 64, Y: 0, W: 64, H: 24, Stride: 4, Skip: 3}}},
+		{56, 72, rpx.Gray8, []rpx.RegionLabel{{X: 8, Y: 16, W: 40, H: 40, Stride: 2, Skip: 1}}},
+		{40, 40, rpx.RGB24, []rpx.RegionLabel{{X: 0, Y: 0, W: 40, H: 20, Stride: 1, Skip: 1}}},
 	}
 }
 
@@ -83,16 +82,14 @@ func TestEndToEndConcurrentSessions(t *testing.T) {
 				t.Errorf("session %d (%dx%d %v): %s", gi, g.w, g.h, g.format, fmt.Sprintf(format, args...))
 			}
 
-			sess, err := client.Dial(addr, client.Config{
-				W: g.w, H: g.h, Format: g.format, HistoryDepth: g.history,
-			})
+			sess, err := client.Dial(addr, client.Config{W: g.w, H: g.h, Format: g.format})
 			if err != nil {
 				fail("dial: %v", err)
 				return
 			}
 			defer sess.Close()
 
-			ref, err := rpx.NewSystem(g.w, g.h, g.format, historyOpts(g.history)...)
+			ref, err := rpx.NewSystem(g.w, g.h, g.format)
 			if err != nil {
 				fail("ref system: %v", err)
 				return
@@ -161,13 +158,6 @@ func TestEndToEndConcurrentSessions(t *testing.T) {
 	if capture.Count != uint64(wantFrames) {
 		t.Fatalf("capture latency count = %d, want %d", capture.Count, wantFrames)
 	}
-}
-
-func historyOpts(depth int) []rpx.Option {
-	if depth <= 0 {
-		return nil
-	}
-	return []rpx.Option{rpx.WithHistoryDepth(depth)}
 }
 
 // BenchmarkSessionsFPS reports aggregate frames/sec through a loopback

@@ -111,7 +111,6 @@ func TestReconnectReplayByteIdentical(t *testing.T) {
 	rs := startRecordingServer(t)
 	cfg := client.Config{
 		W: 48, H: 36, Format: rpx.Gray8,
-		HistoryDepth:   5,
 		RequestTimeout: 2 * time.Second,
 		Reconnect:      true, MaxRetries: 4, Backoff: time.Millisecond,
 	}
@@ -148,10 +147,7 @@ func TestReconnectReplayByteIdentical(t *testing.T) {
 	if !bytes.Equal(first[0].payload, second[0].payload) {
 		t.Errorf("replayed HELLO differs from original:\n  dial:   %x\n  replay: %x", first[0].payload, second[0].payload)
 	}
-	if want := wire.MarshalHello(wire.Hello{
-		W: cfg.W, H: cfg.H, Format: cfg.Format,
-		HistoryDepth: cfg.HistoryDepth,
-	}); !bytes.Equal(second[0].payload, want) {
+	if want := wire.MarshalHello(wire.Hello{W: cfg.W, H: cfg.H, Format: cfg.Format}); !bytes.Equal(second[0].payload, want) {
 		t.Errorf("replayed HELLO differs from canonical marshalling:\n  canon:  %x\n  replay: %x", want, second[0].payload)
 	}
 	if first[1].typ != wire.MsgSetLabels || second[1].typ != wire.MsgSetLabels {

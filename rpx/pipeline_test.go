@@ -69,8 +69,12 @@ func TestCameraPipelineValidation(t *testing.T) {
 	if _, err := NewCameraPipeline(CameraConfig{W: 3840, H: 2160, FPS: 200}); err == nil {
 		t.Error("rate beyond the ISP budget accepted")
 	}
-	if _, err := NewCameraPipeline(CameraConfig{W: 64, H: 48, Options: []Option{WithHistoryDepth(0)}}); err == nil {
-		t.Error("bad system option accepted")
+	p, err := NewCameraPipeline(CameraConfig{W: 64, H: 48, Options: []Option{WithFirstFrameIndex(7)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Sys.FrameIndex() != 7 {
+		t.Errorf("system option not applied: first index = %d, want 7", p.Sys.FrameIndex())
 	}
 }
 

@@ -160,43 +160,30 @@ type System struct {
 type Option func(*options)
 
 type options struct {
-	historyDepth     int
-	registerCapacity int
-	firstFrameIndex  int
+	firstFrameIndex int
 }
-
-// WithHistoryDepth sets how many encoded frames the decoder can resolve
-// temporally skipped pixels against (default 4, the paper's scratchpad).
-func WithHistoryDepth(depth int) Option { return func(o *options) { o.historyDepth = depth } }
-
-// WithRegisterCapacity sets the maximum number of region labels the
-// hardware register file holds (default 1600).
-func WithRegisterCapacity(n int) Option { return func(o *options) { o.registerCapacity = n } }
 
 // WithFirstFrameIndex sets the temporal index of the first captured frame
 // (default 0); region skip phases are evaluated against this index.
 func WithFirstFrameIndex(i int) Option { return func(o *options) { o.firstFrameIndex = i } }
 
-// NewSystem creates a rhythmic pixel pipeline for w x h frames.
+// NewSystem creates a rhythmic pixel pipeline for w x h frames. Its
+// hardware is the paper's: the decoder resolves temporally skipped pixels
+// against the 4 most recent encoded frames (§4.2), and the register file
+// holds 1600 region labels (the hybrid encoder of Table 5).
 func NewSystem(w, h int, format Format, opts ...Option) (*System, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("rpx: invalid dimensions %dx%d", w, h)
 	}
-	o := options{historyDepth: core.DefaultHistoryDepth, registerCapacity: driver.DefaultMaxRegions}
+	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.historyDepth < 1 {
-		return nil, fmt.Errorf("rpx: history depth %d < 1", o.historyDepth)
-	}
-	if o.registerCapacity < 1 {
-		return nil, fmt.Errorf("rpx: register capacity %d < 1", o.registerCapacity)
 	}
 	enc := core.NewEncoder(w, h, format)
 	pool := &core.FramePool{}
 	enc.SetFramePool(pool)
-	dec := core.NewDecoder(w, h, format, core.WithHistoryDepth(o.historyDepth))
-	rt := driver.NewRuntime(w, h, driver.NewRegisterFile(o.registerCapacity), enc)
+	dec := core.NewDecoder(w, h, format)
+	rt := driver.NewRuntime(w, h, driver.NewRegisterFile(driver.DefaultMaxRegions), enc)
 	return &System{
 		w: w, h: h, format: format,
 		enc: enc, dec: dec, rt: rt, pool: pool,

@@ -82,18 +82,23 @@ func TestSystemOptionValidation(t *testing.T) {
 	if _, err := NewSystem(0, 5, Gray8); err == nil {
 		t.Error("bad dims accepted")
 	}
-	if _, err := NewSystem(5, 5, Gray8, WithHistoryDepth(0)); err == nil {
-		t.Error("bad depth accepted")
-	}
-	if _, err := NewSystem(5, 5, Gray8, WithRegisterCapacity(0)); err == nil {
-		t.Error("bad capacity accepted")
-	}
 	sys, err := NewSystem(5, 5, Gray8, WithFirstFrameIndex(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sys.FrameIndex() != 7 {
 		t.Errorf("first index = %d", sys.FrameIndex())
+	}
+	// Every System's register file is the hybrid encoder's 1600 labels.
+	labels := make([]RegionLabel, 1601)
+	for i := range labels {
+		labels[i] = RegionLabel{W: 1, H: 1, Stride: 1, Skip: 1}
+	}
+	if err := sys.SetRegionLabels(labels[:1600]); err != nil {
+		t.Errorf("1600 labels rejected: %v", err)
+	}
+	if err := sys.SetRegionLabels(labels); err == nil {
+		t.Error("1601 labels accepted")
 	}
 }
 

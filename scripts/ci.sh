@@ -10,8 +10,9 @@
 #   tier1        gofmt -l + go vet (the root module and perfbench/) +
 #                go build + go test -race ./...
 #   alloc        steady-state zero-allocation gates (AllocsPerRun, no -race)
-#   fuzz         short fuzz budget per untrusted decode surface, plus the
-#                EncMask kernels against their per-pixel reference
+#   fuzz         short fuzz budget per untrusted decode surface and for
+#                rpxd's handshake, plus the EncMask kernels against their
+#                per-pixel reference
 #   smoke        live binaries: faultnet matrix, rpxd admin, rpxgw
 #                relay/failover, and the rpxpolicy closed-loop smoke
 #   bench-check  one short traced perfbench relay-qvga run, gated by
@@ -72,7 +73,9 @@ stage_alloc() {
 
 # ----------------------------------------------------------------- fuzz
 
-# A short budget per untrusted decode surface, and for the run-level
+# A short budget per untrusted decode surface, for rpxd's handshake as the
+# daemon runs it (parse, geometry check, session open and close, with an
+# allocation bound derived from the geometry), and for the run-level
 # encoder/PMMU kernels against their per-pixel oracle. Regressions the fuzzer
 # finds land in testdata/fuzz/ seed corpora, which tier1's -race run then
 # replays forever after.
@@ -83,6 +86,7 @@ stage_fuzz() {
     go test -run='^$' -fuzz='^FuzzReadSubscribe$' -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzReadFramePush$' -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzReadStreamLabels$' -fuzztime="$FUZZTIME" ./internal/wire
+    go test -run='^$' -fuzz='^FuzzHandshake$' -fuzztime="$FUZZTIME" ./internal/server
     go test -run='^$' -fuzz='^FuzzReadEncodedFrame$' -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzStreamReader$' -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz='^FuzzKernelsMatchReference$' -fuzztime="$FUZZTIME" ./internal/core
