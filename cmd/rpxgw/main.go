@@ -8,10 +8,10 @@
 // A health watcher polls every backend's /healthz (or TCP-dials backends
 // with no admin address): draining and dead backends take no new sessions,
 // and their live sessions are migrated onto the survivors by the same rule,
-// replaying the client's original HELLO and last SET_LABELS — the same
-// replay sequence the rpx client's reconnect path uses. Idempotent requests
-// caught mid-failure are retried on the replacement invisibly; CAPTURE gets
-// a typed UNAVAILABLE error, never a mismatched reply.
+// replaying the client's original HELLO and last SET_LABELS. The client
+// session never breaks over a backend loss: idempotent requests caught
+// mid-failure are retried on the replacement invisibly, and CAPTURE gets a
+// typed UNAVAILABLE error, never a mismatched reply.
 //
 // Usage:
 //

@@ -319,8 +319,9 @@ func TestLiveGatewayStream(t *testing.T) {
 // rpxgw binary and, when RPXGW_KILL_PID names an rpxd process, kills it
 // mid-matrix. The candidate-set oracle must hold throughout: every op
 // returns correct bytes or a typed error, and sessions recover onto the
-// surviving backends. scripts/ci.sh runs this against 2 rpxd + 1 rpxgw
-// with a pinned FAULTNET_SEED environment.
+// surviving backends without any client session breaking. scripts/ci.sh
+// runs this against 2 rpxd + 1 rpxgw with a pinned FAULTNET_SEED
+// environment.
 func TestLiveGatewayMatrix(t *testing.T) {
 	addr := os.Getenv("RPXGW_ADDR")
 	if addr == "" {
@@ -364,7 +365,6 @@ func TestLiveGatewayMatrix(t *testing.T) {
 			sess, err := client.Dial(addr, client.Config{
 				W: w, H: h, Format: rpx.Gray8,
 				RequestTimeout: 5 * time.Second,
-				Reconnect:      true, MaxRetries: 6, Backoff: 5 * time.Millisecond,
 			})
 			dialed.Done()
 			if err != nil {
@@ -417,6 +417,9 @@ func TestLiveGatewayMatrix(t *testing.T) {
 					fail("decode %d matches none of the possibly-captured frames %v — a mismatched reply through the gateway", i, candidates)
 					return
 				}
+			}
+			if sess.Broken() {
+				fail("client session broken; a backend loss must be invisible to the client")
 			}
 		}(si)
 	}

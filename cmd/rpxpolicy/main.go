@@ -60,7 +60,6 @@ func realMain() int {
 		credit     = flag.Int("credit", policyloop.DefaultCredit, "push credit window in frames")
 		batch      = flag.Int("batch", policyloop.DefaultBatch, "frames per push batch")
 		timeout    = flag.Duration("timeout", 0, "stream read timeout (0 = client default)")
-		reconnect  = flag.Bool("reconnect", true, "re-attach after transport errors")
 		maxRetries = flag.Int("max-retries", policyloop.DefaultMaxRetries, "consecutive failed re-attach attempts before giving up")
 		backoff    = flag.Duration("backoff", policyloop.DefaultBackoff, "base re-attach backoff")
 		adminAddr  = flag.String("admin", "", "admin listen address for /metrics, /healthz, /debug/vars, /debug/pprof (empty = disabled)")
@@ -102,7 +101,6 @@ func realMain() int {
 		Credit:      *credit,
 		Batch:       *batch,
 		Timeout:     *timeout,
-		Reconnect:   *reconnect,
 		MaxRetries:  *maxRetries,
 		Backoff:     *backoff,
 	}, os.Stderr); err != nil {

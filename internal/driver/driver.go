@@ -12,6 +12,7 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/region"
 )
@@ -27,15 +28,15 @@ const DefaultMaxRegions = 1600
 // RegisterFile models the encoder's memory-mapped configuration registers.
 // Like real streaming IP, the file is double-banked: driver writes land in
 // a shadow bank and take effect atomically at the next frame boundary
-// (Commit), so a label list can never be torn mid-frame.
+// (Commit), so a label list can never be torn mid-frame. Each bank holds
+// RegsPerLabel registers per loaded label and grows with the largest list
+// loaded, never past maxRegions labels.
 type RegisterFile struct {
 	maxRegions int
 
-	shadowCount uint32
-	shadow      []uint32
-	count       uint32
-	regs        []uint32
-	pending     bool
+	shadow  []uint32
+	regs    []uint32
+	pending bool
 
 	axiWrites int64
 	commits   int64
@@ -46,11 +47,7 @@ func NewRegisterFile(maxRegions int) *RegisterFile {
 	if maxRegions <= 0 {
 		panic("driver: register file capacity must be positive")
 	}
-	return &RegisterFile{
-		maxRegions: maxRegions,
-		shadow:     make([]uint32, maxRegions*RegsPerLabel),
-		regs:       make([]uint32, maxRegions*RegsPerLabel),
-	}
+	return &RegisterFile{maxRegions: maxRegions}
 }
 
 // Capacity returns the maximum label count.
@@ -76,6 +73,7 @@ func (rf *RegisterFile) Load(ls region.List) error {
 	if len(ls) > rf.maxRegions {
 		return fmt.Errorf("driver: %d labels exceed register capacity %d", len(ls), rf.maxRegions)
 	}
+	rf.shadow = slices.Grow(rf.shadow[:0], len(ls)*RegsPerLabel)[:len(ls)*RegsPerLabel]
 	for i, l := range ls {
 		base := i * RegsPerLabel
 		rf.write(base+0, uint32(l.X))
@@ -85,7 +83,6 @@ func (rf *RegisterFile) Load(ls region.List) error {
 		rf.write(base+4, uint32(l.Stride))
 		rf.write(base+5, uint32(l.Skip)<<16|uint32(l.Phase))
 	}
-	rf.shadowCount = uint32(len(ls))
 	rf.axiWrites++ // count register
 	rf.pending = true
 	return nil
@@ -97,8 +94,7 @@ func (rf *RegisterFile) Commit() {
 	if !rf.pending {
 		return
 	}
-	copy(rf.regs, rf.shadow[:rf.shadowCount*RegsPerLabel])
-	rf.count = rf.shadowCount
+	rf.regs = append(rf.regs[:0], rf.shadow...)
 	rf.pending = false
 	rf.commits++
 }
@@ -106,7 +102,7 @@ func (rf *RegisterFile) Commit() {
 // Read deserializes the *active* register contents back into labels — what
 // the encoder hardware actually consumes.
 func (rf *RegisterFile) Read() region.List {
-	out := make(region.List, rf.count)
+	out := make(region.List, len(rf.regs)/RegsPerLabel)
 	for i := range out {
 		base := i * RegsPerLabel
 		out[i] = region.Label{

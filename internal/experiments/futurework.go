@@ -135,8 +135,8 @@ func adaptiveVsFixed(s Scale) (adaptiveFrac, fixedFrac, meanCycle float64, err e
 	gt := append(append([]synth.Pose{}, gtStatic...), gtFast...)
 
 	run := func(adaptive bool) (float64, float64, error) {
-		var lastLabels region.List
-		src := policy.SourceFunc(func(int) region.List { return lastLabels })
+		var featureLabels region.List
+		src := policy.SourceFunc(func(int) region.List { return featureLabels })
 		var pol interface {
 			Labels(int) region.List
 		}
@@ -172,7 +172,7 @@ func adaptiveVsFixed(s Scale) (adaptiveFrac, fixedFrac, meanCycle float64, err e
 			if t > 0 {
 				disp = math.Hypot(gt[t].X-gt[t-1].X, gt[t].Y-gt[t-1].Y)
 			}
-			lastLabels = policy.FromKeypoints(kps, disp, cfg.W, cfg.H, det)
+			featureLabels = policy.FromKeypoints(kps, disp, cfg.W, cfg.H, det)
 			if ada != nil {
 				ada.ObserveMotion(disp)
 				cycleSum += float64(ada.CurrentCycle())

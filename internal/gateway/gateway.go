@@ -8,9 +8,10 @@
 // payloads. The strict one-reply-per-request shape of the protocol is what
 // makes migration safe: between round trips a session has no in-flight
 // state on the wire, so the gateway can tear the backend connection down
-// and rebuild it elsewhere — replaying the client's original HELLO and last
-// SET_LABELS bytes via the same replay package the rpx client's reconnect
-// path uses — at any message boundary.
+// and rebuild it elsewhere, replaying the client's original HELLO and last
+// SET_LABELS bytes, at any message boundary. This migration is the one code
+// path that rebuilds a session: a client whose own connection breaks dials
+// again.
 //
 // A health watcher polls every backend's /healthz. Draining or dead
 // backends take no new sessions, and their live sessions are evacuated onto
@@ -34,7 +35,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/wire"
-	"repro/rpx/client/replay"
 )
 
 // Backend identifies one rpxd: the wire address sessions are proxied to
@@ -464,13 +464,13 @@ func (s *proxySession) adoptBackendLocked(addr string) (ackPayload []byte, err e
 		return nil, err
 	}
 	br := bufio.NewReader(conn)
-	ack, ackPayload, err := replay.Handshake(conn, br, s.hello, s.gw.cfg.MaxPayload, s.gw.cfg.BackendTimeout)
+	ack, ackPayload, err := wire.Handshake(conn, br, s.hello, s.gw.cfg.MaxPayload, s.gw.cfg.BackendTimeout)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
 	if s.labels != nil {
-		if err = replay.InstallLabels(conn, br, s.labels, s.gw.cfg.MaxPayload, s.gw.cfg.BackendTimeout); err != nil {
+		if err = s.replayLabels(conn, br); err != nil {
 			conn.Close()
 			return nil, err
 		}
@@ -481,6 +481,34 @@ func (s *proxySession) adoptBackendLocked(addr string) (ackPayload []byte, err e
 	s.remoteID = ack.SessionID
 	s.gw.setRemotePin(ack.SessionID, addr)
 	return ackPayload, nil
+}
+
+// replayLabels re-installs the kept SET_LABELS payload on a freshly
+// handshaken backend connection and expects the ACK. A rejection wraps the
+// backend's *wire.RemoteError; any other failure leaves the connection's
+// framing unusable.
+func (s *proxySession) replayLabels(conn net.Conn, br *bufio.Reader) error {
+	timeout, maxPayload := s.gw.cfg.BackendTimeout, s.gw.cfg.MaxPayload
+	conn.SetWriteDeadline(time.Now().Add(timeout))
+	if err := wire.WriteMessage(conn, wire.MsgSetLabels, s.labels, maxPayload); err != nil {
+		return fmt.Errorf("replay labels: %w", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(timeout))
+	typ, payload, err := wire.ReadMessage(br, maxPayload)
+	if err != nil {
+		return fmt.Errorf("replay labels: %w", err)
+	}
+	switch typ {
+	case wire.MsgAck:
+		return nil
+	case wire.MsgError:
+		if re, uerr := wire.UnmarshalError(payload); uerr == nil {
+			return fmt.Errorf("replay labels rejected: %w", re)
+		}
+		return errors.New("replay labels rejected")
+	default:
+		return fmt.Errorf("unexpected replay-labels reply type %d", typ)
+	}
 }
 
 // closeBackendLocked tears down the backend side, releasing the load pin.

@@ -479,8 +479,8 @@ func TestGatewayDrainMigration(t *testing.T) {
 			t.Fatalf("post-drain decode %d differs — labels not replayed onto replacement", i)
 		}
 	}
-	if sess.Reconnects() != 0 {
-		t.Fatalf("client reconnected %d times; migration must be invisible to the client", sess.Reconnects())
+	if sess.Broken() {
+		t.Fatal("client session broken; migration must be invisible to the client")
 	}
 }
 
@@ -490,7 +490,7 @@ func TestGatewayDrainMigration(t *testing.T) {
 // client fault tests applies end to end: every op returns either bytes
 // matching a legitimately-captured frame or a typed error — never a
 // mismatched frame — and the killed backend's sessions recover onto
-// survivors via HELLO replay.
+// survivors via HELLO replay without any client session breaking.
 func TestGatewayKillBackendMidMatrix(t *testing.T) {
 	backends := []*testBackend{startBackend(t), startBackend(t), startBackend(t)}
 	var cfgBackends []gateway.Backend
@@ -537,7 +537,6 @@ func TestGatewayKillBackendMidMatrix(t *testing.T) {
 			sess, err := client.Dial(gaddr, client.Config{
 				W: w, H: h, Format: rpx.Gray8,
 				RequestTimeout: 5 * time.Second,
-				Reconnect:      true, MaxRetries: 6, Backoff: 2 * time.Millisecond,
 			})
 			dialed.Done()
 			if err != nil {
@@ -589,6 +588,9 @@ func TestGatewayKillBackendMidMatrix(t *testing.T) {
 					return
 				}
 			}
+			if sess.Broken() {
+				fail("client session broken; migration must be invisible to the client")
+			}
 		}(si)
 	}
 	wg.Wait()
@@ -601,8 +603,8 @@ func TestGatewayKillBackendMidMatrix(t *testing.T) {
 
 // TestGatewayFaultMatrix layers faultnet between the gateway and one
 // backend: random latency, partial writes, resets, and truncations on that
-// path force mid-request migrations under -race, and the candidate-set
-// oracle must still hold for every session.
+// path force mid-request migrations under -race. The candidate-set oracle
+// must still hold for every session, and no client session may break.
 func TestGatewayFaultMatrix(t *testing.T) {
 	for _, seed := range faultSeeds(t) {
 		seed := seed
@@ -643,7 +645,6 @@ func TestGatewayFaultMatrix(t *testing.T) {
 					sess, err := client.Dial(gaddr, client.Config{
 						W: w, H: h, Format: rpx.Gray8,
 						RequestTimeout: 5 * time.Second,
-						Reconnect:      true, MaxRetries: 6, Backoff: 2 * time.Millisecond,
 					})
 					if err != nil {
 						if !expectedFaultErr(err) {
@@ -703,6 +704,9 @@ func TestGatewayFaultMatrix(t *testing.T) {
 							fail("decode %d matches none of the possibly-captured frames %v", i, candidates)
 							return
 						}
+					}
+					if sess.Broken() {
+						fail("client session broken; migration must be invisible to the client")
 					}
 				}(si)
 			}

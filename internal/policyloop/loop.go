@@ -75,14 +75,12 @@ type Config struct {
 	// bounds frames per FRAME_PUSH (0 = DefaultBatch).
 	Credit, Batch int
 	// Timeout bounds each stream read; a producer idle longer than this
-	// breaks the subscription (and Reconnect re-attaches). 0 = client
-	// default.
+	// breaks the subscription, and Run re-attaches. 0 = client default.
 	Timeout time.Duration
-	// Reconnect re-dials and re-subscribes after transport errors, with
+	// Run re-dials and re-subscribes after every transport error, with
 	// exponential backoff. MaxRetries bounds consecutive failed attempts
 	// (0 = DefaultMaxRetries; a successful re-attach resets the count);
 	// Backoff is the base delay (0 = DefaultBackoff).
-	Reconnect  bool
 	MaxRetries int
 	Backoff    time.Duration
 	// Metrics, when non-nil, receives the rpxpolicy_* series.
@@ -205,9 +203,9 @@ func (l *Loop) logf(format string, args ...any) {
 // Run drives the loop until ctx is cancelled (returns nil: graceful drain),
 // the producing session ends (returns a "stream ended by server" error
 // wrapping the server's *wire.RemoteError), or an unrecoverable error
-// occurs. With Reconnect set, transport errors — a dropped connection
-// included — re-dial and re-subscribe under exponential backoff instead of
-// returning.
+// occurs. Transport errors — a dropped connection included — re-dial and
+// re-subscribe under exponential backoff instead of returning, until
+// MaxRetries consecutive attempts have failed.
 func (l *Loop) Run(ctx context.Context) error {
 	attempts := 0
 	for {
@@ -220,9 +218,6 @@ func (l *Loop) Run(ctx context.Context) error {
 		var re *wire.RemoteError
 		if errors.As(err, &re) {
 			return fmt.Errorf("policyloop: stream ended by server: %w", err)
-		}
-		if !l.cfg.Reconnect {
-			return err
 		}
 		if attached {
 			attempts = 0

@@ -148,7 +148,7 @@ func TestLoopClosesOverLiveServer(t *testing.T) {
 func TestLoopReconnects(t *testing.T) {
 	const w, h = 32, 32
 	addr := startServer(t)
-	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8, Reconnect: true})
+	producer, err := client.Dial(addr, client.Config{W: w, H: h, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,6 @@ func TestLoopReconnects(t *testing.T) {
 		W:      w, H: h, Format: rpx.Gray8,
 		CycleLength: 2,
 		Timeout:     500 * time.Millisecond,
-		Reconnect:   true,
 		MaxRetries:  20,
 		Backoff:     10 * time.Millisecond,
 		Logf:        t.Logf,
@@ -213,8 +212,8 @@ func TestLoopReconnects(t *testing.T) {
 
 // TestLoopReattachesAfterDroppedConnection: a connection cut between the
 // worker and the server reads as io.EOF in Recv, like the end of a stream.
-// The worker has no clean stream end, so with Reconnect set it must
-// re-attach through the cut and keep cycling, not return.
+// The worker has no clean stream end, so it must re-attach through the cut
+// and keep cycling, not return.
 func TestLoopReattachesAfterDroppedConnection(t *testing.T) {
 	const w, h = 32, 32
 	addr := startServer(t)
@@ -237,7 +236,6 @@ func TestLoopReattachesAfterDroppedConnection(t *testing.T) {
 		Policy: "event-change",
 		W:      w, H: h, Format: rpx.Gray8,
 		CycleLength: 2,
-		Reconnect:   true,
 		MaxRetries:  20,
 		Backoff:     10 * time.Millisecond,
 		Logf:        t.Logf,

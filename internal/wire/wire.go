@@ -25,6 +25,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/frame"
 	"repro/internal/region"
@@ -425,6 +426,40 @@ func UnmarshalHelloAck(b []byte) (HelloAck, error) {
 		return HelloAck{}, fmt.Errorf("wire: non-positive payload cap %d", a.MaxPayload)
 	}
 	return a, nil
+}
+
+// Handshake writes a HELLO payload on a freshly dialed connection and reads
+// the reply from r, which buffers conn. On success it returns the parsed
+// acknowledgment plus the raw HELLO_ACK payload, which a forwarder relays
+// verbatim. Taking the payload rather than a Hello lets a forwarder replay
+// exactly the bytes its client sent. A server-side rejection is returned as
+// an error wrapping the *RemoteError, so callers can tell it from a
+// transport failure with errors.As.
+func Handshake(conn net.Conn, r io.Reader, hello []byte, maxPayload int, timeout time.Duration) (HelloAck, []byte, error) {
+	conn.SetWriteDeadline(time.Now().Add(timeout))
+	if err := WriteMessage(conn, MsgHello, hello, maxPayload); err != nil {
+		return HelloAck{}, nil, fmt.Errorf("send handshake: %w", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(timeout))
+	typ, payload, err := ReadMessage(r, maxPayload)
+	if err != nil {
+		return HelloAck{}, nil, fmt.Errorf("read handshake: %w", err)
+	}
+	switch typ {
+	case MsgHelloAck:
+	case MsgError:
+		if re, uerr := UnmarshalError(payload); uerr == nil {
+			return HelloAck{}, nil, fmt.Errorf("handshake rejected: %w", re)
+		}
+		return HelloAck{}, nil, errors.New("handshake rejected")
+	default:
+		return HelloAck{}, nil, fmt.Errorf("unexpected handshake reply type %d", typ)
+	}
+	ack, err := UnmarshalHelloAck(payload)
+	if err != nil {
+		return HelloAck{}, nil, err
+	}
+	return ack, payload, nil
 }
 
 // labelSize is the wire size of one region label: seven int32 fields.

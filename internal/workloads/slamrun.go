@@ -69,8 +69,8 @@ func RunSLAM(cfg SLAMConfig, cap Capture) (SLAMResult, error) {
 
 	// The policy closes the loop: intermediate frames use regions around
 	// the previous frame's features.
-	var lastLabels region.List
-	src := policy.SourceFunc(func(int) region.List { return lastLabels })
+	var featureLabels region.List
+	src := policy.SourceFunc(func(int) region.List { return featureLabels })
 	pol := policy.NewCycle(cfg.CycleLength, cfg.W, cfg.H, src)
 
 	res := SLAMResult{System: cap.Name()}
@@ -97,7 +97,7 @@ func RunSLAM(cfg SLAMConfig, cap Capture) (SLAMResult, error) {
 		if step.Lost {
 			res.LostFrames++
 		}
-		lastLabels = policy.FromKeypointsVel(step.KeyPoints, step.Displacements, step.MeanDisplacement, cfg.W, cfg.H, params)
+		featureLabels = policy.FromKeypointsVel(step.KeyPoints, step.Displacements, step.MeanDisplacement, cfg.W, cfg.H, params)
 		if isRP {
 			res.PixelFractions = append(res.PixelFractions,
 				float64(rp.Sys.Stats().PixelsStored)/float64(rp.Sys.Stats().PixelsIn))

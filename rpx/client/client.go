@@ -23,16 +23,10 @@
 // error: the failing call returns that error, and every later call fails
 // with ErrBrokenSession instead of trusting the stream.
 //
-// With Config.Reconnect set, a poisoned session heals itself instead: the
-// next call re-dials with exponential backoff plus jitter, replays the
-// handshake and the last installed region labels, and retries the
-// operation when it is idempotent (SetRegionLabels, Decoded). Capture is
-// not idempotent — the server may or may not have encoded the in-flight
-// frame — so a Capture that hits a transport error always surfaces it; the
-// session still recovers for subsequent calls. Note that the server builds
-// a fresh pipeline for the new connection: frame history does not survive
-// a reconnect, so a Decode before the first post-reconnect Capture fails
-// with a remote error.
+// A broken session stays broken. To go on, Dial again: the new session
+// starts from a fresh server-side pipeline, so re-install its region labels
+// before the next Capture. Behind rpxgw a backend loss never breaks the
+// client session; the gateway migrates it, labels included.
 //
 // # Streaming
 //
@@ -47,20 +41,18 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/wire"
 	"repro/rpx"
-	"repro/rpx/client/replay"
 )
 
 // ErrBrokenSession is returned by every call after a transport error
-// poisoned the session (and reconnection is disabled or failed): the
-// request/reply framing can no longer be trusted, so the client refuses to
-// read what could be a stale reply.
+// poisoned the session: the request/reply framing can no longer be
+// trusted, so the client refuses to read what could be a stale reply. Dial
+// again to go on.
 var ErrBrokenSession = errors.New("client: session broken by transport error")
 
 // Config parameterizes Dial. W, H, and Format are required, and are all
@@ -81,38 +73,23 @@ type Config struct {
 	DialTimeout time.Duration
 	// RequestTimeout bounds each request round trip (default 30s).
 	RequestTimeout time.Duration
-
-	// Reconnect heals poisoned sessions: after a transport error the next
-	// call re-dials, replays the handshake and the last SetRegionLabels
-	// workload, and retries idempotent operations. Without it a transport
-	// error permanently breaks the session (ErrBrokenSession).
-	Reconnect bool
-	// MaxRetries bounds re-dial attempts per recovery (default 3).
-	MaxRetries int
-	// Backoff is the base re-dial backoff; attempt k sleeps about
-	// Backoff<<k plus up to 50% jitter (default 50ms).
-	Backoff time.Duration
 }
 
 // Session is an open rpxd session. Methods are safe for concurrent use.
 type Session struct {
-	addr string
-	cfg  Config
+	// Dial sets these once.
+	cfg        Config
+	conn       net.Conn
+	br         *bufio.Reader
+	mw         *wire.MessageWriter // framing writer; serializes concurrent writers itself
+	id         uint64
+	maxPayload int
+	timeout    time.Duration
 
-	mu          sync.Mutex // serializes request/reply round trips
-	conn        net.Conn
-	br          *bufio.Reader
-	mw          *wire.MessageWriter // framing writer; serializes concurrent writers itself
-	closed      bool
-	broken      bool
-	id          uint64
-	maxPayload  int
-	stream      *Stream // open push subscription, nil in request/reply mode
-	dialTimeout time.Duration
-	timeout     time.Duration
-	lastLabels  []rpx.RegionLabel // replayed after reconnect; nil = never set
-	reconnects  int
-	rng         *rand.Rand // backoff jitter; guarded by mu
+	mu     sync.Mutex // serializes request/reply round trips; guards the fields below
+	closed bool
+	broken bool
+	stream *Stream // open push subscription, nil in request/reply mode
 }
 
 // Dial connects to an rpxd server and negotiates a session.
@@ -125,82 +102,50 @@ func Dial(addr string, cfg Config) (*Session, error) {
 	if reqTimeout <= 0 {
 		reqTimeout = 30 * time.Second
 	}
-	s := &Session{
-		addr:        addr,
-		cfg:         cfg,
-		maxPayload:  wire.DefaultMaxPayload,
-		dialTimeout: dialTimeout,
-		timeout:     reqTimeout,
-		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
-	if err := s.connectLocked(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// connectLocked dials and performs the HELLO handshake, installing the new
-// connection on success. Callers must hold s.mu (or own s exclusively, as
-// Dial does). The handshake itself lives in the shared replay package so
-// the gateway's session-migration path replays byte-identical messages.
-func (s *Session) connectLocked() error {
-	conn, err := net.DialTimeout("tcp", s.addr, s.dialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
-		return fmt.Errorf("client: dial %s: %w", s.addr, err)
+		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	br := bufio.NewReader(conn)
-	hello := wire.Hello{W: s.cfg.W, H: s.cfg.H, Format: s.cfg.Format}
-	ack, _, err := replay.Handshake(conn, br, wire.MarshalHello(hello), s.maxPayload, s.timeout)
+	hello := wire.Hello{W: cfg.W, H: cfg.H, Format: cfg.Format}
+	ack, _, err := wire.Handshake(conn, br, wire.MarshalHello(hello), wire.DefaultMaxPayload, reqTimeout)
 	if err != nil {
 		conn.Close()
-		return fmt.Errorf("client: %w", err)
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	s.conn = conn
-	s.br = br
-	// All post-handshake writes go through one MessageWriter: header and
-	// payload leave in a single vectored write, and its internal lock makes
-	// concurrent writers (request/reply vs. streaming grants) safe without
-	// a separate write mutex.
-	s.mw = wire.NewMessageWriter(conn)
-	s.id = ack.SessionID
-	s.maxPayload = ack.MaxPayload
-	s.broken = false
-	return nil
+	return &Session{
+		cfg:  cfg,
+		conn: conn,
+		br:   br,
+		// All post-handshake writes go through one MessageWriter: header
+		// and payload leave in a single vectored write, and its internal
+		// lock makes concurrent writers (request/reply vs. streaming
+		// grants) safe without a separate write mutex.
+		mw:         wire.NewMessageWriter(conn),
+		id:         ack.SessionID,
+		maxPayload: ack.MaxPayload,
+		timeout:    reqTimeout,
+	}, nil
 }
 
-// ID returns the server-assigned session id (of the newest connection, if
-// the session has reconnected).
-func (s *Session) ID() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.id
-}
+// ID returns the server-assigned session id.
+func (s *Session) ID() uint64 { return s.id }
 
 // Dimensions returns the negotiated frame geometry.
 func (s *Session) Dimensions() (w, h int) { return s.cfg.W, s.cfg.H }
 
 // Broken reports whether the session is poisoned: a transport error
-// desynchronized the request/reply stream and no reconnect has healed it.
+// desynchronized the request/reply stream, and the caller must Dial again.
 func (s *Session) Broken() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.broken
 }
 
-// Reconnects returns how many times the session has transparently
-// re-dialed and replayed its workload.
-func (s *Session) Reconnects() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reconnects
-}
-
 // poisonLocked marks the stream unusable and tears the connection down.
 func (s *Session) poisonLocked() {
 	s.broken = true
-	if s.conn != nil {
-		s.conn.Close()
-	}
+	s.conn.Close()
 }
 
 // roundTripLocked sends one request and reads one reply. Any transport
@@ -222,75 +167,56 @@ func (s *Session) roundTripLocked(typ byte, payload []byte) (byte, []byte, error
 	return rtyp, rpayload, nil
 }
 
-// call performs a round trip and unwraps ERROR replies. Idempotent
-// operations are retried across reconnects when Config.Reconnect is set;
-// non-idempotent ones (Capture) surface their transport error, though the
-// session still heals for subsequent calls.
-func (s *Session) call(typ byte, payload []byte, wantReply byte, idempotent bool) ([]byte, error) {
+// call performs a round trip and unwraps ERROR replies.
+func (s *Session) call(typ byte, payload []byte, wantReply byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		if s.closed {
-			return nil, fmt.Errorf("client: session closed")
-		}
-		if s.stream != nil {
-			// An open push subscription owns the connection's framing.
-			return nil, ErrStreaming
-		}
-		if s.broken {
-			if !s.cfg.Reconnect {
-				return nil, ErrBrokenSession
-			}
-			if err := s.reconnectLocked(); err != nil {
-				return nil, err
-			}
-		}
-		rtyp, rpayload, err := s.roundTripLocked(typ, payload)
-		if err == nil {
-			if rtyp == wire.MsgError {
-				re, uerr := wire.UnmarshalError(rpayload)
-				if uerr != nil {
-					return nil, uerr
-				}
-				return nil, re
-			}
-			if rtyp != wantReply {
-				// A reply of the wrong type means the stream is already
-				// desynchronized; refuse to keep reading it.
-				s.poisonLocked()
-				return nil, fmt.Errorf("%w: got reply type %d, want %d", ErrBrokenSession, rtyp, wantReply)
-			}
-			return rpayload, nil
-		}
-		if !s.cfg.Reconnect || !idempotent || attempt >= s.maxRetries() {
-			return nil, err
-		}
+	if s.closed {
+		return nil, fmt.Errorf("client: session closed")
 	}
+	if s.stream != nil {
+		// An open push subscription owns the connection's framing.
+		return nil, ErrStreaming
+	}
+	if s.broken {
+		return nil, ErrBrokenSession
+	}
+	rtyp, rpayload, err := s.roundTripLocked(typ, payload)
+	if err != nil {
+		return nil, err
+	}
+	if rtyp == wire.MsgError {
+		re, uerr := wire.UnmarshalError(rpayload)
+		if uerr != nil {
+			return nil, uerr
+		}
+		return nil, re
+	}
+	if rtyp != wantReply {
+		// A reply of the wrong type means the stream is already
+		// desynchronized; refuse to keep reading it.
+		s.poisonLocked()
+		return nil, fmt.Errorf("%w: got reply type %d, want %d", ErrBrokenSession, rtyp, wantReply)
+	}
+	return rpayload, nil
 }
 
-// SetRegionLabels installs the capture workload for the next frame. The
-// labels are remembered and replayed if the session reconnects.
+// SetRegionLabels installs the capture workload for the next frame.
 func (s *Session) SetRegionLabels(labels []rpx.RegionLabel) error {
-	_, err := s.call(wire.MsgSetLabels, wire.MarshalLabels(labels), wire.MsgAck, true)
-	if err == nil {
-		s.mu.Lock()
-		s.lastLabels = append([]rpx.RegionLabel{}, labels...)
-		s.mu.Unlock()
-	}
+	_, err := s.call(wire.MsgSetLabels, wire.MarshalLabels(labels), wire.MsgAck)
 	return err
 }
 
 // Capture streams one frame to the server for encoding and returns the
-// capture statistics. The frame must match the negotiated geometry.
-// Capture is not retried across reconnects: a transport error mid-capture
-// leaves it unknown whether the server encoded the frame, so the error is
-// surfaced and the caller decides whether to resend.
+// capture statistics. The frame must match the negotiated geometry. A
+// transport error mid-capture leaves it unknown whether the server encoded
+// the frame.
 func (s *Session) Capture(fr *rpx.Frame) (rpx.CaptureStats, error) {
 	if fr.W != s.cfg.W || fr.H != s.cfg.H || fr.Format != s.cfg.Format {
 		return rpx.CaptureStats{}, fmt.Errorf("client: frame is %dx%d %v, session is %dx%d %v",
 			fr.W, fr.H, fr.Format, s.cfg.W, s.cfg.H, s.cfg.Format)
 	}
-	payload, err := s.call(wire.MsgCapture, fr.Pix, wire.MsgCaptureAck, false)
+	payload, err := s.call(wire.MsgCapture, fr.Pix, wire.MsgCaptureAck)
 	if err != nil {
 		return rpx.CaptureStats{}, err
 	}
@@ -308,7 +234,7 @@ func (s *Session) Capture(fr *rpx.Frame) (rpx.CaptureStats, error) {
 
 // Decoded reconstructs the newest frame server-side and returns it.
 func (s *Session) Decoded() (*rpx.Frame, error) {
-	payload, err := s.call(wire.MsgDecode, nil, wire.MsgFrame, true)
+	payload, err := s.call(wire.MsgDecode, nil, wire.MsgFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -325,12 +251,10 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.broken || s.conn == nil || s.stream != nil {
+	if s.broken || s.stream != nil {
 		// A poisoned session's framing is not trustworthy, and an open
 		// stream owns the framing: tear down without the CLOSE exchange.
-		if s.conn != nil {
-			s.conn.Close()
-		}
+		s.conn.Close()
 		return nil
 	}
 	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))

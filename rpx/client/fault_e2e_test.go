@@ -9,6 +9,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,93 +176,6 @@ func TestBrokenSessionAfterTimeout(t *testing.T) {
 	}
 }
 
-// TestReconnectRecoversWithLabelsReplayed is the opt-in recovery path: the
-// same delayed-reply poisoning, but with Reconnect enabled the session
-// re-dials, replays HELLO and the remembered region labels, and the next
-// capture/decode cycle is byte-identical to a fresh reference system with
-// the same labels — proving the workload was re-installed.
-func TestReconnectRecoversWithLabelsReplayed(t *testing.T) {
-	_, addr := startProxiedServer(t, server.Config{}, server.TCPConfig{}, delayedReplyRules(400*time.Millisecond))
-	const w, h = 32, 24
-	labels := []rpx.RegionLabel{
-		{X: 4, Y: 4, W: 20, H: 16, Stride: 2, Skip: 1},
-		{X: 0, Y: 20, W: w, H: 4, Stride: 1, Skip: 1},
-	}
-	sess, err := client.Dial(addr, client.Config{
-		W: w, H: h, Format: rpx.Gray8,
-		RequestTimeout: 100 * time.Millisecond,
-		Reconnect:      true, MaxRetries: 4, Backoff: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if err := sess.SetRegionLabels(labels); err != nil {
-		t.Fatal(err)
-	}
-	fr := rpx.NewFrame(w, h, rpx.Gray8)
-	fillFrame(fr, 2, 0)
-	if _, err := sess.Capture(fr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Decoded(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The delayed reply poisons the stream; the idempotent call is retried
-	// on a fresh connection, where the new pipeline has no frame yet — a
-	// typed remote error, never a stale or mismatched reply.
-	_, err = sess.Decoded()
-	if err == nil {
-		t.Fatal("delayed reply arrived in time; fault injection did not fire")
-	}
-	var re *wire.RemoteError
-	if !errors.As(err, &re) {
-		t.Fatalf("retried decode = %v, want a remote error from the fresh session", err)
-	}
-	if sess.Reconnects() != 1 {
-		t.Fatalf("Reconnects = %d, want 1", sess.Reconnects())
-	}
-	if sess.Broken() {
-		t.Fatal("session still broken after successful reconnect")
-	}
-
-	// Byte-identical decode afterward, against a reference that proves the
-	// labels were replayed onto the new server-side pipeline.
-	ref, err := rpx.NewSystem(w, h, rpx.Gray8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.SetRegionLabels(labels); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		fillFrame(fr, 2, i)
-		got, err := sess.Capture(fr)
-		if err != nil {
-			t.Fatalf("post-reconnect capture %d: %v", i, err)
-		}
-		want, err := ref.Capture(fr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("post-reconnect capture stats %d = %+v, want %+v", i, got, want)
-		}
-		dGot, err := sess.Decoded()
-		if err != nil {
-			t.Fatalf("post-reconnect decode %d: %v", i, err)
-		}
-		dWant, err := ref.Decoded()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dGot.Equal(dWant) {
-			t.Fatalf("post-reconnect decode %d differs byte-for-byte", i)
-		}
-	}
-}
-
 // faultSeeds returns the injection-matrix seeds: FAULTNET_SEED pins a
 // single deterministic seed (the CI smoke stage uses this so failures
 // reproduce); otherwise a small fixed spread runs.
@@ -294,7 +208,10 @@ func expectedFaultErr(err error) bool {
 // truncations, under -race. The oracle: with full-frame labels the decoded
 // frame must byte-equal the last successfully captured frame (or one whose
 // capture's ack was lost in flight) — every completed call returns either
-// the correct bytes or a typed error, never a mismatched frame.
+// the correct bytes or a typed error, never a mismatched frame. A session a
+// fault broke is replaced the one way the client offers: Dial again and
+// re-install the labels. The new server-side session holds no frame yet, so
+// the candidate set starts over. Each seed must exercise that path.
 func TestFaultMatrix(t *testing.T) {
 	for _, seed := range faultSeeds(t) {
 		seed := seed
@@ -311,6 +228,7 @@ func TestFaultMatrix(t *testing.T) {
 				},
 			})
 			const w, h, frames, sessions = 24, 16, 40, 4
+			var redials atomic.Int64
 			var wg sync.WaitGroup
 			for si := 0; si < sessions; si++ {
 				wg.Add(1)
@@ -319,36 +237,44 @@ func TestFaultMatrix(t *testing.T) {
 					fail := func(format string, args ...any) {
 						t.Errorf("seed %d session %d: %s", seed, si, fmt.Sprintf(format, args...))
 					}
-					sess, err := client.Dial(addr, client.Config{
-						W: w, H: h, Format: rpx.Gray8,
-						RequestTimeout: 250 * time.Millisecond,
-						Reconnect:      true, MaxRetries: 6, Backoff: 2 * time.Millisecond,
-					})
-					if err != nil {
-						// The handshake itself may be hit by injected faults;
-						// that is a legitimate, typed outcome.
-						if !expectedFaultErr(err) {
-							fail("dial: unexpected error class: %v", err)
+					// open dials a session and installs full-frame labels,
+					// starting over on a fresh session when an injected fault
+					// hits either step; each must fail with a typed error.
+					open := func() *client.Session {
+						for attempt := 0; attempt < 50; attempt++ {
+							sess, err := client.Dial(addr, client.Config{
+								W: w, H: h, Format: rpx.Gray8,
+								RequestTimeout: 250 * time.Millisecond,
+							})
+							if err != nil {
+								if !expectedFaultErr(err) {
+									fail("dial: unexpected error class: %v", err)
+									return nil
+								}
+								continue
+							}
+							err = sess.SetRegionLabels([]rpx.RegionLabel{rpx.FullFrame(w, h)})
+							if err == nil {
+								return sess
+							}
+							sess.Close()
+							if !expectedFaultErr(err) {
+								fail("set labels: unexpected error class: %v", err)
+								return nil
+							}
 						}
+						fail("no session with labels installed in 50 attempts")
+						return nil
+					}
+					sess := open()
+					if sess == nil {
 						return
 					}
-					defer sess.Close()
-					installed := false
-					for attempt := 0; attempt < 50; attempt++ {
-						err := sess.SetRegionLabels([]rpx.RegionLabel{rpx.FullFrame(w, h)})
-						if err == nil {
-							installed = true
-							break
+					defer func() {
+						if sess != nil {
+							sess.Close()
 						}
-						if !expectedFaultErr(err) {
-							fail("set labels: unexpected error class: %v", err)
-							return
-						}
-					}
-					if !installed {
-						fail("labels never installed in 50 attempts")
-						return
-					}
+					}()
 
 					mkFrame := func(i int) *rpx.Frame {
 						fr := rpx.NewFrame(w, h, rpx.Gray8)
@@ -359,7 +285,22 @@ func TestFaultMatrix(t *testing.T) {
 					// legitimately hold: the last acked capture, plus any
 					// captures whose acks were lost in flight since.
 					var candidates []int
+					// heal replaces a broken session with a fresh one, which
+					// holds no frame.
+					heal := func() bool {
+						if !sess.Broken() {
+							return true
+						}
+						sess.Close()
+						redials.Add(1)
+						candidates = nil
+						sess = open()
+						return sess != nil
+					}
 					for i := 0; i < frames; i++ {
+						if !heal() {
+							return
+						}
 						if _, err := sess.Capture(mkFrame(i)); err != nil {
 							if !expectedFaultErr(err) {
 								fail("capture %d: unexpected error class: %v", i, err)
@@ -368,6 +309,9 @@ func TestFaultMatrix(t *testing.T) {
 							candidates = append(candidates, i)
 						} else {
 							candidates = []int{i}
+						}
+						if !heal() {
+							return
 						}
 						dec, err := sess.Decoded()
 						if err != nil {
@@ -392,6 +336,10 @@ func TestFaultMatrix(t *testing.T) {
 				}(si)
 			}
 			wg.Wait()
+			if redials.Load() == 0 {
+				t.Errorf("seed %d: no session broke, so the re-dial path went untested", seed)
+			}
+			t.Logf("seed %d: %d re-dials", seed, redials.Load())
 		})
 	}
 }

@@ -127,12 +127,7 @@ func (s *Session) Subscribe(opts SubscribeOptions) (*Stream, error) {
 		return nil, ErrStreaming
 	}
 	if s.broken {
-		if !s.cfg.Reconnect {
-			return nil, ErrBrokenSession
-		}
-		if err := s.reconnectLocked(); err != nil {
-			return nil, err
-		}
+		return nil, ErrBrokenSession
 	}
 	rtyp, rpayload, err := s.roundTripLocked(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{
 		Target: opts.Target,
@@ -297,15 +292,12 @@ func (st *Stream) SetLabels(labels []rpx.RegionLabel) error {
 // any concurrent write and emits the whole message in one vectored write,
 // so it can never tear another in-flight message.
 func (st *Stream) send(typ byte, payload []byte, what string) error {
-	s := st.s
-	s.mu.Lock()
-	done, err, conn, mw, maxPayload := st.done, st.err, s.conn, s.mw, s.maxPayload
-	s.mu.Unlock()
-	if done {
+	if done, err := st.ended(); done {
 		return err
 	}
-	conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	if err := mw.WriteMessage(typ, payload, maxPayload); err != nil {
+	s := st.s
+	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
+	if err := s.mw.WriteMessage(typ, payload, s.maxPayload); err != nil {
 		return st.failTransport(fmt.Errorf("client: %s: %w", what, err))
 	}
 	return nil

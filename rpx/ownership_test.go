@@ -3,6 +3,7 @@ package rpx
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -197,5 +198,24 @@ func TestAllocsCaptureSteadyState(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, capture); allocs != 0 {
 		t.Fatalf("steady-state Capture allocates %v per frame, want 0", allocs)
+	}
+}
+
+// TestAllocsNewSystem pins a System's setup memory to what its geometry
+// and labels need: an 8x8 Gray8 System costs well under 8 KiB. Register
+// banks sized for all 1600 labels up front cost about 80 KB per System,
+// and so per rpxd session.
+func TestAllocsNewSystem(t *testing.T) {
+	const rounds = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		if _, err := NewSystem(8, 8, Gray8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > 8<<10 {
+		t.Fatalf("NewSystem(8, 8, Gray8) allocates %d bytes, want at most 8 KiB", per)
 	}
 }

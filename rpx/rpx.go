@@ -305,31 +305,13 @@ func (s *System) span(op string, frameIndex int, t0 time.Time, bytes int) time.T
 	return now
 }
 
-// MetricsRegistry is the metrics registry Observe targets. The registry
-// implementation lives in the internal observability layer shared with
-// rpxd; the alias (plus NewMetricsRegistry, NewFrameTracer, and
-// NewMetricLabel) lets external modules hold and use one through the rpx
-// package without importing an internal path.
-type MetricsRegistry = obs.Registry
-
-// MetricLabel is one key/value pair attached to every series a single
-// Observe call registers.
-type MetricLabel = obs.Label
-
 // FrameTracer is the fixed-ring frame-path span recorder SetTracer
 // attaches; dump it with its WriteJSON or Snapshot methods.
 type FrameTracer = obs.Tracer
 
-// NewMetricsRegistry returns an empty metrics registry. Expose it with its
-// WritePrometheus or WriteJSON methods.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
 // NewFrameTracer returns a frame-path tracer retaining the most recent
 // capacity spans (capacity <= 0 selects a default).
 func NewFrameTracer(capacity int) *FrameTracer { return obs.NewTracer(capacity) }
-
-// NewMetricLabel builds one metric label for Observe.
-func NewMetricLabel(key, value string) MetricLabel { return obs.L(key, value) }
 
 // SetTracer attaches a frame-path tracer: Capture and DecodeWindow record
 // commit/encode/push/decode spans tagged with tag (an rpxd session id, or
@@ -339,50 +321,6 @@ func NewMetricLabel(key, value string) MetricLabel { return obs.L(key, value) }
 func (s *System) SetTracer(t *obs.Tracer, tag uint64) {
 	s.tracer = t
 	s.tracerTag = tag
-}
-
-// Observe registers the System's lifetime traffic counters — SystemStats,
-// EncoderStats, and DecoderStats — into an observability registry, each
-// series carrying the given labels. Values are read at scrape time through
-// the monitoring-safe stats accessors, so scrapes never synchronize with
-// Capture beyond the internal stats mutex. Register a given System at most
-// once per registry (per label set).
-func (s *System) Observe(reg *obs.Registry, labels ...obs.Label) {
-	counter := func(name, help string, fn func() int64) {
-		reg.CounterFunc(name, help, func() uint64 { return uint64(fn()) }, labels...)
-	}
-	counter("rpx_frames_captured_total", "Frames captured.",
-		func() int64 { return int64(s.Stats().FramesCaptured) })
-	counter("rpx_bytes_written_total", "Encoded payload plus metadata bytes written to the framebuffer.",
-		func() int64 { return s.Stats().BytesWritten })
-	counter("rpx_bytes_read_total", "Encoded bytes fetched by the decoder.",
-		func() int64 { return s.Stats().BytesRead })
-	counter("rpx_pixels_in_total", "Pixels consumed from the sensor stream.",
-		func() int64 { return s.Stats().PixelsIn })
-	counter("rpx_pixels_stored_total", "Pixels surviving encoding.",
-		func() int64 { return s.Stats().PixelsStored })
-	counter("rpx_register_updates_total", "AXI-lite writes for label configuration.",
-		func() int64 { return s.Stats().RegisterUpdates })
-	counter("rpx_encoder_rows_processed_total", "Raster rows the encoder consumed.",
-		func() int64 { return int64(s.EncoderStats().RowsProcessed) })
-	counter("rpx_encoder_roi_compares_total", "RoI Selector y-range label examinations.",
-		func() int64 { return int64(s.EncoderStats().RoISelectorCompares) })
-	counter("rpx_decoder_pixels_requested_total", "Decoded-space pixels serviced.",
-		func() int64 { return int64(s.DecoderStats().PixelsRequested) })
-	counter("rpx_decoder_direct_r_total", "Pixels fetched from the newest encoded frame.",
-		func() int64 { return int64(s.DecoderStats().DirectR) })
-	counter("rpx_decoder_held_st_total", "Strided pixels serviced from the resampling or line buffer.",
-		func() int64 { return int64(s.DecoderStats().HeldSt) })
-	counter("rpx_decoder_fetched_sk_total", "Pixels fetched from older history frames.",
-		func() int64 { return int64(s.DecoderStats().FetchedSk) })
-	counter("rpx_decoder_black_total", "Pixels emitted as black.",
-		func() int64 { return int64(s.DecoderStats().Black) })
-	counter("rpx_decoder_encoded_bytes_read_total", "Payload bytes fetched from encoded frames.",
-		func() int64 { return int64(s.DecoderStats().EncodedBytesRead) })
-	counter("rpx_decoder_sub_requests_total", "PMMU sub-requests issued.",
-		func() int64 { return int64(s.DecoderStats().SubRequests) })
-	counter("rpx_decoder_metadata_bits_read_total", "EncMask metadata bits the PMMU examined for delivered rows.",
-		func() int64 { return int64(s.DecoderStats().MetadataBitsRead) })
 }
 
 // LastEncoded returns a deep copy of the most recent encoded frame (nil
