@@ -1,23 +1,26 @@
 // Command rpxd serves rhythmic-pixel capture/decode sessions over TCP.
 //
-// Each client connection negotiates one session (geometry and pixel
-// format) via the rpxd wire protocol and then streams frames in and
-// reconstructed pixels out. Every session runs its own encoder/decoder
-// pipeline behind its own lock, so N clients capture and decode
-// concurrently with independent rhythms.
+// A connection's first message fixes its one role. A HELLO negotiates a
+// session (geometry and pixel format) via the rpxd wire protocol, which
+// then streams frames in and reconstructed pixels out, request/reply.
+// Every session runs its own encoder/decoder pipeline behind its own lock,
+// so N clients capture and decode concurrently with independent rhythms.
 //
 // Usage:
 //
 //	rpxd -addr :7621 -max-sessions 64 -read-timeout 2m
 //
-// A client that sends nothing for -read-timeout loses its connection and
-// its session slot, so abandoned clients cannot pin -max-sessions; every
-// message re-arms the deadline, so a subscriber granting credit stays.
+// A SUBSCRIBE opens a stream connection instead: it names another
+// session and receives that session's frames as FRAME_PUSH batches under
+// a credit window granted by the subscriber, so a stalled consumer drops
+// frames (counted) instead of buffering unboundedly or stalling the
+// producer. The stream ends at UNSUBSCRIBE's ACK or a terminal ERROR, and
+// its connection closes.
 //
-// A connection may also SUBSCRIBE to another session's frame stream: it
-// switches into push mode and receives FRAME_PUSH batches under a credit
-// window granted by the subscriber, so a stalled consumer drops frames
-// (counted) instead of buffering unboundedly or stalling the producer.
+// Sessions and streams share the -max-sessions slots. A client that sends
+// nothing for -read-timeout loses its connection and its slot, so
+// abandoned clients cannot pin -max-sessions; every message re-arms the
+// deadline, so a stream whose reader grants credit stays.
 // The rpxd_stream_* metric series on /metrics tracks open subscriptions,
 // pushed/dropped frames, and in-flight buffered frames.
 //
@@ -134,7 +137,7 @@ func serveAndDrain(ctx context.Context, ln, adminLn net.Listener, traceSpans int
 	}
 	mgr := server.NewManager(mcfg)
 	if adminLn != nil {
-		hstate = server.NewHealth(mgr.SessionsOpen)
+		hstate = new(server.Health)
 		adminSrv = &http.Server{Handler: admin.NewMux(reg, hstate, tracer)}
 		go adminSrv.Serve(adminLn)
 		fmt.Fprintf(logw, "rpxd: admin listening on %s\n", adminLn.Addr())

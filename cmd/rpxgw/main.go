@@ -1,9 +1,16 @@
 // Command rpxgw is a session gateway in front of an rpxd fleet. Clients
-// speak the ordinary rpxd wire protocol to the gateway; each connection is
-// pinned at HELLO time to the routable backend holding the fewest of the
-// gateway's sessions (ties go in -backends order), and from then on
-// requests and replies are relayed in lockstep without decoding frame
-// payloads.
+// speak the ordinary rpxd wire protocol to the gateway; each session
+// connection is pinned at HELLO time to the routable backend holding the
+// fewest of the gateway's sessions (ties go in -backends order), and from
+// then on requests and replies are relayed in lockstep without decoding
+// frame payloads.
+//
+// A stream connection (SUBSCRIBE first) names a session by the id its
+// client holds, which a migration does not change. The gateway routes it
+// only to a session it proxies: it dials the backend that holds the
+// session now, rewrites the target to the session's id there, and relays
+// the stream over that backend connection of the stream's own. A target
+// it does not proxy draws BAD_REQUEST from the gateway itself.
 //
 // A health watcher polls every backend's /healthz (or TCP-dials backends
 // with no admin address): draining and dead backends take no new sessions,
@@ -11,7 +18,9 @@
 // replaying the client's original HELLO and last SET_LABELS. The client
 // session never breaks over a backend loss: idempotent requests caught
 // mid-failure are retried on the replacement invisibly, and CAPTURE gets a
-// typed UNAVAILABLE error, never a mismatched reply.
+// typed UNAVAILABLE error, never a mismatched reply. Streams do not
+// migrate: a producer's migration ends its streams with UNAVAILABLE, and a
+// reader subscribes again by the same id.
 //
 // Usage:
 //
@@ -151,7 +160,7 @@ func serveAndDrain(ctx context.Context, ln, adminLn net.Listener, gcfg gateway.C
 		adminSrv *http.Server
 	)
 	if adminLn != nil {
-		hstate = server.NewHealth(g.SessionsOpen)
+		hstate = new(server.Health)
 		adminSrv = &http.Server{Handler: admin.NewMux(reg, hstate, nil)}
 		go adminSrv.Serve(adminLn)
 		fmt.Fprintf(logw, "rpxgw: admin listening on %s\n", adminLn.Addr())

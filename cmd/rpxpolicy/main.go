@@ -127,7 +127,7 @@ func run(ctx context.Context, adminLn net.Listener, cfg policyloop.Config, logw 
 	var adminSrv *http.Server
 	var hstate *server.Health
 	if adminLn != nil {
-		hstate = server.NewHealth(func() int { return int(loop.Stats().Frames) })
+		hstate = new(server.Health)
 		adminSrv = &http.Server{Handler: admin.NewMux(reg, hstate, nil)}
 		go adminSrv.Serve(adminLn)
 		fmt.Fprintf(logw, "rpxpolicy: admin listening on %s\n", adminLn.Addr())

@@ -1,9 +1,10 @@
 // Package gateway implements rpxgw's session proxy, which sits in front of a
 // fleet of rpxd backends and speaks the rpxd wire protocol on both sides.
 //
-// Each client connection is pinned to one backend at HELLO time: the
-// routable backend holding the fewest of this gateway's sessions, ties going
-// in -backends order. From then on the gateway relays messages in lockstep
+// A client connection has one role, fixed by its first message, as on
+// rpxd. A session connection (HELLO) is pinned to one backend: the routable
+// backend holding the fewest of this gateway's sessions, ties going in
+// -backends order. From then on the gateway relays messages in lockstep
 // (read request, forward, read reply, forward) without decoding frame
 // payloads. The strict one-reply-per-request shape of the protocol is what
 // makes migration safe: between round trips a session has no in-flight
@@ -11,7 +12,9 @@
 // and rebuild it elsewhere, replaying the client's original HELLO and last
 // SET_LABELS bytes, at any message boundary. This migration is the one code
 // path that rebuilds a session: a client whose own connection breaks dials
-// again.
+// again. A stream connection (SUBSCRIBE) is relayed over a backend
+// connection of its own to the backend that holds its target (see
+// stream.go).
 //
 // A health watcher polls every backend's /healthz. Draining or dead
 // backends take no new sessions, and their live sessions are evacuated onto
@@ -112,10 +115,12 @@ type Gateway struct {
 	cfg     Config
 	watcher *Watcher
 
-	mu         sync.Mutex
-	sessions   map[*proxySession]struct{}
-	localLoad  map[string]int    // gateway-local sessions pinned per backend
-	remotePins map[uint64]string // backend-assigned session id -> backend addr
+	mu sync.Mutex
+	// sessions holds the proxied sessions by the id each client was given:
+	// its first HELLO_ACK's, which a migration does not change. rpxd draws
+	// session ids at random, so they are unique across the fleet.
+	sessions  map[uint64]*proxySession
+	localLoad map[string]int // gateway-local sessions pinned per backend
 
 	sessionsOpen  obs.Gauge
 	sessionsTotal obs.Counter
@@ -183,10 +188,9 @@ func New(cfg Config) (*Gateway, error) {
 		cfg.BackendTimeout = DefaultBackendTimeout
 	}
 	g := &Gateway{
-		cfg:        cfg,
-		sessions:   make(map[*proxySession]struct{}),
-		localLoad:  make(map[string]int),
-		remotePins: make(map[uint64]string),
+		cfg:       cfg,
+		sessions:  make(map[uint64]*proxySession),
+		localLoad: make(map[string]int),
 	}
 	g.ReadTimeout = cfg.ReadTimeout
 	hcfg := cfg.Health
@@ -201,14 +205,6 @@ func New(cfg Config) (*Gateway, error) {
 // Watcher returns the backend health watcher (for a deterministic Probe in
 // tests and operator tooling).
 func (g *Gateway) Watcher() *Watcher { return g.watcher }
-
-// SessionsOpen returns the number of proxied sessions currently open; it is
-// the gateway's own /healthz session count.
-func (g *Gateway) SessionsOpen() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.sessions)
-}
 
 // onHealthChange is the watcher callback: a backend that stops being
 // routable has its sessions evacuated. pick reads the watcher's states
@@ -238,7 +234,7 @@ func (g *Gateway) snapshotSessions() []*proxySession {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]*proxySession, 0, len(g.sessions))
-	for s := range g.sessions {
+	for _, s := range g.sessions {
 		out = append(out, s)
 	}
 	return out
@@ -294,12 +290,13 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// proxySession is one client connection pinned to one backend. hello and
+// proxySession is one client session pinned to one backend. hello and
 // labels hold copies of the raw payload bytes the client sent, replayed
 // verbatim on migration so the replacement backend sees exactly the
 // original workload.
 type proxySession struct {
 	gw *Gateway
+	id uint64 // the session id its client holds: the first HELLO_ACK's
 
 	mu          sync.Mutex
 	backendAddr string
@@ -313,58 +310,82 @@ type proxySession struct {
 	reply []byte
 }
 
-// handle runs one client connection: validate HELLO, pin a backend, then
-// relay request/reply pairs in lockstep.
+// clientConn is one client connection's framing: a buffered reader, the
+// buffer every client message is read into (the next read reuses it), and
+// one MessageWriter, which sends each message in a single vectored write
+// and keeps a stream's two pumps from tearing each other's messages.
+type clientConn struct {
+	g    *Gateway
+	conn net.Conn
+	br   *bufio.Reader
+	buf  []byte
+	mw   *wire.MessageWriter
+}
+
+// read reads the client's next message under the read deadline.
+func (c *clientConn) read() (byte, []byte, error) {
+	c.g.ArmRead(c.conn)
+	return wire.ReadMessageInto(c.br, &c.buf, c.g.cfg.MaxPayload)
+}
+
+// write sends one message to the client under the write deadline.
+func (c *clientConn) write(typ byte, payload []byte) error {
+	c.conn.SetWriteDeadline(time.Now().Add(c.g.cfg.WriteTimeout))
+	return c.mw.WriteMessage(typ, payload, c.g.cfg.MaxPayload)
+}
+
+// writeErr sends the client a typed ERROR.
+func (c *clientConn) writeErr(code uint16, msg string) error {
+	return c.write(wire.MsgError, wire.MarshalError(code, msg))
+}
+
+// handle serves one client connection in the role its first message
+// fixes.
 func (g *Gateway) handle(conn net.Conn) {
 	defer conn.Close()
-	cbr := bufio.NewReader(conn)
-	// One MessageWriter per client connection: each message leaves in a
-	// single vectored write, and its internal lock keeps the streaming
-	// relay's pump goroutine from tearing frames against this loop's writes.
-	// Every client message is read into cbuf, which the next read reuses, so
-	// the HELLO and SET_LABELS payloads kept for migration replay are copies.
-	cmw := wire.NewMessageWriter(conn)
-	var cbuf []byte
-	writeClient := func(typ byte, payload []byte) error {
-		conn.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
-		return cmw.WriteMessage(typ, payload, g.cfg.MaxPayload)
-	}
-	writeErr := func(code uint16, msg string) error {
-		return writeClient(wire.MsgError, wire.MarshalError(code, msg))
-	}
-
-	g.ArmRead(conn)
-	typ, payload, err := wire.ReadMessageInto(cbr, &cbuf, g.cfg.MaxPayload)
+	c := &clientConn{g: g, conn: conn, br: bufio.NewReader(conn), mw: wire.NewMessageWriter(conn)}
+	typ, payload, err := c.read()
 	if err != nil {
 		return
 	}
-	if typ != wire.MsgHello {
-		writeErr(wire.CodeProto, fmt.Sprintf("first message must be HELLO, got %d", typ))
-		return
+	switch typ {
+	case wire.MsgHello:
+		g.serveSession(c, payload)
+	case wire.MsgSubscribe:
+		g.relayStream(c, payload)
+	default:
+		c.writeErr(wire.CodeProto, fmt.Sprintf("first message must be HELLO or SUBSCRIBE, got %d", typ))
 	}
+}
+
+// serveSession validates the HELLO, pins a backend, then relays
+// request/reply pairs in lockstep until CLOSE or disconnect.
+func (g *Gateway) serveSession(c *clientConn, payload []byte) {
 	// Validate before routing so a malformed handshake is rejected here and
 	// never burns a backend dial.
 	if _, err := wire.UnmarshalHello(payload); err != nil {
-		writeErr(wire.CodeProto, err.Error())
+		c.writeErr(wire.CodeProto, err.Error())
 		return
 	}
-
+	// The HELLO is kept for migration replay, so it is copied out of the
+	// connection's read buffer.
 	s := &proxySession{gw: g, hello: bytes.Clone(payload)}
 
 	ack, reject, err := s.open()
 	if reject != nil {
 		// Deterministic backend rejection (bad geometry, bad request):
 		// relayed verbatim, no failover — every backend would say the same.
-		writeClient(wire.MsgError, wire.MarshalError(reject.Code, reject.Message))
+		c.writeErr(reject.Code, reject.Message)
 		return
 	}
 	if err != nil {
 		g.openFailures.Inc()
-		writeErr(wire.CodeUnavailable, err.Error())
+		c.writeErr(wire.CodeUnavailable, err.Error())
 		return
 	}
+	s.id = s.remoteID
 	g.mu.Lock()
-	g.sessions[s] = struct{}{}
+	g.sessions[s.id] = s
 	g.mu.Unlock()
 	g.sessionsTotal.Inc()
 	g.sessionsOpen.Add(1)
@@ -372,7 +393,7 @@ func (g *Gateway) handle(conn net.Conn) {
 	// ACK, so a client holding that ACK never sees the session counted.
 	release := sync.OnceFunc(func() {
 		g.mu.Lock()
-		delete(g.sessions, s)
+		delete(g.sessions, s.id)
 		g.mu.Unlock()
 		g.sessionsOpen.Add(-1)
 		s.mu.Lock()
@@ -380,44 +401,27 @@ func (g *Gateway) handle(conn net.Conn) {
 		s.mu.Unlock()
 	})
 	defer release()
-	if writeClient(wire.MsgHelloAck, ack) != nil {
+	if c.write(wire.MsgHelloAck, ack) != nil {
 		return
 	}
 
 	for {
-		g.ArmRead(conn)
-		typ, payload, err := wire.ReadMessageInto(cbr, &cbuf, g.cfg.MaxPayload)
+		typ, payload, err := c.read()
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {
-				writeErr(wire.CodeTooLarge, err.Error())
+				c.writeErr(wire.CodeTooLarge, err.Error())
 			}
 			return
-		}
-		// SUBSCRIBE hands the connection to the streaming relay until the
-		// stream ends; it may return a request that arrived after a
-		// server-side stream end (possibly another SUBSCRIBE).
-		for typ == wire.MsgSubscribe {
-			var ok bool
-			typ, payload, ok = s.relayStream(conn, cbr, &cbuf, writeClient, payload)
-			if !ok {
-				return
-			}
-		}
-		if typ == 0 || wire.IsStreamMessage(typ) {
-			// The stream ended cleanly with nothing pending, or a stream
-			// message outlived its stream: the backend would send no reply
-			// to it, so it is not forwarded.
-			continue
 		}
 		start := time.Now()
 		rtyp, rpayload := s.roundTrip(typ, payload)
 		g.observe(typ, start)
 		if typ == wire.MsgClose {
 			release()
-			writeClient(rtyp, rpayload)
+			c.write(rtyp, rpayload)
 			return
 		}
-		if writeClient(rtyp, rpayload) != nil {
+		if c.write(rtyp, rpayload) != nil {
 			return
 		}
 	}
@@ -464,22 +468,21 @@ func (s *proxySession) adoptBackendLocked(addr string) (ackPayload []byte, err e
 		return nil, err
 	}
 	br := bufio.NewReader(conn)
-	ack, ackPayload, err := wire.Handshake(conn, br, s.hello, s.gw.cfg.MaxPayload, s.gw.cfg.BackendTimeout)
+	ackPayload, err = wire.Handshake(conn, br, wire.MsgHello, s.hello, s.gw.cfg.MaxPayload, s.gw.cfg.BackendTimeout)
+	var ack wire.HelloAck
+	if err == nil {
+		ack, err = wire.UnmarshalHelloAck(ackPayload)
+	}
+	if err == nil && s.labels != nil {
+		err = s.replayLabels(conn, br)
+	}
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	if s.labels != nil {
-		if err = s.replayLabels(conn, br); err != nil {
-			conn.Close()
-			return nil, err
-		}
-	}
 	s.bconn, s.bbr, s.backendAddr = conn, br, addr
-	// Remember which backend owns this remote session id so SUBSCRIBE
-	// targets can be routed to the producer's backend.
+	// SUBSCRIBE targets naming this session are rewritten to this id.
 	s.remoteID = ack.SessionID
-	s.gw.setRemotePin(ack.SessionID, addr)
 	return ackPayload, nil
 }
 
@@ -518,7 +521,6 @@ func (s *proxySession) closeBackendLocked() {
 	}
 	s.bconn, s.bbr = nil, nil
 	if s.backendAddr != "" {
-		s.gw.dropRemotePin(s.remoteID)
 		s.remoteID = 0
 		s.gw.unload(s.backendAddr)
 		s.backendAddr = ""
@@ -667,9 +669,8 @@ func (g *Gateway) registerMetrics(reg *obs.Registry) {
 
 // BackendSnapshot is one backend's state in a Snapshot.
 type BackendSnapshot struct {
-	State            string `json:"state"`
-	LocalSessions    int    `json:"local_sessions"`
-	ReportedSessions int    `json:"reported_sessions"`
+	State         string `json:"state"`
+	LocalSessions int    `json:"local_sessions"`
 }
 
 // Snapshot is the gateway's final-stats summary (logged on shutdown).
@@ -699,11 +700,9 @@ func (g *Gateway) Snapshot() Snapshot {
 	}
 	g.mu.Unlock()
 	for _, b := range g.cfg.Backends {
-		st := g.watcher.Status(b.Addr)
 		snap.Backends[b.Addr] = BackendSnapshot{
-			State:            st.State.String(),
-			LocalSessions:    local[b.Addr],
-			ReportedSessions: st.Sessions,
+			State:         g.watcher.Status(b.Addr).State.String(),
+			LocalSessions: local[b.Addr],
 		}
 	}
 	return snap

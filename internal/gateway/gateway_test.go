@@ -63,7 +63,7 @@ func startBackend(tb testing.TB) *testBackend {
 func startBackendWithAdmin(tb testing.TB) *testBackend {
 	tb.Helper()
 	b := startBackend(tb)
-	b.health = server.NewHealth(b.mgr.SessionsOpen)
+	b.health = new(server.Health)
 	ts := httptest.NewServer(b.health)
 	tb.Cleanup(ts.Close)
 	b.admin = ts.Listener.Addr().String()
@@ -220,7 +220,7 @@ func TestGatewayProxySingleBackend(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatalf("close through gateway: %v", err)
 	}
-	if n := g.SessionsOpen(); n != 0 {
+	if n := g.Snapshot().SessionsOpen; n != 0 {
 		t.Fatalf("SessionsOpen after close = %d, want 0", n)
 	}
 }

@@ -49,10 +49,6 @@ func (s State) String() string {
 // Status is one backend's latest probe result.
 type Status struct {
 	State State
-	// Sessions is the backend's own open-session count as reported by its
-	// /healthz body, -1 when unknown. It is reported in the gateway's
-	// final-stats snapshot; placement does not read it.
-	Sessions int
 	// Err is the most recent probe error (nil while the backend answers).
 	Err error
 }
@@ -75,9 +71,8 @@ type WatcherConfig struct {
 
 // Watcher polls every backend's /healthz (falling back to a TCP dial probe
 // of the wire address when no admin endpoint is configured) and classifies
-// each as healthy, draining, or dead. The JSON healthz body also carries the
-// backend's open-session count; a body that is not JSON health is a failed
-// probe.
+// each as healthy, draining, or dead. A body that is not JSON health is a
+// failed probe.
 type Watcher struct {
 	backends []Backend
 	cfg      WatcherConfig
@@ -124,7 +119,7 @@ func NewWatcher(backends []Backend, cfg WatcherConfig) *Watcher {
 		done:     make(chan struct{}),
 	}
 	for _, b := range backends {
-		w.status[b.Addr] = &probeState{Status: Status{State: StateUnknown, Sessions: -1}}
+		w.status[b.Addr] = &probeState{}
 	}
 	return w
 }
@@ -167,7 +162,7 @@ func (w *Watcher) Stop() {
 	}
 }
 
-// Status returns the latest probe result for addr (StateUnknown/-1 for an
+// Status returns the latest probe result for addr (StateUnknown for an
 // address the watcher does not track).
 func (w *Watcher) Status(addr string) Status {
 	w.mu.Lock()
@@ -175,7 +170,7 @@ func (w *Watcher) Status(addr string) Status {
 	if ps, ok := w.status[addr]; ok {
 		return ps.Status
 	}
-	return Status{State: StateUnknown, Sessions: -1}
+	return Status{}
 }
 
 // Probe runs one synchronous probe round over all backends, firing
@@ -212,7 +207,6 @@ func (w *Watcher) Probe() {
 				ps.Err = st.Err
 				if ps.strikes >= w.cfg.Strikes {
 					ps.State = StateDead
-					ps.Sessions = -1
 				}
 			}
 			to := ps.State
@@ -239,39 +233,39 @@ func (w *Watcher) probeOne(b Backend) Status {
 		// alive from dead, nothing more.
 		conn, err := net.DialTimeout("tcp", b.Addr, w.cfg.Timeout)
 		if err != nil {
-			return Status{State: StateDead, Sessions: -1, Err: err}
+			return Status{State: StateDead, Err: err}
 		}
 		conn.Close()
-		return Status{State: StateHealthy, Sessions: -1}
+		return Status{State: StateHealthy}
 	}
 	resp, err := w.client.Get("http://" + b.Admin + "/healthz")
 	if err != nil {
-		return Status{State: StateDead, Sessions: -1, Err: err}
+		return Status{State: StateDead, Err: err}
 	}
 	body, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
 	if rerr != nil {
-		return Status{State: StateDead, Sessions: -1, Err: rerr}
+		return Status{State: StateDead, Err: rerr}
 	}
 	// Every backend that speaks the one wire protocol version answers in
 	// JSON health; any other body counts as a probe failure.
 	switch resp.StatusCode {
 	case http.StatusOK:
-		if hs, err := server.ParseHealth(body); err == nil {
-			return Status{State: StateHealthy, Sessions: hs.Sessions}
+		if _, err := server.ParseHealth(body); err == nil {
+			return Status{State: StateHealthy}
 		}
-		return Status{State: StateDead, Sessions: -1,
+		return Status{State: StateDead,
 			Err: fmt.Errorf("gateway: %s healthz answered 200 with unrecognized body %q", b.Admin, body)}
 	case http.StatusServiceUnavailable:
 		// 503 with a draining body is the planned-shutdown signal; any
 		// other 503 counts as a probe failure (it may be an intermediary).
 		if hs, err := server.ParseHealth(body); err == nil && hs.State == server.HealthDraining {
-			return Status{State: StateDraining, Sessions: hs.Sessions}
+			return Status{State: StateDraining}
 		}
-		return Status{State: StateDead, Sessions: -1,
+		return Status{State: StateDead,
 			Err: fmt.Errorf("gateway: %s healthz answered 503 with unrecognized body %q", b.Admin, body)}
 	default:
-		return Status{State: StateDead, Sessions: -1,
+		return Status{State: StateDead,
 			Err: fmt.Errorf("gateway: %s healthz answered %d", b.Admin, resp.StatusCode)}
 	}
 }

@@ -19,7 +19,6 @@ type scriptedHealth struct {
 	mu          sync.Mutex
 	code        int
 	body        string
-	sessions    int
 	metricsHits int
 }
 
@@ -38,7 +37,7 @@ func (s *scriptedHealth) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, s.body)
 	case "/metrics":
 		s.metricsHits++
-		fmt.Fprintf(w, "# HELP rpxd_sessions_open Currently open sessions.\n# TYPE rpxd_sessions_open gauge\nrpxd_sessions_open %d\n", s.sessions)
+		fmt.Fprint(w, "# HELP rpxd_sessions_open Currently open sessions.\n# TYPE rpxd_sessions_open gauge\nrpxd_sessions_open 0\n")
 	default:
 		http.NotFound(w, r)
 	}
@@ -46,10 +45,9 @@ func (s *scriptedHealth) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestWatcherTransitions walks one backend through the full state machine —
 // unknown → healthy → draining → dead → healthy — with deterministic Probe
-// calls, checking OnChange fires exactly on the transitions and the JSON
-// session count rides along.
+// calls, checking OnChange fires exactly on the transitions.
 func TestWatcherTransitions(t *testing.T) {
-	sh := &scriptedHealth{code: 200, body: `{"state":"ok","sessions":3}`}
+	sh := &scriptedHealth{code: 200, body: `{"state":"ok"}`}
 	ts := httptest.NewServer(sh)
 	defer ts.Close()
 	admin := ts.Listener.Addr().String()
@@ -66,19 +64,19 @@ func TestWatcherTransitions(t *testing.T) {
 		},
 	})
 
-	if st := w.Status(b.Addr); st.State != StateUnknown || st.Sessions != -1 {
-		t.Fatalf("pre-probe status = %+v, want unknown/-1", st)
+	if st := w.Status(b.Addr); st.State != StateUnknown {
+		t.Fatalf("pre-probe status = %+v, want unknown", st)
 	}
 
 	w.Probe()
-	if st := w.Status(b.Addr); st.State != StateHealthy || st.Sessions != 3 {
-		t.Fatalf("after healthy probe: %+v, want healthy/3", st)
+	if st := w.Status(b.Addr); st.State != StateHealthy {
+		t.Fatalf("after healthy probe: %+v, want healthy", st)
 	}
 
-	sh.set(503, `{"state":"draining","sessions":2}`)
+	sh.set(503, `{"state":"draining"}`)
 	w.Probe()
-	if st := w.Status(b.Addr); st.State != StateDraining || st.Sessions != 2 {
-		t.Fatalf("after draining probe: %+v, want draining/2", st)
+	if st := w.Status(b.Addr); st.State != StateDraining {
+		t.Fatalf("after draining probe: %+v, want draining", st)
 	}
 
 	// Hard failures: the first strike keeps the last authoritative state,
@@ -93,10 +91,10 @@ func TestWatcherTransitions(t *testing.T) {
 		t.Fatalf("after two strikes: %+v, want dead with error", st)
 	}
 
-	sh.set(200, `{"state":"ok","sessions":0}`)
+	sh.set(200, `{"state":"ok"}`)
 	w.Probe()
-	if st := w.Status(b.Addr); st.State != StateHealthy || st.Sessions != 0 {
-		t.Fatalf("after recovery: %+v, want healthy/0", st)
+	if st := w.Status(b.Addr); st.State != StateHealthy {
+		t.Fatalf("after recovery: %+v, want healthy", st)
 	}
 
 	mu.Lock()
@@ -133,7 +131,7 @@ func TestWatcherAppliesRoundsInOrder(t *testing.T) {
 		mu.Unlock()
 		if !first {
 			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprint(w, `{"state":"draining","sessions":0}`)
+			fmt.Fprint(w, `{"state":"draining"}`)
 			return
 		}
 		close(firstArrived)
@@ -144,7 +142,7 @@ func TestWatcherAppliesRoundsInOrder(t *testing.T) {
 		case <-release:
 		case <-time.After(200 * time.Millisecond):
 		}
-		fmt.Fprint(w, `{"state":"ok","sessions":0}`)
+		fmt.Fprint(w, `{"state":"ok"}`)
 	}))
 	defer ts.Close()
 
@@ -165,7 +163,7 @@ func TestWatcherAppliesRoundsInOrder(t *testing.T) {
 // in JSON, so a 200 or 503 whose body is not JSON health is a failed probe,
 // and the watcher never asks the backend's /metrics for a weight.
 func TestWatcherPlainTextFallback(t *testing.T) {
-	sh := &scriptedHealth{sessions: 7}
+	sh := &scriptedHealth{}
 	ts := httptest.NewServer(sh)
 	defer ts.Close()
 	b := Backend{Addr: "198.51.100.2:7621", Admin: ts.Listener.Addr().String()}
@@ -175,15 +173,15 @@ func TestWatcherPlainTextFallback(t *testing.T) {
 		code int
 		body string
 	}{{200, "ok\n"}, {503, "draining\n"}} {
-		sh.set(200, `{"state":"ok","sessions":3}`)
+		sh.set(200, `{"state":"ok"}`)
 		w.Probe()
 		if st := w.Status(b.Addr); st.State != StateHealthy {
 			t.Fatalf("JSON healthy: %v, want healthy", st.State)
 		}
 		sh.set(bare.code, bare.body)
 		w.Probe()
-		if st := w.Status(b.Addr); st.State != StateDead || st.Err == nil || st.Sessions != -1 {
-			t.Fatalf("%d %q: %+v, want a failed probe (dead after 1 strike, error, sessions -1)", bare.code, bare.body, st)
+		if st := w.Status(b.Addr); st.State != StateDead || st.Err == nil {
+			t.Fatalf("%d %q: %+v, want a failed probe (dead after 1 strike, error)", bare.code, bare.body, st)
 		}
 	}
 	sh.mu.Lock()
@@ -203,9 +201,6 @@ func TestWatcherDialFallback(t *testing.T) {
 	w.Probe()
 	if st := w.Status(b.Addr); st.State != StateHealthy {
 		t.Fatalf("dialable backend: %v, want healthy", st.State)
-	}
-	if st := w.Status(b.Addr); st.Sessions != -1 {
-		t.Fatalf("dial probe reported sessions %d, want -1 (unknown)", st.Sessions)
 	}
 	srv.Close()
 	w.Probe()
@@ -235,21 +230,19 @@ func TestWatcherStopWithoutStart(t *testing.T) {
 // server.Health handler rpxd serves: the watcher must classify its actual
 // 200 and 503 bodies, not a hand-written imitation.
 func TestWatcherUsesSharedHealthHandler(t *testing.T) {
-	n := 5
-	h := server.NewHealth(func() int { return n })
+	h := new(server.Health)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	b := Backend{Addr: "198.51.100.3:7621", Admin: ts.Listener.Addr().String()}
 	w := NewWatcher([]Backend{b}, WatcherConfig{})
 
 	w.Probe()
-	if st := w.Status(b.Addr); st.State != StateHealthy || st.Sessions != 5 {
-		t.Fatalf("against real handler: %+v, want healthy/5", st)
+	if st := w.Status(b.Addr); st.State != StateHealthy {
+		t.Fatalf("against real handler: %+v, want healthy", st)
 	}
 	h.SetDraining()
-	n = 2
 	w.Probe()
-	if st := w.Status(b.Addr); st.State != StateDraining || st.Sessions != 2 {
-		t.Fatalf("against real draining handler: %+v, want draining/2", st)
+	if st := w.Status(b.Addr); st.State != StateDraining {
+		t.Fatalf("against real draining handler: %+v, want draining", st)
 	}
 }

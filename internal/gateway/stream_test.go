@@ -2,6 +2,7 @@ package gateway_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -28,7 +29,7 @@ func dialVia(t *testing.T, addr string, w, h int) *client.Session {
 
 // TestGatewayStreamRelay: a push subscription through the gateway delivers
 // the producer's frames in lockstep — whole messages, correct order — and
-// a clean unsubscribe returns the proxied connection to request/reply.
+// after a clean unsubscribe the subscribing session still serves.
 func TestGatewayStreamRelay(t *testing.T) {
 	b := startBackend(t)
 	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
@@ -100,42 +101,27 @@ func sessionsAcross(backends []*testBackend) []int {
 }
 
 // TestGatewayStreamCrossBackendTarget: when the SUBSCRIBE target lives on a
-// different backend than the subscriber, the gateway migrates the
-// subscriber onto the producer's backend (replaying its handshake) and the
-// stream flows. Each backend assigns one session here, so the target
-// resolves only because rpxd's ids are unique across the fleet.
+// different backend than the subscriber's session, the stream dials the
+// target's backend itself: the frames flow, and no session moves.
 func TestGatewayStreamCrossBackendTarget(t *testing.T) {
 	backends := []*testBackend{startBackend(t), startBackend(t)}
-	addr, _ := startGateway(t, []gateway.Backend{{Addr: backends[0].addr}, {Addr: backends[1].addr}}, nil)
+	reg := obs.NewRegistry()
+	addr, _ := startGateway(t, []gateway.Backend{{Addr: backends[0].addr}, {Addr: backends[1].addr}}, func(cfg *gateway.Config) { cfg.Metrics = reg })
 
 	producer := dialVia(t, addr, 32, 32)
 	if err := producer.SetRegionLabels([]rpx.RegionLabel{rpx.FullFrame(32, 32)}); err != nil {
 		t.Fatal(err)
 	}
-	prodBackend := -1
-	for i, n := range sessionsAcross(backends) {
-		if n == 1 {
-			prodBackend = i
-		}
-	}
-	if prodBackend < 0 {
-		t.Fatal("cannot locate the producer's backend")
-	}
-	// Placement puts the second session on the less-loaded backend.
+	// Placement puts the second session on the other backend.
 	subscriber := dialVia(t, addr, 8, 8)
-	if n := backends[1-prodBackend].mgr.SessionsOpen(); n != 1 {
-		t.Fatalf("subscriber placed beside the producer (other backend holds %d sessions)", n)
+	if got := sessionsAcross(backends); got[0] != 1 || got[1] != 1 {
+		t.Fatalf("sessions per backend = %v, want one each", got)
 	}
 
 	st, err := subscriber.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 16})
 	if err != nil {
 		t.Fatalf("cross-backend subscribe: %v", err)
 	}
-	// The subscriber's session must now be co-located with the producer.
-	if n := backends[prodBackend].mgr.SessionsOpen(); n < 2 {
-		t.Fatalf("producer backend has %d sessions, want the migrated subscriber too", n)
-	}
-
 	fr := rpx.NewFrame(32, 32, rpx.Gray8)
 	for i := 0; i < 3; i++ {
 		fillFrame(fr, 2, i)
@@ -153,11 +139,29 @@ func TestGatewayStreamCrossBackendTarget(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if got := sessionsAcross(backends); got[0] != 1 || got[1] != 1 {
+		t.Fatalf("sessions per backend after the stream = %v, want one each", got)
+	}
+	if v := gatherValue(t, reg, "rpxgw_sessions_rerouted_total"); v != 0 {
+		t.Fatalf("rpxgw_sessions_rerouted_total = %v, want 0", v)
+	}
+}
+
+// gatherValue reads one unlabelled series from reg.
+func gatherValue(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	for _, smp := range reg.Gather() {
+		if smp.Name == name {
+			return smp.Value
+		}
+	}
+	t.Fatalf("no %s series", name)
+	return 0
 }
 
 // TestGatewayStreamBackendKill: killing the backend mid-subscription ends
 // the stream with a typed UNAVAILABLE error — never a torn message — and
-// the same client connection can re-subscribe to a producer on a survivor.
+// the same client session can subscribe to a producer on a survivor.
 func TestGatewayStreamBackendKill(t *testing.T) {
 	backends := []*testBackend{startBackend(t), startBackend(t)}
 	addr, _ := startGateway(t, []gateway.Backend{{Addr: backends[0].addr}, {Addr: backends[1].addr}}, nil)
@@ -180,9 +184,6 @@ func TestGatewayStreamBackendKill(t *testing.T) {
 	st, err := subscriber.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 32})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n := backends[prodBackend].mgr.SessionsOpen(); n < 2 {
-		t.Fatalf("producer backend has %d sessions, want the migrated subscriber too", n)
 	}
 	fr := rpx.NewFrame(32, 32, rpx.Gray8)
 	for i := 0; i < 4; i++ {
@@ -210,8 +211,8 @@ func TestGatewayStreamBackendKill(t *testing.T) {
 		t.Fatalf("Recv after kill = %v, want UNAVAILABLE", err)
 	}
 
-	// A fresh producer lands on the survivor; the same subscriber
-	// connection re-subscribes and receives its pushes.
+	// A fresh producer lands on the survivor; the same subscriber session
+	// subscribes to it and receives its pushes.
 	producer2 := dialVia(t, addr, 32, 32)
 	if err := producer2.SetRegionLabels([]rpx.RegionLabel{rpx.FullFrame(32, 32)}); err != nil {
 		t.Fatal(err)
@@ -238,29 +239,24 @@ func TestGatewayStreamBackendKill(t *testing.T) {
 	}
 }
 
-// TestGatewayStreamEvacuation: evacuating a subscriber's backend mid-stream
-// ends the stream with a typed UNAVAILABLE error, and the stream leaves the
-// session's replacement backend connection alone, so its next request is
-// served there after one migration, not two.
+// TestGatewayStreamEvacuation: draining the producer's backend migrates
+// the producer, which ends its stream with a typed UNAVAILABLE error. The
+// subscriber subscribes again by the id the producer's client holds — the
+// gateway rewrites it to the producer's new remote id — and the frames
+// flow from the new backend.
 func TestGatewayStreamEvacuation(t *testing.T) {
 	a, b := startBackendWithAdmin(t), startBackendWithAdmin(t)
 	addr, g := startGateway(t, []gateway.Backend{{Addr: a.addr, Admin: a.admin}, {Addr: b.addr, Admin: b.admin}}, nil)
 	g.Watcher().Probe()
 
-	// The producer dials A directly, so the gateway relays the subscribe
-	// to wherever the subscriber is: on A, where placement puts the
-	// gateway's first session.
-	producer, err := client.Dial(a.addr, client.Config{W: 32, H: 32, Format: rpx.Gray8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer producer.Close()
+	// Placement puts the producer on A and the subscriber's session on B.
+	producer := dialVia(t, addr, 32, 32)
 	if err := producer.SetRegionLabels([]rpx.RegionLabel{rpx.FullFrame(32, 32)}); err != nil {
 		t.Fatal(err)
 	}
 	subscriber := dialVia(t, addr, 8, 8)
-	if n := a.mgr.SessionsOpen(); n != 2 {
-		t.Fatalf("backend A holds %d sessions, want the producer and the subscriber", n)
+	if a.mgr.SessionsOpen() != 1 || b.mgr.SessionsOpen() != 1 {
+		t.Fatalf("sessions on A, B = %d, %d; want one each", a.mgr.SessionsOpen(), b.mgr.SessionsOpen())
 	}
 	st, err := subscriber.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 16})
 	if err != nil {
@@ -282,14 +278,40 @@ func TestGatewayStreamEvacuation(t *testing.T) {
 	if !errors.As(err, &re) || re.Code != wire.CodeUnavailable {
 		t.Fatalf("Recv after drain = %v, want UNAVAILABLE", err)
 	}
-	if _, err := subscriber.Capture(rpx.NewFrame(8, 8, rpx.Gray8)); err != nil {
-		t.Fatalf("request after the evacuated stream: %v", err)
+	// The stream ends as the producer leaves A; its migration lands on B
+	// right after.
+	for deadline := time.Now().Add(5 * time.Second); g.Snapshot().Rerouted != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions rerouted = %d, want 1 (the producer)", g.Snapshot().Rerouted)
+		}
 	}
-	if snap := g.Snapshot(); snap.Rerouted != 1 {
-		t.Fatalf("sessions rerouted = %d, want 1 (the stream closed its replacement connection?)", snap.Rerouted)
+	if n := b.mgr.SessionsOpen(); n != 2 {
+		t.Fatalf("backend B holds %d sessions, want the subscriber and the evacuated producer", n)
 	}
-	if n := b.mgr.SessionsOpen(); n != 1 {
-		t.Fatalf("backend B holds %d sessions, want the evacuated subscriber", n)
+
+	st, err = subscriber.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 16})
+	if err != nil {
+		t.Fatalf("re-subscribe by the producer's original id: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		fillFrame(fr, 5, 1+i)
+		cs, err := producer.Capture(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := st.Recv()
+		if err != nil {
+			t.Fatalf("Recv %d after migration: %v", i, err)
+		}
+		if f.Seq != uint64(cs.FrameIndex) {
+			t.Fatalf("frame seq %d, producer captured frame %d", f.Seq, cs.FrameIndex)
+		}
+	}
+	if b.mgr.SubscriptionsOpen() != 1 || a.mgr.SubscriptionsOpen() != 0 {
+		t.Fatalf("subscriptions on A, B = %d, %d; want the stream on B", a.mgr.SubscriptionsOpen(), b.mgr.SubscriptionsOpen())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -300,7 +322,7 @@ func TestGatewaySubscribeLatency(t *testing.T) {
 	reg := obs.NewRegistry()
 	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, func(cfg *gateway.Config) { cfg.Metrics = reg })
 	sess := dialVia(t, addr, 8, 8)
-	st, err := sess.Subscribe(client.SubscribeOptions{Credit: 1})
+	st, err := sess.Subscribe(client.SubscribeOptions{Target: sess.ID(), Credit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,28 +343,76 @@ func TestGatewaySubscribeLatency(t *testing.T) {
 	t.Fatal("no subscribe latency histogram registered")
 }
 
-// TestGatewayDropsStreamMessagesOutsideStream: a CREDIT, STREAM_LABELS or
-// UNSUBSCRIBE that reaches the gateway after the stream's UNSUBSCRIBE ack
-// is dropped, not relayed as a request — the backend sends no reply to it —
-// so the next request/reply call reads its own reply: a CAPTURE_ACK, which
-// no stale stream message can draw.
-func TestGatewayDropsStreamMessagesOutsideStream(t *testing.T) {
+// TestGatewayOneRolePerConnection: through the gateway as on rpxd, a
+// connection's first message fixes its one role. A session connection
+// answers SUBSCRIBE and the stream messages with PROTO and keeps serving;
+// a stream answers any other message with PROTO and ends. A SUBSCRIBE of
+// another protocol version draws PROTO, and one naming target 0 or a
+// session the gateway does not proxy draws an ERROR from the gateway,
+// opening no subscription on any backend.
+func TestGatewayOneRolePerConnection(t *testing.T) {
 	b := startBackend(t)
 	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
 	send, expect := rawSession(t, addr)
-	send(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{Credit: 4, Batch: 1}))
-	ack, err := wire.UnmarshalSubscribeAck(expect(wire.MsgSubscribeAck))
+	producer := dialVia(t, addr, 16, 16)
+	subscribe := wire.MarshalSubscribe(wire.Subscribe{Target: producer.ID(), Credit: 4, Batch: 1})
+	for _, req := range []struct {
+		typ     byte
+		payload []byte
+	}{
+		{wire.MsgSubscribe, subscribe},
+		{wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: 1, N: 1})},
+		{wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{SubID: 1, Labels: rpx.RegionList{{W: 4, H: 4, Stride: 1, Skip: 1}}})},
+		{wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: 1})},
+	} {
+		send(req.typ, req.payload)
+		expectCode(t, expect(wire.MsgError), wire.CodeProto)
+	}
+	send(wire.MsgCapture, make([]byte, 16*16))
+	expect(wire.MsgCaptureAck)
+
+	stream := dialRaw(t, addr)
+	writeRaw(t, stream, wire.MsgSubscribe, subscribe)
+	readRaw(t, stream, wire.MsgSubscribeAck)
+	writeRaw(t, stream, wire.MsgCapture, make([]byte, 16*16))
+	expectCode(t, readRaw(t, stream, wire.MsgError), wire.CodeProto)
+	if _, _, err := wire.ReadMessage(stream, 0); err == nil {
+		t.Fatal("the stream served on after a PROTO error")
+	}
+
+	v10 := bytes.Clone(subscribe)
+	binary.LittleEndian.PutUint32(v10[4:], 10)
+	zero := bytes.Clone(subscribe)
+	binary.LittleEndian.PutUint64(zero[8:], 0)
+	foreign := wire.MarshalSubscribe(wire.Subscribe{Target: producer.ID() + 1, Credit: 4})
+	for _, tc := range []struct {
+		payload []byte
+		code    uint16
+	}{{v10, wire.CodeProto}, {zero, wire.CodeProto}, {foreign, wire.CodeBadRequest}} {
+		conn := dialRaw(t, addr)
+		writeRaw(t, conn, wire.MsgSubscribe, tc.payload)
+		expectCode(t, readRaw(t, conn, wire.MsgError), tc.code)
+	}
+	for deadline := time.Now().Add(5 * time.Second); b.mgr.SubscriptionsOpen() != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("backend holds %d subscriptions, want 0", b.mgr.SubscriptionsOpen())
+		}
+	}
+	if n := b.mgr.Snapshot().StreamSubsOpen; n != 0 {
+		t.Fatalf("snapshot counts %d open subscriptions", n)
+	}
+}
+
+// expectCode fails unless payload is an ERROR with the given code.
+func expectCode(t *testing.T, payload []byte, code uint16) {
+	t.Helper()
+	re, err := wire.UnmarshalError(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
-	expect(wire.MsgAck)
-
-	send(wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: ack.SubID, N: 1}))
-	send(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{SubID: ack.SubID, Labels: rpx.RegionList{{W: 4, H: 4, Stride: 1, Skip: 1}}}))
-	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
-	send(wire.MsgCapture, make([]byte, 16*16))
-	expect(wire.MsgCaptureAck)
+	if re.Code != code {
+		t.Fatalf("error %v, want code %d", re, code)
+	}
 }
 
 // TestGatewayRetiredTypesGetProtoError: the gateway relays the request
@@ -374,31 +444,50 @@ func TestGatewayRetiredTypesGetProtoError(t *testing.T) {
 // returns its message send and expect-reply helpers.
 func rawSession(t *testing.T, addr string) (send func(typ byte, payload []byte), expect func(want byte) []byte) {
 	t.Helper()
+	conn := dialRaw(t, addr)
+	send = func(typ byte, payload []byte) {
+		t.Helper()
+		writeRaw(t, conn, typ, payload)
+	}
+	expect = func(want byte) []byte {
+		t.Helper()
+		return readRaw(t, conn, want)
+	}
+	send(wire.MsgHello, wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: rpx.Gray8}))
+	expect(wire.MsgHelloAck)
+	return send, expect
+}
+
+// dialRaw opens a raw connection to addr, closed when the test ends.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	send = func(typ byte, payload []byte) {
-		t.Helper()
-		if err := wire.WriteMessage(conn, typ, payload, 0); err != nil {
-			t.Fatal(err)
-		}
+	return conn
+}
+
+// writeRaw sends one message on conn.
+func writeRaw(t *testing.T, conn net.Conn, typ byte, payload []byte) {
+	t.Helper()
+	if err := wire.WriteMessage(conn, typ, payload, 0); err != nil {
+		t.Fatal(err)
 	}
-	expect = func(want byte) []byte {
-		t.Helper()
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		typ, payload, err := wire.ReadMessage(conn, 0)
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		if typ != want {
-			re, _ := wire.UnmarshalError(payload)
-			t.Fatalf("got message type %d (%v), want %d", typ, re, want)
-		}
-		return payload
+}
+
+// readRaw reads one message of type want from conn and returns its payload.
+func readRaw(t *testing.T, conn net.Conn, want byte) []byte {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, payload, err := wire.ReadMessage(conn, 0)
+	if err != nil {
+		t.Fatalf("read: %v", err)
 	}
-	send(wire.MsgHello, wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: rpx.Gray8}))
-	expect(wire.MsgHelloAck)
-	return send, expect
+	if typ != want {
+		re, _ := wire.UnmarshalError(payload)
+		t.Fatalf("got message type %d (%v), want %d", typ, re, want)
+	}
+	return payload
 }

@@ -62,7 +62,7 @@ type Config struct {
 	CycleLength int
 	// W, H, Format describe the target session's frames — the geometry the
 	// loop's decoder reconstructs. (The loop's own wire session is a minimal
-	// placeholder; only the subscription matters.)
+	// placeholder that opens the stream.)
 	W, H   int
 	Format rpx.Format
 	// Tile is the motion-grid pitch in pixels (0 = policy.DefaultMotionTile).
@@ -77,10 +77,10 @@ type Config struct {
 	// Timeout bounds each stream read; a producer idle longer than this
 	// breaks the subscription, and Run re-attaches. 0 = client default.
 	Timeout time.Duration
-	// Run re-dials and re-subscribes after every transport error, with
-	// exponential backoff. MaxRetries bounds consecutive failed attempts
-	// (0 = DefaultMaxRetries; a successful re-attach resets the count);
-	// Backoff is the base delay (0 = DefaultBackoff).
+	// Run re-dials and re-subscribes after every error but a missing
+	// target, with exponential backoff. MaxRetries bounds consecutive
+	// failed attempts (0 = DefaultMaxRetries; a successful re-attach resets
+	// the count); Backoff is the base delay (0 = DefaultBackoff).
 	MaxRetries int
 	Backoff    time.Duration
 	// Metrics, when non-nil, receives the rpxpolicy_* series.
@@ -100,7 +100,7 @@ type Stats struct {
 	// rejections leave the previous workload in force.
 	LabelsPushed   uint64
 	LabelsRejected uint64
-	// Reconnects counts successful re-attachments after transport errors.
+	// Reconnects counts successful re-attachments after a stream ended.
 	Reconnects uint64
 	// LastBoundary is the most recent LABELS_APPLIED frame index: every
 	// frame from it on was captured under the loop's latest accepted
@@ -170,7 +170,7 @@ func New(cfg Config) (*Loop, error) {
 		m.CounterFunc("rpxpolicy_cycles_total", "completed observe+push policy cycles", l.cycles.Load)
 		m.CounterFunc("rpxpolicy_labels_pushed_total", "label workloads pushed to the target", l.pushed.Load)
 		m.CounterFunc("rpxpolicy_labels_rejected_total", "pushed workloads the server refused", l.rejected.Load)
-		m.CounterFunc("rpxpolicy_reconnects_total", "successful re-attachments after transport errors", l.reconnects.Load)
+		m.CounterFunc("rpxpolicy_reconnects_total", "successful re-attachments after a stream ended", l.reconnects.Load)
 		m.CounterFunc("rpxpolicy_stream_gaps_total", "Seq discontinuities that restarted the decode history", l.gaps.Load)
 		m.GaugeFunc("rpxpolicy_last_boundary", "frame index of the latest accepted workload's boundary",
 			func() float64 { return float64(l.lastBoundary.Load()) })
@@ -201,11 +201,14 @@ func (l *Loop) logf(format string, args ...any) {
 }
 
 // Run drives the loop until ctx is cancelled (returns nil: graceful drain),
-// the producing session ends (returns a "stream ended by server" error
-// wrapping the server's *wire.RemoteError), or an unrecoverable error
-// occurs. Transport errors — a dropped connection included — re-dial and
-// re-subscribe under exponential backoff instead of returning, until
-// MaxRetries consecutive attempts have failed.
+// the target session is gone (returns a "target session ... is gone" error
+// wrapping the server's *wire.RemoteError), or MaxRetries consecutive
+// attempts have failed. Every other error re-dials and re-subscribes under
+// exponential backoff instead of returning: a dropped connection, and a
+// stream the server ended too — through rpxgw, a producer's migration ends
+// its streams with UNAVAILABLE while the producer lives on under the same
+// id. When the producer closes, its stream ends the same way, and the
+// SUBSCRIBE that follows is answered BAD_REQUEST.
 func (l *Loop) Run(ctx context.Context) error {
 	attempts := 0
 	for {
@@ -213,11 +216,9 @@ func (l *Loop) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return nil
 		}
-		// A terminal server error means the producer is gone for good
-		// (session closed); re-attaching would target a dead id.
 		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			return fmt.Errorf("policyloop: stream ended by server: %w", err)
+		if !attached && errors.As(err, &re) && re.Code == wire.CodeBadRequest {
+			return fmt.Errorf("policyloop: target session %d is gone: %w", l.cfg.Target, err)
 		}
 		if attached {
 			attempts = 0
@@ -242,8 +243,9 @@ func (l *Loop) Run(ctx context.Context) error {
 // attached reports whether the subscription was established (used to reset
 // the retry budget).
 func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
-	// The loop's own session is a minimal placeholder — only the
-	// subscription (and its label-feedback channel) matters.
+	// The loop's own session is a minimal placeholder that opens the
+	// stream: the stream runs on a connection of its own, and closing the
+	// session closes it too.
 	sess, err := client.Dial(l.cfg.Addr, client.Config{
 		W: 8, H: 8, Format: rpx.Gray8,
 		RequestTimeout: l.cfg.Timeout,
@@ -267,8 +269,8 @@ func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 	l.everAttached = true
 	l.logf("policyloop: attached to session %d (policy %s, CL %d, credit %d)",
 		l.cfg.Target, l.cfg.Policy, l.cfg.CycleLength, l.cfg.Credit)
-	// Recv blocks in a read; cancelling ctx closes the session underneath it
-	// so the drain is prompt. watcherDone keeps the watcher from outliving
+	// Recv blocks in a read; cancelling ctx closes the session, and with it
+	// the stream underneath Recv, so the drain is prompt. watcherDone keeps the watcher from outliving
 	// this attachment and closing a future session's connection.
 	watcherDone := make(chan struct{})
 	defer close(watcherDone)

@@ -2,16 +2,20 @@ package policyloop
 
 import (
 	"context"
+	"errors"
 	"net"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faultnet"
+	"repro/internal/gateway"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/rpx"
 	"repro/rpx/client"
 )
@@ -274,6 +278,114 @@ func TestLoopReattachesAfterDroppedConnection(t *testing.T) {
 	cancel()
 	if err := <-runErr; err != nil {
 		t.Fatalf("Run after cancel = %v, want nil", err)
+	}
+}
+
+// TestLoopFollowsProducerAcrossGatewayDrain: through rpxgw, draining the
+// producer's backend migrates the producer, which ends the worker's stream
+// with UNAVAILABLE while the producer lives on under the id its client
+// holds. The worker must re-attach by that id and keep cycling on the
+// frames the producer's new backend pushes. Once the producer closes, the
+// worker's next SUBSCRIBE draws BAD_REQUEST and Run ends with that typed
+// error.
+func TestLoopFollowsProducerAcrossGatewayDrain(t *testing.T) {
+	const w, h = 32, 32
+	var backends []gateway.Backend
+	var healths []*server.Health
+	for i := 0; i < 2; i++ {
+		health := new(server.Health)
+		admin := httptest.NewServer(health)
+		t.Cleanup(admin.Close)
+		backends = append(backends, gateway.Backend{Addr: startServer(t), Admin: admin.Listener.Addr().String()})
+		healths = append(healths, health)
+	}
+	g, err := gateway.New(gateway.Config{
+		Backends: backends,
+		Health:   gateway.WatcherConfig{Interval: time.Hour, Timeout: 500 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go g.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		g.Shutdown(ctx)
+	})
+	g.Watcher().Probe()
+
+	// The gateway's first session lands on the first backend.
+	producer, err := client.Dial(ln.Addr().String(), client.Config{W: w, H: h, Format: rpx.Gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer producer.Close()
+	loop, err := New(Config{
+		Addr:   ln.Addr().String(),
+		Target: producer.ID(),
+		Policy: "event-change",
+		W:      w, H: h, Format: rpx.Gray8,
+		CycleLength: 2,
+		MaxRetries:  20,
+		Backoff:     10 * time.Millisecond,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- loop.Run(ctx) }()
+
+	fr := rpx.NewFrame(w, h, rpx.Gray8)
+	i := 0
+	captureUntil := func(what string, done func(Stats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(20 * time.Second); !done(loop.Stats()); i++ {
+			select {
+			case err := <-runErr:
+				t.Fatalf("Run returned %v with the producer still capturing (stats %+v)", err, loop.Stats())
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: stats %+v", what, loop.Stats())
+			}
+			renderBox(fr, i)
+			if _, err := producer.Capture(fr); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	captureUntil("the loop never cycled", func(st Stats) bool { return st.Cycles > 0 })
+
+	healths[0].SetDraining()
+	g.Watcher().Probe()
+	var reattached *Stats
+	captureUntil("the loop did not cycle on after the drain", func(st Stats) bool {
+		if reattached == nil && st.Reconnects >= 1 {
+			reattached = &st
+		}
+		return reattached != nil && st.Cycles > reattached.Cycles
+	})
+	if n := g.Snapshot().Rerouted; n != 1 {
+		t.Fatalf("sessions rerouted = %d, want 1 (the producer)", n)
+	}
+
+	producer.Close()
+	select {
+	case err := <-runErr:
+		var re *wire.RemoteError
+		if !errors.As(err, &re) || re.Code != wire.CodeBadRequest {
+			t.Fatalf("Run after the producer closed = %v, want BAD_REQUEST", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after the producer closed")
 	}
 }
 

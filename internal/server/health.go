@@ -25,23 +25,15 @@ const (
 type HealthStatus struct {
 	// State is HealthOK or HealthDraining.
 	State string `json:"state"`
-	// Sessions is the process's open-session count at the time of the
-	// probe. rpxgw reports it in its final-stats snapshot; it does not
-	// place sessions by it.
-	Sessions int `json:"sessions"`
 }
 
-// Health serves /healthz for rpxd and rpxgw: 200 with
-// {"state":"ok","sessions":N} while serving, flipping to 503 with
-// {"state":"draining",...} the moment graceful drain begins.
+// Health serves /healthz for rpxd, rpxgw and rpxpolicy: 200 with
+// {"state":"ok"} while serving, flipping to 503 with {"state":"draining"}
+// the moment graceful drain begins. The zero value is serving. Each
+// daemon's own counts are on its /metrics.
 type Health struct {
 	draining atomic.Bool
-	sessions func() int
 }
-
-// NewHealth returns a Health reporting the given open-session count;
-// sessions may be nil (reported as 0).
-func NewHealth(sessions func() int) *Health { return &Health{sessions: sessions} }
 
 // SetDraining flips the endpoint to 503/draining. It is one-way: a
 // draining process never goes back to serving.
@@ -53,9 +45,6 @@ func (h *Health) Draining() bool { return h.draining.Load() }
 // ServeHTTP implements the /healthz handler.
 func (h *Health) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	st := HealthStatus{State: HealthOK}
-	if h.sessions != nil {
-		st.Sessions = h.sessions()
-	}
 	code := http.StatusOK
 	if h.Draining() {
 		st.State = HealthDraining

@@ -7,11 +7,10 @@ import (
 	"testing"
 )
 
-// TestHealthServing verifies the serving shape: 200 plus a JSON body the
-// gateway watcher can parse, with the live session count.
+// TestHealthServing verifies the serving shape of the zero value: 200 plus
+// a JSON body the gateway watcher can parse.
 func TestHealthServing(t *testing.T) {
-	n := 3
-	h := NewHealth(func() int { return n })
+	h := new(Health)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -28,14 +27,12 @@ func TestHealthServing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseHealth(%q): %v", body, err)
 	}
-	if st.State != HealthOK || st.Sessions != 3 {
-		t.Fatalf("status = %+v, want state ok sessions 3", st)
+	if st.State != HealthOK {
+		t.Fatalf("status = %+v, want state ok", st)
 	}
 
-	// Drain flips the code to 503 and the state to draining, while the
-	// session count stays live.
+	// Drain flips the code to 503 and the state to draining.
 	h.SetDraining()
-	n = 1
 	resp, err = http.Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -49,21 +46,8 @@ func TestHealthServing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseHealth(%q): %v", body, err)
 	}
-	if st.State != HealthDraining || st.Sessions != 1 {
-		t.Fatalf("draining status = %+v, want state draining sessions 1", st)
-	}
-}
-
-// TestHealthNilSessions covers the zero-dependency construction.
-func TestHealthNilSessions(t *testing.T) {
-	rec := httptest.NewRecorder()
-	NewHealth(nil).ServeHTTP(rec, nil)
-	st, err := ParseHealth(rec.Body.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != HealthOK || st.Sessions != 0 {
-		t.Fatalf("status = %+v, want ok/0", st)
+	if st.State != HealthDraining {
+		t.Fatalf("draining status = %+v, want state draining", st)
 	}
 }
 

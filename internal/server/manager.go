@@ -7,6 +7,11 @@
 // to push subscribers before it lets go. Nothing queues an operation or
 // turns it away. All cross-session statistics are atomic snapshots, so the
 // admin endpoint can scrape them hot without taking a session lock.
+//
+// The TCP front end gives each connection one role, fixed by its first
+// message: a session (HELLO), served request/reply, or a stream of another
+// session's frames (SUBSCRIBE), served by push. Sessions and streams share
+// the MaxSessions admission bound.
 package server
 
 import (
@@ -60,7 +65,8 @@ func (o Op) String() string {
 
 // Config tunes a Manager.
 type Config struct {
-	// MaxSessions caps concurrently open sessions (default 64).
+	// MaxSessions caps concurrently open sessions and streams together
+	// (default 64).
 	MaxSessions int
 	// Metrics, when non-nil, is the observability registry the manager
 	// publishes into: aggregate counters, per-op latency histograms, and a
@@ -81,7 +87,7 @@ type Manager struct {
 
 	mu       sync.Mutex
 	sessions map[uint64]*Session
-	reserved int // admitted opens still constructing their pipeline
+	reserved int // slots held by opens still building a pipeline, and by streams
 	closed   bool
 
 	// Push-subscription registry, its own lock so subscription churn
@@ -229,21 +235,12 @@ type Session struct {
 // few bookkeeping allocations, never the multi-MB framebuffer and history
 // buffers an admitted session needs.
 func (m *Manager) Open(cfg SessionConfig) (*Session, error) {
-	// Admission first: reserve a slot under the lock, so concurrent opens
-	// racing for the last slots cannot overshoot MaxSessions while their
-	// pipelines are being built outside the lock.
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrManagerClosed
+	// Admission first: reserve a slot, so concurrent opens racing for the
+	// last slots cannot overshoot MaxSessions while their pipelines are
+	// being built outside the lock.
+	if err := m.reserve(); err != nil {
+		return nil, err
 	}
-	if len(m.sessions)+m.reserved >= m.cfg.MaxSessions {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w (%d)", ErrSessionLimit, m.cfg.MaxSessions)
-	}
-	m.reserved++
-	m.mu.Unlock()
-
 	sys, err := rpx.NewSystem(cfg.W, cfg.H, cfg.Format)
 
 	m.mu.Lock()
@@ -272,6 +269,29 @@ func (m *Manager) Open(cfg SessionConfig) (*Session, error) {
 	m.sessions[id] = s
 	m.sessionsOpened.Add(1)
 	return s, nil
+}
+
+// reserve takes one MaxSessions slot. Open holds it while it builds a
+// session's pipeline, and a stream connection for its whole life, so
+// sessions and streams together never exceed MaxSessions.
+func (m *Manager) reserve() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return ErrManagerClosed
+	}
+	if len(m.sessions)+m.reserved >= m.cfg.MaxSessions {
+		return fmt.Errorf("%w (%d)", ErrSessionLimit, m.cfg.MaxSessions)
+	}
+	m.reserved++
+	return nil
+}
+
+// unreserve gives back a slot a stream took with reserve.
+func (m *Manager) unreserve() {
+	m.mu.Lock()
+	m.reserved--
+	m.mu.Unlock()
 }
 
 // lock takes the session lock for one operation and returns when the

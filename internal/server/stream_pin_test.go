@@ -33,8 +33,8 @@ func pinLabels(i int) region.List {
 
 // pipeSubscriber serves one connection over net.Pipe — whose writes
 // complete only as the other end reads, and whose reads the race detector
-// sees — and subscribes it to target's stream. It returns the client end
-// and a channel closed once the server's handler has returned.
+// sees — as a stream of target's frames. It returns the client end and a
+// channel closed once the server's handler has returned.
 func pipeSubscriber(t *testing.T, srv *TCPServer, target uint64, credit, batch uint32) (net.Conn, <-chan struct{}) {
 	t.Helper()
 	cli, conn := net.Pipe()
@@ -54,8 +54,6 @@ func pipeSubscriber(t *testing.T, srv *TCPServer, target uint64, credit, batch u
 			t.Fatal(err)
 		}
 	}
-	send(wire.MsgHello, wire.MarshalHello(wire.Hello{W: 8, H: 8, Format: frame.Gray8}))
-	readExpect(t, cli, wire.MsgHelloAck)
 	send(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{Target: target, Credit: credit, Batch: batch}))
 	readExpect(t, cli, wire.MsgSubscribeAck)
 	return cli, served
@@ -222,10 +220,6 @@ func TestAllocsPublishPush(t *testing.T) {
 			got := make(chan struct{}, n)
 			for i := 0; i < n; i++ {
 				conn := dialRaw(t, addr)
-				if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{W: 8, H: 8, Format: frame.Gray8}), 0); err != nil {
-					t.Fatal(err)
-				}
-				readExpect(t, conn, wire.MsgHelloAck)
 				sub := wire.Subscribe{Target: prod.ID(), Credit: wire.MaxCreditWindow, Batch: 1}
 				if err := wire.WriteMessage(conn, wire.MsgSubscribe, wire.MarshalSubscribe(sub), 0); err != nil {
 					t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/frame"
@@ -14,9 +15,8 @@ import (
 
 // connWriter is one connection's write side: a wire.MessageWriter (vectored
 // header+payload assembly, safe for concurrent writers) plus a reusable
-// marshaling scratch buffer. The scratch is single-owner: it belongs to the
-// request/reply loop, and during streaming it is only touched again after
-// the stream writer goroutine has been joined.
+// marshaling scratch buffer. The scratch belongs to the connection's read
+// loop; a stream's writer goroutine marshals into its own.
 type connWriter struct {
 	conn       net.Conn
 	mw         *wire.MessageWriter
@@ -58,8 +58,8 @@ func (cw *connWriter) writeErr(code uint16, msg string) error {
 type TCPConfig struct {
 	// ReadTimeout bounds each blocking message read, and is rpxd's one
 	// idle guard: a client that sends nothing for this long is disconnected
-	// and its session slot freed (default 2 minutes). Every message re-arms
-	// it, CREDIT included, so a subscriber that keeps consuming its stream
+	// and its MaxSessions slot freed (default 2 minutes). Every message
+	// re-arms it, CREDIT included, so a stream whose reader keeps consuming
 	// stays attached.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each reply write (default 30 seconds).
@@ -75,8 +75,10 @@ const (
 	DefaultWriteTimeout = 30 * time.Second
 )
 
-// TCPServer speaks the wire protocol on a listener, one session per
-// connection, translating messages into Manager calls.
+// TCPServer speaks the wire protocol on a listener, translating messages
+// into Manager calls. Each connection has one role, fixed by its first
+// message: a session (HELLO) or a stream of another session's frames
+// (SUBSCRIBE). Either holds one MaxSessions slot for its life.
 type TCPServer struct {
 	ConnServer
 	mgr *Manager
@@ -116,7 +118,7 @@ func (s *TCPServer) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// handle runs one connection's session loop.
+// handle serves one connection in the role its first message fixes.
 func (s *TCPServer) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
@@ -128,17 +130,24 @@ func (s *TCPServer) handle(conn net.Conn) {
 	// pixel payloads — which the frame wrapper aliases — are fully copied by
 	// the encoder before Capture returns.
 	var rbuf []byte
-
-	// The first message must be a valid HELLO.
 	s.ArmRead(conn)
 	typ, payload, err := wire.ReadMessageInto(br, &rbuf, s.cfg.MaxPayload)
 	if err != nil {
 		return
 	}
-	if typ != wire.MsgHello {
-		cw.writeErr(wire.CodeProto, fmt.Sprintf("first message must be HELLO, got %d", typ))
-		return
+	switch typ {
+	case wire.MsgHello:
+		s.serveSession(conn, br, &rbuf, cw, payload)
+	case wire.MsgSubscribe:
+		s.serveStream(conn, br, &rbuf, cw, payload)
+	default:
+		cw.writeErr(wire.CodeProto, fmt.Sprintf("first message must be HELLO or SUBSCRIBE, got %d", typ))
 	}
+}
+
+// serveSession opens the session a HELLO asks for and serves its requests
+// one at a time until CLOSE or disconnect.
+func (s *TCPServer) serveSession(conn net.Conn, br *bufio.Reader, rbuf *[]byte, cw *connWriter, payload []byte) {
 	hello, err := wire.UnmarshalHello(payload)
 	if err != nil {
 		cw.writeErr(wire.CodeProto, err.Error())
@@ -175,7 +184,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 	frameBytes := hello.W * hello.H * hello.Format.BytesPerPixel()
 	for {
 		s.ArmRead(conn)
-		typ, payload, err := wire.ReadMessageInto(br, &rbuf, s.cfg.MaxPayload)
+		typ, payload, err := wire.ReadMessageInto(br, rbuf, s.cfg.MaxPayload)
 		if err != nil {
 			if errors.Is(err, wire.ErrTooLarge) {
 				cw.writeErr(wire.CodeTooLarge, err.Error())
@@ -183,45 +192,37 @@ func (s *TCPServer) handle(conn net.Conn) {
 			// Disconnect, timeout, or shutdown wake-up: close the session.
 			return
 		}
-		if typ == wire.MsgSubscribe {
-			// Streaming mode runs its own read loop and hands the write
-			// side to a dedicated writer until the subscription ends.
-			if done := s.serveStream(sess, conn, br, &rbuf, cw, payload); done {
-				return
-			}
-			continue
-		}
-		if wire.IsStreamMessage(typ) {
-			continue // its stream already ended; it gets no reply
-		}
 		if done := s.serveMsg(sess, cw, typ, payload, hello, frameBytes); done {
 			return
 		}
 	}
 }
 
-// serveStream runs one push subscription's lifecycle: validate and attach,
-// ack, then split the connection — a writer goroutine owns the write side
-// (FRAME_PUSH batches, the final ACK or error), while this loop keeps
-// reading CREDIT grants until UNSUBSCRIBE or teardown. It reports true when
-// the connection should end; false resumes the request/reply loop.
-func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, rbuf *[]byte, cw *connWriter, payload []byte) bool {
+// serveStream runs the push subscription a SUBSCRIBE asks for: take a
+// MaxSessions slot, attach to the target session and ack, then split the
+// connection — a writer goroutine owns the pushes and the final ACK or
+// error, while this loop reads CREDIT grants and label feedback until
+// UNSUBSCRIBE or teardown. The connection closes when the stream ends.
+func (s *TCPServer) serveStream(conn net.Conn, br *bufio.Reader, rbuf *[]byte, cw *connWriter, payload []byte) {
 	req, err := wire.UnmarshalSubscribe(payload)
 	if err != nil {
-		return cw.writeErr(wire.CodeProto, err.Error()) != nil
+		cw.writeErr(wire.CodeProto, err.Error())
+		return
 	}
-	target := sess
-	if req.Target != 0 && req.Target != sess.ID() {
-		t, ok := s.mgr.Lookup(req.Target)
-		if !ok {
-			return cw.writeErr(wire.CodeBadRequest, fmt.Sprintf(
-				"SUBSCRIBE target session %d not found", req.Target)) != nil
-		}
-		target = t
+	if err := s.mgr.reserve(); err != nil {
+		cw.writeErr(wire.CodeSessionLimit, err.Error())
+		return
 	}
-	sub, next, err := target.Subscribe(int(req.Credit), int(req.Batch))
-	if err != nil {
-		return cw.writeErr(wire.CodeSessionLimit, err.Error()) != nil
+	defer s.mgr.unreserve()
+	target, ok := s.mgr.Lookup(req.Target)
+	var sub *Subscription
+	var next uint64
+	if ok {
+		sub, next, err = target.Subscribe(int(req.Credit), int(req.Batch))
+	}
+	if !ok || err != nil {
+		cw.writeErr(wire.CodeBadRequest, fmt.Sprintf("SUBSCRIBE target session %d not found", req.Target))
+		return
 	}
 	cw.scratch = wire.AppendSubscribeAck(cw.scratch[:0], wire.SubscribeAck{
 		SubID:   sub.ID(),
@@ -229,56 +230,49 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 	})
 	if err := cw.write(wire.MsgSubscribeAck, cw.scratch); err != nil {
 		sub.discard()
-		return true
+		return
 	}
 
-	// From here the writer goroutine owns cw for writing (its MessageWriter
-	// serializes the actual sends); this loop only writes again after
-	// joining writerDone, so cw.scratch is never shared. The one exception
-	// is the LABELS_APPLIED reply, which must interleave with live
-	// FRAME_PUSH traffic: it marshals into its own buffer (never
-	// cw.scratch) and relies on the MessageWriter's internal lock to keep
-	// whole messages atomic against the stream writer.
+	// From here the writer goroutine sends the pushes and the stream's
+	// last message; this loop writes only LABELS_APPLIED replies, which
+	// must interleave with live pushes, and relies on the MessageWriter's
+	// lock to keep whole messages atomic against the writer. However the
+	// stream ends, the writer is joined before the connection closes.
 	writerDone := make(chan error, 1)
 	go func() { writerDone <- s.streamWriter(sub, conn, cw) }()
-
-	var fbScratch []byte
+	stop := sync.OnceFunc(func() {
+		sub.Abort() // a no-op after UNSUBSCRIBE: the first reason wins
+		<-writerDone
+	})
+	defer stop()
 	for {
 		s.ArmRead(conn)
 		typ, payload, err := wire.ReadMessageInto(br, rbuf, s.cfg.MaxPayload)
 		if err != nil {
 			// Disconnect, timeout, shutdown wake-up, or the writer ended
-			// the stream server-side and woke us: tear the stream down.
-			sub.Abort()
-			<-writerDone
-			return true
+			// the stream server-side and woke us.
+			return
 		}
 		switch typ {
 		case wire.MsgCredit:
 			c, err := wire.UnmarshalCredit(payload)
 			if err != nil || c.SubID != sub.ID() {
-				sub.Abort()
-				<-writerDone
-				return true
+				return
 			}
 			sub.Grant(int(c.N))
 		case wire.MsgUnsubscribe:
 			u, err := wire.UnmarshalUnsubscribe(payload)
 			if err != nil || u.SubID != sub.ID() {
-				sub.Abort()
-				<-writerDone
-				return true
+				return
 			}
-			sub.Unsubscribe()
 			// The writer drains the already-accepted frames and emits the
-			// final ACK; then the write side is ours again.
-			return <-writerDone != nil
+			// final ACK.
+			sub.Unsubscribe()
+			return
 		case wire.MsgStreamLabels:
 			sl, err := wire.UnmarshalStreamLabels(payload)
 			if err != nil || sl.SubID != sub.ID() {
-				sub.Abort()
-				<-writerDone
-				return true
+				return
 			}
 			// Apply under the target session's lock: the update is
 			// serialized with in-flight captures, so the boundary is exact. A
@@ -296,27 +290,22 @@ func (s *TCPServer) serveStream(sess *Session, conn net.Conn, br *bufio.Reader, 
 			default:
 				ack.Code, ack.Msg = wire.CodeBadRequest, err.Error()
 			}
-			fbScratch = wire.AppendLabelsApplied(fbScratch[:0], ack)
-			if cw.write(wire.MsgLabelsApplied, fbScratch) != nil {
-				sub.Abort()
-				<-writerDone
-				return true
+			cw.scratch = wire.AppendLabelsApplied(cw.scratch[:0], ack)
+			if cw.write(wire.MsgLabelsApplied, cw.scratch) != nil {
+				return
 			}
 		default:
-			// Only CREDIT, UNSUBSCRIBE and STREAM_LABELS are legal while
-			// streaming.
-			sub.Abort()
-			<-writerDone
-			return cw.writeErr(wire.CodeProto, fmt.Sprintf(
-				"message type %d not allowed while streaming", typ)) != nil
+			stop()
+			cw.writeErr(wire.CodeProto, fmt.Sprintf("message type %d not allowed on a stream", typ))
+			return
 		}
 	}
 }
 
-// streamWriter owns the connection's write side for the life of one
-// subscription: it blocks for published frames, batches what is already
-// buffered (splitting on the payload cap), and finishes with the final ACK
-// (clean unsubscribe) or a typed error (producing session closed). Every
+// streamWriter sends one subscription's pushes: it blocks for published
+// frames, batches what is already buffered (splitting on the payload cap),
+// and finishes with the final ACK (clean unsubscribe) or a typed error
+// (producing session closed). Every
 // frame it dequeues is released once the write that carries it has
 // returned, whether it succeeded or not; after a failed write it discards
 // the rest of the queue.

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -89,7 +89,7 @@ func TestTCPRejectsNonHelloFirst(t *testing.T) {
 
 // TestTCPRejectsBadHello: a HELLO of any other protocol version draws a
 // CodeProto ERROR, in today's layout or in a retired revision's own, and
-// opens no session. v9 appended a u32 decoder history depth to today's
+// opens no session. v10 had today's layout. v9 appended a u32 decoder history depth to today's
 // fields, which sized the session's history ring: at depth 1<<30 the open
 // ended a v9 server with an out-of-memory error. v7 appended a u32 queue
 // depth and a u8 block flag to those. The server keeps serving: a valid
@@ -99,11 +99,13 @@ func TestTCPRejectsBadHello(t *testing.T) {
 	hello := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8})
 	corrupt := bytes.Clone(hello)
 	corrupt[4] = 99 // corrupt the protocol version
+	v10 := bytes.Clone(hello)
+	binary.LittleEndian.PutUint32(v10[4:], 10)
 	v9 := binary.LittleEndian.AppendUint32(bytes.Clone(hello), 1<<30)
 	binary.LittleEndian.PutUint32(v9[4:], 9)
 	v7 := append(binary.LittleEndian.AppendUint32(bytes.Clone(v9), 16), 1)
 	binary.LittleEndian.PutUint32(v7[4:], 7)
-	for _, payload := range [][]byte{corrupt, v9, v7} {
+	for _, payload := range [][]byte{corrupt, v10, v9, v7} {
 		conn := dialRaw(t, addr)
 		if err := wire.WriteMessage(conn, wire.MsgHello, payload, 0); err != nil {
 			t.Fatal(err)
@@ -285,14 +287,15 @@ func TestTCPRetiredTypesGetProtoError(t *testing.T) {
 
 // TestTCPReadDeadlineIsTheIdleGuard: the per-read deadline is rpxd's one
 // idle guard. A session that sends nothing after its HELLO loses its
-// connection and frees its MaxSessions slot, while a subscriber that keeps
-// granting credit — its own session serves no operation all the while —
-// stays attached for ten read timeouts.
+// connection and frees its MaxSessions slot. A stream re-arms the deadline
+// after every CREDIT it reads, before its next read, so a reader that keeps
+// granting credit stays attached however long its stream runs; the test
+// checks the re-arms through a listener whose connections log them, so the
+// wall clock plays no part in it.
 func TestTCPReadDeadlineIsTheIdleGuard(t *testing.T) {
 	const readTimeout = 150 * time.Millisecond
-	srv, addr := startTestServer(t, Config{MaxSessions: 3}, TCPConfig{ReadTimeout: readTimeout})
-	prod, err := srv.Manager().Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8})
-	if err != nil {
+	srv, addr := startTestServer(t, Config{MaxSessions: 2}, TCPConfig{ReadTimeout: readTimeout})
+	if _, err := srv.Manager().Open(SessionConfig{W: 64, H: 48, Format: frame.Gray8}); err != nil {
 		t.Fatal(err)
 	}
 	hello := wire.MarshalHello(wire.Hello{W: 8, H: 8, Format: frame.Gray8})
@@ -304,82 +307,8 @@ func TestTCPReadDeadlineIsTheIdleGuard(t *testing.T) {
 		}
 		return conn
 	}
-	sub := open()
-	readExpect(t, sub, wire.MsgHelloAck)
-	if err := wire.WriteMessage(sub, wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{Target: prod.ID(), Credit: 32, Batch: 1}), 0); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := wire.UnmarshalSubscribeAck(readExpect(t, sub, wire.MsgSubscribeAck))
-	if err != nil {
-		t.Fatal(err)
-	}
 	silent := open()
 	readExpect(t, silent, wire.MsgHelloAck)
-
-	// The producer is in-process, so only the two connections' deadlines
-	// are in play.
-	stop := make(chan struct{})
-	produced := make(chan struct{})
-	go func() {
-		defer close(produced)
-		fr := testFrame(64, 48, frame.Gray8, 0)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := prod.Capture(fr); err != nil {
-				t.Error(err)
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-	defer func() {
-		close(stop)
-		<-produced
-	}()
-
-	// The subscriber grants credit for every 8 frames it reads, for ten read
-	// timeouts, then unsubscribes: the ACK shows it was still attached.
-	subErr := make(chan error, 1)
-	go func() {
-		subErr <- func() error {
-			var buf []byte
-			frames, owed := 0, 0
-			for end := time.Now().Add(10 * readTimeout); time.Now().Before(end); {
-				sub.SetReadDeadline(time.Now().Add(5 * time.Second))
-				typ, payload, err := wire.ReadMessageInto(sub, &buf, 0)
-				if err != nil {
-					return fmt.Errorf("subscriber cut after %d frames: %w", frames, err)
-				}
-				p, err := wire.UnmarshalFramePush(payload)
-				if typ != wire.MsgFramePush || err != nil {
-					return fmt.Errorf("subscriber got message type %d (%v), want FRAME_PUSH", typ, err)
-				}
-				frames += len(p.Frames)
-				if owed += len(p.Frames); owed >= 8 {
-					if err := wire.WriteMessage(sub, wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: ack.SubID, N: uint32(owed)}), 0); err != nil {
-						return err
-					}
-					owed = 0
-				}
-			}
-			if err := wire.WriteMessage(sub, wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}), 0); err != nil {
-				return err
-			}
-			for {
-				typ, _, err := wire.ReadMessageInto(sub, &buf, 0)
-				if err != nil {
-					return fmt.Errorf("subscriber cut before its UNSUBSCRIBE ack: %w", err)
-				}
-				if typ == wire.MsgAck {
-					return nil
-				}
-			}
-		}()
-	}()
 
 	// The silent session's connection is closed under it, and its slot is
 	// free again: a fresh session fits under MaxSessions, and the one after
@@ -388,46 +317,259 @@ func TestTCPReadDeadlineIsTheIdleGuard(t *testing.T) {
 	if typ, _, err := wire.ReadMessage(silent, 0); err == nil {
 		t.Fatalf("silent connection got message type %d, want it closed", typ)
 	}
-	for deadline := time.Now().Add(5 * time.Second); srv.Manager().SessionsOpen() != 2; time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); srv.Manager().SessionsOpen() != 1; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("SessionsOpen = %d after the silent connection closed, want 2", srv.Manager().SessionsOpen())
+			t.Fatalf("SessionsOpen = %d after the silent connection closed, want 1", srv.Manager().SessionsOpen())
 		}
 	}
 	readExpect(t, open(), wire.MsgHelloAck)
 	readError(t, open(), wire.CodeSessionLimit)
 
-	if err := <-subErr; err != nil {
+	// The stream half serves with the default read timeout.
+	ssrv := NewTCPServer(NewManager(Config{}), TCPConfig{})
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
+	}
+	ln := &deadlineListener{Listener: inner, conns: make(chan *deadlineConn, 1)}
+	go ssrv.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := contextWithTimeout(5 * time.Second)
+		defer cancel()
+		ssrv.Shutdown(ctx)
+	})
+	prod, err := ssrv.Manager().Open(SessionConfig{W: 8, H: 8, Format: frame.Gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := dialRaw(t, inner.Addr().String())
+	subscribe := wire.MarshalSubscribe(wire.Subscribe{Target: prod.ID(), Credit: 1, Batch: 1})
+	if err := wire.WriteMessage(sub, wire.MsgSubscribe, subscribe, 0); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := wire.UnmarshalSubscribeAck(readExpect(t, sub, wire.MsgSubscribeAck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := <-ln.conns
+	credit := wire.MarshalCredit(wire.Credit{SubID: ack.SubID, N: 1})
+	consumed := 5 + len(subscribe)
+	for i := 0; i < 8; i++ {
+		if err := wire.WriteMessage(sub, wire.MsgCredit, credit, 0); err != nil {
+			t.Fatal(err)
+		}
+		consumed += 5 + len(credit)
+		if !dc.rearmedBeforeRead(t, consumed) {
+			t.Fatalf("CREDIT %d: the stream read on without re-arming its read deadline", i)
+		}
+	}
+	if err := wire.WriteMessage(sub, wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}), 0); err != nil {
+		t.Fatal(err)
+	}
+	readExpect(t, sub, wire.MsgAck)
+}
+
+// deadlineListener hands out connections that log their reads and read
+// deadlines, and sends each on conns as it is accepted.
+type deadlineListener struct {
+	net.Listener
+	conns chan *deadlineConn
+}
+
+func (l *deadlineListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	dc := &deadlineConn{Conn: c, logged: make(chan struct{}, 1)}
+	l.conns <- dc
+	return dc, nil
+}
+
+// deadlineEvent is one logged call: a read deadline armed into the future,
+// or a Read begun. at is the count of bytes read before it.
+type deadlineEvent struct {
+	arm bool
+	at  int
+}
+
+// deadlineConn logs every read deadline armed into the future and every
+// Read begun, each with the count of bytes read before it.
+type deadlineConn struct {
+	net.Conn
+	mu     sync.Mutex
+	read   int
+	events []deadlineEvent
+	logged chan struct{} // signalled after each logged event
+}
+
+func (c *deadlineConn) log(arm bool) {
+	c.mu.Lock()
+	c.events = append(c.events, deadlineEvent{arm: arm, at: c.read})
+	c.mu.Unlock()
+	select {
+	case c.logged <- struct{}{}:
+	default:
 	}
 }
 
-// TestTCPDropsStreamMessagesOutsideStream: a CREDIT, STREAM_LABELS or
-// UNSUBSCRIBE that arrives after the stream's UNSUBSCRIBE ack — a Grant or
-// SetLabels racing Stream.Close — is dropped without a reply, so the next
-// request/reply call reads its own reply rather than an ERROR for the stale
-// stream message: a CAPTURE_ACK, which no stale stream message can draw.
-func TestTCPDropsStreamMessagesOutsideStream(t *testing.T) {
-	_, addr := startTestServer(t, Config{}, TCPConfig{})
-	conn := dialRaw(t, addr)
-	send := func(typ byte, payload []byte) {
+func (c *deadlineConn) SetReadDeadline(d time.Time) error {
+	if d.After(time.Now()) {
+		c.log(true)
+	}
+	return c.Conn.SetReadDeadline(d)
+}
+
+func (c *deadlineConn) Read(p []byte) (int, error) {
+	c.log(false)
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.read += n
+	c.mu.Unlock()
+	return n, err
+}
+
+// rearmedBeforeRead waits until the server begins a Read after consuming
+// the first n bytes of the connection, and reports whether it armed the
+// read deadline between consuming them and that Read.
+func (c *deadlineConn) rearmedBeforeRead(t *testing.T, n int) bool {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for {
+		c.mu.Lock()
+		armed := false
+		for _, ev := range c.events {
+			if ev.at != n {
+				continue
+			}
+			if !ev.arm {
+				c.mu.Unlock()
+				return armed
+			}
+			armed = true
+		}
+		c.mu.Unlock()
+		select {
+		case <-c.logged:
+		case <-timeout:
+			t.Fatalf("the server never read past byte %d", n)
+		}
+	}
+}
+
+// TestTCPOneRolePerConnection: a connection's first message fixes its one
+// role. A session connection answers SUBSCRIBE and the stream messages
+// with PROTO and keeps serving. A stream answers any other message with
+// PROTO and ends. A SUBSCRIBE-first connection of another protocol
+// version, or naming target 0 or an unknown session, draws an ERROR and
+// opens no subscription.
+func TestTCPOneRolePerConnection(t *testing.T) {
+	srv, addr := startTestServer(t, Config{}, TCPConfig{})
+	prod, err := srv.Manager().Open(SessionConfig{W: 16, H: 16, Format: frame.Gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(conn net.Conn, typ byte, payload []byte) {
 		t.Helper()
 		if err := wire.WriteMessage(conn, typ, payload, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	send(wire.MsgHello, wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8}))
-	readExpect(t, conn, wire.MsgHelloAck)
-	send(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{Credit: 4, Batch: 1}))
-	ack, err := wire.UnmarshalSubscribeAck(readExpect(t, conn, wire.MsgSubscribeAck))
+	subscribe := wire.MarshalSubscribe(wire.Subscribe{Target: prod.ID(), Credit: 4, Batch: 1})
+
+	sess := dialRaw(t, addr)
+	send(sess, wire.MsgHello, wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8}))
+	readExpect(t, sess, wire.MsgHelloAck)
+	for _, req := range []struct {
+		typ     byte
+		payload []byte
+	}{
+		{wire.MsgSubscribe, subscribe},
+		{wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: 1, N: 1})},
+		{wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{SubID: 1, Labels: region.List{{W: 4, H: 4, Stride: 1, Skip: 1}}})},
+		{wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: 1})},
+	} {
+		send(sess, req.typ, req.payload)
+		readError(t, sess, wire.CodeProto)
+	}
+	send(sess, wire.MsgCapture, make([]byte, 16*16))
+	readExpect(t, sess, wire.MsgCaptureAck)
+	if n := srv.Manager().SubscriptionsOpen(); n != 0 {
+		t.Fatalf("a session connection opened %d subscriptions", n)
+	}
+
+	stream := dialRaw(t, addr)
+	send(stream, wire.MsgSubscribe, subscribe)
+	readExpect(t, stream, wire.MsgSubscribeAck)
+	send(stream, wire.MsgCapture, make([]byte, 16*16))
+	readError(t, stream, wire.CodeProto)
+	if _, _, err := wire.ReadMessage(stream, 0); err == nil {
+		t.Fatal("the stream served on after a PROTO error")
+	}
+
+	v10 := bytes.Clone(subscribe)
+	binary.LittleEndian.PutUint32(v10[4:], 10)
+	unknown := wire.MarshalSubscribe(wire.Subscribe{Target: prod.ID() + 1, Credit: 4})
+	zero := bytes.Clone(subscribe)
+	binary.LittleEndian.PutUint64(zero[8:], 0)
+	for _, tc := range []struct {
+		payload []byte
+		code    uint16
+	}{{v10, wire.CodeProto}, {zero, wire.CodeProto}, {unknown, wire.CodeBadRequest}} {
+		conn := dialRaw(t, addr)
+		send(conn, wire.MsgSubscribe, tc.payload)
+		readError(t, conn, tc.code)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Manager().SubscriptionsOpen() != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d subscriptions open, want 0", srv.Manager().SubscriptionsOpen())
+		}
+	}
+}
+
+// TestTCPStreamsHoldSessionSlots: a stream holds one MaxSessions slot for
+// its life, as a session does, so with MaxSessions N sessions and streams
+// fill exactly N slots; the next SUBSCRIBE or HELLO draws SESSION_LIMIT,
+// and an ended stream gives its slot back.
+func TestTCPStreamsHoldSessionSlots(t *testing.T) {
+	const n = 3
+	srv, addr := startTestServer(t, Config{MaxSessions: n}, TCPConfig{})
+	prod, err := srv.Manager().Open(SessionConfig{W: 16, H: 16, Format: frame.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
-	readExpect(t, conn, wire.MsgAck)
+	subscribe := wire.MarshalSubscribe(wire.Subscribe{Target: prod.ID(), Credit: 4, Batch: 1})
+	open := func(typ byte, payload []byte) net.Conn {
+		t.Helper()
+		conn := dialRaw(t, addr)
+		if err := wire.WriteMessage(conn, typ, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	var streams []net.Conn
+	for i := 1; i < n; i++ {
+		conn := open(wire.MsgSubscribe, subscribe)
+		readExpect(t, conn, wire.MsgSubscribeAck)
+		streams = append(streams, conn)
+	}
+	readError(t, open(wire.MsgSubscribe, subscribe), wire.CodeSessionLimit)
+	readError(t, open(wire.MsgHello, wire.MarshalHello(wire.Hello{W: 8, H: 8, Format: frame.Gray8})), wire.CodeSessionLimit)
 
-	send(wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: ack.SubID, N: 1}))
-	send(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{SubID: ack.SubID, Labels: region.List{{W: 4, H: 4, Stride: 1, Skip: 1}}}))
-	send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}))
-	send(wire.MsgCapture, make([]byte, 16*16))
-	readExpect(t, conn, wire.MsgCaptureAck)
+	m := srv.Manager()
+	held := func() int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return len(m.sessions) + m.reserved
+	}
+	if got := held(); got != n {
+		t.Fatalf("%d slots held, want %d", got, n)
+	}
+	streams[0].Close()
+	for deadline := time.Now().Add(5 * time.Second); held() != n-1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d slots held after one stream hung up, want %d", held(), n-1)
+		}
+	}
+	readExpect(t, open(wire.MsgSubscribe, subscribe), wire.MsgSubscribeAck)
 }

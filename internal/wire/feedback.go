@@ -10,10 +10,10 @@ import (
 // Closed-loop label feedback.
 //
 // A subscriber may push region-label workloads *back* to the session its
-// subscription is attached to without leaving push mode: STREAM_LABELS rides
-// the connection's write side (like CREDIT) while FRAME_PUSH batches keep
-// flowing the other way. The server applies the labels through the target
-// session's request queue — serialized against in-flight captures exactly
+// stream is attached to, on the stream connection itself: STREAM_LABELS
+// rides the connection's write side (like CREDIT) while FRAME_PUSH batches
+// keep flowing the other way. The server applies the labels under the
+// target session's lock — serialized against in-flight captures exactly
 // like a SET_LABELS from the producer itself — and answers with
 // LABELS_APPLIED carrying the first frame sequence number that will observe
 // the new workload. That boundary is deterministic: every pushed frame with
@@ -24,7 +24,7 @@ import (
 // workload for the session the subscription targets.
 type StreamLabels struct {
 	// SubID names the subscription whose target session receives the
-	// labels (must match the connection's open subscription).
+	// labels (must match the stream connection's subscription).
 	SubID uint64
 	// Labels is the capture workload, encoded exactly as SET_LABELS.
 	Labels region.List

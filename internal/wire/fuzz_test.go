@@ -106,12 +106,13 @@ func FuzzReadMessage(f *testing.F) {
 // and batch caps — the bounds the server's per-subscription ledger relies
 // on.
 func FuzzReadSubscribe(f *testing.F) {
+	f.Add(MarshalSubscribe(Subscribe{Target: 1, Credit: 1, Batch: 1}))
 	f.Add(MarshalSubscribe(Subscribe{Target: 0, Credit: 1, Batch: 1}))
 	f.Add(MarshalSubscribe(Subscribe{Target: 1 << 40, Credit: MaxCreditWindow, Batch: MaxBatch}))
 	f.Add(MarshalCredit(Credit{SubID: 9, N: 1 << 30}))
 	f.Add(MarshalUnsubscribe(Unsubscribe{SubID: ^uint64(0)}))
-	hostile := MarshalSubscribe(Subscribe{})
-	for i := 8; i < len(hostile); i++ {
+	hostile := MarshalSubscribe(Subscribe{Target: 1})
+	for i := len(hostile) - 8; i < len(hostile); i++ {
 		hostile[i] = 0xff // credit and batch fields at their uint32 max
 	}
 	f.Add(hostile)

@@ -6,7 +6,7 @@ import (
 	"slices"
 )
 
-// Streaming push mode payloads.
+// Stream connection payloads.
 //
 // The flow-control contract: a subscription starts with Subscribe.Credit
 // push credits; every frame the server accepts into the subscription
@@ -27,22 +27,12 @@ const (
 	MaxBatch = 64
 )
 
-// IsStreamMessage reports whether typ is one of the client messages that
-// belong to an open push stream — CREDIT, UNSUBSCRIBE and STREAM_LABELS.
-// None of them draws a reply outside the stream, so a server that receives
-// one after its stream ended (a credit grant or label update racing the
-// stream's close) drops it: answering would hand the client a reply to a
-// call it has not made yet.
-func IsStreamMessage(typ byte) bool {
-	return typ == MsgCredit || typ == MsgUnsubscribe || typ == MsgStreamLabels
-}
-
-// Subscribe opens a push subscription.
+// Subscribe opens a push subscription. On the wire it is prefixed with
+// ProtoMagic and ProtoVersion, since it opens its connection.
 type Subscribe struct {
-	// Target selects the session whose encoded-frame stream to attach to:
-	// 0 means the connection's own session, otherwise a server-assigned
-	// session id (from HELLO_ACK) of another live session — the
-	// multi-subscriber fan-out path.
+	// Target is the server-assigned id (from HELLO_ACK) of the session
+	// whose encoded-frame stream to attach to. A stream connection has no
+	// session of its own, so 0 names nothing and is rejected.
 	Target uint64
 	// Credit is the initial credit window in frames (may be 0: frames are
 	// dropped until the first CREDIT grant).
@@ -52,10 +42,12 @@ type Subscribe struct {
 	Batch uint32
 }
 
-const subscribeSize = 8 + 4 + 4
+const subscribeSize = protoSize + 8 + 4 + 4
 
-// AppendSubscribe appends a SUBSCRIBE payload to dst.
+// AppendSubscribe appends a SUBSCRIBE payload to dst, prefixed with magic
+// and ProtoVersion.
 func AppendSubscribe(dst []byte, s Subscribe) []byte {
+	dst = appendProto(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, s.Target)
 	dst = binary.LittleEndian.AppendUint32(dst, s.Credit)
 	return binary.LittleEndian.AppendUint32(dst, s.Batch)
@@ -64,15 +56,22 @@ func AppendSubscribe(dst []byte, s Subscribe) []byte {
 // MarshalSubscribe encodes a SUBSCRIBE payload into a fresh buffer.
 func MarshalSubscribe(s Subscribe) []byte { return AppendSubscribe(nil, s) }
 
-// UnmarshalSubscribe decodes and validates a SUBSCRIBE payload.
+// UnmarshalSubscribe validates magic and version, as UnmarshalHello does,
+// and decodes and validates a SUBSCRIBE payload.
 func UnmarshalSubscribe(b []byte) (Subscribe, error) {
+	if err := checkProto("SUBSCRIBE", b); err != nil {
+		return Subscribe{}, err
+	}
 	if len(b) != subscribeSize {
 		return Subscribe{}, fmt.Errorf("wire: SUBSCRIBE payload is %d bytes, want %d", len(b), subscribeSize)
 	}
 	s := Subscribe{
-		Target: binary.LittleEndian.Uint64(b),
-		Credit: binary.LittleEndian.Uint32(b[8:]),
-		Batch:  binary.LittleEndian.Uint32(b[12:]),
+		Target: binary.LittleEndian.Uint64(b[protoSize:]),
+		Credit: binary.LittleEndian.Uint32(b[protoSize+8:]),
+		Batch:  binary.LittleEndian.Uint32(b[protoSize+12:]),
+	}
+	if s.Target == 0 {
+		return Subscribe{}, fmt.Errorf("wire: SUBSCRIBE names no target session")
 	}
 	if s.Credit > MaxCreditWindow {
 		return Subscribe{}, fmt.Errorf("wire: SUBSCRIBE credit %d exceeds window cap %d", s.Credit, MaxCreditWindow)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -19,17 +20,53 @@ func TestSubscribeRoundTrip(t *testing.T) {
 		t.Fatalf("subscribe round trip = %+v %v, want %+v", got, err, s)
 	}
 	// Zero credit is legal (frames drop until the first grant).
-	if _, err := UnmarshalSubscribe(MarshalSubscribe(Subscribe{})); err != nil {
-		t.Fatalf("zero subscribe rejected: %v", err)
+	if _, err := UnmarshalSubscribe(MarshalSubscribe(Subscribe{Target: 42})); err != nil {
+		t.Fatalf("zero-credit subscribe rejected: %v", err)
 	}
-	if _, err := UnmarshalSubscribe(MarshalSubscribe(Subscribe{Credit: MaxCreditWindow + 1})); err == nil {
+	// A stream connection has no session of its own for target 0 to name.
+	if _, err := UnmarshalSubscribe(MarshalSubscribe(Subscribe{Credit: 1})); err == nil {
+		t.Fatal("target 0 accepted")
+	}
+	if _, err := UnmarshalSubscribe(MarshalSubscribe(Subscribe{Target: 42, Credit: MaxCreditWindow + 1})); err == nil {
 		t.Fatal("credit above window cap accepted")
 	}
-	if _, err := UnmarshalSubscribe(MarshalSubscribe(Subscribe{Batch: MaxBatch + 1})); err == nil {
+	if _, err := UnmarshalSubscribe(MarshalSubscribe(Subscribe{Target: 42, Batch: MaxBatch + 1})); err == nil {
 		t.Fatal("batch above cap accepted")
 	}
 	if _, err := UnmarshalSubscribe(make([]byte, subscribeSize-1)); err == nil {
 		t.Fatal("short subscribe accepted")
+	}
+}
+
+// TestSubscribeCarriesProtocolVersion: SUBSCRIBE opens its connection, so
+// it carries the magic and version HELLO does and is checked the same
+// way: another version fails with *VersionError whatever its length, and
+// the 16-byte SUBSCRIBE of protocol 10, which had no such prefix, is
+// rejected.
+func TestSubscribeCarriesProtocolVersion(t *testing.T) {
+	cur := MarshalSubscribe(Subscribe{Target: 42, Credit: 4, Batch: 1})
+	if len(cur) != 24 {
+		t.Fatalf("SUBSCRIBE is %d bytes, want 24", len(cur))
+	}
+	for _, v := range []uint32{10, ProtoVersion + 1} {
+		b := bytes.Clone(cur)
+		binary.LittleEndian.PutUint32(b[4:], v)
+		for _, msg := range [][]byte{b, b[:12]} {
+			var ve *VersionError
+			if _, err := UnmarshalSubscribe(msg); !errors.As(err, &ve) || ve.Got != v {
+				t.Fatalf("v%d SUBSCRIBE of %d bytes: err = %v, want *VersionError{Got: %d}", v, len(msg), err, v)
+			}
+		}
+	}
+	bad := bytes.Clone(cur)
+	binary.LittleEndian.PutUint32(bad, 0xdeadbeef)
+	if _, err := UnmarshalSubscribe(bad); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("bad magic err = %v", err)
+	}
+	v10 := binary.LittleEndian.AppendUint64(nil, 42)
+	v10 = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(v10, 4), 1)
+	if _, err := UnmarshalSubscribe(v10); err == nil {
+		t.Fatal("protocol-10 SUBSCRIBE accepted")
 	}
 }
 

@@ -1,20 +1,24 @@
 // Package wire defines the rpxd wire protocol: a length-prefixed binary
 // message framing over a byte stream (TCP in production, net.Pipe in tests)
 // that carries rhythmic-pixel session traffic — label updates in, raw frames
-// in, capture statistics and reconstructed pixels out.
+// in, capture statistics and reconstructed pixels out, and encoded frames
+// pushed to their readers.
 //
 // Every message is framed as
 //
 //	uint32 payload length (little endian) | uint8 message type | payload
 //
-// and the first message on a connection must be HELLO, which carries the
-// protocol magic and version plus the session geometry the client wants to
-// negotiate. Readers enforce a per-message payload cap so a malformed or
-// hostile peer cannot make the receiver allocate unbounded memory; writers
-// refuse to emit messages above the same cap. Encoded frames travel in the
-// same RPXE container the .rpxs stream format uses (core.EncodedFrame.WriteTo
-// / core.ReadEncodedFrame), so any encoded-frame transport — file, socket, or
-// pipe — shares one framing.
+// and a connection's first message fixes its one role. HELLO opens a
+// session, served request/reply until CLOSE; SUBSCRIBE opens a stream that
+// pushes another session's encoded frames until UNSUBSCRIBE's ACK or a
+// terminal ERROR, after which the connection closes. Both carry the
+// protocol magic and version, checked the same way. Readers enforce a
+// per-message payload cap so a malformed or hostile peer cannot make the
+// receiver allocate unbounded memory; writers refuse to emit messages above
+// the same cap. Encoded frames travel in the same RPXE container the .rpxs
+// stream format uses (core.EncodedFrame.WriteTo / core.ReadEncodedFrame),
+// so any encoded-frame transport — file, socket, or pipe — shares one
+// framing.
 package wire
 
 import (
@@ -31,17 +35,17 @@ import (
 	"repro/internal/region"
 )
 
-// ProtoMagic identifies the rpxd protocol in the HELLO message.
+// ProtoMagic identifies the rpxd protocol in a connection's first message.
 const ProtoMagic = 0x52505844 // "RPXD"
 
-// ProtoVersion is the one protocol revision this package speaks. HELLO
-// carries it and receivers accept it by exact match: any other version
-// fails with a typed *VersionError, so framing changes fail loudly. Every
-// message type below is legal in this revision — request/reply, the
-// streaming push mode, and in-stream label feedback — and every encoded
-// frame on the wire (FRAME_PUSH) is the raw RPXE v1 container that .rpxs
-// files use.
-const ProtoVersion = 10
+// ProtoVersion is the one protocol revision this package speaks. HELLO and
+// SUBSCRIBE carry it and receivers accept it by exact match: any other
+// version fails with a typed *VersionError, so framing changes fail loudly.
+// Every message type below is legal in this revision — request/reply on a
+// session connection, push and in-stream label feedback on a stream
+// connection — and every encoded frame on the wire (FRAME_PUSH) is the raw
+// RPXE v1 container that .rpxs files use.
+const ProtoVersion = 11
 
 // DefaultMaxPayload caps a single message payload (32 MiB): comfortably
 // above a 1080p RGB frame plus metadata, far below an OOM.
@@ -52,7 +56,8 @@ const headerSize = 5
 
 // Message types. Requests flow client to server, replies server to client.
 const (
-	// MsgHello opens a connection: protocol magic/version + session config.
+	// MsgHello opens a session connection: protocol magic/version +
+	// session config.
 	MsgHello byte = 1
 	// MsgHelloAck confirms the session: session id + negotiated payload cap.
 	MsgHelloAck byte = 2
@@ -79,14 +84,16 @@ const (
 	// MsgError is the failure reply: code + human-readable message.
 	MsgError byte = 15
 
-	// Streaming push mode. A SUBSCRIBE switches the connection from
-	// request/reply to push mode: the server sends FRAME_PUSH messages as
-	// frames are produced — never beyond the credits the client has
-	// granted — until the client UNSUBSCRIBEs (acknowledged with ACK after
-	// the last push) or the stream ends with an ERROR.
+	// Streaming push. A SUBSCRIBE opens a stream connection: the server
+	// sends FRAME_PUSH messages as the target session captures frames —
+	// never beyond the credits the client has granted — until the client
+	// UNSUBSCRIBEs (acknowledged with ACK after the last push) or the
+	// stream ends with an ERROR. A stream connection carries nothing but
+	// CREDIT, UNSUBSCRIBE and STREAM_LABELS from the client.
 
-	// MsgSubscribe attaches the connection to a session's encoded-frame
-	// stream with an initial credit window and a batching bound.
+	// MsgSubscribe opens a stream connection on another session's
+	// encoded-frame stream: protocol magic/version, target session, an
+	// initial credit window and a batching bound.
 	MsgSubscribe byte = 16
 	// MsgSubscribeAck confirms a subscription: subscription id + next
 	// sequence number the stream will observe.
@@ -100,10 +107,10 @@ const (
 	// already accepted against credit, then replies ACK.
 	MsgUnsubscribe byte = 20
 
-	// Closed-loop label feedback. While subscribed, a client may push a
-	// region-label workload back to the subscription's target session; the
-	// reply rides the push stream as its own message type (never
-	// ACK/ERROR, which gateways and clients treat as stream-terminal).
+	// Closed-loop label feedback. A stream's client may push a region-label
+	// workload back to the stream's target session; the reply rides the
+	// push stream as its own message type (never ACK/ERROR, which gateways
+	// and clients treat as stream-terminal).
 
 	// MsgStreamLabels installs a region-label workload on the
 	// subscription's target session (client to server, while streaming).
@@ -123,7 +130,8 @@ const (
 	// Code 3 is reserved: up to protocol 7 it was BACKLOG, the reply of a
 	// full session request queue, so it is not reused for anything else.
 
-	// CodeSessionLimit means the server is at its session cap.
+	// CodeSessionLimit means the server is at its session cap, which
+	// sessions and streams share.
 	CodeSessionLimit uint16 = 4
 	// CodeTooLarge means a message exceeded the payload cap.
 	CodeTooLarge uint16 = 5
@@ -146,8 +154,8 @@ const (
 // writer's cap.
 var ErrTooLarge = errors.New("wire: message exceeds payload cap")
 
-// VersionError is the typed rejection of a HELLO whose protocol version is
-// not ProtoVersion. It is distinguishable from other handshake failures
+// VersionError is the typed rejection of a HELLO or SUBSCRIBE whose
+// protocol version is not ProtoVersion. It is distinguishable from other handshake failures
 // (errors.As) so clients and gateways can report a protocol mismatch
 // rather than a generic rejection.
 type VersionError struct {
@@ -345,14 +353,38 @@ type Hello struct {
 	Format frame.Format
 }
 
+// protoSize is the magic and version that open HELLO and SUBSCRIBE.
+const protoSize = 4 + 4
+
+// appendProto appends the protocol magic and ProtoVersion to dst.
+func appendProto(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, ProtoMagic)
+	return binary.LittleEndian.AppendUint32(dst, ProtoVersion)
+}
+
+// checkProto validates the magic and version that open a connection's
+// first message, HELLO or SUBSCRIBE, before anything else of it: a message
+// from any other revision fails with *VersionError whatever its layout.
+func checkProto(what string, b []byte) error {
+	if len(b) < protoSize {
+		return fmt.Errorf("wire: %s payload is %d bytes, want at least %d", what, len(b), protoSize)
+	}
+	if m := binary.LittleEndian.Uint32(b); m != ProtoMagic {
+		return fmt.Errorf("wire: bad protocol magic %#x", m)
+	}
+	if v := binary.LittleEndian.Uint32(b[4:]); v != ProtoVersion {
+		return &VersionError{Got: v}
+	}
+	return nil
+}
+
 // helloSize is the HELLO payload length: magic, version, then the fields.
-const helloSize = 4 + 4 + 4 + 4 + 1
+const helloSize = protoSize + 4 + 4 + 1
 
 // AppendHello appends a HELLO payload to dst, prefixed with magic and
 // ProtoVersion.
 func AppendHello(dst []byte, h Hello) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, ProtoMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, ProtoVersion)
+	dst = appendProto(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.W))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.H))
 	return append(dst, byte(h.Format))
@@ -365,14 +397,8 @@ func MarshalHello(h Hello) []byte { return AppendHello(nil, h) }
 // The version is checked before the length, so a HELLO from any other
 // revision fails with *VersionError whatever its layout.
 func UnmarshalHello(b []byte) (Hello, error) {
-	if len(b) < 8 {
-		return Hello{}, fmt.Errorf("wire: HELLO payload is %d bytes, want at least 8", len(b))
-	}
-	if m := binary.LittleEndian.Uint32(b); m != ProtoMagic {
-		return Hello{}, fmt.Errorf("wire: bad protocol magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != ProtoVersion {
-		return Hello{}, &VersionError{Got: v}
+	if err := checkProto("HELLO", b); err != nil {
+		return Hello{}, err
 	}
 	if len(b) != helloSize {
 		return Hello{}, fmt.Errorf("wire: HELLO payload is %d bytes, want %d", len(b), helloSize)
@@ -428,38 +454,39 @@ func UnmarshalHelloAck(b []byte) (HelloAck, error) {
 	return a, nil
 }
 
-// Handshake writes a HELLO payload on a freshly dialed connection and reads
-// the reply from r, which buffers conn. On success it returns the parsed
-// acknowledgment plus the raw HELLO_ACK payload, which a forwarder relays
-// verbatim. Taking the payload rather than a Hello lets a forwarder replay
-// exactly the bytes its client sent. A server-side rejection is returned as
-// an error wrapping the *RemoteError, so callers can tell it from a
-// transport failure with errors.As.
-func Handshake(conn net.Conn, r io.Reader, hello []byte, maxPayload int, timeout time.Duration) (HelloAck, []byte, error) {
+// Handshake writes a connection's first message — typ is MsgHello or
+// MsgSubscribe — on a freshly dialed connection and reads the reply from
+// r, which buffers conn. On success it returns the raw HELLO_ACK or
+// SUBSCRIBE_ACK payload, which a forwarder relays verbatim. Taking the
+// payload rather than a struct lets a forwarder replay exactly the bytes
+// its client sent. A server-side rejection is returned as an error
+// wrapping the *RemoteError, so callers can tell it from a transport
+// failure with errors.As.
+func Handshake(conn net.Conn, r io.Reader, typ byte, payload []byte, maxPayload int, timeout time.Duration) ([]byte, error) {
+	want := MsgHelloAck
+	if typ == MsgSubscribe {
+		want = MsgSubscribeAck
+	}
 	conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := WriteMessage(conn, MsgHello, hello, maxPayload); err != nil {
-		return HelloAck{}, nil, fmt.Errorf("send handshake: %w", err)
+	if err := WriteMessage(conn, typ, payload, maxPayload); err != nil {
+		return nil, fmt.Errorf("send handshake: %w", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(timeout))
-	typ, payload, err := ReadMessage(r, maxPayload)
+	rtyp, reply, err := ReadMessage(r, maxPayload)
 	if err != nil {
-		return HelloAck{}, nil, fmt.Errorf("read handshake: %w", err)
+		return nil, fmt.Errorf("read handshake: %w", err)
 	}
-	switch typ {
-	case MsgHelloAck:
+	switch rtyp {
+	case want:
+		return reply, nil
 	case MsgError:
-		if re, uerr := UnmarshalError(payload); uerr == nil {
-			return HelloAck{}, nil, fmt.Errorf("handshake rejected: %w", re)
+		if re, uerr := UnmarshalError(reply); uerr == nil {
+			return nil, fmt.Errorf("handshake rejected: %w", re)
 		}
-		return HelloAck{}, nil, errors.New("handshake rejected")
+		return nil, errors.New("handshake rejected")
 	default:
-		return HelloAck{}, nil, fmt.Errorf("unexpected handshake reply type %d", typ)
+		return nil, fmt.Errorf("unexpected handshake reply type %d", rtyp)
 	}
-	ack, err := UnmarshalHelloAck(payload)
-	if err != nil {
-		return HelloAck{}, nil, err
-	}
-	return ack, payload, nil
 }
 
 // labelSize is the wire size of one region label: seven int32 fields.

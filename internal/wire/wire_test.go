@@ -64,7 +64,7 @@ func TestHelloRoundTrip(t *testing.T) {
 
 // TestHelloVersionNegotiation pins the single-revision contract: only a
 // ProtoVersion HELLO is accepted, and every other version — including the
-// retired revisions 1-9 in their own byte layouts — fails with the typed
+// retired revisions 1-10 in their own byte layouts — fails with the typed
 // *VersionError rather than a stringly error.
 func TestHelloVersionNegotiation(t *testing.T) {
 	cur := MarshalHello(Hello{W: 64, H: 48, Format: frame.Gray8})
@@ -116,6 +116,8 @@ func TestHelloVersionNegotiation(t *testing.T) {
 		{"v8", v9At(8, 4), 8},
 		// The depth that ended a v9 server with an out-of-memory error.
 		{"v9 depth 1<<30", v9At(9, 1<<30), 9},
+		// Protocol 10 had today's HELLO layout.
+		{"v10", helloAt(10), 10},
 		{"next", helloAt(ProtoVersion + 1), ProtoVersion + 1},
 		{"max", helloAt(0xffffffff), 0xffffffff},
 	} {

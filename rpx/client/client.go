@@ -30,11 +30,15 @@
 //
 // # Streaming
 //
-// Subscribe turns a session into a push consumer of any session's frames
-// (see Stream). A stream reads every message into one buffer it reuses, so
-// a StreamFrame's Raw bytes are valid only until the next Recv or Close on
-// that stream; copy them, or Decode the frame, to keep it. The values the
-// request/reply calls return are the caller's to keep.
+// Subscribe opens a push stream of any other session's frames (see
+// Stream) on a connection of its own, dialed with the session's address,
+// timeouts and payload cap. The session keeps serving requests while its
+// streams run, a stream's transport error ends only that stream, and Close
+// on the session also closes every stream it opened. A stream reads every
+// message into one buffer it reuses, so a StreamFrame's Raw bytes are valid
+// only until the next Recv or Close on that stream; copy them, or Decode
+// the frame, to keep it. The values the request/reply calls return are the
+// caller's to keep.
 package client
 
 import (
@@ -54,6 +58,9 @@ import (
 // trusted, so the client refuses to read what could be a stale reply. Dial
 // again to go on.
 var ErrBrokenSession = errors.New("client: session broken by transport error")
+
+// errSessionClosed is returned by every call after Close.
+var errSessionClosed = errors.New("client: session closed")
 
 // Config parameterizes Dial. W, H, and Format are required, and are all
 // the server learns of the session; the rest tune this client.
@@ -78,18 +85,20 @@ type Config struct {
 // Session is an open rpxd session. Methods are safe for concurrent use.
 type Session struct {
 	// Dial sets these once.
-	cfg        Config
-	conn       net.Conn
-	br         *bufio.Reader
-	mw         *wire.MessageWriter // framing writer; serializes concurrent writers itself
-	id         uint64
-	maxPayload int
-	timeout    time.Duration
+	cfg         Config
+	addr        string
+	conn        net.Conn
+	br          *bufio.Reader
+	mw          *wire.MessageWriter
+	id          uint64
+	maxPayload  int
+	dialTimeout time.Duration
+	timeout     time.Duration
 
-	mu     sync.Mutex // serializes request/reply round trips; guards the fields below
-	closed bool
-	broken bool
-	stream *Stream // open push subscription, nil in request/reply mode
+	mu      sync.Mutex // serializes request/reply round trips; guards the fields below
+	closed  bool
+	broken  bool
+	streams map[*Stream]struct{} // the open streams Subscribe dialed
 }
 
 // Dial connects to an rpxd server and negotiates a session.
@@ -108,23 +117,28 @@ func Dial(addr string, cfg Config) (*Session, error) {
 	}
 	br := bufio.NewReader(conn)
 	hello := wire.Hello{W: cfg.W, H: cfg.H, Format: cfg.Format}
-	ack, _, err := wire.Handshake(conn, br, wire.MarshalHello(hello), wire.DefaultMaxPayload, reqTimeout)
+	payload, err := wire.Handshake(conn, br, wire.MsgHello, wire.MarshalHello(hello), wire.DefaultMaxPayload, reqTimeout)
+	var ack wire.HelloAck
+	if err == nil {
+		ack, err = wire.UnmarshalHelloAck(payload)
+	}
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	return &Session{
 		cfg:  cfg,
+		addr: addr,
 		conn: conn,
 		br:   br,
-		// All post-handshake writes go through one MessageWriter: header
-		// and payload leave in a single vectored write, and its internal
-		// lock makes concurrent writers (request/reply vs. streaming
-		// grants) safe without a separate write mutex.
-		mw:         wire.NewMessageWriter(conn),
-		id:         ack.SessionID,
-		maxPayload: ack.MaxPayload,
-		timeout:    reqTimeout,
+		// Each request leaves in a single vectored write: header and
+		// payload together, the payload never copied.
+		mw:          wire.NewMessageWriter(conn),
+		id:          ack.SessionID,
+		maxPayload:  ack.MaxPayload,
+		dialTimeout: dialTimeout,
+		timeout:     reqTimeout,
+		streams:     make(map[*Stream]struct{}),
 	}, nil
 }
 
@@ -172,11 +186,7 @@ func (s *Session) call(typ byte, payload []byte, wantReply byte) ([]byte, error)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, fmt.Errorf("client: session closed")
-	}
-	if s.stream != nil {
-		// An open push subscription owns the connection's framing.
-		return nil, ErrStreaming
+		return nil, errSessionClosed
 	}
 	if s.broken {
 		return nil, ErrBrokenSession
@@ -241,9 +251,10 @@ func (s *Session) Decoded() (*rpx.Frame, error) {
 	return wire.UnmarshalFrame(payload)
 }
 
-// Close ends the session and closes the connection. A poisoned session is
-// torn down without the graceful CLOSE exchange (its framing is not
-// trustworthy).
+// Close ends the session and closes the connection, and closes every
+// stream the session opened: a Recv blocked on one of them returns its
+// transport error. A poisoned session is torn down without the graceful
+// CLOSE exchange (its framing is not trustworthy).
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -251,9 +262,10 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.broken || s.stream != nil {
-		// A poisoned session's framing is not trustworthy, and an open
-		// stream owns the framing: tear down without the CLOSE exchange.
+	for st := range s.streams {
+		st.conn.Close()
+	}
+	if s.broken {
 		s.conn.Close()
 		return nil
 	}

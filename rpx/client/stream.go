@@ -1,10 +1,12 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
+	"net"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -12,34 +14,28 @@ import (
 	"repro/rpx"
 )
 
-// Streaming push mode.
+// Streaming push.
 //
-// Subscribe switches the session from request/reply to server push: the
-// server sends FRAME_PUSH batches as frames are captured, bounded by the
+// Subscribe dials a stream connection of its own: the server sends
+// FRAME_PUSH batches as the target session captures frames, bounded by the
 // credit the client has granted, until Close (a clean UNSUBSCRIBE) or a
-// terminal server error ends the stream and the session returns to
-// request/reply. While a stream is open every normal call fails with
-// ErrStreaming — the connection's framing belongs to the stream.
+// terminal server error ends the stream and its connection closes. The
+// session that opened it keeps serving requests meanwhile.
 //
 // A Stream is a single-consumer object: Recv and Close must not be called
-// concurrently with each other. Grant has its own write path and may be
-// called from any goroutine (typically the one consuming frames).
+// concurrently with each other. Grant and SetLabels have their own write
+// path and may be called from any goroutine (typically the one consuming
+// frames).
 //
-// Failure semantics mirror the session's (see the package comment): any
-// transport error poisons the underlying session, the failing stream call
-// returns the error, and later calls fail with ErrBrokenSession. A terminal
-// server error (the producing session closed) ends only the stream — it is
-// reported as a *wire.RemoteError and the session stays usable.
-
-// ErrStreaming is returned by request/reply calls while a push stream owns
-// the connection.
-var ErrStreaming = errors.New("client: session is in streaming mode")
+// Any error ends the stream and only the stream: a transport error, or a
+// terminal server error (the producing session closed), reported as a
+// *wire.RemoteError. Every later Recv returns the same error; subscribe
+// again to go on.
 
 // SubscribeOptions parameterizes Subscribe.
 type SubscribeOptions struct {
-	// Target selects the session whose frame stream to attach to: 0 means
-	// this session's own stream, otherwise a server-assigned session id
-	// (another client's Session.ID()) for cross-session fan-out.
+	// Target is the server-assigned id of the session whose frame stream
+	// to attach to (another client's Session.ID()).
 	Target uint64
 	// Credit is the initial credit window in frames (0 = frames drop until
 	// the first Grant). At most wire.MaxCreditWindow.
@@ -85,9 +81,14 @@ type LabelsApplied struct {
 	Err error
 }
 
-// Stream is an open push subscription.
+// Stream is an open push subscription on a connection of its own.
 type Stream struct {
+	// s is the session that opened the stream; its payload cap and
+	// timeout, which Dial set once, bound the stream's messages too.
 	s       *Session
+	conn    net.Conn
+	br      *bufio.Reader
+	mw      *wire.MessageWriter // Grant, SetLabels and Close write concurrently
 	id      uint64
 	nextSeq uint64
 	// rbuf receives every message the stream reads; push and buf hold the
@@ -99,18 +100,18 @@ type Stream struct {
 	buf  []StreamFrame
 	next int
 	// done and err record how the stream ended. Grant and SetLabels read
-	// them from other goroutines, so both are guarded by s.mu.
+	// them from other goroutines, so both are guarded by mu.
+	mu   sync.Mutex
 	done bool
 	err  error
 
 	// onApplied, when set, receives each LABELS_APPLIED synchronously from
-	// the goroutine calling Recv; unset, outcomes queue in applied.
+	// the goroutine calling Recv.
 	onApplied func(LabelsApplied)
-	applied   []LabelsApplied
 }
 
-// Subscribe opens a push stream. The session must not be broken, closed,
-// or already streaming.
+// Subscribe opens a push stream of the target session's frames on a new
+// connection to the session's server.
 func (s *Session) Subscribe(opts SubscribeOptions) (*Stream, error) {
 	if opts.Credit < 0 || opts.Credit > wire.MaxCreditWindow {
 		return nil, fmt.Errorf("client: subscribe credit %d outside [0, %d]", opts.Credit, wire.MaxCreditWindow)
@@ -118,43 +119,39 @@ func (s *Session) Subscribe(opts SubscribeOptions) (*Stream, error) {
 	if opts.Batch < 0 || opts.Batch > wire.MaxBatch {
 		return nil, fmt.Errorf("client: subscribe batch %d outside [0, %d]", opts.Batch, wire.MaxBatch)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("client: session closed")
+	conn, err := net.DialTimeout("tcp", s.addr, s.dialTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("client: dial %s: %w", s.addr, err)
 	}
-	if s.stream != nil {
-		return nil, ErrStreaming
-	}
-	if s.broken {
-		return nil, ErrBrokenSession
-	}
-	rtyp, rpayload, err := s.roundTripLocked(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{
+	br := bufio.NewReader(conn)
+	payload, err := wire.Handshake(conn, br, wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{
 		Target: opts.Target,
 		Credit: uint32(opts.Credit),
 		Batch:  uint32(opts.Batch),
-	}))
+	}), s.maxPayload, s.timeout)
+	var ack wire.SubscribeAck
+	if err == nil {
+		ack, err = wire.UnmarshalSubscribeAck(payload)
+	}
 	if err != nil {
-		return nil, err
+		conn.Close()
+		return nil, fmt.Errorf("client: subscribe: %w", err)
 	}
-	if rtyp == wire.MsgError {
-		re, uerr := wire.UnmarshalError(rpayload)
-		if uerr != nil {
-			return nil, uerr
-		}
-		return nil, re
+	st := &Stream{
+		s:       s,
+		conn:    conn,
+		br:      br,
+		mw:      wire.NewMessageWriter(conn),
+		id:      ack.SubID,
+		nextSeq: ack.NextSeq,
 	}
-	if rtyp != wire.MsgSubscribeAck {
-		s.poisonLocked()
-		return nil, fmt.Errorf("%w: got reply type %d, want %d", ErrBrokenSession, rtyp, wire.MsgSubscribeAck)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		conn.Close()
+		return nil, errSessionClosed
 	}
-	ack, err := wire.UnmarshalSubscribeAck(rpayload)
-	if err != nil {
-		s.poisonLocked()
-		return nil, err
-	}
-	st := &Stream{s: s, id: ack.SubID, nextSeq: ack.NextSeq}
-	s.stream = st
+	s.streams[st] = struct{}{}
 	return st, nil
 }
 
@@ -165,42 +162,34 @@ func (st *Stream) ID() uint64 { return st.id }
 // could observe (from the SUBSCRIBE_ACK).
 func (st *Stream) NextSeq() uint64 { return st.nextSeq }
 
-// failTransport poisons the session — stream framing is request/reply
-// framing, a transport error desynchronizes both — and ends the stream.
-func (st *Stream) failTransport(err error) error {
+// end records how the stream ended, unless it already has, closes its
+// connection and takes it off its session's list. It returns the error the
+// stream ended with.
+func (st *Stream) end(err error) error {
+	st.mu.Lock()
+	if !st.done {
+		st.done, st.err = true, err
+	}
+	err = st.err
+	st.mu.Unlock()
+	st.conn.Close()
 	st.s.mu.Lock()
-	defer st.s.mu.Unlock()
-	st.s.poisonLocked()
-	st.endLocked(err)
+	delete(st.s.streams, st)
+	st.s.mu.Unlock()
 	return err
-}
-
-// finish ends the stream without poisoning: the session's request/reply
-// framing is intact and resumes.
-func (st *Stream) finish(err error) {
-	st.s.mu.Lock()
-	defer st.s.mu.Unlock()
-	st.endLocked(err)
-}
-
-// endLocked detaches the stream from its session and records how it
-// ended. Callers hold s.mu.
-func (st *Stream) endLocked(err error) {
-	st.s.stream = nil
-	st.done, st.err = true, err
 }
 
 // ended reports whether the stream has ended and the error it ended with.
 func (st *Stream) ended() (bool, error) {
-	st.s.mu.Lock()
-	defer st.s.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	return st.done, st.err
 }
 
 // Recv returns the next pushed frame, reading FRAME_PUSH batches off the
-// wire as needed. It returns io.EOF after a clean Close, and the terminal
-// *wire.RemoteError if the server ended the stream (the session remains
-// usable in both cases). Transport errors poison the session.
+// wire as needed. It returns io.EOF after a clean Close, the terminal
+// *wire.RemoteError if the server ended the stream, or the transport error
+// that ended it.
 func (st *Stream) Recv() (StreamFrame, error) {
 	for {
 		if st.next < len(st.buf) {
@@ -212,40 +201,33 @@ func (st *Stream) Recv() (StreamFrame, error) {
 		}
 		typ, payload, err := st.readMsg()
 		if err != nil {
-			return StreamFrame{}, st.failTransport(fmt.Errorf("client: stream receive: %w", err))
+			return StreamFrame{}, st.end(fmt.Errorf("client: stream receive: %w", err))
 		}
 		switch typ {
 		case wire.MsgFramePush:
-			if err := st.buffer(payload); err != nil {
-				return StreamFrame{}, st.failTransport(err)
-			}
+			err = st.buffer(payload)
 		case wire.MsgLabelsApplied:
-			if err := st.noteApplied(payload); err != nil {
-				return StreamFrame{}, st.failTransport(err)
-			}
+			err = st.noteApplied(payload)
 		case wire.MsgError:
-			re, uerr := wire.UnmarshalError(payload)
-			if uerr != nil {
-				return StreamFrame{}, st.failTransport(uerr)
-			}
-			st.finish(re)
-			return StreamFrame{}, re
+			err = streamError(payload)
 		default:
-			return StreamFrame{}, st.failTransport(fmt.Errorf(
-				"%w: got message type %d while streaming", ErrBrokenSession, typ))
+			err = fmt.Errorf("client: got message type %d while streaming", typ)
+		}
+		if err != nil {
+			return StreamFrame{}, st.end(err)
 		}
 	}
 }
 
-// noteApplied validates one LABELS_APPLIED payload and dispatches it to the
-// callback or the pending queue.
+// noteApplied validates one LABELS_APPLIED payload and hands it to the
+// callback.
 func (st *Stream) noteApplied(payload []byte) error {
 	la, err := wire.UnmarshalLabelsApplied(payload)
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
 	if la.SubID != st.id {
-		return fmt.Errorf("%w: LABELS_APPLIED for subscription %d, want %d", ErrBrokenSession, la.SubID, st.id)
+		return fmt.Errorf("client: LABELS_APPLIED for subscription %d, want %d", la.SubID, st.id)
 	}
 	out := LabelsApplied{AppliedSeq: la.AppliedSeq}
 	if la.Code != 0 {
@@ -253,33 +235,22 @@ func (st *Stream) noteApplied(payload []byte) error {
 	}
 	if st.onApplied != nil {
 		st.onApplied(out)
-		return nil
 	}
-	st.applied = append(st.applied, out)
 	return nil
 }
 
 // OnLabelsApplied installs the callback that receives each SetLabels
 // outcome, called synchronously from the goroutine inside Recv. Set it
-// before the first SetLabels; without a callback, outcomes queue for
-// TakeLabelsApplied instead.
+// before the first SetLabels: an outcome that arrives with no callback
+// installed is dropped.
 func (st *Stream) OnLabelsApplied(fn func(LabelsApplied)) { st.onApplied = fn }
 
-// TakeLabelsApplied drains the queued SetLabels outcomes accumulated by
-// Recv when no callback is installed. Single-consumer, like Recv.
-func (st *Stream) TakeLabelsApplied() []LabelsApplied {
-	out := st.applied
-	st.applied = nil
-	return out
-}
-
 // SetLabels pushes a region-label workload back to the subscription's
-// target session without leaving push mode — the closed-loop feedback
+// target session on the stream's own connection — the closed-loop feedback
 // path. The write returns immediately; the server's acknowledgment (the
 // first frame sequence number captured under the new labels, or a
-// rejection) is delivered through Recv to the OnLabelsApplied callback or
-// the TakeLabelsApplied queue. Like Grant, it is safe to call while another
-// goroutine blocks in Recv.
+// rejection) is delivered through Recv to the OnLabelsApplied callback.
+// Like Grant, it is safe to call while another goroutine blocks in Recv.
 func (st *Stream) SetLabels(labels []rpx.RegionLabel) error {
 	return st.send(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{
 		SubID:  st.id,
@@ -287,30 +258,37 @@ func (st *Stream) SetLabels(labels []rpx.RegionLabel) error {
 	}), "stream labels")
 }
 
-// send writes one client-to-server stream message (CREDIT, STREAM_LABELS)
-// on the connection's write side. The MessageWriter serializes it against
-// any concurrent write and emits the whole message in one vectored write,
-// so it can never tear another in-flight message.
+// streamError decodes the ERROR that ended a stream: the server's
+// *wire.RemoteError, or why it cannot be read.
+func streamError(payload []byte) error {
+	re, err := wire.UnmarshalError(payload)
+	if err != nil {
+		return fmt.Errorf("client: %w", err)
+	}
+	return re
+}
+
+// send writes one client-to-server stream message (CREDIT, STREAM_LABELS,
+// UNSUBSCRIBE). The MessageWriter serializes it against any concurrent
+// write and emits the whole message in one vectored write, so it can never
+// tear another in-flight message.
 func (st *Stream) send(typ byte, payload []byte, what string) error {
 	if done, err := st.ended(); done {
 		return err
 	}
-	s := st.s
-	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	if err := s.mw.WriteMessage(typ, payload, s.maxPayload); err != nil {
-		return st.failTransport(fmt.Errorf("client: %s: %w", what, err))
+	st.conn.SetWriteDeadline(time.Now().Add(st.s.timeout))
+	if err := st.mw.WriteMessage(typ, payload, st.s.maxPayload); err != nil {
+		return st.end(fmt.Errorf("client: %s: %w", what, err))
 	}
 	return nil
 }
 
 // readMsg reads one message off the stream's connection into the stream's
 // receive buffer, which invalidates the Raw bytes of every frame Recv has
-// returned. The stream owns the read side while open (request/reply calls
-// are locked out), so no session lock is needed.
+// returned.
 func (st *Stream) readMsg() (byte, []byte, error) {
-	s := st.s
-	s.conn.SetReadDeadline(time.Now().Add(s.timeout))
-	return wire.ReadMessageInto(s.br, &st.rbuf, s.maxPayload)
+	st.conn.SetReadDeadline(time.Now().Add(st.s.timeout))
+	return wire.ReadMessageInto(st.br, &st.rbuf, st.s.maxPayload)
 }
 
 // buffer validates one FRAME_PUSH payload and queues its frames.
@@ -320,7 +298,7 @@ func (st *Stream) buffer(payload []byte) error {
 		return fmt.Errorf("client: %w", err)
 	}
 	if p.SubID != st.id {
-		return fmt.Errorf("%w: FRAME_PUSH for subscription %d, want %d", ErrBrokenSession, p.SubID, st.id)
+		return fmt.Errorf("client: FRAME_PUSH for subscription %d, want %d", p.SubID, st.id)
 	}
 	st.buf, st.next = st.buf[:0], 0
 	for _, f := range p.Frames {
@@ -354,25 +332,20 @@ func (st *Stream) Grant(n int) error {
 }
 
 // Close unsubscribes cleanly: it sends UNSUBSCRIBE, then reads and discards
-// remaining pushes until the server's final ACK, returning the session to
-// request/reply mode. After Close, Recv returns io.EOF. Close must not be
-// called concurrently with Recv.
+// remaining pushes until the server's final ACK, and closes the stream's
+// connection. After Close, Recv returns io.EOF. Close must not be called
+// concurrently with Recv.
 func (st *Stream) Close() error {
 	if done, _ := st.ended(); done {
 		return nil
 	}
-	s := st.s
-	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	err := s.mw.WriteMessage(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{
-		SubID: st.id,
-	}), s.maxPayload)
-	if err != nil {
-		return st.failTransport(fmt.Errorf("client: unsubscribe: %w", err))
+	if err := st.send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: st.id}), "unsubscribe"); err != nil {
+		return err
 	}
 	for {
 		typ, payload, err := st.readMsg()
 		if err != nil {
-			return st.failTransport(fmt.Errorf("client: unsubscribe: %w", err))
+			return st.end(fmt.Errorf("client: unsubscribe: %w", err))
 		}
 		switch typ {
 		case wire.MsgFramePush:
@@ -380,23 +353,18 @@ func (st *Stream) Close() error {
 			// discarded by choice — Recv before Close to keep them.
 		case wire.MsgLabelsApplied:
 			// A SetLabels acknowledgment that was in flight when we
-			// unsubscribed; queue it so the outcome is not lost.
-			if err := st.noteApplied(payload); err != nil {
-				return st.failTransport(err)
-			}
+			// unsubscribed; deliver it so the outcome is not lost.
+			err = st.noteApplied(payload)
 		case wire.MsgAck:
-			st.finish(io.EOF)
+			st.end(io.EOF)
 			return nil
 		case wire.MsgError:
-			re, uerr := wire.UnmarshalError(payload)
-			if uerr != nil {
-				return st.failTransport(uerr)
-			}
-			st.finish(re)
-			return re
+			err = streamError(payload)
 		default:
-			return st.failTransport(fmt.Errorf(
-				"%w: got message type %d awaiting unsubscribe ack", ErrBrokenSession, typ))
+			err = fmt.Errorf("client: got message type %d awaiting unsubscribe ack", typ)
+		}
+		if err != nil {
+			return st.end(err)
 		}
 	}
 }

@@ -15,9 +15,10 @@ import (
 )
 
 // TestStreamPushBasic: a producer session captures frames request/reply
-// while a second connection subscribes to its stream and receives every
-// frame in order, byte-identical to an in-process rpx.System fed the same
-// labels and frames.
+// while a second session subscribes to its stream and receives every frame
+// in order, byte-identical to an in-process rpx.System fed the same labels
+// and frames. The subscribing session answers CAPTURE and DECODE of its
+// own while its stream delivers.
 func TestStreamPushBasic(t *testing.T) {
 	addr := startServer(t, server.Config{}, server.TCPConfig{})
 	producer, err := client.Dial(addr, client.Config{W: 64, H: 48, Format: rpx.Gray8})
@@ -37,10 +38,6 @@ func TestStreamPushBasic(t *testing.T) {
 	}
 	if st.NextSeq() != 0 {
 		t.Fatalf("NextSeq = %d on a virgin producer", st.NextSeq())
-	}
-	// Request/reply is locked out while the stream owns the connection.
-	if _, err := sub.Decoded(); !errors.Is(err, client.ErrStreaming) {
-		t.Fatalf("Decoded during stream = %v, want ErrStreaming", err)
 	}
 
 	labels := []rpx.RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 1, Skip: 1}}
@@ -91,10 +88,24 @@ func TestStreamPushBasic(t *testing.T) {
 		if !bytes.Equal(f.Raw, want[i]) {
 			t.Fatalf("pushed frame %d bytes differ from the in-process pipeline", i)
 		}
+		// The stream has a connection of its own, so the session it was
+		// opened from keeps serving between frames.
+		own := rpx.NewFrame(8, 8, rpx.Gray8)
+		fillFrame(own, 9, i)
+		cs, err := sub.Capture(own)
+		if err != nil {
+			t.Fatalf("Capture mid-stream, frame %d: %v", i, err)
+		}
+		if cs.FrameIndex != i {
+			t.Fatalf("mid-stream capture %d has frame index %d", i, cs.FrameIndex)
+		}
+		if _, err := sub.Decoded(); err != nil {
+			t.Fatalf("Decoded mid-stream, frame %d: %v", i, err)
+		}
 	}
 
-	// Clean unsubscribe: the stream ends with io.EOF and the session
-	// returns to request/reply mode on the same connection.
+	// Clean unsubscribe: the stream ends with io.EOF, and the session
+	// serves on.
 	if err := st.Close(); err != nil {
 		t.Fatalf("stream close: %v", err)
 	}
@@ -314,32 +325,93 @@ func TestStreamGrantRacesEnd(t *testing.T) {
 	}
 }
 
-// TestStreamSubscribeErrors pins the failure modes: unknown target session
-// and double subscribe.
+// TestStreamSubscribeErrors pins the failure modes: an unknown target and
+// target 0 each draw an ERROR and open no subscription. One session may
+// run several streams at once, each on its own connection.
 func TestStreamSubscribeErrors(t *testing.T) {
-	addr := startServer(t, server.Config{}, server.TCPConfig{})
+	mgr := server.NewManager(server.Config{})
+	addr := serveManager(t, mgr, server.TCPConfig{})
 	sess, err := client.Dial(addr, client.Config{W: 16, H: 16, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 
-	var re *wire.RemoteError
-	if _, err := sess.Subscribe(client.SubscribeOptions{Target: 9999}); !errors.As(err, &re) || re.Code != wire.CodeBadRequest {
-		t.Fatalf("unknown target err = %v, want BAD_REQUEST", err)
+	for _, tc := range []struct {
+		target uint64
+		code   uint16
+	}{{9999, wire.CodeBadRequest}, {0, wire.CodeProto}} {
+		var re *wire.RemoteError
+		if _, err := sess.Subscribe(client.SubscribeOptions{Target: tc.target}); !errors.As(err, &re) || re.Code != tc.code {
+			t.Fatalf("target %d: err = %v, want code %d", tc.target, err, tc.code)
+		}
 	}
-	// The failed subscribe left the session in request/reply mode.
-	st, err := sess.Subscribe(client.SubscribeOptions{Credit: 1})
+	if n := mgr.SubscriptionsOpen(); n != 0 {
+		t.Fatalf("refused subscribes left %d subscriptions open", n)
+	}
+
+	producer, err := client.Dial(addr, client.Config{W: 16, H: 16, Format: rpx.Gray8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Subscribe(client.SubscribeOptions{Credit: 1}); !errors.Is(err, client.ErrStreaming) {
-		t.Fatalf("double subscribe err = %v, want ErrStreaming", err)
+	defer producer.Close()
+	var streams [2]*client.Stream
+	for i := range streams {
+		if streams[i], err = sess.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := st.Close(); err != nil {
+	if _, err := producer.Capture(rpx.NewFrame(16, 16, rpx.Gray8)); err != nil {
 		t.Fatal(err)
+	}
+	for i, st := range streams {
+		if f, err := st.Recv(); err != nil || f.Seq != 0 {
+			t.Fatalf("stream %d: frame seq %d, err %v; want frame 0", i, f.Seq, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := sess.Capture(rpx.NewFrame(16, 16, rpx.Gray8)); err != nil {
 		t.Fatalf("request/reply after unsubscribe: %v", err)
+	}
+}
+
+// TestSessionCloseEndsItsStreams: closing a session closes the streams it
+// opened, so a Recv blocked on one returns promptly instead of waiting
+// for a frame.
+func TestSessionCloseEndsItsStreams(t *testing.T) {
+	addr := startServer(t, server.Config{}, server.TCPConfig{})
+	producer, err := client.Dial(addr, client.Config{W: 16, H: 16, Format: rpx.Gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer producer.Close()
+	sess, err := client.Dial(addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sess.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvErr := make(chan error, 1)
+	go func() {
+		_, err := st.Recv()
+		recvErr <- err
+	}()
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-recvErr:
+		if err == nil {
+			t.Fatal("Recv returned a frame from a producer that captured none")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recv still blocked after its session closed")
+	}
+	if _, err := sess.Subscribe(client.SubscribeOptions{Target: producer.ID()}); err == nil {
+		t.Fatal("Subscribe on a closed session succeeded")
 	}
 }

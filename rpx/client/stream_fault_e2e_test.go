@@ -100,20 +100,22 @@ func drainUntilFault(t *testing.T, st *client.Stream, want [][]byte) (int, error
 
 // TestStreamFaultScriptedCuts: the proxy truncates (claiming the full
 // length, delivering a prefix — a mid-message, mid-batch cut) or drops the
-// subscriber's 5th server→client message, i.e. the 3rd FRAME_PUSH
-// (1 HELLO_ACK, 2 SUBSCRIBE_ACK, 3+ pushes). The subscriber must see the
-// untouched pushes byte-perfect and then a transport error that poisons the
-// session — never a short or mangled frame surfaced as data. The server
-// coalesces up to Batch frames per push when the subscriber lags, so the
-// run captures 4×Batch frames: at least 4 pushes, whatever the timing.
+// 4th server→client message of the stream's connection, i.e. the 3rd
+// FRAME_PUSH (1 SUBSCRIBE_ACK, 2+ pushes). The subscriber must see the
+// untouched pushes byte-perfect and then a transport error that ends the
+// stream — never a short or mangled frame surfaced as data. The stream
+// stays ended, and the session it was opened from, on a connection of its
+// own, still answers. The server coalesces up to Batch frames per push when
+// the subscriber lags, so the run captures 4×Batch frames: at least 4
+// pushes, whatever the timing.
 func TestStreamFaultScriptedCuts(t *testing.T) {
 	const w, h, frames = 48, 32, 16
 	cuts := []struct {
 		name string
 		rule faultnet.Rule
 	}{
-		{"truncate-mid-push", faultnet.Rule{Dir: faultnet.ServerToClient, Nth: 5, TruncateTo: 11, Once: true}},
-		{"drop-push", faultnet.Rule{Dir: faultnet.ServerToClient, Nth: 5, Drop: true, Once: true}},
+		{"truncate-mid-push", faultnet.Rule{Dir: faultnet.ServerToClient, Nth: 4, TruncateTo: 11, Once: true}},
+		{"drop-push", faultnet.Rule{Dir: faultnet.ServerToClient, Nth: 4, Drop: true, Once: true}},
 	}
 	for _, tc := range cuts {
 		tc := tc
@@ -139,16 +141,19 @@ func TestStreamFaultScriptedCuts(t *testing.T) {
 			if !expectedFaultErr(err) {
 				t.Fatalf("stream ended with unexpected error class: %v", err)
 			}
-			// The two intact pushes (messages 3 and 4) carried at least two
+			// The two intact pushes (messages 2 and 3) carried at least two
 			// frames; the cut message must deliver nothing at all.
 			if got < 2 {
 				t.Fatalf("only %d frames before the cut, want the intact pushes first", got)
 			}
-			if !sub.Broken() {
-				t.Fatal("session not poisoned after a torn push")
+			if _, again := st.Recv(); again != err {
+				t.Fatalf("Recv after the cut = %v, want the same %v", again, err)
 			}
-			if _, err := sub.Capture(rpx.NewFrame(8, 8, rpx.Gray8)); err == nil {
-				t.Fatal("poisoned session still answered a request")
+			if sub.Broken() {
+				t.Fatal("a torn push on the stream's connection broke the session")
+			}
+			if _, err := sub.Capture(rpx.NewFrame(8, 8, rpx.Gray8)); err != nil {
+				t.Fatalf("session after the stream's cut: %v", err)
 			}
 		})
 	}

@@ -209,11 +209,11 @@ stage_smoke() {
         exit 1
     fi
     # Streaming smoke first (while both backends are still alive): a push
-    # subscription relayed through the real rpxgw must deliver every frame
-    # in order, and after UNSUBSCRIBE the same connection must answer
-    # requests again. rpxgw places the producer and the subscriber on
-    # different backends, so every run also follows the target across
-    # backends.
+    # stream relayed through the real rpxgw, on a connection of its own,
+    # must deliver every frame in order, and after UNSUBSCRIBE the session
+    # that opened it must still answer requests. rpxgw places the producer
+    # and the subscriber's session on different backends, so every run also
+    # routes a stream to the backend that holds its target.
     echo "== streaming smoke"
     RPXGW_ADDR="$GW_ADDR" \
         go test -race -count=1 -run='^TestLiveGatewayStream$' ./cmd/rpxgw
