@@ -463,16 +463,12 @@ func (s *proxySession) adoptBackendLocked(addr string) (ackPayload []byte, err e
 			s.gw.unload(addr)
 		}
 	}()
-	conn, err := net.DialTimeout("tcp", addr, s.gw.cfg.DialTimeout)
+	conn, br, ackPayload, err := wire.Dial(addr, s.gw.cfg.DialTimeout, wire.MsgHello, s.hello,
+		s.gw.cfg.MaxPayload, s.gw.cfg.BackendTimeout)
 	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReader(conn)
-	ackPayload, err = wire.Handshake(conn, br, wire.MsgHello, s.hello, s.gw.cfg.MaxPayload, s.gw.cfg.BackendTimeout)
-	var ack wire.HelloAck
-	if err == nil {
-		ack, err = wire.UnmarshalHelloAck(ackPayload)
-	}
+	ack, err := wire.UnmarshalHelloAck(ackPayload)
 	if err == nil && s.labels != nil {
 		err = s.replayLabels(conn, br)
 	}

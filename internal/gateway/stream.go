@@ -122,16 +122,7 @@ func (s *proxySession) subscribe(req wire.Subscribe) (net.Conn, *bufio.Reader, [
 	if s.bconn == nil {
 		return nil, nil, nil, errors.New("the session is between backends")
 	}
-	conn, err := net.DialTimeout("tcp", s.backendAddr, s.gw.cfg.DialTimeout)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	br := bufio.NewReader(conn)
 	req.Target = s.remoteID
-	ack, err := wire.Handshake(conn, br, wire.MsgSubscribe, wire.MarshalSubscribe(req), s.gw.cfg.MaxPayload, s.gw.cfg.BackendTimeout)
-	if err != nil {
-		conn.Close()
-		return nil, nil, nil, err
-	}
-	return conn, br, ack, nil
+	return wire.Dial(s.backendAddr, s.gw.cfg.DialTimeout, wire.MsgSubscribe, wire.MarshalSubscribe(req),
+		s.gw.cfg.MaxPayload, s.gw.cfg.BackendTimeout)
 }

@@ -22,6 +22,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -454,15 +455,30 @@ func UnmarshalHelloAck(b []byte) (HelloAck, error) {
 	return a, nil
 }
 
-// Handshake writes a connection's first message — typ is MsgHello or
-// MsgSubscribe — on a freshly dialed connection and reads the reply from
-// r, which buffers conn. On success it returns the raw HELLO_ACK or
+// Dial connects to addr and sends the connection's first message — typ is
+// MsgHello or MsgSubscribe — then reads its reply. On success it returns
+// the connection, the reader that buffers it, and the raw HELLO_ACK or
 // SUBSCRIBE_ACK payload, which a forwarder relays verbatim. Taking the
 // payload rather than a struct lets a forwarder replay exactly the bytes
-// its client sent. A server-side rejection is returned as an error
-// wrapping the *RemoteError, so callers can tell it from a transport
-// failure with errors.As.
-func Handshake(conn net.Conn, r io.Reader, typ byte, payload []byte, maxPayload int, timeout time.Duration) ([]byte, error) {
+// its client sent. On failure the connection is closed; a server-side
+// rejection is returned as an error wrapping the *RemoteError, so callers
+// can tell it from a transport failure with errors.As.
+func Dial(addr string, dialTimeout time.Duration, typ byte, payload []byte, maxPayload int, timeout time.Duration) (net.Conn, *bufio.Reader, []byte, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("dial %s: %w", addr, err)
+	}
+	br := bufio.NewReader(conn)
+	reply, err := handshake(conn, br, typ, payload, maxPayload, timeout)
+	if err != nil {
+		conn.Close()
+		return nil, nil, nil, err
+	}
+	return conn, br, reply, nil
+}
+
+// handshake is Dial's exchange on the dialed connection.
+func handshake(conn net.Conn, br *bufio.Reader, typ byte, payload []byte, maxPayload int, timeout time.Duration) ([]byte, error) {
 	want := MsgHelloAck
 	if typ == MsgSubscribe {
 		want = MsgSubscribeAck
@@ -472,7 +488,7 @@ func Handshake(conn net.Conn, r io.Reader, typ byte, payload []byte, maxPayload 
 		return nil, fmt.Errorf("send handshake: %w", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(timeout))
-	rtyp, reply, err := ReadMessage(r, maxPayload)
+	rtyp, reply, err := ReadMessage(br, maxPayload)
 	if err != nil {
 		return nil, fmt.Errorf("read handshake: %w", err)
 	}

@@ -111,17 +111,12 @@ func Dial(addr string, cfg Config) (*Session, error) {
 	if reqTimeout <= 0 {
 		reqTimeout = 30 * time.Second
 	}
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	hello := wire.MarshalHello(wire.Hello{W: cfg.W, H: cfg.H, Format: cfg.Format})
+	conn, br, payload, err := wire.Dial(addr, dialTimeout, wire.MsgHello, hello, wire.DefaultMaxPayload, reqTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	br := bufio.NewReader(conn)
-	hello := wire.Hello{W: cfg.W, H: cfg.H, Format: cfg.Format}
-	payload, err := wire.Handshake(conn, br, wire.MsgHello, wire.MarshalHello(hello), wire.DefaultMaxPayload, reqTimeout)
-	var ack wire.HelloAck
-	if err == nil {
-		ack, err = wire.UnmarshalHelloAck(payload)
-	}
+	ack, err := wire.UnmarshalHelloAck(payload)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: %w", err)

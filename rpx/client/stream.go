@@ -119,20 +119,16 @@ func (s *Session) Subscribe(opts SubscribeOptions) (*Stream, error) {
 	if opts.Batch < 0 || opts.Batch > wire.MaxBatch {
 		return nil, fmt.Errorf("client: subscribe batch %d outside [0, %d]", opts.Batch, wire.MaxBatch)
 	}
-	conn, err := net.DialTimeout("tcp", s.addr, s.dialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", s.addr, err)
-	}
-	br := bufio.NewReader(conn)
-	payload, err := wire.Handshake(conn, br, wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{
+	req := wire.MarshalSubscribe(wire.Subscribe{
 		Target: opts.Target,
 		Credit: uint32(opts.Credit),
 		Batch:  uint32(opts.Batch),
-	}), s.maxPayload, s.timeout)
-	var ack wire.SubscribeAck
-	if err == nil {
-		ack, err = wire.UnmarshalSubscribeAck(payload)
+	})
+	conn, br, payload, err := wire.Dial(s.addr, s.dialTimeout, wire.MsgSubscribe, req, s.maxPayload, s.timeout)
+	if err != nil {
+		return nil, fmt.Errorf("client: subscribe: %w", err)
 	}
+	ack, err := wire.UnmarshalSubscribeAck(payload)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: subscribe: %w", err)
