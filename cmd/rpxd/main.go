@@ -14,8 +14,9 @@
 // session and receives that session's frames as FRAME_PUSH batches under
 // a credit window granted by the subscriber, so a stalled consumer drops
 // frames (counted) instead of buffering unboundedly or stalling the
-// producer. The stream ends at UNSUBSCRIBE's ACK or a terminal ERROR, and
-// its connection closes.
+// producer. The connection is its one subscription, so no stream message
+// names one, and each pushed frame is its RPXE container alone. The stream
+// ends at UNSUBSCRIBE's ACK or a terminal ERROR, and its connection closes.
 //
 // Sessions and streams share the -max-sessions slots. A client that sends
 // nothing for -read-timeout loses its connection and its slot, so

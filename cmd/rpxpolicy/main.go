@@ -57,8 +57,6 @@ func realMain() int {
 		format     = flag.String("format", "gray8", "target pixel format: gray8, rgb24, yuv444")
 		tile       = flag.Int("tile", 0, "motion-grid tile pitch in pixels (0 = default)")
 		feats      = flag.Bool("features", false, "run the feature/track frontend (gray8 targets)")
-		credit     = flag.Int("credit", policyloop.DefaultCredit, "push credit window in frames")
-		batch      = flag.Int("batch", policyloop.DefaultBatch, "frames per push batch")
 		timeout    = flag.Duration("timeout", 0, "stream read timeout (0 = client default)")
 		maxRetries = flag.Int("max-retries", policyloop.DefaultMaxRetries, "consecutive failed re-attach attempts before giving up")
 		backoff    = flag.Duration("backoff", policyloop.DefaultBackoff, "base re-attach backoff")
@@ -98,8 +96,6 @@ func realMain() int {
 		Format:      f,
 		Tile:        *tile,
 		Features:    *feats,
-		Credit:      *credit,
-		Batch:       *batch,
 		Timeout:     *timeout,
 		MaxRetries:  *maxRetries,
 		Backoff:     *backoff,

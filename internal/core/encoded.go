@@ -305,28 +305,16 @@ func ReadEncodedFrameInto(r io.Reader, ef *EncodedFrame) error {
 	if err != nil {
 		return fmt.Errorf("core: short header: %w", err)
 	}
-	if binary.LittleEndian.Uint32(buf) != encodedMagic {
-		return fmt.Errorf("core: bad magic %#x", binary.LittleEndian.Uint32(buf))
+	hdr, err := parseEncodedHeader(buf)
+	if err != nil {
+		return err
 	}
-	if v := binary.LittleEndian.Uint32(buf[4:]); v != encodedVersion {
-		return fmt.Errorf("core: unsupported version %d", v)
-	}
-	w := int(binary.LittleEndian.Uint32(buf[8:]))
-	h := int(binary.LittleEndian.Uint32(buf[12:]))
-	bpp := int(binary.LittleEndian.Uint32(buf[16:]))
-	idx := int(binary.LittleEndian.Uint32(buf[20:]))
-	payloadLen := int(binary.LittleEndian.Uint32(buf[24:]))
-	if w <= 0 || h <= 0 || w > MaxFrameDim || h > MaxFrameDim || bpp <= 0 || bpp > 4 {
-		return fmt.Errorf("core: unreasonable header %dx%d bpp=%d", w, h, bpp)
-	}
-	if !payloadLenOK(payloadLen, w, h, bpp) {
-		return fmt.Errorf("core: payload %d exceeds frame size", payloadLen)
-	}
+	w, h, payloadLen := hdr.W, hdr.H, hdr.PayloadLen
 	n := payloadLen + 4*(h+1) // the payload, then the row-offset table
 	if n < payloadLen {       // wrapped: a 32-bit int cannot hold both
 		return fmt.Errorf("core: payload %d exceeds frame size", payloadLen)
 	}
-	ef.W, ef.H, ef.BytesPerPixel, ef.FrameIndex = w, h, bpp, idx
+	ef.W, ef.H, ef.BytesPerPixel, ef.FrameIndex = w, h, hdr.BytesPerPixel, hdr.FrameIndex
 	if buf, err = readAppend(r, buf[:0], n); err != nil {
 		return fmt.Errorf("core: short payload or row offsets: %w", err)
 	}
@@ -352,6 +340,72 @@ func ReadEncodedFrameInto(r io.Reader, ef *EncodedFrame) error {
 		return fmt.Errorf("core: corrupt encoded frame: %w", err)
 	}
 	return nil
+}
+
+// EncodedHeader is what the 28-byte header of an RPXE container says about
+// its frame, enough to know the frame's index and capture statistics
+// without parsing the frame itself.
+type EncodedHeader struct {
+	W, H          int
+	BytesPerPixel int
+	FrameIndex    int
+	// PayloadLen is the byte length of the packed pixels.
+	PayloadLen int
+}
+
+// NumEncodedPixels is the frame's EncodedFrame.NumEncodedPixels.
+func (h EncodedHeader) NumEncodedPixels() int { return h.PayloadLen / h.BytesPerPixel }
+
+// TotalBytes is the frame's EncodedFrame.TotalBytes: packed pixels, row
+// offsets and EncMask.
+func (h EncodedHeader) TotalBytes() int { return h.PayloadLen + 4*(h.H+1) + (h.W*h.H+3)/4 }
+
+// parseEncodedHeader decodes the RPXE header that opens b, with the checks
+// every reader of untrusted containers applies before sizing anything from
+// it: magic, version, a geometry within MaxFrameDim and a payload length
+// that geometry can hold.
+func parseEncodedHeader(b []byte) (EncodedHeader, error) {
+	if len(b) < encodedHeaderSize {
+		return EncodedHeader{}, fmt.Errorf("core: header is %d bytes, want %d", len(b), encodedHeaderSize)
+	}
+	if m := binary.LittleEndian.Uint32(b); m != encodedMagic {
+		return EncodedHeader{}, fmt.Errorf("core: bad magic %#x", m)
+	}
+	if v := binary.LittleEndian.Uint32(b[4:]); v != encodedVersion {
+		return EncodedHeader{}, fmt.Errorf("core: unsupported version %d", v)
+	}
+	h := EncodedHeader{
+		W:             int(binary.LittleEndian.Uint32(b[8:])),
+		H:             int(binary.LittleEndian.Uint32(b[12:])),
+		BytesPerPixel: int(binary.LittleEndian.Uint32(b[16:])),
+		FrameIndex:    int(binary.LittleEndian.Uint32(b[20:])),
+		PayloadLen:    int(binary.LittleEndian.Uint32(b[24:])),
+	}
+	if h.W <= 0 || h.H <= 0 || h.W > MaxFrameDim || h.H > MaxFrameDim || h.BytesPerPixel <= 0 || h.BytesPerPixel > 4 {
+		return EncodedHeader{}, fmt.Errorf("core: unreasonable header %dx%d bpp=%d", h.W, h.H, h.BytesPerPixel)
+	}
+	if !payloadLenOK(h.PayloadLen, h.W, h.H, h.BytesPerPixel) {
+		return EncodedHeader{}, fmt.Errorf("core: payload %d exceeds frame size", h.PayloadLen)
+	}
+	return h, nil
+}
+
+// ParseEncodedHeader decodes the header of container, one whole RPXE
+// container, with the checks ReadEncodedFrame applies to it, and checks
+// that container is exactly as long as the header says. It reads nothing
+// past the header, so a frame it accepts can still fail ReadEncodedFrame's
+// checks of the row offsets and mask against each other.
+func ParseEncodedHeader(container []byte) (EncodedHeader, error) {
+	h, err := parseEncodedHeader(container)
+	if err != nil {
+		return EncodedHeader{}, err
+	}
+	// In int64: a 32-bit int cannot hold the largest container.
+	size := encodedHeaderSize + int64(h.PayloadLen) + 4*int64(h.H+1) + (int64(h.W)*int64(h.H)+3)/4
+	if int64(len(container)) != size {
+		return EncodedHeader{}, fmt.Errorf("core: container is %d bytes, its header says %d", len(container), size)
+	}
+	return h, nil
 }
 
 // payloadLenOK reports whether a wire-declared payload length fits within

@@ -15,9 +15,9 @@ import (
 // A SUBSCRIBE-first connection is a stream. Its target names a session by
 // the id its client holds, and the gateway routes only to sessions it
 // proxies: it dials the backend that holds the target, sends the SUBSCRIBE
-// with the target rewritten to the session's current remote id, relays the
-// SUBSCRIBE_ACK, and then runs two pumps over that backend connection of
-// the stream's own — backend→client for FRAME_PUSH batches, LABELS_APPLIED
+// with the target rewritten to the session's current remote id, relays its
+// ACK, and then runs two pumps over that backend connection of the
+// stream's own — backend→client for FRAME_PUSH batches, LABELS_APPLIED
 // and the stream's terminal message, client→backend for CREDIT,
 // STREAM_LABELS and UNSUBSCRIBE. Both pumps move whole messages (one read,
 // one WriteMessage), so a relayed frame is never torn even when a backend
@@ -67,7 +67,7 @@ func (g *Gateway) relayStream(c *clientConn, payload []byte) {
 		return
 	}
 	defer bconn.Close()
-	if reply(wire.MsgSubscribeAck, ack) != nil {
+	if reply(wire.MsgAck, ack) != nil {
 		return
 	}
 
@@ -112,8 +112,8 @@ func (g *Gateway) relayStream(c *clientConn, payload []byte) {
 
 // subscribe opens a stream on the session's current backend: it dials the
 // backend and sends req with its target rewritten to the session's remote
-// id there, returning the stream's backend connection and the raw
-// SUBSCRIBE_ACK. It holds the session lock throughout, so a migration
+// id there, returning the stream's backend connection and the raw ACK
+// payload. It holds the session lock throughout, so a migration
 // cannot move the session between the lookup and the attach. A backend
 // rejection is returned wrapping its *wire.RemoteError.
 func (s *proxySession) subscribe(req wire.Subscribe) (net.Conn, *bufio.Reader, []byte, error) {

@@ -361,9 +361,9 @@ func TestGatewayOneRolePerConnection(t *testing.T) {
 		payload []byte
 	}{
 		{wire.MsgSubscribe, subscribe},
-		{wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: 1, N: 1})},
-		{wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{SubID: 1, Labels: rpx.RegionList{{W: 4, H: 4, Stride: 1, Skip: 1}}})},
-		{wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: 1})},
+		{wire.MsgCredit, wire.MarshalCredit(1)},
+		{wire.MsgStreamLabels, wire.MarshalLabels(rpx.RegionList{{W: 4, H: 4, Stride: 1, Skip: 1}})},
+		{wire.MsgUnsubscribe, nil},
 	} {
 		send(req.typ, req.payload)
 		expectCode(t, expect(wire.MsgError), wire.CodeProto)
@@ -373,22 +373,22 @@ func TestGatewayOneRolePerConnection(t *testing.T) {
 
 	stream := dialRaw(t, addr)
 	writeRaw(t, stream, wire.MsgSubscribe, subscribe)
-	readRaw(t, stream, wire.MsgSubscribeAck)
+	readRaw(t, stream, wire.MsgAck)
 	writeRaw(t, stream, wire.MsgCapture, make([]byte, 16*16))
 	expectCode(t, readRaw(t, stream, wire.MsgError), wire.CodeProto)
 	if _, _, err := wire.ReadMessage(stream, 0); err == nil {
 		t.Fatal("the stream served on after a PROTO error")
 	}
 
-	v10 := bytes.Clone(subscribe)
-	binary.LittleEndian.PutUint32(v10[4:], 10)
+	v11 := bytes.Clone(subscribe)
+	binary.LittleEndian.PutUint32(v11[4:], 11)
 	zero := bytes.Clone(subscribe)
 	binary.LittleEndian.PutUint64(zero[8:], 0)
 	foreign := wire.MarshalSubscribe(wire.Subscribe{Target: producer.ID() + 1, Credit: 4})
 	for _, tc := range []struct {
 		payload []byte
 		code    uint16
-	}{{v10, wire.CodeProto}, {zero, wire.CodeProto}, {foreign, wire.CodeBadRequest}} {
+	}{{v11, wire.CodeProto}, {zero, wire.CodeProto}, {foreign, wire.CodeBadRequest}} {
 		conn := dialRaw(t, addr)
 		writeRaw(t, conn, wire.MsgSubscribe, tc.payload)
 		expectCode(t, readRaw(t, conn, wire.MsgError), tc.code)
@@ -416,9 +416,9 @@ func expectCode(t *testing.T, payload []byte, code uint16) {
 }
 
 // TestGatewayRetiredTypesGetProtoError: the gateway relays the request
-// types protocol 9 retired (8 DECODE_WINDOW, 10 STATS, 12 GET_ENCODED) like
-// any other, so each draws the backend's PROTO error, and the connection
-// keeps serving.
+// types protocol 9 retired (8 DECODE_WINDOW, 10 STATS, 12 GET_ENCODED) and
+// the type protocol 12 retired (17 SUBSCRIBE_ACK) like any other, so each
+// draws the backend's PROTO error, and the connection keeps serving.
 func TestGatewayRetiredTypesGetProtoError(t *testing.T) {
 	b := startBackend(t)
 	addr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
@@ -426,7 +426,7 @@ func TestGatewayRetiredTypesGetProtoError(t *testing.T) {
 	for _, req := range []struct {
 		typ     byte
 		payload []byte
-	}{{8, make([]byte, 16)}, {10, nil}, {12, nil}} {
+	}{{8, make([]byte, 16)}, {10, nil}, {12, nil}, {17, make([]byte, 16)}} {
 		send(req.typ, req.payload)
 		re, err := wire.UnmarshalError(expect(wire.MsgError))
 		if err != nil {
@@ -490,4 +490,147 @@ func readRaw(t *testing.T, conn net.Conn, want byte) []byte {
 		t.Fatalf("got message type %d (%v), want %d", typ, re, want)
 	}
 	return payload
+}
+
+// TestStreamPayloadLayouts pins protocol 12's stream payloads, on rpxd and
+// through rpxgw alike. SUBSCRIBE is answered by the empty ACK. A
+// one-frame FRAME_PUSH is 5 + 12 + 4 bytes plus the container: the u64
+// dropped count, the u32 record count, the u32 record length, then the
+// container, byte-identical to the in-process pipeline's. CREDIT is a u32
+// grant; STREAM_LABELS is a SET_LABELS payload, answered by a
+// LABELS_APPLIED of a u64 boundary, a u16 code and the message. UNSUBSCRIBE
+// is empty and answered by the empty ACK, and the connection then closes.
+// A zero CREDIT or a non-empty UNSUBSCRIBE ends the stream unacknowledged,
+// and a protocol-11 HELLO or SUBSCRIBE draws PROTO with the
+// *wire.VersionError's message.
+func TestStreamPayloadLayouts(t *testing.T) {
+	b := startBackend(t)
+	gaddr, _ := startGateway(t, []gateway.Backend{{Addr: b.addr}}, nil)
+	for _, via := range []struct{ name, addr string }{{"rpxd", b.addr}, {"rpxgw", gaddr}} {
+		t.Run(via.name, func(t *testing.T) { checkStreamPayloads(t, via.addr) })
+	}
+	for deadline := time.Now().Add(5 * time.Second); b.mgr.SubscriptionsOpen() != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("backend holds %d subscriptions after every stream ended", b.mgr.SubscriptionsOpen())
+		}
+	}
+}
+
+func checkStreamPayloads(t *testing.T, addr string) {
+	const w, h = 16, 12
+	labelsA := []rpx.RegionLabel{{X: 2, Y: 1, W: 9, H: 7, Stride: 1, Skip: 1}}
+	labelsB := []rpx.RegionLabel{{X: 0, Y: 4, W: w, H: 8, Stride: 2, Skip: 1}}
+	producer := dialVia(t, addr, w, h)
+	ref, err := rpx.NewSystem(w, h, rpx.Gray8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, install := range []func([]rpx.RegionLabel) error{producer.SetRegionLabels, ref.SetRegionLabels} {
+		if err := install(labelsA); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := rpx.NewFrame(w, h, rpx.Gray8)
+	capture := func(i int) []byte { // the frame's reference container
+		t.Helper()
+		for p := range fr.Pix {
+			fr.Pix[p] = byte(31*i + p)
+		}
+		if _, err := producer.Capture(fr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Capture(fr); err != nil {
+			t.Fatal(err)
+		}
+		return ref.LastEncoded().AppendTo(nil)
+	}
+	expectPush := func(conn net.Conn, dropped uint64, container []byte) {
+		t.Helper()
+		want := binary.LittleEndian.AppendUint32(nil, uint32(12+4+len(container)))
+		want = append(want, wire.MsgFramePush)
+		want = binary.LittleEndian.AppendUint64(want, dropped)
+		want = binary.LittleEndian.AppendUint32(want, 1)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(container)))
+		want = append(want, container...)
+		got := make([]byte, len(want))
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.ReadFull(conn, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("one-frame FRAME_PUSH on the wire:\n got %x\nwant %x", got, want)
+		}
+	}
+	subscribe := wire.MarshalSubscribe(wire.Subscribe{Target: producer.ID(), Credit: 1, Batch: 1})
+
+	stream := dialRaw(t, addr)
+	writeRaw(t, stream, wire.MsgSubscribe, subscribe)
+	if ack := readRaw(t, stream, wire.MsgAck); len(ack) != 0 {
+		t.Fatalf("SUBSCRIBE's ACK carries %d bytes, want none", len(ack))
+	}
+	expectPush(stream, 0, capture(0))
+	capture(1) // the window is spent: dropped
+	// The stream reads in order, so the labels' reply also says the grant
+	// before them has landed.
+	writeRaw(t, stream, wire.MsgCredit, binary.LittleEndian.AppendUint32(nil, 1))
+	writeRaw(t, stream, wire.MsgStreamLabels, wire.MarshalLabels(labelsB))
+	applied := binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint64(nil, 2), 0)
+	if got := readRaw(t, stream, wire.MsgLabelsApplied); !bytes.Equal(got, applied) {
+		t.Fatalf("LABELS_APPLIED = %x, want %x (frame 2, code 0, no message)", got, applied)
+	}
+	if err := ref.SetRegionLabels(labelsB); err != nil {
+		t.Fatal(err)
+	}
+	expectPush(stream, 1, capture(2))
+	writeRaw(t, stream, wire.MsgUnsubscribe, nil)
+	if ack := readRaw(t, stream, wire.MsgAck); len(ack) != 0 {
+		t.Fatalf("UNSUBSCRIBE's ACK carries %d bytes, want none", len(ack))
+	}
+	if _, _, err := wire.ReadMessage(stream, 0); err == nil {
+		t.Fatal("the stream's connection stayed open after UNSUBSCRIBE's ACK")
+	}
+
+	// Protocol 11's CREDIT and UNSUBSCRIBE led with a u64 subscription id.
+	for _, msg := range []struct {
+		typ     byte
+		payload []byte
+	}{
+		{wire.MsgCredit, make([]byte, 4)},
+		{wire.MsgCredit, make([]byte, 12)},
+		{wire.MsgUnsubscribe, make([]byte, 8)},
+	} {
+		conn := dialRaw(t, addr)
+		writeRaw(t, conn, wire.MsgSubscribe, subscribe)
+		readRaw(t, conn, wire.MsgAck)
+		writeRaw(t, conn, msg.typ, msg.payload)
+		for {
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			typ, _, err := wire.ReadMessage(conn, 0)
+			if err != nil {
+				break
+			}
+			if typ != wire.MsgError { // rpxgw reports the backend's hang-up
+				t.Fatalf("message type %d with a %d-byte payload: the stream answered %d", msg.typ, len(msg.payload), typ)
+			}
+		}
+	}
+
+	v11 := (&wire.VersionError{Got: 11}).Error()
+	hello := wire.MarshalHello(wire.Hello{W: w, H: h, Format: rpx.Gray8})
+	for _, first := range []struct {
+		typ     byte
+		payload []byte
+	}{{wire.MsgHello, hello}, {wire.MsgSubscribe, subscribe}} {
+		msg := bytes.Clone(first.payload)
+		binary.LittleEndian.PutUint32(msg[4:], 11)
+		conn := dialRaw(t, addr)
+		writeRaw(t, conn, first.typ, msg)
+		re, err := wire.UnmarshalError(readRaw(t, conn, wire.MsgError))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.Code != wire.CodeProto || re.Message != v11 {
+			t.Fatalf("protocol-11 message type %d: error %v, want PROTO %q", first.typ, re, v11)
+		}
+	}
 }

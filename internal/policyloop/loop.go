@@ -35,7 +35,8 @@ import (
 	"repro/rpx/client"
 )
 
-// Default knobs.
+// Default knobs. The worker subscribes with DefaultCredit frames of credit
+// and batches of up to DefaultBatch frames.
 const (
 	DefaultCredit      = 64
 	DefaultBatch       = 8
@@ -71,9 +72,6 @@ type Config struct {
 	// displacements, and the global motion estimate from an incremental
 	// matcher feed the policy alongside the motion grid. Gray8 targets only.
 	Features bool
-	// Credit is the push credit window in frames (0 = DefaultCredit); Batch
-	// bounds frames per FRAME_PUSH (0 = DefaultBatch).
-	Credit, Batch int
 	// Timeout bounds each stream read; a producer idle longer than this
 	// breaks the subscription, and Run re-attaches. 0 = client default.
 	Timeout time.Duration
@@ -145,12 +143,6 @@ func New(cfg Config) (*Loop, error) {
 	if cfg.CycleLength <= 0 {
 		cfg.CycleLength = DefaultCycleLength
 	}
-	if cfg.Credit <= 0 {
-		cfg.Credit = DefaultCredit
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = DefaultBatch
-	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = DefaultMaxRetries
 	}
@@ -208,7 +200,8 @@ func (l *Loop) logf(format string, args ...any) {
 // stream the server ended too — through rpxgw, a producer's migration ends
 // its streams with UNAVAILABLE while the producer lives on under the same
 // id. When the producer closes, its stream ends the same way, and the
-// SUBSCRIBE that follows is answered BAD_REQUEST.
+// SUBSCRIBE that follows is answered BAD_REQUEST. Run's errors and retry
+// log lines carry the package prefix; the attempt errors they wrap do not.
 func (l *Loop) Run(ctx context.Context) error {
 	attempts := 0
 	for {
@@ -251,24 +244,24 @@ func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 		RequestTimeout: l.cfg.Timeout,
 	})
 	if err != nil {
-		return false, fmt.Errorf("policyloop: dial %s: %w", l.cfg.Addr, err)
+		return false, fmt.Errorf("dial %s: %w", l.cfg.Addr, err)
 	}
 	defer sess.Close()
 
 	st, err := sess.Subscribe(client.SubscribeOptions{
 		Target: l.cfg.Target,
-		Credit: l.cfg.Credit,
-		Batch:  l.cfg.Batch,
+		Credit: DefaultCredit,
+		Batch:  DefaultBatch,
 	})
 	if err != nil {
-		return false, fmt.Errorf("policyloop: subscribe to session %d: %w", l.cfg.Target, err)
+		return false, fmt.Errorf("subscribe to session %d: %w", l.cfg.Target, err)
 	}
 	if l.everAttached {
 		l.reconnects.Add(1)
 	}
 	l.everAttached = true
-	l.logf("policyloop: attached to session %d (policy %s, CL %d, credit %d)",
-		l.cfg.Target, l.cfg.Policy, l.cfg.CycleLength, l.cfg.Credit)
+	l.logf("policyloop: attached to session %d (policy %s, CL %d)",
+		l.cfg.Target, l.cfg.Policy, l.cfg.CycleLength)
 	// Recv blocks in a read; cancelling ctx closes the session, and with it
 	// the stream underneath Recv, so the drain is prompt. watcherDone keeps the watcher from outliving
 	// this attachment and closing a future session's connection.
@@ -307,16 +300,15 @@ func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 	})
 
 	consumed := 0
-	replenish := max(1, l.cfg.Credit/2)
 	for {
 		f, err := st.Recv()
 		if err != nil {
-			return true, fmt.Errorf("policyloop: stream receive: %w", err)
+			return true, fmt.Errorf("stream receive: %w", err)
 		}
 		l.frames.Add(1)
-		if consumed++; consumed >= replenish {
+		if consumed++; consumed >= DefaultCredit/2 {
 			if err := st.Grant(consumed); err != nil {
-				return true, fmt.Errorf("policyloop: credit grant: %w", err)
+				return true, fmt.Errorf("credit grant: %w", err)
 			}
 			consumed = 0
 		}
@@ -334,7 +326,7 @@ func (l *Loop) runOnce(ctx context.Context) (attached bool, err error) {
 			return true, err
 		}
 		if err := st.SetLabels(labels); err != nil {
-			return true, fmt.Errorf("policyloop: push labels: %w", err)
+			return true, fmt.Errorf("push labels: %w", err)
 		}
 		pending = append(pending, f.Seq)
 		l.lag.Observe(time.Since(start))
@@ -411,10 +403,10 @@ func (w *worker) ingest(f *client.StreamFrame) (closes bool, err error) {
 	}
 	w.rd.Reset(f.Raw)
 	if err := core.ReadEncodedFrameInto(&w.rd, ef); err != nil {
-		return false, fmt.Errorf("policyloop: frame %d container: %w", f.Seq, err)
+		return false, fmt.Errorf("frame %d container: %w", f.Seq, err)
 	}
 	if w.spare, err = w.dec.PushEvict(ef); err != nil {
-		return false, fmt.Errorf("policyloop: frame %d: %w", f.Seq, err)
+		return false, fmt.Errorf("frame %d: %w", f.Seq, err)
 	}
 	w.nextSeq = f.Seq + 1
 
@@ -430,7 +422,7 @@ func (w *worker) ingest(f *client.StreamFrame) (closes bool, err error) {
 		}
 		img := w.out[k]
 		if err := w.dec.DecodeFrameInto(img); err != nil {
-			return false, fmt.Errorf("policyloop: decode frame %d: %w", f.Seq, err)
+			return false, fmt.Errorf("decode frame %d: %w", f.Seq, err)
 		}
 		w.prev, w.cur = w.cur, img
 	}
@@ -447,7 +439,7 @@ func (w *worker) decide() (region.List, error) {
 	var fb policy.Feedback
 	if w.prev != nil {
 		if err := w.motion.Update(w.prev, w.cur); err != nil {
-			return nil, fmt.Errorf("policyloop: motion update: %w", err)
+			return nil, fmt.Errorf("motion update: %w", err)
 		}
 		fb.Motion = w.motion
 	}

@@ -3,6 +3,7 @@ package policyloop
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -48,6 +49,18 @@ func renderBox(fr *rpx.Frame, index int) {
 	for y := by; y < by+16; y++ {
 		for x := bx; x < bx+16; x++ {
 			fr.Pix[y*fr.W+x] = 224
+		}
+	}
+}
+
+// onePrefix returns a Logf that logs through t and fails the test on a
+// line that does not carry the package prefix exactly once.
+func onePrefix(t *testing.T) func(format string, args ...any) {
+	return func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		t.Log(line)
+		if n := strings.Count(line, "policyloop:"); n != 1 {
+			t.Errorf("log line carries the package prefix %d times: %q", n, line)
 		}
 	}
 }
@@ -167,7 +180,7 @@ func TestLoopReconnects(t *testing.T) {
 		Timeout:     500 * time.Millisecond,
 		MaxRetries:  20,
 		Backoff:     10 * time.Millisecond,
-		Logf:        t.Logf,
+		Logf:        onePrefix(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +345,7 @@ func TestLoopFollowsProducerAcrossGatewayDrain(t *testing.T) {
 		CycleLength: 2,
 		MaxRetries:  20,
 		Backoff:     10 * time.Millisecond,
-		Logf:        t.Logf,
+		Logf:        onePrefix(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -384,8 +397,40 @@ func TestLoopFollowsProducerAcrossGatewayDrain(t *testing.T) {
 		if !errors.As(err, &re) || re.Code != wire.CodeBadRequest {
 			t.Fatalf("Run after the producer closed = %v, want BAD_REQUEST", err)
 		}
+		if n := strings.Count(err.Error(), "policyloop:"); n != 1 {
+			t.Fatalf("Run's error carries the package prefix %d times: %v", n, err)
+		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not return after the producer closed")
+	}
+}
+
+// TestRunGivesUpWithOnePrefix: with nothing listening at the address,
+// every attempt fails to dial; each retry is logged, and Run then gives
+// up, with the package prefix once in every line and in the error.
+func TestRunGivesUpWithOnePrefix(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	loop, err := New(Config{
+		Addr: addr, Target: 1, Policy: "motion-skip",
+		W: 8, H: 8, Format: rpx.Gray8,
+		MaxRetries: 2,
+		Backoff:    time.Millisecond,
+		Logf:       onePrefix(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = loop.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "giving up after 2 attempts") {
+		t.Fatalf("Run = %v, want it to give up after 2 attempts", err)
+	}
+	if n := strings.Count(err.Error(), "policyloop:"); n != 1 {
+		t.Fatalf("Run's error carries the package prefix %d times: %v", n, err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // byte picks the message — HELLO when odd, SUBSCRIBE when even — and the
 // rest is its payload. A HELLO (parse, geometry check, Manager.Open, then
 // CLOSE) must answer HELLO_ACK or an ERROR, or end the connection. A
-// SUBSCRIBE (parse, slot, attach) must answer SUBSCRIBE_ACK or an ERROR,
+// SUBSCRIBE (parse, slot, attach) must answer ACK or an ERROR,
 // or end the connection, and once the client hangs up no subscription and
 // no slot may outlive it; a SUBSCRIBE whose target field reads 1 is aimed
 // at a live session, so accepted streams are reached too. Either may cost
@@ -50,9 +50,9 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(subscribe(1, wire.MaxCreditWindow, wire.MaxBatch))
 	f.Add(subscribe(0, 1, 1))
 	f.Add(subscribe(12345, 1, 1)) // no such session
-	v10 := subscribe(1, 4, 1)
-	binary.LittleEndian.PutUint32(v10[5:], 10)
-	f.Add(v10)
+	v11 := subscribe(1, 4, 1)
+	binary.LittleEndian.PutUint32(v11[5:], 11)
+	f.Add(v11)
 	f.Add([]byte{wire.MsgSubscribe})
 
 	m := NewManager(Config{})
@@ -117,7 +117,7 @@ func handshakeCost(t *testing.T, srv *TCPServer, typ byte, msg []byte) (grew uin
 	t.Helper()
 	ackType := wire.MsgHelloAck
 	if typ == wire.MsgSubscribe {
-		ackType = wire.MsgSubscribeAck
+		ackType = wire.MsgAck
 	}
 	reply := make([]byte, 0, 64)
 	var before, after runtime.MemStats

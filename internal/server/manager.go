@@ -10,8 +10,12 @@
 //
 // The TCP front end gives each connection one role, fixed by its first
 // message: a session (HELLO), served request/reply, or a stream of another
-// session's frames (SUBSCRIBE), served by push. Sessions and streams share
-// the MaxSessions admission bound.
+// session's frames (SUBSCRIBE), served by push. A stream connection holds
+// exactly one Subscription, so nothing numbers subscriptions, and a
+// subscription queues the session's frames themselves: each push record is
+// a frame's RPXE container, whose header carries its index and the figures
+// its capture statistics follow from. Sessions and streams share the
+// MaxSessions admission bound.
 package server
 
 import (
@@ -93,8 +97,7 @@ type Manager struct {
 	// Push-subscription registry, its own lock so subscription churn
 	// never contends with Open/Close.
 	subMu         sync.Mutex
-	subscriptions map[uint64]*Subscription
-	nextSubID     uint64
+	subscriptions map[*Subscription]struct{}
 
 	// Aggregate counters, atomic so Snapshot never takes a session lock.
 	sessionsOpened   atomic.Int64
@@ -362,7 +365,7 @@ func (s *Session) Capture(fr *frame.Frame) (rpx.CaptureStats, error) {
 	}
 	s.mgr.framesCaptured.Add(1)
 	s.mgr.encodedBytes.Add(int64(cs.EncodedBytes))
-	s.publish(cs)
+	s.publish()
 	return cs, nil
 }
 

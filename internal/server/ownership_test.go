@@ -26,7 +26,7 @@ func TestSessionConcurrentCaptureEncodedStream(t *testing.T) {
 	if _, err := sess.Capture(testFrame(64, 48, frame.Gray8, 0)); err != nil {
 		t.Fatal(err)
 	}
-	sub, _, err := sess.Subscribe(64, 4)
+	sub, err := sess.Subscribe(64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,19 +61,19 @@ func TestSessionConcurrentCaptureEncodedStream(t *testing.T) {
 		defer wg.Done()
 		var enc []byte
 		for {
-			items, _, ok := sub.Next()
+			frames, _, ok := sub.Next()
 			if !ok {
 				return
 			}
-			for _, it := range items {
+			for _, ef := range frames {
 				// Read the whole pinned frame while captures go on.
-				if enc = it.ef.AppendTo(enc[:0]); len(enc) == 0 {
+				if enc = ef.AppendTo(enc[:0]); len(enc) == 0 {
 					t.Error("published frame has empty encoding")
 					return
 				}
 			}
-			release(items)
-			sub.Grant(len(items))
+			release(frames)
+			sub.Grant(len(frames))
 		}
 	}()
 	wg.Wait()

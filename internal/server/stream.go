@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/wire"
-	"repro/rpx"
 )
 
 // Streaming push subscriptions.
@@ -37,27 +36,22 @@ const (
 	ReasonConnClosed
 )
 
-// pushItem is one published frame as a subscription queues it: the
-// session's live encoded frame, pinned once for this subscription and
-// shared read-only with every other subscriber, plus its sequence number
-// and capture statistics. Whoever takes an item out of the queue owns that
-// pin and must release it (release) after its last read of the frame.
-type pushItem struct {
-	seq   uint64
-	stats rpx.CaptureStats
-	ef    *core.EncodedFrame
-}
+// A subscription queues each published frame as the session's live
+// encoded frame itself, pinned once for this subscription and shared
+// read-only with every other subscriber; its header holds the frame index
+// and everything its capture statistics are computed from. Whoever takes a
+// frame out of the queue owns that pin and must release it (release) after
+// its last read of the frame.
 
-// release drops each item's pin on its frame.
-func release(items []pushItem) {
-	for _, it := range items {
-		it.ef.Unpin()
+// release drops the pin on each frame.
+func release(frames []*core.EncodedFrame) {
+	for _, ef := range frames {
+		ef.Unpin()
 	}
 }
 
 // Subscription is one subscriber's view of a session's frame stream.
 type Subscription struct {
-	id    uint64
 	sess  *Session
 	batch int
 
@@ -69,19 +63,16 @@ type Subscription struct {
 	// queues a frame after consuming a credit and Grant clamps the window,
 	// so len(queue)+credit <= wire.MaxCreditWindow always holds; its
 	// storage grows with the window in use, not sized for the cap.
-	queue   []pushItem
+	queue   []*core.EncodedFrame
 	credit  int
 	granted uint64 // lifetime credits accepted (initial + grants, post-clamp)
 	dropped uint64 // frames missed while out of credit
 	reason  CloseReason
 
-	// items holds the batch Next returns, reused call to call; only the
+	// batchBuf holds the batch Next returns, reused call to call; only the
 	// single consumer calling Next touches it.
-	items []pushItem
+	batchBuf []*core.EncodedFrame
 }
-
-// ID returns the server-assigned subscription id.
-func (sub *Subscription) ID() uint64 { return sub.id }
 
 // Batch returns the negotiated frames-per-FRAME_PUSH bound.
 func (sub *Subscription) Batch() int { return sub.batch }
@@ -119,7 +110,7 @@ func (sub *Subscription) Dropped() uint64 {
 // frame either consumes a credit, is pinned and enters the buffer, or is
 // dropped and counted. Called by the producing session's capture, under
 // its session lock, while the frame is still the session's newest.
-func (sub *Subscription) offer(it pushItem) {
+func (sub *Subscription) offer(ef *core.EncodedFrame) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if sub.reason != ReasonNone {
@@ -131,8 +122,8 @@ func (sub *Subscription) offer(it pushItem) {
 		return
 	}
 	sub.credit--
-	it.ef.Pin()
-	sub.queue = append(sub.queue, it)
+	ef.Pin()
+	sub.queue = append(sub.queue, ef)
 	sub.queued.Signal()
 }
 
@@ -193,8 +184,8 @@ func (sub *Subscription) Abort() { sub.close(ReasonConnClosed) }
 // the teardown path of a writer that will send nothing more.
 func (sub *Subscription) discard() {
 	sub.Abort()
-	for items, _, ok := sub.Next(); ok; items, _, ok = sub.Next() {
-		release(items)
+	for frames, _, ok := sub.Next(); ok; frames, _, ok = sub.Next() {
+		release(frames)
 	}
 }
 
@@ -203,12 +194,12 @@ func (sub *Subscription) discard() {
 // second return is the cumulative dropped count; ok=false means the
 // subscription ended and the buffer is fully drained. The batch slice is
 // valid until the next call: its storage is reused, so a steady stream
-// drains without allocating. Each returned item carries a pin on its frame
-// that the caller must release once it has read the frame for the last
-// time; until then the frame's bytes stay intact, even after the producing
-// session has captured past its history depth.
-func (sub *Subscription) Next() (items []pushItem, dropped uint64, ok bool) {
-	clear(sub.items) // release the previous batch's frames to the collector
+// drains without allocating. Each returned frame carries a pin that the
+// caller must release once it has read the frame for the last time; until
+// then the frame's bytes stay intact, even after the producing session has
+// captured past its history depth.
+func (sub *Subscription) Next() (frames []*core.EncodedFrame, dropped uint64, ok bool) {
+	clear(sub.batchBuf) // release the previous batch's frames to the collector
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	for len(sub.queue) == 0 && sub.reason == ReasonNone {
@@ -220,20 +211,18 @@ func (sub *Subscription) Next() (items []pushItem, dropped uint64, ok bool) {
 	// Take the batch and move the rest to the front: the queue is a
 	// batch or less deep while the writer keeps up.
 	k := min(len(sub.queue), sub.batch)
-	sub.items = append(sub.items[:0], sub.queue[:k]...)
+	sub.batchBuf = append(sub.batchBuf[:0], sub.queue[:k]...)
 	n := copy(sub.queue, sub.queue[k:])
 	clear(sub.queue[n:])
 	sub.queue = sub.queue[:n]
-	return sub.items, sub.dropped, true
+	return sub.batchBuf, sub.dropped, true
 }
 
 // Subscribe attaches a push subscription to this session's frame stream.
 // credit is the initial window, batch the frames-per-push bound (both
-// validated by the wire layer; batch 0 means 1). It also returns the
-// sequence number of the first frame the subscription will receive: the
-// attach and that read share one hold of the session lock, so no capture
-// can publish between them.
-func (s *Session) Subscribe(credit, batch int) (*Subscription, uint64, error) {
+// validated by the wire layer; batch 0 means 1). The subscription observes
+// every frame captured after it attaches.
+func (s *Session) Subscribe(credit, batch int) (*Subscription, error) {
 	if batch <= 0 {
 		batch = 1
 	}
@@ -256,11 +245,11 @@ func (s *Session) Subscribe(credit, batch int) (*Subscription, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, 0, ErrSessionClosed
+		return nil, ErrSessionClosed
 	}
-	sub.id = s.mgr.addSubscription(sub)
+	s.mgr.addSubscription(sub)
 	s.subs = append(s.subs, sub)
-	return sub, uint64(s.sys.FrameIndex()), nil
+	return sub, nil
 }
 
 // publish hands one captured frame to every attached subscription. Capture
@@ -273,13 +262,13 @@ func (s *Session) Subscribe(credit, batch int) (*Subscription, uint64, error) {
 // history evicts while still pinned is left to the GC, so a lagging
 // subscriber reads intact bytes; in steady state every pin is released
 // long before eviction and the frame is recycled.
-func (s *Session) publish(cs rpx.CaptureStats) {
+func (s *Session) publish() {
 	if len(s.subs) == 0 {
 		return
 	}
-	it := pushItem{seq: uint64(cs.FrameIndex), stats: cs, ef: s.sys.BorrowLastEncoded()}
+	ef := s.sys.BorrowLastEncoded()
 	for _, sub := range s.subs {
-		sub.offer(it)
+		sub.offer(ef)
 	}
 	s.mgr.streamPublished.Add(int64(len(s.subs)))
 }
@@ -302,25 +291,22 @@ func (m *Manager) Lookup(id uint64) (*Session, bool) {
 	return s, ok
 }
 
-// addSubscription registers a subscription and assigns its id.
-func (m *Manager) addSubscription(sub *Subscription) uint64 {
+// addSubscription registers a subscription.
+func (m *Manager) addSubscription(sub *Subscription) {
 	m.streamSubsOpened.Add(1)
 	m.subMu.Lock()
 	defer m.subMu.Unlock()
-	m.nextSubID++
-	id := m.nextSubID
 	if m.subscriptions == nil {
-		m.subscriptions = make(map[uint64]*Subscription)
+		m.subscriptions = make(map[*Subscription]struct{})
 	}
-	m.subscriptions[id] = sub
-	return id
+	m.subscriptions[sub] = struct{}{}
 }
 
 // removeSubscription unregisters a closed subscription.
 func (m *Manager) removeSubscription(sub *Subscription) {
 	m.subMu.Lock()
 	defer m.subMu.Unlock()
-	delete(m.subscriptions, sub.id)
+	delete(m.subscriptions, sub)
 }
 
 // StreamInflight sums accepted-but-undelivered frames across all open
@@ -329,7 +315,7 @@ func (m *Manager) StreamInflight() int {
 	m.subMu.Lock()
 	defer m.subMu.Unlock()
 	total := 0
-	for _, sub := range m.subscriptions {
+	for sub := range m.subscriptions {
 		total += sub.Buffered()
 	}
 	return total

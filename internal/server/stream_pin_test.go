@@ -55,7 +55,7 @@ func pipeSubscriber(t *testing.T, srv *TCPServer, target uint64, credit, batch u
 		}
 	}
 	send(wire.MsgSubscribe, wire.MarshalSubscribe(wire.Subscribe{Target: target, Credit: credit, Batch: batch}))
-	readExpect(t, cli, wire.MsgSubscribeAck)
+	readExpect(t, cli, wire.MsgAck)
 	return cli, served
 }
 
@@ -84,7 +84,7 @@ func TestStreamLaggingSubscriberReadsIntactFrames(t *testing.T) {
 	}
 
 	want := make([][]byte, frames)
-	stats := make([]wire.CaptureAck, frames)
+	stats := make([]rpx.CaptureStats, frames)
 	capture := func(i int) {
 		t.Helper()
 		fr := testFrame(64, 48, frame.Gray8, 11*i+3)
@@ -102,8 +102,7 @@ func TestStreamLaggingSubscriberReadsIntactFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = ref.LastEncoded().AppendTo(nil)
-		stats[i] = wire.CaptureAck{FrameIndex: cs.FrameIndex, EncodedPixels: cs.EncodedPixels,
-			EncodedBytes: cs.EncodedBytes, PixelFraction: cs.PixelFraction}
+		stats[i] = cs
 	}
 
 	// Frame 0's FRAME_PUSH starts; reading just its 5-byte message header
@@ -135,14 +134,18 @@ func TestStreamLaggingSubscriberReadsIntactFrames(t *testing.T) {
 		if p.Dropped != 0 {
 			t.Fatalf("FRAME_PUSH reports %d dropped with ample credit", p.Dropped)
 		}
-		for _, f := range p.Frames {
-			if f.Seq != uint64(next) {
-				t.Fatalf("record has seq %d, want %d", f.Seq, next)
+		for _, enc := range p.Frames {
+			h, err := core.ParseEncodedHeader(enc)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if f.Stats != stats[next] {
-				t.Errorf("frame %d stats: push %+v, capture %+v", next, f.Stats, stats[next])
+			if h.FrameIndex != next {
+				t.Fatalf("record has frame index %d, want %d", h.FrameIndex, next)
 			}
-			if !bytes.Equal(f.Enc, want[next]) {
+			if cs := stats[next]; h.NumEncodedPixels() != cs.EncodedPixels || h.TotalBytes() != cs.EncodedBytes {
+				t.Errorf("frame %d: container header says %d pixels in %d bytes, capture %+v", next, h.NumEncodedPixels(), h.TotalBytes(), cs)
+			}
+			if !bytes.Equal(enc, want[next]) {
 				t.Errorf("frame %d: pushed bytes differ from its serialization at capture", next)
 			}
 			next++
@@ -224,7 +227,7 @@ func TestAllocsPublishPush(t *testing.T) {
 				if err := wire.WriteMessage(conn, wire.MsgSubscribe, wire.MarshalSubscribe(sub), 0); err != nil {
 					t.Fatal(err)
 				}
-				readExpect(t, conn, wire.MsgSubscribeAck)
+				readExpect(t, conn, wire.MsgAck)
 				conn.SetReadDeadline(time.Time{})
 				go func() {
 					var buf []byte

@@ -40,14 +40,15 @@ type soakConsumer struct {
 }
 
 func (c *soakConsumer) drainBatch() bool {
-	items, _, ok := c.sub.Next()
-	for _, it := range items {
-		if n := len(c.delivered); n > 0 && it.seq <= c.delivered[n-1] {
-			c.errs = append(c.errs, fmt.Sprintf("seq %d after %d: duplicate or reorder", it.seq, c.delivered[n-1]))
+	frames, _, ok := c.sub.Next()
+	for _, ef := range frames {
+		seq := uint64(ef.FrameIndex)
+		if n := len(c.delivered); n > 0 && seq <= c.delivered[n-1] {
+			c.errs = append(c.errs, fmt.Sprintf("seq %d after %d: duplicate or reorder", seq, c.delivered[n-1]))
 		}
-		c.delivered = append(c.delivered, it.seq)
+		c.delivered = append(c.delivered, seq)
 	}
-	release(items)
+	release(frames)
 	// Ledger invariant: every delivered or buffered frame consumed one
 	// granted credit. Buffered may grow concurrently, but can never push
 	// the sum past the cumulative grant.
@@ -75,7 +76,7 @@ func TestStreamCreditSoak(t *testing.T) {
 	}
 
 	subscribe := func(credit, batch int) *Subscription {
-		sub, _, err := sess.Subscribe(credit, batch)
+		sub, err := sess.Subscribe(credit, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,16 +208,12 @@ func TestStreamStalledSubscriberAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, _, err := sess.Subscribe(0, 1) // zero credit: every offer drops
+	sub, err := sess.Subscribe(0, 1) // zero credit: every offer drops
 	if err != nil {
 		t.Fatal(err)
 	}
 	ef := &core.EncodedFrame{W: 16, H: 16, BytesPerPixel: 1}
-	var seq uint64
-	allocs := testing.AllocsPerRun(1000, func() {
-		sub.offer(pushItem{seq: seq, ef: ef})
-		seq++
-	})
+	allocs := testing.AllocsPerRun(1000, func() { sub.offer(ef) })
 	if allocs != 0 {
 		t.Fatalf("dropping a frame on an exhausted window costs %.1f allocs/frame, want 0", allocs)
 	}
@@ -243,7 +240,7 @@ func TestAllocsSubscribeUnsubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	cycle := func() {
-		sub, _, err := sess.Subscribe(1, 1)
+		sub, err := sess.Subscribe(1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/wire"
 )
@@ -216,19 +217,14 @@ func (s *TCPServer) serveStream(conn net.Conn, br *bufio.Reader, rbuf *[]byte, c
 	defer s.mgr.unreserve()
 	target, ok := s.mgr.Lookup(req.Target)
 	var sub *Subscription
-	var next uint64
 	if ok {
-		sub, next, err = target.Subscribe(int(req.Credit), int(req.Batch))
+		sub, err = target.Subscribe(int(req.Credit), int(req.Batch))
 	}
 	if !ok || err != nil {
 		cw.writeErr(wire.CodeBadRequest, fmt.Sprintf("SUBSCRIBE target session %d not found", req.Target))
 		return
 	}
-	cw.scratch = wire.AppendSubscribeAck(cw.scratch[:0], wire.SubscribeAck{
-		SubID:   sub.ID(),
-		NextSeq: next,
-	})
-	if err := cw.write(wire.MsgSubscribeAck, cw.scratch); err != nil {
+	if err := cw.write(wire.MsgAck, nil); err != nil {
 		sub.discard()
 		return
 	}
@@ -253,16 +249,17 @@ func (s *TCPServer) serveStream(conn net.Conn, br *bufio.Reader, rbuf *[]byte, c
 			// the stream server-side and woke us.
 			return
 		}
+		// A malformed stream message ends the stream, as a transport
+		// failure does.
 		switch typ {
 		case wire.MsgCredit:
-			c, err := wire.UnmarshalCredit(payload)
-			if err != nil || c.SubID != sub.ID() {
+			n, err := wire.UnmarshalCredit(payload)
+			if err != nil {
 				return
 			}
-			sub.Grant(int(c.N))
+			sub.Grant(int(n))
 		case wire.MsgUnsubscribe:
-			u, err := wire.UnmarshalUnsubscribe(payload)
-			if err != nil || u.SubID != sub.ID() {
+			if len(payload) != 0 {
 				return
 			}
 			// The writer drains the already-accepted frames and emits the
@@ -270,8 +267,8 @@ func (s *TCPServer) serveStream(conn net.Conn, br *bufio.Reader, rbuf *[]byte, c
 			sub.Unsubscribe()
 			return
 		case wire.MsgStreamLabels:
-			sl, err := wire.UnmarshalStreamLabels(payload)
-			if err != nil || sl.SubID != sub.ID() {
+			labels, err := wire.UnmarshalLabels(payload)
+			if err != nil {
 				return
 			}
 			// Apply under the target session's lock: the update is
@@ -279,8 +276,8 @@ func (s *TCPServer) serveStream(conn net.Conn, br *bufio.Reader, rbuf *[]byte, c
 			// rejected workload (bad geometry) reports its code in the reply
 			// and leaves the stream — and the previous labels — intact; only
 			// transport failures end the subscription.
-			ack := wire.LabelsApplied{SubID: sub.ID()}
-			seq, err := target.SetRegionLabelsAt(sl.Labels)
+			var ack wire.LabelsApplied
+			seq, err := target.SetRegionLabelsAt(labels)
 			switch {
 			case err == nil:
 				ack.AppliedSeq = seq
@@ -314,32 +311,29 @@ func (s *TCPServer) streamWriter(sub *Subscription, conn net.Conn, cw *connWrite
 	// stream read loop, so it must not share cw.scratch.
 	var pw pushWriter
 	for {
-		items, dropped, ok := sub.Next()
+		frames, dropped, ok := sub.Next()
 		if !ok {
 			break
 		}
-		for len(items) > 0 {
-			n := wire.PushFit(len(items), func(i int) int { return items[i].ef.EncodedSize() }, s.cfg.MaxPayload)
-			err := cw.writeVec(wire.MsgFramePush, pw.build(sub.ID(), dropped, items[:n]))
+		for len(frames) > 0 {
+			n := wire.PushFit(len(frames), func(i int) int { return frames[i].EncodedSize() }, s.cfg.MaxPayload)
+			err := cw.writeVec(wire.MsgFramePush, pw.build(dropped, frames[:n]))
 			clear(pw.parts) // hold no frame past its write
-			release(items[:n])
+			release(frames[:n])
 			if err != nil {
-				release(items[n:])
+				release(frames[n:])
 				sub.discard()
 				return err
 			}
 			s.mgr.noteFramesPushed(n)
-			items = items[n:]
+			frames = frames[n:]
 		}
 	}
-	scratch := pw.scratch[:0]
 	switch sub.Reason() {
 	case ReasonUnsubscribed:
-		// Echo the subscription id so the client can match the ack.
-		scratch = wire.AppendUnsubscribe(scratch, wire.Unsubscribe{SubID: sub.ID()})
-		return cw.write(wire.MsgAck, scratch)
+		return cw.write(wire.MsgAck, nil)
 	case ReasonSessionClosed:
-		scratch = wire.AppendError(scratch, wire.CodeUnavailable,
+		scratch := wire.AppendError(pw.scratch[:0], wire.CodeUnavailable,
 			"server: subscribed session closed")
 		err := cw.write(wire.MsgError, scratch)
 		// Wake the connection's reader: the stream cannot continue, and
@@ -354,30 +348,24 @@ func (s *TCPServer) streamWriter(sub *Subscription, conn net.Conn, cw *connWrite
 
 // pushWriter assembles FRAME_PUSH payloads for one stream as the parts of
 // a vectored write, reusing its storage from batch to batch. The scratch
-// holds what is not stored in a frame — the push and record headers, each
-// frame's RPXE header and its serialized row-offset table — and parts
-// interleaves slices of it with each frame's own Pix and Mask bytes, in
-// RPXE container order.
+// holds what is not stored in a frame — the push header, each record's
+// length, each frame's RPXE header and its serialized row-offset table —
+// and parts interleaves slices of it with each frame's own Pix and Mask
+// bytes, in RPXE container order.
 type pushWriter struct {
 	scratch []byte
 	cuts    []int // per frame: scratch offsets where its Pix, then its Mask go
 	parts   [][]byte
 }
 
-// build returns the parts of one FRAME_PUSH payload carrying items. They
+// build returns the parts of one FRAME_PUSH payload carrying frames. They
 // alias the frames, so the frames must stay pinned until the write that
 // sends the parts returns.
-func (pw *pushWriter) build(subID, dropped uint64, items []pushItem) [][]byte {
-	pw.scratch = wire.AppendFramePushHeader(pw.scratch[:0], subID, dropped, len(items))
+func (pw *pushWriter) build(dropped uint64, frames []*core.EncodedFrame) [][]byte {
+	pw.scratch = wire.AppendFramePushHeader(pw.scratch[:0], dropped, len(frames))
 	pw.cuts = pw.cuts[:0]
-	for _, it := range items {
-		ef := it.ef
-		pw.scratch = wire.AppendPushRecordHeader(pw.scratch, it.seq, wire.CaptureAck{
-			FrameIndex:    it.stats.FrameIndex,
-			EncodedPixels: it.stats.EncodedPixels,
-			EncodedBytes:  it.stats.EncodedBytes,
-			PixelFraction: it.stats.PixelFraction,
-		}, ef.EncodedSize())
+	for _, ef := range frames {
+		pw.scratch = wire.AppendPushRecordHeader(pw.scratch, ef.EncodedSize())
 		pw.scratch = ef.AppendHeader(pw.scratch)
 		pw.cuts = append(pw.cuts, len(pw.scratch))
 		pw.scratch = ef.AppendRowOffsets(pw.scratch)
@@ -386,9 +374,9 @@ func (pw *pushWriter) build(subID, dropped uint64, items []pushItem) [][]byte {
 	// Slice the scratch only now that it has stopped growing.
 	pw.parts = pw.parts[:0]
 	start := 0
-	for i, it := range items {
+	for i, ef := range frames {
 		pix, mask := pw.cuts[2*i], pw.cuts[2*i+1]
-		pw.parts = append(pw.parts, pw.scratch[start:pix], it.ef.Pix, pw.scratch[pix:mask], it.ef.Mask.Bytes())
+		pw.parts = append(pw.parts, pw.scratch[start:pix], ef.Pix, pw.scratch[pix:mask], ef.Mask.Bytes())
 		start = mask
 	}
 	return pw.parts

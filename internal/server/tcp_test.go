@@ -89,7 +89,7 @@ func TestTCPRejectsNonHelloFirst(t *testing.T) {
 
 // TestTCPRejectsBadHello: a HELLO of any other protocol version draws a
 // CodeProto ERROR, in today's layout or in a retired revision's own, and
-// opens no session. v10 had today's layout. v9 appended a u32 decoder history depth to today's
+// opens no session. v11 and v10 had today's layout. v9 appended a u32 decoder history depth to today's
 // fields, which sized the session's history ring: at depth 1<<30 the open
 // ended a v9 server with an out-of-memory error. v7 appended a u32 queue
 // depth and a u8 block flag to those. The server keeps serving: a valid
@@ -99,13 +99,15 @@ func TestTCPRejectsBadHello(t *testing.T) {
 	hello := wire.MarshalHello(wire.Hello{W: 16, H: 16, Format: frame.Gray8})
 	corrupt := bytes.Clone(hello)
 	corrupt[4] = 99 // corrupt the protocol version
+	v11 := bytes.Clone(hello)
+	binary.LittleEndian.PutUint32(v11[4:], 11)
 	v10 := bytes.Clone(hello)
 	binary.LittleEndian.PutUint32(v10[4:], 10)
 	v9 := binary.LittleEndian.AppendUint32(bytes.Clone(hello), 1<<30)
 	binary.LittleEndian.PutUint32(v9[4:], 9)
 	v7 := append(binary.LittleEndian.AppendUint32(bytes.Clone(v9), 16), 1)
 	binary.LittleEndian.PutUint32(v7[4:], 7)
-	for _, payload := range [][]byte{corrupt, v10, v9, v7} {
+	for _, payload := range [][]byte{corrupt, v11, v10, v9, v7} {
 		conn := dialRaw(t, addr)
 		if err := wire.WriteMessage(conn, wire.MsgHello, payload, 0); err != nil {
 			t.Fatal(err)
@@ -261,8 +263,9 @@ func TestTCPRejectsOversizeGeometry(t *testing.T) {
 }
 
 // TestTCPRetiredTypesGetProtoError: the request types protocol 9 retired
-// (8 DECODE_WINDOW, 10 STATS, 12 GET_ENCODED) each draw a PROTO error like
-// any unknown type, and the connection keeps serving.
+// (8 DECODE_WINDOW, 10 STATS, 12 GET_ENCODED) and the type protocol 12
+// retired (17 SUBSCRIBE_ACK, in its 16-byte layout) each draw a PROTO
+// error like any unknown type, and the connection keeps serving.
 func TestTCPRetiredTypesGetProtoError(t *testing.T) {
 	_, addr := startTestServer(t, Config{}, TCPConfig{})
 	conn := dialRaw(t, addr)
@@ -273,7 +276,7 @@ func TestTCPRetiredTypesGetProtoError(t *testing.T) {
 	for _, req := range []struct {
 		typ     byte
 		payload []byte
-	}{{8, make([]byte, 16)}, {10, nil}, {12, nil}} {
+	}{{8, make([]byte, 16)}, {10, nil}, {12, nil}, {17, make([]byte, 16)}} {
 		if err := wire.WriteMessage(conn, req.typ, req.payload, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -347,12 +350,9 @@ func TestTCPReadDeadlineIsTheIdleGuard(t *testing.T) {
 	if err := wire.WriteMessage(sub, wire.MsgSubscribe, subscribe, 0); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := wire.UnmarshalSubscribeAck(readExpect(t, sub, wire.MsgSubscribeAck))
-	if err != nil {
-		t.Fatal(err)
-	}
+	readExpect(t, sub, wire.MsgAck)
 	dc := <-ln.conns
-	credit := wire.MarshalCredit(wire.Credit{SubID: ack.SubID, N: 1})
+	credit := wire.MarshalCredit(1)
 	consumed := 5 + len(subscribe)
 	for i := 0; i < 8; i++ {
 		if err := wire.WriteMessage(sub, wire.MsgCredit, credit, 0); err != nil {
@@ -363,7 +363,7 @@ func TestTCPReadDeadlineIsTheIdleGuard(t *testing.T) {
 			t.Fatalf("CREDIT %d: the stream read on without re-arming its read deadline", i)
 		}
 	}
-	if err := wire.WriteMessage(sub, wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: ack.SubID}), 0); err != nil {
+	if err := wire.WriteMessage(sub, wire.MsgUnsubscribe, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	readExpect(t, sub, wire.MsgAck)
@@ -485,9 +485,9 @@ func TestTCPOneRolePerConnection(t *testing.T) {
 		payload []byte
 	}{
 		{wire.MsgSubscribe, subscribe},
-		{wire.MsgCredit, wire.MarshalCredit(wire.Credit{SubID: 1, N: 1})},
-		{wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{SubID: 1, Labels: region.List{{W: 4, H: 4, Stride: 1, Skip: 1}}})},
-		{wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: 1})},
+		{wire.MsgCredit, wire.MarshalCredit(1)},
+		{wire.MsgStreamLabels, wire.MarshalLabels(region.List{{W: 4, H: 4, Stride: 1, Skip: 1}})},
+		{wire.MsgUnsubscribe, nil},
 	} {
 		send(sess, req.typ, req.payload)
 		readError(t, sess, wire.CodeProto)
@@ -500,22 +500,22 @@ func TestTCPOneRolePerConnection(t *testing.T) {
 
 	stream := dialRaw(t, addr)
 	send(stream, wire.MsgSubscribe, subscribe)
-	readExpect(t, stream, wire.MsgSubscribeAck)
+	readExpect(t, stream, wire.MsgAck)
 	send(stream, wire.MsgCapture, make([]byte, 16*16))
 	readError(t, stream, wire.CodeProto)
 	if _, _, err := wire.ReadMessage(stream, 0); err == nil {
 		t.Fatal("the stream served on after a PROTO error")
 	}
 
-	v10 := bytes.Clone(subscribe)
-	binary.LittleEndian.PutUint32(v10[4:], 10)
+	v11 := bytes.Clone(subscribe)
+	binary.LittleEndian.PutUint32(v11[4:], 11)
 	unknown := wire.MarshalSubscribe(wire.Subscribe{Target: prod.ID() + 1, Credit: 4})
 	zero := bytes.Clone(subscribe)
 	binary.LittleEndian.PutUint64(zero[8:], 0)
 	for _, tc := range []struct {
 		payload []byte
 		code    uint16
-	}{{v10, wire.CodeProto}, {zero, wire.CodeProto}, {unknown, wire.CodeBadRequest}} {
+	}{{v11, wire.CodeProto}, {zero, wire.CodeProto}, {unknown, wire.CodeBadRequest}} {
 		conn := dialRaw(t, addr)
 		send(conn, wire.MsgSubscribe, tc.payload)
 		readError(t, conn, tc.code)
@@ -550,7 +550,7 @@ func TestTCPStreamsHoldSessionSlots(t *testing.T) {
 	var streams []net.Conn
 	for i := 1; i < n; i++ {
 		conn := open(wire.MsgSubscribe, subscribe)
-		readExpect(t, conn, wire.MsgSubscribeAck)
+		readExpect(t, conn, wire.MsgAck)
 		streams = append(streams, conn)
 	}
 	readError(t, open(wire.MsgSubscribe, subscribe), wire.CodeSessionLimit)
@@ -571,5 +571,5 @@ func TestTCPStreamsHoldSessionSlots(t *testing.T) {
 			t.Fatalf("%d slots held after one stream hung up, want %d", held(), n-1)
 		}
 	}
-	readExpect(t, open(wire.MsgSubscribe, subscribe), wire.MsgSubscribeAck)
+	readExpect(t, open(wire.MsgSubscribe, subscribe), wire.MsgAck)
 }

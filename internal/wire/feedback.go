@@ -3,67 +3,26 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/region"
 )
 
 // Closed-loop label feedback.
 //
 // A subscriber may push region-label workloads *back* to the session its
-// stream is attached to, on the stream connection itself: STREAM_LABELS
-// rides the connection's write side (like CREDIT) while FRAME_PUSH batches
-// keep flowing the other way. The server applies the labels under the
-// target session's lock — serialized against in-flight captures exactly
-// like a SET_LABELS from the producer itself — and answers with
-// LABELS_APPLIED carrying the first frame sequence number that will observe
-// the new workload. That boundary is deterministic: every pushed frame with
-// Seq >= AppliedSeq was captured under the new labels, every earlier frame
-// under the old ones.
-
-// StreamLabels is the client-to-server feedback message: a region-label
-// workload for the session the subscription targets.
-type StreamLabels struct {
-	// SubID names the subscription whose target session receives the
-	// labels (must match the stream connection's subscription).
-	SubID uint64
-	// Labels is the capture workload, encoded exactly as SET_LABELS.
-	Labels region.List
-}
-
-// streamLabelsHeaderSize is the u64 subscription id before the labels body.
-const streamLabelsHeaderSize = 8
-
-// AppendStreamLabels appends a STREAM_LABELS payload to dst.
-func AppendStreamLabels(dst []byte, sl StreamLabels) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, sl.SubID)
-	return AppendLabels(dst, sl.Labels)
-}
-
-// MarshalStreamLabels encodes a STREAM_LABELS payload into a fresh buffer.
-func MarshalStreamLabels(sl StreamLabels) []byte { return AppendStreamLabels(nil, sl) }
-
-// UnmarshalStreamLabels decodes a STREAM_LABELS payload. The labels body is
-// untrusted and goes through the same bounded decode as SET_LABELS.
-func UnmarshalStreamLabels(b []byte) (StreamLabels, error) {
-	if len(b) < streamLabelsHeaderSize {
-		return StreamLabels{}, fmt.Errorf("wire: STREAM_LABELS payload is %d bytes, want >= %d", len(b), streamLabelsHeaderSize)
-	}
-	labels, err := UnmarshalLabels(b[streamLabelsHeaderSize:])
-	if err != nil {
-		return StreamLabels{}, fmt.Errorf("wire: STREAM_LABELS: %w", err)
-	}
-	return StreamLabels{
-		SubID:  binary.LittleEndian.Uint64(b),
-		Labels: labels,
-	}, nil
-}
+// stream is attached to, on the stream connection itself: STREAM_LABELS,
+// whose payload is exactly a SET_LABELS payload (AppendLabels /
+// UnmarshalLabels), rides the connection's write side (like CREDIT) while
+// FRAME_PUSH batches keep flowing the other way. The server applies the
+// labels under the target session's lock — serialized against in-flight
+// captures exactly like a SET_LABELS from the producer itself — and answers
+// with LABELS_APPLIED carrying the first frame sequence number that will
+// observe the new workload. That boundary is deterministic: every pushed
+// frame with Seq >= AppliedSeq was captured under the new labels, every
+// earlier frame under the old ones.
 
 // LabelsApplied is the server-to-client reply to STREAM_LABELS. It rides
 // the push stream (interleaved with FRAME_PUSH batches, never tearing them:
 // the MessageWriter serializes whole messages).
 type LabelsApplied struct {
-	// SubID echoes the subscription the feedback arrived on.
-	SubID uint64
 	// AppliedSeq is the first frame sequence number captured under the new
 	// labels. Meaningful only when Code is zero.
 	AppliedSeq uint64
@@ -75,12 +34,11 @@ type LabelsApplied struct {
 	Msg string
 }
 
-// labelsAppliedHeaderSize is u64 subID + u64 appliedSeq + u16 code.
-const labelsAppliedHeaderSize = 8 + 8 + 2
+// labelsAppliedHeaderSize is u64 appliedSeq + u16 code.
+const labelsAppliedHeaderSize = 8 + 2
 
 // AppendLabelsApplied appends a LABELS_APPLIED payload to dst.
 func AppendLabelsApplied(dst []byte, la LabelsApplied) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, la.SubID)
 	dst = binary.LittleEndian.AppendUint64(dst, la.AppliedSeq)
 	dst = binary.LittleEndian.AppendUint16(dst, la.Code)
 	return append(dst, la.Msg...)
@@ -97,9 +55,8 @@ func UnmarshalLabelsApplied(b []byte) (LabelsApplied, error) {
 		return LabelsApplied{}, fmt.Errorf("wire: LABELS_APPLIED payload is %d bytes, want >= %d", len(b), labelsAppliedHeaderSize)
 	}
 	return LabelsApplied{
-		SubID:      binary.LittleEndian.Uint64(b),
-		AppliedSeq: binary.LittleEndian.Uint64(b[8:]),
-		Code:       binary.LittleEndian.Uint16(b[16:]),
+		AppliedSeq: binary.LittleEndian.Uint64(b),
+		Code:       binary.LittleEndian.Uint16(b[8:]),
 		Msg:        string(b[labelsAppliedHeaderSize:]),
 	}, nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/region"
 )
 
@@ -45,10 +47,10 @@ func FuzzReadMessage(f *testing.F) {
 	binary.LittleEndian.PutUint32(v5[4:], 5)
 	f.Add(seed(MsgHello, v5))
 	f.Add(seed(MsgSubscribe, MarshalSubscribe(Subscribe{Target: 3, Credit: 8, Batch: 4})))
-	f.Add(seed(MsgFramePush, MarshalFramePush(FramePush{SubID: 1, Frames: []PushFrame{{Seq: 2, Enc: []byte{1, 2, 3}}}})))
+	f.Add(seed(MsgFramePush, MarshalFramePush(FramePush{Frames: [][]byte{{1, 2, 3}}})))
 	f.Add(seed(MsgCaptureAck, MarshalCaptureAck(CaptureAck{FrameIndex: 3, EncodedPixels: 10, EncodedBytes: 10, PixelFraction: 0.5})))
-	f.Add(seed(MsgStreamLabels, MarshalStreamLabels(StreamLabels{SubID: 5, Labels: region.List{{X: 1, Y: 1, W: 8, H: 8, Stride: 1}}})))
-	f.Add(seed(MsgLabelsApplied, MarshalLabelsApplied(LabelsApplied{SubID: 5, AppliedSeq: 11})))
+	f.Add(seed(MsgStreamLabels, MarshalLabels(region.List{{X: 1, Y: 1, W: 8, H: 8, Stride: 1}})))
+	f.Add(seed(MsgLabelsApplied, MarshalLabelsApplied(LabelsApplied{AppliedSeq: 11})))
 	f.Add(seed(MsgError, MarshalError(CodeBadRequest, "nope")))
 	f.Add(seed(MsgAck, nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // hostile length prefix
@@ -73,7 +75,7 @@ func FuzzReadMessage(f *testing.F) {
 				UnmarshalHello(payload)
 			case MsgHelloAck:
 				UnmarshalHelloAck(payload)
-			case MsgSetLabels:
+			case MsgSetLabels, MsgStreamLabels:
 				UnmarshalLabels(payload)
 			case MsgCaptureAck:
 				UnmarshalCaptureAck(payload)
@@ -83,16 +85,10 @@ func FuzzReadMessage(f *testing.F) {
 				UnmarshalError(payload)
 			case MsgSubscribe:
 				UnmarshalSubscribe(payload)
-			case MsgSubscribeAck:
-				UnmarshalSubscribeAck(payload)
 			case MsgCredit:
 				UnmarshalCredit(payload)
 			case MsgFramePush:
 				UnmarshalFramePush(payload)
-			case MsgUnsubscribe:
-				UnmarshalUnsubscribe(payload)
-			case MsgStreamLabels:
-				UnmarshalStreamLabels(payload)
 			case MsgLabelsApplied:
 				UnmarshalLabelsApplied(payload)
 			}
@@ -101,16 +97,18 @@ func FuzzReadMessage(f *testing.F) {
 }
 
 // FuzzReadSubscribe exercises the small fixed-size streaming control
-// payloads (SUBSCRIBE, SUBSCRIBE_ACK, CREDIT, UNSUBSCRIBE) with arbitrary
-// bytes: errors, never panics, and any accepted SUBSCRIBE obeys the credit
-// and batch caps — the bounds the server's per-subscription ledger relies
-// on.
+// payloads (SUBSCRIBE, CREDIT) with arbitrary bytes: errors, never panics,
+// any accepted SUBSCRIBE obeys the credit and batch caps — the bounds the
+// server's per-subscription ledger relies on — and any accepted CREDIT
+// grants at least one credit.
 func FuzzReadSubscribe(f *testing.F) {
 	f.Add(MarshalSubscribe(Subscribe{Target: 1, Credit: 1, Batch: 1}))
 	f.Add(MarshalSubscribe(Subscribe{Target: 0, Credit: 1, Batch: 1}))
 	f.Add(MarshalSubscribe(Subscribe{Target: 1 << 40, Credit: MaxCreditWindow, Batch: MaxBatch}))
-	f.Add(MarshalCredit(Credit{SubID: 9, N: 1 << 30}))
-	f.Add(MarshalUnsubscribe(Unsubscribe{SubID: ^uint64(0)}))
+	f.Add(MarshalCredit(1 << 30))
+	v11 := MarshalSubscribe(Subscribe{Target: 1, Credit: 1, Batch: 1})
+	binary.LittleEndian.PutUint32(v11[4:], 11) // protocol 11's layout
+	f.Add(v11)
 	hostile := MarshalSubscribe(Subscribe{Target: 1})
 	for i := len(hostile) - 8; i < len(hostile); i++ {
 		hostile[i] = 0xff // credit and batch fields at their uint32 max
@@ -122,33 +120,34 @@ func FuzzReadSubscribe(f *testing.F) {
 				t.Fatalf("accepted subscribe breaks caps: %+v", s)
 			}
 		}
-		UnmarshalSubscribeAck(data)
-		UnmarshalCredit(data)
-		UnmarshalUnsubscribe(data)
+		if n, err := UnmarshalCredit(data); err == nil && n == 0 {
+			t.Fatal("accepted a CREDIT of zero")
+		}
 	})
 }
 
 // FuzzReadFramePush drives arbitrary bytes through the batched push
-// decoder. Hostile batch counts and per-record encoded lengths must fail
-// before any allocation proportional to the claim, and every accepted
-// payload must re-marshal byte-identically (the decoder neither invents
-// nor drops bytes).
+// decoder. Hostile batch counts and per-record lengths must fail before any
+// allocation proportional to the claim, and every accepted payload must
+// re-marshal byte-identically (the decoder neither invents nor drops
+// bytes). Every accepted record then goes through the header parse a
+// subscriber reads its frame's index and statistics with,
+// core.ParseEncodedHeader, which must not panic: where it and
+// core.ReadEncodedFrame both accept a record they agree on the frame index,
+// the geometry and the size, and a record ReadEncodedFrame reads to its
+// last byte the header parse accepts.
 func FuzzReadFramePush(f *testing.F) {
-	f.Add(MarshalFramePush(FramePush{SubID: 1}))
-	f.Add(MarshalFramePush(FramePush{
-		SubID:   2,
-		Dropped: 5,
-		Frames: []PushFrame{
-			{Seq: 7, Stats: CaptureAck{FrameIndex: 7, EncodedPixels: 4, EncodedBytes: 12, PixelFraction: 0.5}, Enc: []byte{1, 2, 3, 4}},
-			{Seq: 9, Stats: CaptureAck{FrameIndex: 9}, Enc: nil},
-		},
-	}))
-	hostileCount := MarshalFramePush(FramePush{SubID: 3, Frames: []PushFrame{{Seq: 1, Enc: []byte{8}}}})
-	hostileCount[16], hostileCount[17], hostileCount[18], hostileCount[19] = 0xff, 0xff, 0xff, 0xff
+	c0, c1 := containerSeed(f, 7), containerSeed(f, 8)
+	f.Add(MarshalFramePush(FramePush{}))
+	f.Add(MarshalFramePush(FramePush{Dropped: 5, Frames: [][]byte{c0, c1}}))
+	f.Add(MarshalFramePush(FramePush{Frames: [][]byte{c0[:len(c0)-1]}})) // shorter than its header says
+	f.Add(MarshalFramePush(FramePush{Frames: [][]byte{append(bytes.Clone(c1), 0)}}))
+	hostileCount := MarshalFramePush(FramePush{Frames: [][]byte{{8}}})
+	hostileCount[8], hostileCount[9], hostileCount[10], hostileCount[11] = 0xff, 0xff, 0xff, 0xff
 	f.Add(hostileCount)
-	hostileLen := MarshalFramePush(FramePush{SubID: 4, Frames: []PushFrame{{Seq: 1, Enc: []byte{8, 9}}}})
-	hostileLen[framePushHeaderSize+28] = 0xf0
-	hostileLen[framePushHeaderSize+31] = 0xff
+	hostileLen := MarshalFramePush(FramePush{Frames: [][]byte{{8, 9}}})
+	hostileLen[framePushHeaderSize] = 0xf0
+	hostileLen[framePushHeaderSize+3] = 0xff
 	f.Add(hostileLen)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := UnmarshalFramePush(data)
@@ -161,5 +160,45 @@ func FuzzReadFramePush(f *testing.F) {
 		if got := MarshalFramePush(p); !bytes.Equal(got, data) {
 			t.Fatalf("re-marshal differs: %d bytes in, %d out", len(data), len(got))
 		}
+		for i, rec := range p.Frames {
+			h, herr := core.ParseEncodedHeader(rec)
+			r := bytes.NewReader(rec)
+			ef, rerr := core.ReadEncodedFrame(r)
+			if rerr != nil {
+				continue
+			}
+			if r.Len() == 0 && herr != nil {
+				t.Fatalf("record %d: ReadEncodedFrame reads all %d bytes, the header parse rejects them: %v", i, len(rec), herr)
+			}
+			if herr == nil && (h.FrameIndex != ef.FrameIndex || h.W != ef.W || h.H != ef.H ||
+				h.BytesPerPixel != ef.BytesPerPixel || len(rec) != ef.EncodedSize() ||
+				h.NumEncodedPixels() != ef.NumEncodedPixels() || h.TotalBytes() != ef.TotalBytes()) {
+				t.Fatalf("record %d: header %+v disagrees with the frame read (%dx%d bpp %d, index %d, %d bytes)",
+					i, h, ef.W, ef.H, ef.BytesPerPixel, ef.FrameIndex, ef.EncodedSize())
+			}
+		}
 	})
+}
+
+// containerSeed encodes a small synthetic frame at index idx and returns
+// its RPXE container.
+func containerSeed(tb testing.TB, idx int) []byte {
+	tb.Helper()
+	const w, h = 16, 12
+	enc := core.NewEncoder(w, h, frame.Gray8)
+	if err := enc.SetRegionLabels(region.List{
+		{X: 2, Y: 1, W: 9, H: 7, Stride: 2, Skip: 1},
+		{X: 0, Y: 8, W: w, H: 4, Stride: 1, Skip: 2},
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	fr := frame.New(w, h, frame.Gray8)
+	for i := range fr.Pix {
+		fr.Pix[i] = byte(i * 7)
+	}
+	ef, err := enc.EncodeFrame(fr, idx)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ef.AppendTo(nil)
 }

@@ -14,7 +14,7 @@ import (
 // holds more undelivered frames than the client has granted credit for, so
 // a stalled client bounds server memory by construction; frames produced
 // while a subscription has no credit are dropped for that subscriber and
-// counted in FramePush.Dropped (sequence numbers expose the gap).
+// counted in FramePush.Dropped (the pushed frames' indexes expose the gap).
 
 // Streaming bounds. They cap what a hostile SUBSCRIBE can ask the server
 // to buffer (credits are accepted-but-undelivered frames held server-side)
@@ -82,126 +82,52 @@ func UnmarshalSubscribe(b []byte) (Subscribe, error) {
 	return s, nil
 }
 
-// SubscribeAck confirms a subscription.
-type SubscribeAck struct {
-	// SubID identifies the subscription in CREDIT, FRAME_PUSH and
-	// UNSUBSCRIBE messages.
-	SubID uint64
-	// NextSeq is the sequence number (session frame index) of the first
-	// frame the subscription can observe; frames captured before the
-	// subscription attached are never replayed.
-	NextSeq uint64
-}
+// A stream connection holds one subscription, so no stream message names
+// it. SUBSCRIBE is answered with the empty ACK, UNSUBSCRIBE is empty and
+// answered with the empty ACK once the stream has drained, STREAM_LABELS
+// is exactly a SET_LABELS payload (AppendLabels / UnmarshalLabels), and
+// FRAME_PUSH records carry nothing but their RPXE containers: a frame's
+// index and capture statistics are in its container's header.
 
-const subscribeAckSize = 8 + 8
+// creditSize is the CREDIT payload: one u32 grant.
+const creditSize = 4
 
-// AppendSubscribeAck appends a SUBSCRIBE_ACK payload to dst.
-func AppendSubscribeAck(dst []byte, a SubscribeAck) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, a.SubID)
-	return binary.LittleEndian.AppendUint64(dst, a.NextSeq)
-}
+// MarshalCredit encodes a CREDIT payload granting n more push credits (the
+// server clamps the outstanding window at MaxCreditWindow).
+func MarshalCredit(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
 
-// MarshalSubscribeAck encodes a SUBSCRIBE_ACK payload into a fresh buffer.
-func MarshalSubscribeAck(a SubscribeAck) []byte { return AppendSubscribeAck(nil, a) }
-
-// UnmarshalSubscribeAck decodes a SUBSCRIBE_ACK payload.
-func UnmarshalSubscribeAck(b []byte) (SubscribeAck, error) {
-	if len(b) != subscribeAckSize {
-		return SubscribeAck{}, fmt.Errorf("wire: SUBSCRIBE_ACK payload is %d bytes, want %d", len(b), subscribeAckSize)
-	}
-	return SubscribeAck{
-		SubID:   binary.LittleEndian.Uint64(b),
-		NextSeq: binary.LittleEndian.Uint64(b[8:]),
-	}, nil
-}
-
-// Credit grants a subscription more push credits.
-type Credit struct {
-	SubID uint64
-	// N is the number of additional frames the server may push (>= 1; the
-	// server clamps the total outstanding window at MaxCreditWindow).
-	N uint32
-}
-
-const creditSize = 8 + 4
-
-// AppendCredit appends a CREDIT payload to dst.
-func AppendCredit(dst []byte, c Credit) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, c.SubID)
-	return binary.LittleEndian.AppendUint32(dst, c.N)
-}
-
-// MarshalCredit encodes a CREDIT payload into a fresh buffer.
-func MarshalCredit(c Credit) []byte { return AppendCredit(nil, c) }
-
-// UnmarshalCredit decodes and validates a CREDIT payload.
-func UnmarshalCredit(b []byte) (Credit, error) {
+// UnmarshalCredit decodes and validates a CREDIT payload: a grant of at
+// least one credit.
+func UnmarshalCredit(b []byte) (uint32, error) {
 	if len(b) != creditSize {
-		return Credit{}, fmt.Errorf("wire: CREDIT payload is %d bytes, want %d", len(b), creditSize)
+		return 0, fmt.Errorf("wire: CREDIT payload is %d bytes, want %d", len(b), creditSize)
 	}
-	c := Credit{
-		SubID: binary.LittleEndian.Uint64(b),
-		N:     binary.LittleEndian.Uint32(b[8:]),
+	n := binary.LittleEndian.Uint32(b)
+	if n == 0 {
+		return 0, fmt.Errorf("wire: CREDIT grants zero credits")
 	}
-	if c.N == 0 {
-		return Credit{}, fmt.Errorf("wire: CREDIT grants zero credits")
-	}
-	return c, nil
-}
-
-// Unsubscribe ends a subscription.
-type Unsubscribe struct {
-	SubID uint64
-}
-
-const unsubscribeSize = 8
-
-// AppendUnsubscribe appends an UNSUBSCRIBE payload to dst.
-func AppendUnsubscribe(dst []byte, u Unsubscribe) []byte {
-	return binary.LittleEndian.AppendUint64(dst, u.SubID)
-}
-
-// MarshalUnsubscribe encodes an UNSUBSCRIBE payload into a fresh buffer.
-func MarshalUnsubscribe(u Unsubscribe) []byte { return AppendUnsubscribe(nil, u) }
-
-// UnmarshalUnsubscribe decodes an UNSUBSCRIBE payload.
-func UnmarshalUnsubscribe(b []byte) (Unsubscribe, error) {
-	if len(b) != unsubscribeSize {
-		return Unsubscribe{}, fmt.Errorf("wire: UNSUBSCRIBE payload is %d bytes, want %d", len(b), unsubscribeSize)
-	}
-	return Unsubscribe{SubID: binary.LittleEndian.Uint64(b)}, nil
-}
-
-// PushFrame is one encoded frame inside a FRAME_PUSH batch.
-type PushFrame struct {
-	// Seq is the frame's sequence number: the session frame index the
-	// producer captured it at. Consecutive pushes with non-consecutive Seq
-	// mean the subscription ran out of credit and frames were dropped.
-	Seq uint64
-	// Stats are the frame's capture statistics, identical to what a
-	// CAPTURE_ACK for the same frame reported.
-	Stats CaptureAck
-	// Enc is the encoded frame in the RPXE container framing
-	// (core.EncodedFrame.WriteTo) — byte-identical to an rpx.System's
-	// LastEncoded().WriteTo for the same frame.
-	Enc []byte
+	return n, nil
 }
 
 // FramePush is the server-to-client push message: up to Batch frames.
 type FramePush struct {
-	SubID uint64
 	// Dropped is the cumulative count of frames this subscription missed
 	// because it had no credit when they were produced.
 	Dropped uint64
-	Frames  []PushFrame
+	// Frames holds each pushed frame's RPXE container
+	// (core.EncodedFrame.WriteTo), byte-identical to an rpx.System's
+	// LastEncoded().WriteTo for the same frame. Its header carries the
+	// frame index, which consecutive pushes skip only when frames were
+	// dropped.
+	Frames [][]byte
 }
 
-// framePushHeaderSize is u64 subID + u64 dropped + u32 count.
-const framePushHeaderSize = 8 + 8 + 4
+// framePushHeaderSize is u64 dropped + u32 count.
+const framePushHeaderSize = 8 + 4
 
-// pushRecordHeaderSize prefixes each frame record: u64 seq + the 20-byte
-// capture statistics + u32 encoded length.
-const pushRecordHeaderSize = 8 + 20 + 4
+// pushRecordHeaderSize prefixes each frame record: its u32 container
+// length.
+const pushRecordHeaderSize = 4
 
 // A FRAME_PUSH payload is AppendFramePushHeader's bytes, then for each
 // frame AppendPushRecordHeader's bytes followed by the frame's RPXE
@@ -211,17 +137,14 @@ const pushRecordHeaderSize = 8 + 20 + 4
 
 // AppendFramePushHeader appends the header of a FRAME_PUSH payload that
 // carries n frame records.
-func AppendFramePushHeader(dst []byte, subID, dropped uint64, n int) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, subID)
+func AppendFramePushHeader(dst []byte, dropped uint64, n int) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, dropped)
 	return binary.LittleEndian.AppendUint32(dst, uint32(n))
 }
 
 // AppendPushRecordHeader appends the header of one FRAME_PUSH record whose
 // RPXE container is encLen bytes long.
-func AppendPushRecordHeader(dst []byte, seq uint64, stats CaptureAck, encLen int) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
-	dst = AppendCaptureAck(dst, stats)
+func AppendPushRecordHeader(dst []byte, encLen int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(encLen))
 }
 
@@ -247,10 +170,10 @@ func PushFit(n int, encLen func(i int) int, maxPayload int) int {
 // AppendFramePush appends a FRAME_PUSH payload to dst. With a dst of
 // sufficient capacity it performs no allocation.
 func AppendFramePush(dst []byte, p FramePush) []byte {
-	dst = AppendFramePushHeader(dst, p.SubID, p.Dropped, len(p.Frames))
-	for _, f := range p.Frames {
-		dst = AppendPushRecordHeader(dst, f.Seq, f.Stats, len(f.Enc))
-		dst = append(dst, f.Enc...)
+	dst = AppendFramePushHeader(dst, p.Dropped, len(p.Frames))
+	for _, enc := range p.Frames {
+		dst = AppendPushRecordHeader(dst, len(enc))
+		dst = append(dst, enc...)
 	}
 	return dst
 }
@@ -259,8 +182,8 @@ func AppendFramePush(dst []byte, p FramePush) []byte {
 // for p, so a sender can size its scratch buffer up front.
 func FramePushSize(p FramePush) int {
 	n := framePushHeaderSize
-	for _, f := range p.Frames {
-		n += pushRecordHeaderSize + len(f.Enc)
+	for _, enc := range p.Frames {
+		n += pushRecordHeaderSize + len(enc)
 	}
 	return n
 }
@@ -272,9 +195,10 @@ func MarshalFramePush(p FramePush) []byte {
 
 // UnmarshalFramePush decodes a FRAME_PUSH payload. The input is untrusted:
 // the claimed batch count is bounded by what the payload can actually carry
-// before any allocation, and every record's encoded length is checked
-// against the remaining bytes, so hostile counts or length prefixes yield
-// an error, never a panic or an oversized allocation.
+// before any allocation, and every record's length is checked against the
+// remaining bytes, so hostile counts or length prefixes yield an error,
+// never a panic or an oversized allocation. The records' containers are
+// not parsed: core.ParseEncodedHeader reads one's header.
 func UnmarshalFramePush(b []byte) (FramePush, error) {
 	var p FramePush
 	if err := UnmarshalFramePushInto(b, &p); err != nil {
@@ -285,15 +209,14 @@ func UnmarshalFramePush(b []byte) (FramePush, error) {
 
 // UnmarshalFramePushInto is UnmarshalFramePush into p, reusing the storage
 // of p.Frames: a consumer that keeps one FramePush decodes a steady stream
-// without allocating. The frames' Enc slices point into b. On error p's
-// contents are unspecified.
+// without allocating. The frames point into b. On error p's contents are
+// unspecified.
 func UnmarshalFramePushInto(b []byte, p *FramePush) error {
 	if len(b) < framePushHeaderSize {
 		return fmt.Errorf("wire: FRAME_PUSH payload is %d bytes, want >= %d", len(b), framePushHeaderSize)
 	}
-	p.SubID = binary.LittleEndian.Uint64(b)
-	p.Dropped = binary.LittleEndian.Uint64(b[8:])
-	count := int64(binary.LittleEndian.Uint32(b[16:]))
+	p.Dropped = binary.LittleEndian.Uint64(b)
+	count := int64(binary.LittleEndian.Uint32(b[8:]))
 	if count > MaxBatch {
 		return fmt.Errorf("wire: FRAME_PUSH claims %d frames, batch cap is %d", count, MaxBatch)
 	}
@@ -306,21 +229,13 @@ func UnmarshalFramePushInto(b []byte, p *FramePush) error {
 		if len(b)-off < pushRecordHeaderSize {
 			return fmt.Errorf("wire: FRAME_PUSH record %d truncated at %d bytes", i, len(b)-off)
 		}
-		var f PushFrame
-		f.Seq = binary.LittleEndian.Uint64(b[off:])
-		stats, err := UnmarshalCaptureAck(b[off+8 : off+28])
-		if err != nil {
-			return fmt.Errorf("wire: FRAME_PUSH record %d: %w", i, err)
-		}
-		f.Stats = stats
-		encLen := int64(binary.LittleEndian.Uint32(b[off+28:]))
+		encLen := int64(binary.LittleEndian.Uint32(b[off:]))
 		off += pushRecordHeaderSize
 		if encLen > int64(len(b)-off) {
 			return fmt.Errorf("wire: FRAME_PUSH record %d claims %d encoded bytes, %d remain", i, encLen, len(b)-off)
 		}
-		f.Enc = b[off : off+int(encLen)]
+		p.Frames = append(p.Frames, b[off:off+int(encLen)])
 		off += int(encLen)
-		p.Frames = append(p.Frames, f)
 	}
 	if off != len(b) {
 		return fmt.Errorf("wire: FRAME_PUSH carries %d trailing bytes", len(b)-off)

@@ -40,15 +40,15 @@ func TestSubscribeRoundTrip(t *testing.T) {
 
 // TestSubscribeCarriesProtocolVersion: SUBSCRIBE opens its connection, so
 // it carries the magic and version HELLO does and is checked the same
-// way: another version fails with *VersionError whatever its length, and
-// the 16-byte SUBSCRIBE of protocol 10, which had no such prefix, is
-// rejected.
+// way: another version fails with *VersionError whatever its length (the
+// 24-byte SUBSCRIBE of protocol 11 had today's layout), and the 16-byte
+// SUBSCRIBE of protocol 10, which had no such prefix, is rejected.
 func TestSubscribeCarriesProtocolVersion(t *testing.T) {
 	cur := MarshalSubscribe(Subscribe{Target: 42, Credit: 4, Batch: 1})
 	if len(cur) != 24 {
 		t.Fatalf("SUBSCRIBE is %d bytes, want 24", len(cur))
 	}
-	for _, v := range []uint32{10, ProtoVersion + 1} {
+	for _, v := range []uint32{10, 11, ProtoVersion + 1} {
 		b := bytes.Clone(cur)
 		binary.LittleEndian.PutUint32(b[4:], v)
 		for _, msg := range [][]byte{b, b[:12]} {
@@ -70,66 +70,50 @@ func TestSubscribeCarriesProtocolVersion(t *testing.T) {
 	}
 }
 
-func TestSubscribeAckRoundTrip(t *testing.T) {
-	a := SubscribeAck{SubID: 7, NextSeq: 120}
-	got, err := UnmarshalSubscribeAck(MarshalSubscribeAck(a))
-	if err != nil || got != a {
-		t.Fatalf("subscribe ack round trip = %+v %v, want %+v", got, err, a)
-	}
-	if _, err := UnmarshalSubscribeAck(nil); err == nil {
-		t.Fatal("empty subscribe ack accepted")
-	}
-}
-
+// TestCreditRoundTrip: CREDIT is one u32 grant of at least one credit.
 func TestCreditRoundTrip(t *testing.T) {
-	c := Credit{SubID: 3, N: 9}
-	got, err := UnmarshalCredit(MarshalCredit(c))
-	if err != nil || got != c {
-		t.Fatalf("credit round trip = %+v %v, want %+v", got, err, c)
+	b := MarshalCredit(9)
+	if len(b) != 4 {
+		t.Fatalf("CREDIT is %d bytes, want 4", len(b))
 	}
-	if _, err := UnmarshalCredit(MarshalCredit(Credit{SubID: 3})); err == nil {
+	if n, err := UnmarshalCredit(b); err != nil || n != 9 {
+		t.Fatalf("credit round trip = %d %v, want 9", n, err)
+	}
+	if _, err := UnmarshalCredit(MarshalCredit(0)); err == nil {
 		t.Fatal("zero-credit grant accepted")
 	}
-	if _, err := UnmarshalCredit(make([]byte, creditSize+1)); err == nil {
-		t.Fatal("long credit accepted")
+	// Protocol 11's CREDIT led with a u64 subscription id.
+	for _, n := range []int{0, creditSize - 1, creditSize + 1, 12} {
+		if _, err := UnmarshalCredit(make([]byte, n)); err == nil {
+			t.Fatalf("%d-byte credit accepted", n)
+		}
 	}
 }
 
-func TestUnsubscribeRoundTrip(t *testing.T) {
-	u := Unsubscribe{SubID: 11}
-	got, err := UnmarshalUnsubscribe(MarshalUnsubscribe(u))
-	if err != nil || got != u {
-		t.Fatalf("unsubscribe round trip = %+v %v, want %+v", got, err, u)
-	}
-	if _, err := UnmarshalUnsubscribe(make([]byte, 7)); err == nil {
-		t.Fatal("short unsubscribe accepted")
-	}
-}
-
+// TestFramePushRoundTrip: a FRAME_PUSH is a u64 dropped count, a u32
+// record count, and per record a u32 length and the container bytes.
 func TestFramePushRoundTrip(t *testing.T) {
 	p := FramePush{
-		SubID:   5,
 		Dropped: 2,
-		Frames: []PushFrame{
-			{Seq: 10, Stats: CaptureAck{FrameIndex: 10, EncodedPixels: 3, EncodedBytes: 8, PixelFraction: 0.25}, Enc: []byte{1, 2, 3}},
-			{Seq: 12, Stats: CaptureAck{FrameIndex: 12, EncodedPixels: 4, EncodedBytes: 9, PixelFraction: 0.5}, Enc: nil},
-			{Seq: 13, Stats: CaptureAck{FrameIndex: 13}, Enc: bytes.Repeat([]byte{0xAB}, 100)},
-		},
+		Frames:  [][]byte{{1, 2, 3}, nil, bytes.Repeat([]byte{0xAB}, 100)},
 	}
-	got, err := UnmarshalFramePush(MarshalFramePush(p))
+	b := MarshalFramePush(p)
+	if want := 8 + 4 + 3*4 + 3 + 100; len(b) != want {
+		t.Fatalf("FRAME_PUSH of 3 records is %d bytes, want %d", len(b), want)
+	}
+	got, err := UnmarshalFramePush(b)
 	if err != nil {
 		t.Fatalf("UnmarshalFramePush: %v", err)
 	}
-	if got.SubID != p.SubID || got.Dropped != p.Dropped || len(got.Frames) != len(p.Frames) {
+	if got.Dropped != p.Dropped || len(got.Frames) != len(p.Frames) {
 		t.Fatalf("push header = %+v", got)
 	}
-	for i, f := range p.Frames {
-		g := got.Frames[i]
-		if g.Seq != f.Seq || g.Stats != f.Stats || !bytes.Equal(g.Enc, f.Enc) {
-			t.Fatalf("frame %d = %+v, want %+v", i, g, f)
+	for i, enc := range p.Frames {
+		if !bytes.Equal(got.Frames[i], enc) {
+			t.Fatalf("frame %d = %v, want %v", i, got.Frames[i], enc)
 		}
 	}
-	if got, err := UnmarshalFramePush(MarshalFramePush(FramePush{SubID: 1})); err != nil || len(got.Frames) != 0 {
+	if got, err := UnmarshalFramePush(MarshalFramePush(FramePush{})); err != nil || len(got.Frames) != 0 {
 		t.Fatalf("empty push = %+v %v", got, err)
 	}
 }
@@ -138,21 +122,18 @@ func TestFramePushRoundTrip(t *testing.T) {
 // counts and per-record encoded lengths the payload cannot carry must fail
 // before any allocation proportional to the claim.
 func TestFramePushHostileCounts(t *testing.T) {
-	b := MarshalFramePush(FramePush{
-		SubID:  1,
-		Frames: []PushFrame{{Seq: 1, Enc: []byte{9, 9}}},
-	})
+	b := MarshalFramePush(FramePush{Frames: [][]byte{{9, 9}}})
 	// Claimed count far beyond what the payload carries.
 	for _, n := range []uint32{2, MaxBatch, 1 << 20, 0xffffffff} {
 		bad := append([]byte(nil), b...)
-		binary.LittleEndian.PutUint32(bad[16:], n)
+		binary.LittleEndian.PutUint32(bad[8:], n)
 		if _, err := UnmarshalFramePush(bad); err == nil {
 			t.Fatalf("count %d accepted for a one-frame payload", n)
 		}
 	}
 	// Hostile per-record encoded length overrunning the payload.
 	bad := append([]byte(nil), b...)
-	binary.LittleEndian.PutUint32(bad[framePushHeaderSize+28:], 0xfffffff0)
+	binary.LittleEndian.PutUint32(bad[framePushHeaderSize:], 0xfffffff0)
 	if _, err := UnmarshalFramePush(bad); err == nil {
 		t.Fatal("overrunning encoded length accepted")
 	}
@@ -171,18 +152,17 @@ func TestFramePushHostileCounts(t *testing.T) {
 // header from the appenders in one scratch, and each record's container
 // passed through in pieces cut at random points (some empty).
 func pushParts(p FramePush, rng *rand.Rand) [][]byte {
-	scratch := AppendFramePushHeader(nil, p.SubID, p.Dropped, len(p.Frames))
+	scratch := AppendFramePushHeader(nil, p.Dropped, len(p.Frames))
 	var cuts []int
-	for _, f := range p.Frames {
-		scratch = AppendPushRecordHeader(scratch, f.Seq, f.Stats, len(f.Enc))
+	for _, enc := range p.Frames {
+		scratch = AppendPushRecordHeader(scratch, len(enc))
 		cuts = append(cuts, len(scratch))
 	}
 	var parts [][]byte
 	start := 0
-	for i, f := range p.Frames {
+	for i, enc := range p.Frames {
 		parts = append(parts, scratch[start:cuts[i]])
 		start = cuts[i]
-		enc := f.Enc
 		for k := 0; k < 3; k++ {
 			c := rng.Intn(len(enc) + 1)
 			parts = append(parts, enc[:c])
@@ -193,21 +173,14 @@ func pushParts(p FramePush, rng *rand.Rand) [][]byte {
 	return parts
 }
 
-// randomPush returns a FRAME_PUSH of the given record lengths with random
-// subscription id, dropped count, sequence numbers, statistics and bytes.
+// randomPush returns a FRAME_PUSH of the given record lengths with a random
+// dropped count and random bytes.
 func randomPush(rng *rand.Rand, encLens []int) FramePush {
-	p := FramePush{SubID: rng.Uint64(), Dropped: uint64(rng.Intn(2)) * rng.Uint64()}
-	seq := uint64(rng.Intn(1000))
+	p := FramePush{Dropped: uint64(rng.Intn(2)) * rng.Uint64()}
 	for _, n := range encLens {
-		seq += 1 + uint64(rng.Intn(3))
 		enc := make([]byte, n)
 		rng.Read(enc)
-		p.Frames = append(p.Frames, PushFrame{
-			Seq: seq,
-			Stats: CaptureAck{FrameIndex: int(seq), EncodedPixels: rng.Intn(1 << 20),
-				EncodedBytes: rng.Intn(1 << 22), PixelFraction: rng.Float64()},
-			Enc: enc,
-		})
+		p.Frames = append(p.Frames, enc)
 	}
 	return p
 }
@@ -282,7 +255,7 @@ func TestFramePushVectoredWrite(t *testing.T) {
 		{"all fit", []int{100, 100, 100}, 0, []int{3}},
 		{"at the cap", []int{100, 100, 100, 100}, two, []int{2, 2}},
 		{"one byte over", []int{100, 100, 100, 100}, two - 1, []int{1, 1, 1, 1}},
-		{"uneven", []int{10, 100, 60, 100, 5}, two, []int{2, 3}},
+		{"uneven", []int{10, 100, 60, 100, 5}, two, []int{3, 2}},
 		{"oversized alone", []int{10, 300, 10, 10}, two, []int{1, 1, 2}},
 		{"oversized first", []int{300, 10}, two, []int{1, 1}},
 		{"empty records", []int{0, 0, 0}, framePushHeaderSize + 2*rec(0), []int{2, 1}},
@@ -290,9 +263,9 @@ func TestFramePushVectoredWrite(t *testing.T) {
 		p := randomPush(rng, tc.lens)
 		var split []int
 		for frames := p.Frames; len(frames) > 0; {
-			n := PushFit(len(frames), func(i int) int { return len(frames[i].Enc) }, tc.max)
+			n := PushFit(len(frames), func(i int) int { return len(frames[i]) }, tc.max)
 			split = append(split, n)
-			msg := FramePush{SubID: p.SubID, Dropped: p.Dropped, Frames: frames[:n]}
+			msg := FramePush{Dropped: p.Dropped, Frames: frames[:n]}
 			payload := MarshalFramePush(msg)
 			var got bytes.Buffer
 			err := NewMessageWriter(&got).WriteMessageVec(MsgFramePush, pushParts(msg, rng), tc.max)

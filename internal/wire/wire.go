@@ -12,13 +12,16 @@
 // session, served request/reply until CLOSE; SUBSCRIBE opens a stream that
 // pushes another session's encoded frames until UNSUBSCRIBE's ACK or a
 // terminal ERROR, after which the connection closes. Both carry the
-// protocol magic and version, checked the same way. Readers enforce a
-// per-message payload cap so a malformed or hostile peer cannot make the
-// receiver allocate unbounded memory; writers refuse to emit messages above
-// the same cap. Encoded frames travel in the same RPXE container the .rpxs
-// stream format uses (core.EncodedFrame.WriteTo / core.ReadEncodedFrame),
-// so any encoded-frame transport — file, socket, or pipe — shares one
-// framing.
+// protocol magic and version, checked the same way. A stream connection is
+// its one subscription, so no stream message names it, and each pushed
+// frame is its RPXE container alone: the container's header already holds
+// the frame index and everything its capture statistics are computed from.
+// Readers enforce a per-message payload cap so a malformed or hostile peer
+// cannot make the receiver allocate unbounded memory; writers refuse to
+// emit messages above the same cap. Encoded frames travel in the same RPXE
+// container the .rpxs stream format uses (core.EncodedFrame.WriteTo /
+// core.ReadEncodedFrame), so any encoded-frame transport — file, socket,
+// or pipe — shares one framing.
 package wire
 
 import (
@@ -46,7 +49,7 @@ const ProtoMagic = 0x52505844 // "RPXD"
 // session connection, push and in-stream label feedback on a stream
 // connection — and every encoded frame on the wire (FRAME_PUSH) is the raw
 // RPXE v1 container that .rpxs files use.
-const ProtoVersion = 11
+const ProtoVersion = 12
 
 // DefaultMaxPayload caps a single message payload (32 MiB): comfortably
 // above a 1080p RGB frame plus metadata, far below an OOM.
@@ -64,7 +67,8 @@ const (
 	MsgHelloAck byte = 2
 	// MsgSetLabels installs a region-label workload.
 	MsgSetLabels byte = 3
-	// MsgAck is the empty success reply (SET_LABELS, CLOSE).
+	// MsgAck is the empty success reply (SET_LABELS, CLOSE, SUBSCRIBE,
+	// UNSUBSCRIBE).
 	MsgAck byte = 4
 	// MsgCapture carries one raw raster-scan frame to encode.
 	MsgCapture byte = 5
@@ -94,15 +98,16 @@ const (
 
 	// MsgSubscribe opens a stream connection on another session's
 	// encoded-frame stream: protocol magic/version, target session, an
-	// initial credit window and a batching bound.
+	// initial credit window and a batching bound. The reply is ACK.
 	MsgSubscribe byte = 16
-	// MsgSubscribeAck confirms a subscription: subscription id + next
-	// sequence number the stream will observe.
-	MsgSubscribeAck byte = 17
+
+	// Type 17 is reserved: up to protocol 11 it was SUBSCRIBE_ACK, which
+	// carried a subscription id and the next sequence number.
+
 	// MsgCredit grants the server more push credits (client to server).
 	MsgCredit byte = 18
-	// MsgFramePush carries up to Batch encoded frames with their capture
-	// statistics and sequence numbers (server to client, unsolicited).
+	// MsgFramePush carries up to Batch encoded frames, each its RPXE
+	// container (server to client, unsolicited).
 	MsgFramePush byte = 19
 	// MsgUnsubscribe ends the subscription; the server flushes frames
 	// already accepted against credit, then replies ACK.
@@ -113,8 +118,8 @@ const (
 	// push stream as its own message type (never ACK/ERROR, which gateways
 	// and clients treat as stream-terminal).
 
-	// MsgStreamLabels installs a region-label workload on the
-	// subscription's target session (client to server, while streaming).
+	// MsgStreamLabels installs a region-label workload on the stream's
+	// target session (client to server, while streaming).
 	MsgStreamLabels byte = 21
 	// MsgLabelsApplied acknowledges STREAM_LABELS with the first frame
 	// sequence number captured under the new labels, or a rejection code.
@@ -457,8 +462,8 @@ func UnmarshalHelloAck(b []byte) (HelloAck, error) {
 
 // Dial connects to addr and sends the connection's first message — typ is
 // MsgHello or MsgSubscribe — then reads its reply. On success it returns
-// the connection, the reader that buffers it, and the raw HELLO_ACK or
-// SUBSCRIBE_ACK payload, which a forwarder relays verbatim. Taking the
+// the connection, the reader that buffers it, and the raw HELLO_ACK or ACK
+// payload, which a forwarder relays verbatim. Taking the
 // payload rather than a struct lets a forwarder replay exactly the bytes
 // its client sent. On failure the connection is closed; a server-side
 // rejection is returned as an error wrapping the *RemoteError, so callers
@@ -481,7 +486,7 @@ func Dial(addr string, dialTimeout time.Duration, typ byte, payload []byte, maxP
 func handshake(conn net.Conn, br *bufio.Reader, typ byte, payload []byte, maxPayload int, timeout time.Duration) ([]byte, error) {
 	want := MsgHelloAck
 	if typ == MsgSubscribe {
-		want = MsgSubscribeAck
+		want = MsgAck
 	}
 	conn.SetWriteDeadline(time.Now().Add(timeout))
 	if err := WriteMessage(conn, typ, payload, maxPayload); err != nil {

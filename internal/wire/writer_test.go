@@ -192,7 +192,7 @@ func TestAllocsWirePath(t *testing.T) {
 
 	scratch := make([]byte, 0, 4096)
 	ack := CaptureAck{FrameIndex: 9, EncodedPixels: 64, EncodedBytes: 64, PixelFraction: 0.25}
-	push := FramePush{SubID: 3, Frames: []PushFrame{{Seq: 4, Stats: ack, Enc: payload[:512]}}}
+	push := FramePush{Dropped: 1, Frames: [][]byte{payload[:512]}}
 	if allocs := testing.AllocsPerRun(200, func() {
 		scratch = AppendCaptureAck(scratch[:0], ack)
 		scratch = AppendError(scratch[:0], CodeBadRequest, "no")
@@ -208,9 +208,9 @@ func TestAllocsWirePath(t *testing.T) {
 	parts := make([][]byte, 0, 2*len(frames))
 	if allocs := testing.AllocsPerRun(200, func() {
 		n := PushFit(len(frames), func(i int) int { return len(frames[i]) }, 0)
-		scratch = AppendFramePushHeader(scratch[:0], 3, 1, n)
+		scratch = AppendFramePushHeader(scratch[:0], 1, n)
 		for i := 0; i < n; i++ {
-			scratch = AppendPushRecordHeader(scratch, uint64(i), ack, len(frames[i]))
+			scratch = AppendPushRecordHeader(scratch, len(frames[i]))
 		}
 		parts = parts[:0]
 		start := framePushHeaderSize

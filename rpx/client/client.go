@@ -34,10 +34,12 @@
 // Stream) on a connection of its own, dialed with the session's address,
 // timeouts and payload cap. The session keeps serving requests while its
 // streams run, a stream's transport error ends only that stream, and Close
-// on the session also closes every stream it opened. A stream reads every
-// message into one buffer it reuses, so a StreamFrame's Raw bytes are valid
-// only until the next Recv or Close on that stream; copy them, or Decode
-// the frame, to keep it. The values the request/reply calls return are the
+// on the session also closes every stream it opened. A stream is its
+// connection's one subscription, and a pushed frame is its RPXE container
+// alone: a StreamFrame's Seq and Stats are read from the container's
+// header. A stream reads every message into one buffer it reuses, so a
+// StreamFrame's Raw bytes are valid only until the next Recv or Close on
+// that stream; copy them, or Decode the frame, to keep it. The values the request/reply calls return are the
 // caller's to keep.
 package client
 

@@ -89,25 +89,34 @@ func runLabelBoundaryDifferential(t *testing.T, addr string, scene int) {
 	}
 	capture(after)
 
+	// Each frame received is granted back, as a steady consumer does, so
+	// the window never runs dry however long the ack takes.
 	var frames []client.StreamFrame
-	for len(frames) < before+after {
+	recv := func(what string) {
+		t.Helper()
 		f, err := st.Recv()
 		if err != nil {
-			t.Fatalf("Recv: %v", err)
+			t.Fatalf("%s: %v", what, err)
 		}
 		f.Raw = bytes.Clone(f.Raw) // kept past the next Recv
 		frames = append(frames, f)
+		if err := st.Grant(1); err != nil {
+			t.Fatalf("Grant: %v", err)
+		}
+	}
+	for len(frames) < before+after {
+		recv("Recv")
 	}
 	// The ack rides an independent writer; keep the stream moving until it
-	// lands (frames captured meanwhile stay part of the comparison).
+	// lands (frames captured meanwhile stay part of the comparison), but
+	// not without bound.
+	const maxAckLag = 1000
 	for len(acks) == 0 {
-		capture(1)
-		f, err := st.Recv()
-		if err != nil {
-			t.Fatalf("Recv awaiting ack: %v", err)
+		if lag := next - before; lag >= maxAckLag {
+			t.Fatalf("no LABELS_APPLIED %d frames after the labels were sent", lag)
 		}
-		f.Raw = bytes.Clone(f.Raw)
-		frames = append(frames, f)
+		capture(1)
+		recv("Recv awaiting ack")
 	}
 	if acks[0].Err != nil {
 		t.Fatalf("labels rejected: %v", acks[0].Err)
@@ -116,6 +125,8 @@ func runLabelBoundaryDifferential(t *testing.T, addr string, scene int) {
 	if boundary > uint64(next) {
 		t.Fatalf("boundary %d beyond the %d captured frames", boundary, next)
 	}
+	t.Logf("labels sent after %d frames took effect at frame %d; their ack came %d frames after sending",
+		before, boundary, next-before)
 
 	// Reference: the in-process pipeline, fed the same inputs, switching
 	// workloads exactly at the reported boundary. Byte-identity against it

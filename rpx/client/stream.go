@@ -27,10 +27,11 @@ import (
 // path and may be called from any goroutine (typically the one consuming
 // frames).
 //
-// Any error ends the stream and only the stream: a transport error, or a
-// terminal server error (the producing session closed), reported as a
-// *wire.RemoteError. Every later Recv returns the same error; subscribe
-// again to go on.
+// Any error ends the stream and only the stream: a transport error, a
+// push that is malformed (its framing, or the header of a frame's RPXE
+// container), or a terminal server error (the producing session closed),
+// reported as a *wire.RemoteError. Every later Recv returns the same error;
+// subscribe again to go on.
 
 // SubscribeOptions parameterizes Subscribe.
 type SubscribeOptions struct {
@@ -45,11 +46,12 @@ type SubscribeOptions struct {
 	Batch int
 }
 
-// StreamFrame is one pushed frame.
+// StreamFrame is one pushed frame. Its Seq and Stats are read from the
+// header of its RPXE container, which is all a push carries of a frame.
 type StreamFrame struct {
-	// Seq is the producing session's frame index for this frame. A gap
-	// between consecutive frames' Seq means the subscription was out of
-	// credit and frames were dropped.
+	// Seq is the producing session's frame index for this frame, the u32
+	// the container stores. A gap between consecutive frames' Seq means the
+	// subscription was out of credit and frames were dropped.
 	Seq uint64
 	// Stats are the frame's capture statistics, identical to what the
 	// producer's Capture call returned.
@@ -85,12 +87,10 @@ type LabelsApplied struct {
 type Stream struct {
 	// s is the session that opened the stream; its payload cap and
 	// timeout, which Dial set once, bound the stream's messages too.
-	s       *Session
-	conn    net.Conn
-	br      *bufio.Reader
-	mw      *wire.MessageWriter // Grant, SetLabels and Close write concurrently
-	id      uint64
-	nextSeq uint64
+	s    *Session
+	conn net.Conn
+	br   *bufio.Reader
+	mw   *wire.MessageWriter // Grant, SetLabels and Close write concurrently
 	// rbuf receives every message the stream reads; push and buf hold the
 	// last FRAME_PUSH's records and the frames Recv has yet to return, from
 	// index next on, whose Raw slices point into rbuf. All are reused
@@ -124,22 +124,15 @@ func (s *Session) Subscribe(opts SubscribeOptions) (*Stream, error) {
 		Credit: uint32(opts.Credit),
 		Batch:  uint32(opts.Batch),
 	})
-	conn, br, payload, err := wire.Dial(s.addr, s.dialTimeout, wire.MsgSubscribe, req, s.maxPayload, s.timeout)
+	conn, br, _, err := wire.Dial(s.addr, s.dialTimeout, wire.MsgSubscribe, req, s.maxPayload, s.timeout)
 	if err != nil {
-		return nil, fmt.Errorf("client: subscribe: %w", err)
-	}
-	ack, err := wire.UnmarshalSubscribeAck(payload)
-	if err != nil {
-		conn.Close()
 		return nil, fmt.Errorf("client: subscribe: %w", err)
 	}
 	st := &Stream{
-		s:       s,
-		conn:    conn,
-		br:      br,
-		mw:      wire.NewMessageWriter(conn),
-		id:      ack.SubID,
-		nextSeq: ack.NextSeq,
+		s:    s,
+		conn: conn,
+		br:   br,
+		mw:   wire.NewMessageWriter(conn),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -150,13 +143,6 @@ func (s *Session) Subscribe(opts SubscribeOptions) (*Stream, error) {
 	s.streams[st] = struct{}{}
 	return st, nil
 }
-
-// ID returns the server-assigned subscription id.
-func (st *Stream) ID() uint64 { return st.id }
-
-// NextSeq returns the sequence number of the first frame the subscription
-// could observe (from the SUBSCRIBE_ACK).
-func (st *Stream) NextSeq() uint64 { return st.nextSeq }
 
 // end records how the stream ended, unless it already has, closes its
 // connection and takes it off its session's list. It returns the error the
@@ -184,8 +170,9 @@ func (st *Stream) ended() (bool, error) {
 
 // Recv returns the next pushed frame, reading FRAME_PUSH batches off the
 // wire as needed. It returns io.EOF after a clean Close, the terminal
-// *wire.RemoteError if the server ended the stream, or the transport error
-// that ended it.
+// *wire.RemoteError if the server ended the stream, or the error that
+// ended it: a transport error, or a push whose framing or container header
+// is malformed, of which it returns no frame.
 func (st *Stream) Recv() (StreamFrame, error) {
 	for {
 		if st.next < len(st.buf) {
@@ -222,9 +209,6 @@ func (st *Stream) noteApplied(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	if la.SubID != st.id {
-		return fmt.Errorf("client: LABELS_APPLIED for subscription %d, want %d", la.SubID, st.id)
-	}
 	out := LabelsApplied{AppliedSeq: la.AppliedSeq}
 	if la.Code != 0 {
 		out.Err = &wire.RemoteError{Code: la.Code, Message: la.Msg}
@@ -248,10 +232,7 @@ func (st *Stream) OnLabelsApplied(fn func(LabelsApplied)) { st.onApplied = fn }
 // rejection) is delivered through Recv to the OnLabelsApplied callback.
 // Like Grant, it is safe to call while another goroutine blocks in Recv.
 func (st *Stream) SetLabels(labels []rpx.RegionLabel) error {
-	return st.send(wire.MsgStreamLabels, wire.MarshalStreamLabels(wire.StreamLabels{
-		SubID:  st.id,
-		Labels: labels,
-	}), "stream labels")
+	return st.send(wire.MsgStreamLabels, wire.MarshalLabels(labels), "stream labels")
 }
 
 // streamError decodes the ERROR that ended a stream: the server's
@@ -287,27 +268,32 @@ func (st *Stream) readMsg() (byte, []byte, error) {
 	return wire.ReadMessageInto(st.br, &st.rbuf, st.s.maxPayload)
 }
 
-// buffer validates one FRAME_PUSH payload and queues its frames.
+// buffer validates one FRAME_PUSH payload, and the header of each frame's
+// container, and queues its frames; it queues none of them if any is
+// malformed.
 func (st *Stream) buffer(payload []byte) error {
 	p := &st.push
+	st.buf, st.next = st.buf[:0], 0
 	if err := wire.UnmarshalFramePushInto(payload, p); err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	if p.SubID != st.id {
-		return fmt.Errorf("client: FRAME_PUSH for subscription %d, want %d", p.SubID, st.id)
-	}
-	st.buf, st.next = st.buf[:0], 0
-	for _, f := range p.Frames {
+	for i, raw := range p.Frames {
+		h, err := core.ParseEncodedHeader(raw)
+		if err != nil {
+			st.buf = st.buf[:0]
+			return fmt.Errorf("client: FRAME_PUSH record %d: %w", i, err)
+		}
+		// rpx.System.Capture's arithmetic, on the header's figures.
 		st.buf = append(st.buf, StreamFrame{
-			Seq: f.Seq,
+			Seq: uint64(h.FrameIndex),
 			Stats: rpx.CaptureStats{
-				FrameIndex:    f.Stats.FrameIndex,
-				EncodedPixels: f.Stats.EncodedPixels,
-				EncodedBytes:  f.Stats.EncodedBytes,
-				PixelFraction: f.Stats.PixelFraction,
+				FrameIndex:    h.FrameIndex,
+				EncodedPixels: h.NumEncodedPixels(),
+				EncodedBytes:  h.TotalBytes(),
+				PixelFraction: float64(h.NumEncodedPixels()) / float64(h.W*h.H),
 			},
 			Dropped: p.Dropped,
-			Raw:     f.Enc,
+			Raw:     raw,
 		})
 	}
 	return nil
@@ -321,10 +307,7 @@ func (st *Stream) Grant(n int) error {
 	if n <= 0 || n > wire.MaxCreditWindow {
 		return fmt.Errorf("client: grant %d outside [1, %d]", n, wire.MaxCreditWindow)
 	}
-	return st.send(wire.MsgCredit, wire.MarshalCredit(wire.Credit{
-		SubID: st.id,
-		N:     uint32(n),
-	}), "stream grant")
+	return st.send(wire.MsgCredit, wire.MarshalCredit(uint32(n)), "stream grant")
 }
 
 // Close unsubscribes cleanly: it sends UNSUBSCRIBE, then reads and discards
@@ -335,7 +318,7 @@ func (st *Stream) Close() error {
 	if done, _ := st.ended(); done {
 		return nil
 	}
-	if err := st.send(wire.MsgUnsubscribe, wire.MarshalUnsubscribe(wire.Unsubscribe{SubID: st.id}), "unsubscribe"); err != nil {
+	if err := st.send(wire.MsgUnsubscribe, nil, "unsubscribe"); err != nil {
 		return err
 	}
 	for {

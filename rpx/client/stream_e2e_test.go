@@ -2,12 +2,16 @@ package client_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/rpx"
@@ -35,9 +39,6 @@ func TestStreamPushBasic(t *testing.T) {
 	st, err := sub.Subscribe(client.SubscribeOptions{Target: producer.ID(), Credit: 64, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.NextSeq() != 0 {
-		t.Fatalf("NextSeq = %d on a virgin producer", st.NextSeq())
 	}
 
 	labels := []rpx.RegionLabel{{X: 8, Y: 8, W: 32, H: 24, Stride: 1, Skip: 1}}
@@ -414,4 +415,126 @@ func TestSessionCloseEndsItsStreams(t *testing.T) {
 	if _, err := sess.Subscribe(client.SubscribeOptions{Target: producer.ID()}); err == nil {
 		t.Fatal("Subscribe on a closed session succeeded")
 	}
+}
+
+// TestStreamRejectsMalformedContainers: a FRAME_PUSH whose framing is
+// sound but one of whose records is not the container its header
+// describes — a bad header, or a length one byte off the size the header
+// implies — ends the stream at Recv with an error and returns no frame of
+// that push, whether the push comes straight from the peer or relayed by
+// rpxgw. The peer is a raw protocol-12 server that opens sessions and
+// pushes the given records on every stream.
+func TestStreamRejectsMalformedContainers(t *testing.T) {
+	sys, err := rpx.NewSystem(16, 12, rpx.Gray8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetRegionLabels([]rpx.RegionLabel{{X: 2, Y: 1, W: 9, H: 7, Stride: 2, Skip: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Capture(rpx.NewFrame(16, 12, rpx.Gray8)); err != nil {
+		t.Fatal(err)
+	}
+	good := sys.LastEncoded().AppendTo(nil)
+	badMagic := bytes.Clone(good)
+	badMagic[0] ^= 0xff
+	for _, tc := range []struct {
+		name    string
+		records [][]byte
+	}{
+		{"bad magic", [][]byte{badMagic}},
+		{"one byte short", [][]byte{good[:len(good)-1]}},
+		{"one byte long", [][]byte{append(bytes.Clone(good), 0)}},
+		{"after a good record", [][]byte{good, good[:len(good)-1]}},
+	} {
+		peer := startPushPeer(t, wire.MarshalFramePush(wire.FramePush{Frames: tc.records}))
+		gw, err := gateway.New(gateway.Config{
+			Backends: []gateway.Backend{{Addr: peer}},
+			Health:   gateway.WatcherConfig{Interval: time.Hour, Timeout: 500 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go gw.Serve(ln)
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			gw.Shutdown(ctx)
+		})
+		for _, via := range []struct{ name, addr string }{{"direct", peer}, {"rpxgw", ln.Addr().String()}} {
+			sess, err := client.Dial(via.addr, client.Config{W: 8, H: 8, Format: rpx.Gray8})
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, via.name, err)
+			}
+			st, err := sess.Subscribe(client.SubscribeOptions{Target: sess.ID(), Credit: 4})
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, via.name, err)
+			}
+			for i := 0; i < 2; i++ {
+				f, err := st.Recv()
+				if err == nil || f.Raw != nil {
+					t.Fatalf("%s %s: Recv %d = frame %d (%d bytes), %v; want no frame and an error",
+						tc.name, via.name, i, f.Seq, len(f.Raw), err)
+				}
+				if !strings.Contains(err.Error(), "FRAME_PUSH record") {
+					t.Fatalf("%s %s: Recv %d: %v, want the record's error", tc.name, via.name, i, err)
+				}
+			}
+			sess.Close()
+		}
+	}
+}
+
+// startPushPeer serves a minimal protocol-12 peer until the test ends: a
+// HELLO opens a session (id 7) that answers CLOSE, and a SUBSCRIBE is
+// acked and then sent the FRAME_PUSH payload push.
+func startPushPeer(t *testing.T, push []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	serve := func(conn net.Conn) {
+		defer conn.Close()
+		typ, _, err := wire.ReadMessage(conn, 0)
+		if err != nil {
+			return
+		}
+		switch typ {
+		case wire.MsgHello:
+			ack := wire.MarshalHelloAck(wire.HelloAck{SessionID: 7, MaxPayload: wire.DefaultMaxPayload})
+			if wire.WriteMessage(conn, wire.MsgHelloAck, ack, 0) != nil {
+				return
+			}
+			for {
+				typ, _, err := wire.ReadMessage(conn, 0)
+				if err != nil || typ == wire.MsgClose {
+					wire.WriteMessage(conn, wire.MsgAck, nil, 0)
+					return
+				}
+				wire.WriteMessage(conn, wire.MsgError, wire.MarshalError(wire.CodeProto, "not served"), 0)
+			}
+		case wire.MsgSubscribe:
+			if wire.WriteMessage(conn, wire.MsgAck, nil, 0) != nil ||
+				wire.WriteMessage(conn, wire.MsgFramePush, push, 0) != nil {
+				return
+			}
+			io.Copy(io.Discard, conn) // until the client hangs up
+		}
+	}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(conn)
+		}
+	}()
+	return ln.Addr().String()
 }

@@ -101,7 +101,7 @@ func drainUntilFault(t *testing.T, st *client.Stream, want [][]byte) (int, error
 // TestStreamFaultScriptedCuts: the proxy truncates (claiming the full
 // length, delivering a prefix — a mid-message, mid-batch cut) or drops the
 // 4th server→client message of the stream's connection, i.e. the 3rd
-// FRAME_PUSH (1 SUBSCRIBE_ACK, 2+ pushes). The subscriber must see the
+// FRAME_PUSH (1 ACK, 2+ pushes). The subscriber must see the
 // untouched pushes byte-perfect and then a transport error that ends the
 // stream — never a short or mangled frame surfaced as data. The stream
 // stays ended, and the session it was opened from, on a connection of its
